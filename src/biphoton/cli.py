@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -92,12 +93,22 @@ class RunConfig:
         return units.omega_from_wavelength(self.pump_wavelength)
 
 
+def _finite(value, field: str) -> float:
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{field}: must be a finite number")
+    return number
+
+
 def _require(mapping: dict, key: str, kind, path: str):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing required field")
     value = mapping[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value, f"{path}.{key}")
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is str and isinstance(value, str):
@@ -129,14 +140,14 @@ def load_config(path) -> RunConfig:
             f"pump.spatial_profile.kind: must be one of {_PROFILE_KINDS}, got {kind!r}")
     params = {k: v for k, v in profile.items() if k != "kind"}
     if kind in ("gaussian", "hg1", "shifted_gaussian"):
-        waist = float(params.get("waist_mm", 1.0))
+        waist = _finite(params.get("waist_mm", 1.0), "pump.spatial_profile.waist_mm")
         if waist <= 0.0:
             raise ConfigError("pump.spatial_profile.waist_mm: must be positive")
         params["waist_mm"] = waist
     if kind == "shifted_gaussian":
         if "shift_mm" not in params:
             raise ConfigError("pump.spatial_profile.shift_mm: missing required field")
-        params["shift_mm"] = float(params["shift_mm"])
+        params["shift_mm"] = _finite(params["shift_mm"], "pump.spatial_profile.shift_mm")
     if kind == "tabulated_file" and "path" not in params:
         raise ConfigError("pump.spatial_profile.path: missing required field")
 
@@ -275,6 +286,9 @@ def _run_engine(cfg: RunConfig, state, icfg, sgrid, fgrid, engine: str) -> Inter
 
 
 def _check_energy(gram: Interferogram):
+    rates = (gram.singles_port1, gram.singles_port2, gram.coincidences)
+    if not all(np.all(np.isfinite(r)) for r in rates):
+        raise BiphotonError(f"{gram.engine} engine produced non-finite rates")
     total = gram.singles_port1 + gram.singles_port2
     worst = float(np.max(np.abs(total - 2.0)))
     if worst > ENERGY_TOL:
@@ -314,9 +328,9 @@ def _write_output(path: str, fmt: str, grams: List[Interferogram]) -> None:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.engine:
-        cfg = RunConfig(**{**cfg.__dict__, "engine": args.engine})
+        cfg = replace(cfg, engine=args.engine)
     if args.out:
-        cfg = RunConfig(**{**cfg.__dict__, "output_path": args.out})
+        cfg = replace(cfg, output_path=args.out)
     state, icfg, sgrid, fgrid = build_problem(cfg)
 
     engines = ["closed", "oracle"] if cfg.engine == "both" else [cfg.engine]
@@ -407,7 +421,7 @@ def cmd_compare(args) -> int:
     results = {}
     grams = {}
     for kind in ("mzi", "mzim"):
-        variant = RunConfig(**{**cfg.__dict__, "interferometer_kind": kind})
+        variant = replace(cfg, interferometer_kind=kind)
         state, icfg, sgrid, fgrid = build_problem(variant)
         gram = _run_engine(variant, state, icfg, sgrid, fgrid, cfg.engine)
         grams[kind] = gram

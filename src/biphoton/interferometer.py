@@ -156,6 +156,11 @@ def _check_kind(cfg: InterferometerConfig, expected: str):
         raise ValueError(f"operation requires a '{expected}' configuration")
 
 
+def _check_even(state: TwoPhotonState, env: EnvelopeEvaluator):
+    if not state.spectral.density.is_even_on(env.grid):
+        raise AsymmetricSpectrum("coincidence closed form assumes an even density")
+
+
 def _signed_parity(state: TwoPhotonState) -> float:
     """beta for a pure-parity correlated pump: +1 even, -1 odd."""
     if not isinstance(state.spatial, CorrelatedPump):
@@ -171,6 +176,30 @@ def _signed_parity(state: TwoPhotonState) -> float:
     return float(np.sign(math.cos(beta.phase)))
 
 
+def _singles_fringe(cfg: InterferometerConfig, tau, e1, alpha=None):
+    """Fringe term f of the singles: port 1 carries 1 - f, port 2 1 + f.
+
+    ``alpha`` is the flip overlap for the unbalanced variant and None for
+    the balanced one.
+    """
+    phase = cfg.pump_frequency * tau / 2.0
+    if alpha is None:
+        return np.cos(phase) * e1
+    return alpha.magnitude * np.cos(phase - alpha.phase) * e1
+
+
+def _coincidences(cfg: InterferometerConfig, tau, e2, beta: float = 1.0):
+    return 1.0 - 0.5 * beta * np.cos(cfg.pump_frequency * tau) - 0.5 * beta * e2
+
+
+def _port(fringe, port: int):
+    return 1.0 - fringe if port == 1 else 1.0 + fringe
+
+
+def _like(tau, out):
+    return float(out) if np.ndim(tau) == 0 else out
+
+
 def g2_mzi(
     state: TwoPhotonState,
     cfg: InterferometerConfig,
@@ -184,11 +213,9 @@ def g2_mzi(
     """
     _check_kind(cfg, MZI)
     env = _envelopes(state, frequency_grid)
-    if not state.spectral.density.is_even_on(env.grid):
-        raise AsymmetricSpectrum("coincidence closed form assumes an even density")
+    _check_even(state, env)
     tau_arr = np.asarray(tau, dtype=float)
-    out = 1.0 - 0.5 * np.cos(cfg.pump_frequency * tau_arr) - 0.5 * env.second_order(tau_arr)
-    return float(out) if np.ndim(tau) == 0 else out
+    return _like(tau, _coincidences(cfg, tau_arr, env.second_order(tau_arr)))
 
 
 def intensity_mzi(
@@ -206,10 +233,8 @@ def intensity_mzi(
     """
     _check_kind(cfg, MZI)
     env = _envelopes(state, frequency_grid)
-    sign = -1.0 if port == 1 else 1.0
     tau_arr = np.asarray(tau, dtype=float)
-    out = 1.0 + sign * np.cos(cfg.pump_frequency * tau_arr / 2.0) * env.first_order(tau_arr)
-    return float(out) if np.ndim(tau) == 0 else out
+    return _like(tau, _port(_singles_fringe(cfg, tau_arr, env.first_order(tau_arr)), port))
 
 
 def intensity_mzim(
@@ -230,12 +255,9 @@ def intensity_mzim(
     _check_kind(cfg, MZIM)
     env = _envelopes(state, frequency_grid)
     alpha = flip_overlap(reduced_spatial_operator(state))
-    sign = -1.0 if port == 1 else 1.0
     tau_arr = np.asarray(tau, dtype=float)
-    fringe = alpha.magnitude * np.cos(
-        cfg.pump_frequency * tau_arr / 2.0 - alpha.phase)
-    out = 1.0 + sign * fringe * env.first_order(tau_arr)
-    return float(out) if np.ndim(tau) == 0 else out
+    fringe = _singles_fringe(cfg, tau_arr, env.first_order(tau_arr), alpha)
+    return _like(tau, _port(fringe, port))
 
 
 def g2_mzim(
@@ -256,13 +278,9 @@ def g2_mzim(
     _check_kind(cfg, MZIM)
     beta = _signed_parity(state)
     env = _envelopes(state, frequency_grid)
-    if not state.spectral.density.is_even_on(env.grid):
-        raise AsymmetricSpectrum("coincidence closed form assumes an even density")
+    _check_even(state, env)
     tau_arr = np.asarray(tau, dtype=float)
-    out = (1.0
-           - 0.5 * beta * np.cos(cfg.pump_frequency * tau_arr)
-           - 0.5 * beta * env.second_order(tau_arr))
-    return float(out) if np.ndim(tau) == 0 else out
+    return _like(tau, _coincidences(cfg, tau_arr, env.second_order(tau_arr), beta))
 
 
 def tau_axis(tau_start: float, tau_stop: float, tau_step: float) -> np.ndarray:
@@ -286,7 +304,8 @@ def scan(
     """Closed-form delay scan producing both singles ports and coincidences.
 
     The step must resolve the pump-frequency fringe: steps above one fifth
-    of the pump period raise UnderSampled.
+    of the pump period raise UnderSampled.  E1, E2, alpha and beta are each
+    computed once per scan; both singles ports come from one fringe array.
     """
     if abs(cfg.pump_frequency - state.pump_frequency) > 1e-9 * cfg.pump_frequency:
         raise ValueError("state and configuration disagree on the pump frequency")
@@ -296,18 +315,19 @@ def scan(
             f"tau_step {tau_step} exceeds {MAX_STEP_FRACTION} of the pump "
             f"period {pump_period}")
     tau = tau_axis(tau_start, tau_stop, tau_step)
-    if cfg.kind == MZI:
-        s1 = intensity_mzi(state, cfg, tau, frequency_grid, port=1)
-        s2 = intensity_mzi(state, cfg, tau, frequency_grid, port=2)
-        cc = g2_mzi(state, cfg, tau, frequency_grid)
-    else:
-        s1 = intensity_mzim(state, cfg, tau, frequency_grid, port=1)
-        s2 = intensity_mzim(state, cfg, tau, frequency_grid, port=2)
-        cc = g2_mzim(state, cfg, tau, frequency_grid)
+    # Same precondition order as the per-point functions called singles
+    # first, so a scan raises the error they would.
+    env = _envelopes(state, frequency_grid)
+    alpha = (None if cfg.kind == MZI
+             else flip_overlap(reduced_spatial_operator(state)))
+    fringe = _singles_fringe(cfg, tau, env.first_order(tau), alpha)
+    beta = 1.0 if cfg.kind == MZI else _signed_parity(state)
+    _check_even(state, env)
+    cc = _coincidences(cfg, tau, env.second_order(tau), beta)
     return Interferogram(
         tau=tau,
-        singles_port1=s1,
-        singles_port2=s2,
+        singles_port1=_port(fringe, 1),
+        singles_port2=_port(fringe, 2),
         coincidences=cc,
         config=cfg.describe(),
         state=state.describe(),

@@ -305,9 +305,7 @@ def build_initial_state(
     if isinstance(state.spectral, AntiCorrelated):
         density = normalize(state.spectral.density, frequency_grid)
         d = density.sample(frequency_grid)
-        w = np.full(frequency_grid.point_count, frequency_grid.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w = frequency_grid.trapezoid_weights()
         f_factor = Factor.antidiagonal(np.sqrt(d * w).astype(complex))
     elif isinstance(state.spectral, GeneralSpectral):
         if state.spectral.grid != frequency_grid:

@@ -11,13 +11,18 @@ evaluated by the trapezoid rule on a uniform, symmetric frequency grid; the
 same grid and weights back the discrete-mode simulator, so the two engines
 share one discretization and agree to round-off rather than to quadrature
 error.  E2 is, by construction, E1 evaluated at twice the delay.
+
+On a uniform delay axis the quadrature sum is a chirp-z transform, which
+:class:`EnvelopeEvaluator` evaluates by Bluestein's algorithm (Rabiner,
+Schafer & Rader, 1969) in O((T + M) log(T + M)) for T delays and M
+frequencies.  Scalars and non-uniform delays use the direct O(T M) sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -68,6 +73,13 @@ class FrequencyGrid:
     def flip_indices(self) -> np.ndarray:
         """Index permutation realising W -> -W."""
         return np.arange(self.point_count)[::-1]
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """Trapezoid-rule quadrature weights: the spacing, halved at both ends."""
+        w = np.full(self.point_count, self.spacing)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
 
 
 @dataclass(frozen=True)
@@ -216,35 +228,80 @@ def normalize(sd: SpectralDensity, grid: FrequencyGrid) -> SpectralDensity:
 class EnvelopeEvaluator:
     """Precomputed trapezoid weights for fast envelope evaluation.
 
-    Samples the density once and exposes vectorised E1/E2.  Large delay
-    arrays are processed in chunks to bound the cos() workspace.
+    Samples the density once and exposes vectorised E1/E2.  A delay array
+    that is uniform up to round-off (at least two points) goes through the
+    chirp-z transform; its result differs from the direct sum by round-off
+    only, below 1e-12 for unit-integral densities on the bundled grids.
+    Scalars and non-uniform arrays use the direct sum, processed in chunks
+    to bound the cos() workspace.
     """
 
     _CHUNK = 8192
 
     def __init__(self, sd: SpectralDensity, grid: FrequencyGrid):
         self.grid = grid
-        d = sd.sample(grid)
-        w = np.full(grid.point_count, grid.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        self._weights = d * w
+        self._weights = sd.sample(grid) * grid.trapezoid_weights()
         self._omegas = grid.omegas()
         self.norm = float(np.sum(self._weights))
 
     def first_order(self, tau):
         """E1(tau) = sum_k w_k d_k cos(W_k tau); scalar in, scalar out."""
-        tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+        if np.ndim(tau) == 0:
+            return float(self._direct(np.atleast_1d(np.asarray(tau, dtype=float)))[0])
+        tau_arr = np.asarray(tau, dtype=float)
+        step = _uniform_step(tau_arr)
+        if step is None:
+            return self._direct(tau_arr)
+        return self._chirp_z(tau_arr[0], step, tau_arr.size)
+
+    def second_order(self, tau):
+        """E2(tau) = E1(2 tau), same weights, hence the identity is exact."""
+        return self.first_order(2.0 * np.asarray(tau, dtype=float))
+
+    def _direct(self, tau_arr: np.ndarray) -> np.ndarray:
         out = np.empty_like(tau_arr)
         for start in range(0, tau_arr.size, self._CHUNK):
             block = tau_arr[start:start + self._CHUNK]
             out[start:start + self._CHUNK] = np.cos(
                 np.outer(block, self._omegas)) @ self._weights
-        return float(out[0]) if np.isscalar(tau) or np.ndim(tau) == 0 else out
+        return out
 
-    def second_order(self, tau):
-        """E2(tau) = E1(2 tau), same weights, hence the identity is exact."""
-        return self.first_order(2.0 * np.asarray(tau, dtype=float))
+    def _chirp_z(self, tau0: float, step: float, count: int) -> np.ndarray:
+        """Re sum_k w_k exp(i W_k tau_j) for tau_j = tau0 + j step, j < count.
+
+        With W_k = n h and tau_j = t_c + m step, both indices centred to keep
+        the chirp phases small, n m = (n^2 + m^2 - (m - n)^2) / 2 turns the
+        sum into a linear convolution of two chirps, done by zero-padded FFT.
+        """
+        size = self._weights.size
+        h = self.grid.spacing
+        theta = h * step
+        centre = tau0 + step * (count - 1) / 2.0
+        n = np.arange(size) - (size - 1) // 2
+        m = np.arange(count) - (count - 1) / 2.0
+        u = self._weights * np.exp(1j * (h * centre * n + 0.5 * theta * n**2))
+        lags = np.arange(1 - size, count)  # j - k over every pair
+        diff = lags + ((size - 1) // 2 - (count - 1) / 2.0)  # m - n at that lag
+        length = 1 << (size + count - 2).bit_length()  # power of two >= T + M - 1
+        v = np.zeros(length, dtype=complex)
+        v[lags % length] = np.exp(-0.5j * theta * diff**2)
+        conv = np.fft.ifft(np.fft.fft(u, length) * np.fft.fft(v))[:count]
+        return (np.exp(0.5j * theta * m**2) * conv).real
+
+
+def _uniform_step(tau: np.ndarray) -> Optional[float]:
+    """Step of a 1-d axis of at least two points equally spaced up to
+    round-off, else None.
+
+    tau0 + j step carries a rounding error of a few ulps of the largest
+    |tau| per point, so the spacings may differ from the mean step by that
+    much; NaN or inf anywhere makes the comparison false.
+    """
+    if tau.ndim != 1 or tau.size < 2:
+        return None
+    step = (tau[-1] - tau[0]) / (tau.size - 1)
+    tol = 8.0 * np.finfo(float).eps * float(np.max(np.abs(tau)))
+    return float(step) if np.all(np.abs(np.diff(tau) - step) <= tol) else None
 
 
 def envelope_first_order(sd: SpectralDensity, grid: FrequencyGrid, tau) -> float:

@@ -265,9 +265,7 @@ def reduce_to_one_photon(
     if isinstance(state.spectral, AntiCorrelated):
         grid = frequency_grid or default_frequency_grid(state.spectral.density)
         d = normalize(state.spectral.density, grid).sample(grid)
-        w = d * np.full(grid.point_count, grid.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w = d * grid.trapezoid_weights()
         spectral: Union[DiagonalDensity, GeneralDensity] = DiagonalDensity(
             grid, w / w.sum())
     else:

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from biphoton.cli import bundled_config_path, main
+import biphoton as bp
+from biphoton.cli import _check_energy, bundled_config_path, main
+from biphoton.errors import BiphotonError
 
 from conftest import COINCIDENCE_PERIOD, SINGLES_PERIOD
 
@@ -204,6 +206,28 @@ class TestConfigValidation:
         assert main(["simulate", "--config", str(path)]) == 1
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "huge_int"])
+    @pytest.mark.parametrize("section, key", [
+        ("pump", "wavelength_nm"),
+        ("scan", "tau_stop_fs"),
+        ("filter", "bandwidth_nm"),
+        ("pump.spatial_profile", "waist_mm"),
+    ])
+    def test_non_finite_values_exit_one(self, tmp_path, capsys, section, key, value):
+        cfg = load_bundled("default_mzi")
+        table = cfg
+        for part in section.split("."):
+            table = table[part]
+        table[key] = value
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err
+        assert "finite" in err
+        assert not out.exists()
+
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -212,6 +236,17 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == 1
+
+
+class TestEnergyCheck:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("trace", ["singles_port1", "coincidences"])
+    def test_non_finite_rates_fail(self, trace, bad):
+        rates = {"singles_port1": [1.0, 1.0], "singles_port2": [1.0, 1.0],
+                 "coincidences": [1.0, 1.0]}
+        rates[trace] = [1.0, bad]
+        with pytest.raises(BiphotonError, match="non-finite"):
+            _check_energy(bp.Interferogram(tau=[0.0, 1e-15], **rates))
 
 
 class TestConsoleScript:

@@ -255,3 +255,45 @@ class TestScan:
         assert scan_mzi_fine.config["kind"] == "mzi"
         assert scan_mzi_fine.engine == "closed"
         assert "rectangular" in scan_mzi_fine.state["spectral"]
+
+
+class TestScanMatchesPointFunctions:
+    def assert_scan_matches(self, state, cfg, fgrid, singles, coincidences):
+        gram = bp.scan(state, cfg, -150e-15, 150e-15, 0.1e-15, frequency_grid=fgrid)
+        tau = gram.tau
+        for port, trace in ((1, gram.singles_port1), (2, gram.singles_port2)):
+            expected = singles(state, cfg, tau, fgrid, port=port)
+            assert float(np.max(np.abs(trace - expected))) <= 1e-12
+        expected = coincidences(state, cfg, tau, fgrid)
+        assert float(np.max(np.abs(gram.coincidences - expected))) <= 1e-12
+
+    def test_mzi(self, default_state, cfg_mzi, fgrid):
+        self.assert_scan_matches(default_state, cfg_mzi, fgrid, bp.intensity_mzi, bp.g2_mzi)
+
+    def test_mzim_even_pump(self, default_state, cfg_mzim, fgrid):
+        self.assert_scan_matches(default_state, cfg_mzim, fgrid, bp.intensity_mzim, bp.g2_mzim)
+
+    def test_mzim_odd_pump(self, odd_state, cfg_mzim, fgrid):
+        self.assert_scan_matches(odd_state, cfg_mzim, fgrid, bp.intensity_mzim, bp.g2_mzim)
+
+    def test_non_parity_pump_rejected(self, shifted_state, cfg_mzim, fgrid):
+        with pytest.raises(NonParityPump):
+            bp.scan(shifted_state, cfg_mzim, -10e-15, 10e-15, 0.1e-15, frequency_grid=fgrid)
+
+    @pytest.mark.parametrize("kind", ["mzi", "mzim"])
+    def test_asymmetric_spectrum_rejected(self, default_state, kind):
+        table = bp.SpectralDensity(bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)))
+        state = bp.TwoPhotonState(default_state.spatial, bp.AntiCorrelated(table), OMEGA_P)
+        cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
+        with pytest.raises(AsymmetricSpectrum):
+            bp.scan(state, cfg, -10e-15, 10e-15, 0.1e-15)
+
+    @pytest.mark.parametrize("kind", ["mzi", "mzim"])
+    def test_general_spectrum_rejected(self, default_state, kind):
+        fgrid = bp.FrequencyGrid(half_width=2e13, point_count=33)
+        raw = np.eye(fgrid.point_count)[::-1] + 0.1
+        spectral = bp.GeneralSpectral.from_samples(fgrid, raw)
+        state = bp.TwoPhotonState(default_state.spatial, spectral, OMEGA_P)
+        cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
+        with pytest.raises(ValueError, match="anti-correlated"):
+            bp.scan(state, cfg, -10e-15, 10e-15, 0.1e-15, frequency_grid=fgrid)

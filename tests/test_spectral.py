@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
 from biphoton.errors import ZeroDensity
+from biphoton.interferometer import tau_axis
+from biphoton.spectral import _uniform_step
 
 from conftest import DELTA_OMEGA
 
@@ -182,6 +184,62 @@ class TestEnvelopes:
             values[count] = bp.EnvelopeEvaluator(bp.normalize(sd, grid), grid).first_order(taus)
         worst = float(np.max(np.abs(values[1025] - values[2049])))
         assert worst < 5e-5
+
+
+def direct_first_order(sd, grid, tau):
+    """Reference E1: the dense cos(outer) @ w trapezoid sum."""
+    weights = sd.sample(grid) * grid.trapezoid_weights()
+    return np.cos(np.outer(np.atleast_1d(tau), grid.omegas())) @ weights
+
+
+class TestChirpZKernel:
+    SHAPES = {
+        "rectangular": bp.Rectangular(DELTA_OMEGA),
+        "gaussian": bp.Gaussian(1.2e13),
+        "tabulated": bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)),
+    }
+
+    @pytest.mark.parametrize("count", [3, 1025, 4097])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_direct_sum(self, shape, count):
+        sd = bp.SpectralDensity(self.SHAPES[shape])
+        grid = bp.default_frequency_grid(sd, point_count=count)
+        sd = bp.normalize(sd, grid)
+        env = bp.EnvelopeEvaluator(sd, grid)
+        step = 0.08e-15
+        for start in (-200e-15, 0.0, 150e-15):
+            for size in (1, 2, 5001):
+                tau = tau_axis(start, start + (size - 1) * step, step)
+                assert tau.size == size
+                e1 = env.first_order(tau)
+                e2 = env.second_order(tau)
+                assert e1.shape == e2.shape == (size,)
+                assert float(np.max(np.abs(e1 - direct_first_order(sd, grid, tau)))) <= 1e-12
+                assert float(np.max(np.abs(
+                    e2 - direct_first_order(sd, grid, 2.0 * tau)))) <= 1e-12
+
+    def test_scalars_and_non_uniform_arrays_use_direct_sum(self, fgrid, default_state):
+        sd = bp.normalize(default_state.spectral.density, fgrid)
+        env = bp.EnvelopeEvaluator(sd, fgrid)
+        for tau in (0.0, -37e-15, 123.4e-15):
+            assert env.first_order(tau) == direct_first_order(sd, fgrid, tau)[0]
+            assert env.second_order(tau) == direct_first_order(sd, fgrid, 2.0 * tau)[0]
+        rng = np.random.default_rng(3)
+        taus = np.sort(rng.uniform(-300e-15, 300e-15, 257))
+        assert np.array_equal(env.first_order(taus), direct_first_order(sd, fgrid, taus))
+        assert np.array_equal(env.first_order(taus[:1]), direct_first_order(sd, fgrid, taus[:1]))
+
+    def test_uniform_axis_detection(self):
+        axis = tau_axis(-200e-15, 200e-15, 0.08e-15)
+        for tau in (axis, 2.0 * axis, axis[::-1], np.linspace(0.0, 1e-12, 7), np.zeros(4)):
+            assert _uniform_step(tau) == pytest.approx((tau[-1] - tau[0]) / (tau.size - 1))
+        bumped = axis.copy()
+        bumped[17] += 1e-6 * 0.08e-15
+        with_nan = axis.copy()
+        with_nan[3] = np.nan
+        for tau in (axis[:1], bumped, with_nan, np.geomspace(1e-15, 1e-13, 50),
+                    axis[:4].reshape(2, 2)):
+            assert _uniform_step(tau) is None
 
 
 class TestSymmetryFlag:
