@@ -28,8 +28,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import analysis, modesim, units
-from .errors import BiphotonError
-from .interferometer import Interferogram, InterferometerConfig, scan
+from .errors import BiphotonError, UnderSampled
+from .interferometer import Interferogram, InterferometerConfig, check_step, scan
 from .spatial import (
     SpatialAmplitude,
     SpatialGrid,
@@ -181,10 +181,10 @@ def load_config(path) -> RunConfig:
     if tau_stop_fs < tau_start_fs:
         raise ConfigError("scan.tau_stop_fs: must not precede tau_start_fs")
     pump_period_fs = 2.0 * np.pi / units.omega_from_wavelength(wavelength_nm * units.NM) / units.FS
-    if tau_step_fs > 0.2 * pump_period_fs:
-        raise ConfigError(
-            f"scan.tau_step_fs: {tau_step_fs} exceeds 0.2 of the pump period "
-            f"({pump_period_fs:.4f} fs); fringes would be undersampled")
+    try:
+        check_step(tau_step_fs, pump_period_fs)
+    except UnderSampled as exc:
+        raise ConfigError(f"scan.tau_step_fs: {exc}") from None
 
     engine = str(raw.get("engine", "closed"))
     if engine not in _ENGINES:

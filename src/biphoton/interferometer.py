@@ -59,6 +59,17 @@ PARITY_TOL = 1e-9
 MAX_STEP_FRACTION = 0.2  # of the pump period, the scan resolution bound
 
 
+def check_step(tau_step: float, pump_period: float) -> None:
+    """Raise UnderSampled if the step exceeds MAX_STEP_FRACTION of the pump period.
+
+    Both arguments are in the same unit, whichever the caller uses.
+    """
+    if tau_step > MAX_STEP_FRACTION * pump_period:
+        raise UnderSampled(
+            f"step {tau_step} exceeds {MAX_STEP_FRACTION} of the pump period "
+            f"{pump_period:.6g}; fringes would be undersampled")
+
+
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Interferometer kind, pump frequency and per-arm element placement.
@@ -309,11 +320,7 @@ def scan(
     """
     if abs(cfg.pump_frequency - state.pump_frequency) > 1e-9 * cfg.pump_frequency:
         raise ValueError("state and configuration disagree on the pump frequency")
-    pump_period = 2.0 * math.pi / cfg.pump_frequency
-    if tau_step > MAX_STEP_FRACTION * pump_period:
-        raise UnderSampled(
-            f"tau_step {tau_step} exceeds {MAX_STEP_FRACTION} of the pump "
-            f"period {pump_period}")
+    check_step(tau_step, 2.0 * math.pi / cfg.pump_frequency)
     tau = tau_axis(tau_start, tau_stop, tau_step)
     # Same precondition order as the per-point functions called singles
     # first, so a scan raises the error they would.

@@ -1,21 +1,25 @@
 """Brute-force discrete-mode two-photon simulator.
 
 Independent validation engine for the closed-form interferograms.  The
-two-photon state lives on (path x position x frequency) modes; every
-optical element is applied as an explicit single-photon map on the ordered
-two-photon amplitude tensor, and rates are mode-summed detection
-probabilities.  Nothing here knows the closed forms: agreement between the
-two engines is the package's core self-check, and the simulator also covers
-the arbitrary-pump cases for which no closed form exists.
+two-photon state lives on (path x position x frequency) modes, and rates
+are mode-summed detection probabilities.  Nothing here knows the closed
+forms: agreement between the two engines is the package's core self-check,
+and the simulator also covers the arbitrary-pump cases for which no closed
+form exists.
 
-Two representations are provided:
+Each optical element is defined once, as a single-photon map: every input
+path goes to one or more outcomes (output path, amplitude, position flip or
+not, spectral phases or none).  Each representation applies that map to
+each photon slot and holds no element-specific logic of its own:
 
 * a branch-sum form, a short list of product terms (path pair, spatial
   factor, spectral factor).  Factors stay diagonal / anti-diagonal for
   correlated inputs, so memory is O(N + M) per branch and default grids run
   at interactive speed;
 * a dense tensor over all (2 N M)^2 ordered two-photon amplitudes, feasible
-  only for small grids, used to cross-check the branch-sum bookkeeping.
+  only for small grids, used to cross-check the branch-sum bookkeeping;
+* a one-photon mixture over coherent spatial modes, for mixture-averaged
+  singles.
 
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
 b -> (i a + b)/sqrt(2) ("symmetric"); the alternative "conjugate"
@@ -29,10 +33,8 @@ Rates are normalized so the incoherent background equals one.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,6 +87,7 @@ DEFAULT_DENSE_BUDGET = 1 << 30  # bytes
 
 _INPUT_PATHS = ("a", "b")
 _OUTPUT_PATHS = ("c", "d")
+_PATH_INDEX = {p: i for paths in (_INPUT_PATHS, _OUTPUT_PATHS) for i, p in enumerate(paths)}
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +123,50 @@ class RelabelOutputs:
 
 
 Element = Union[BeamSplitter, Delay, SpatialFlip, RelabelOutputs]
+
+
+class _Outcome(NamedTuple):
+    """Where an element sends one photon, and what it does to it on the way."""
+
+    path: str
+    amplitude: complex
+    flip: bool  # reverse the position index
+    phases: Optional[np.ndarray]  # per-frequency phase factors, or None
+
+
+_PhotonMap = Dict[str, List[_Outcome]]
+
+
+def _photon_map(element: Element, frequency_grid: FrequencyGrid,
+                relabeled: bool) -> Tuple[_PhotonMap, bool]:
+    """One element's action on one photon, and whether outputs are relabelled after it.
+
+    The map sends each input path to its outcomes.  This is the only
+    definition of what an element does; every representation applies it to
+    each photon slot.
+    """
+    if relabeled:
+        raise IncompletePipeline("cannot add elements after output relabelling")
+    if isinstance(element, BeamSplitter):
+        u = element.matrix()
+        return {p: [_Outcome(q, u[row, col], False, None)
+                    for row, q in enumerate(_INPUT_PATHS) if u[row, col] != 0.0]
+                for col, p in enumerate(_INPUT_PATHS)}, False
+    if isinstance(element, RelabelOutputs):
+        return {p: [_Outcome(q, 1.0, False, None)]
+                for p, q in zip(_INPUT_PATHS, _OUTPUT_PATHS)}, True
+    if isinstance(element, Delay):
+        phases = np.exp(
+            -1j * (element.pump_frequency / 2.0 + frequency_grid.omegas()) * element.tau)
+        in_arm = _Outcome(element.arm, 1.0, False, phases)
+    elif isinstance(element, SpatialFlip):
+        in_arm = _Outcome(element.arm, 1.0, True, None)
+    else:
+        raise UnknownElement(f"unknown element {element!r}")
+    if element.arm not in _INPUT_PATHS:
+        raise ValueError(f"arms are labelled 'a' and 'b', got {element.arm!r}")
+    return {p: [in_arm if p == element.arm else _Outcome(p, 1.0, False, None)]
+            for p in _INPUT_PATHS}, False
 
 
 def build_pipeline(
@@ -272,10 +319,6 @@ class BranchSumState:
         return _OUTPUT_PATHS if self.relabeled else _INPUT_PATHS
 
 
-def _spectral_phases(grid: FrequencyGrid, tau: float, pump_frequency: float) -> np.ndarray:
-    return np.exp(-1j * (pump_frequency / 2.0 + grid.omegas()) * tau)
-
-
 def build_initial_state(
     state: TwoPhotonState,
     spatial_grid: SpatialGrid,
@@ -376,10 +419,7 @@ def _group_norm(branches: Sequence[Branch]) -> float:
 
 def total_norm(state: BranchSumState) -> float:
     """Squared amplitude norm of the ordered two-photon tensor."""
-    groups = {}
-    for b in state.branches:
-        groups.setdefault((b.path1, b.path2), []).append(b)
-    return float(sum(_group_norm(g) for g in groups.values()))
+    return float(sum(_path_pair_norms(state).values()))
 
 
 def exchange_asymmetry(state: BranchSumState) -> float:
@@ -415,63 +455,26 @@ def _coalesced(branches: Sequence[Branch]) -> Tuple[Branch, ...]:
 def apply_element(state: BranchSumState, element: Element) -> BranchSumState:
     """Apply one optical element; returns a new state.
 
-    A beam splitter multiplies the branch count by at most four; delays and
-    flips act in place on factors; relabelling renames a -> c and b -> d.
-    Branches with identical path pairs and factor data are coalesced, and
-    the count never exceeds 16 across a full pipeline.
+    Each branch goes to every pairing of its two photons' outcomes.  Only a
+    photon split (a beam splitter) multiplies the branch count, by at most
+    four; the new branches are then coalesced, so the count never exceeds 16
+    across a full pipeline.  Every other element maps branches one to one.
     """
-    if isinstance(element, BeamSplitter):
-        if state.relabeled:
-            raise IncompletePipeline("cannot add elements after output relabelling")
-        u = element.matrix()
-        out: List[Branch] = []
-        for b in state.branches:
-            for p1 in _INPUT_PATHS:
-                c1 = u[_INPUT_PATHS.index(p1), _INPUT_PATHS.index(b.path1)]
-                if c1 == 0.0:
-                    continue
-                for p2 in _INPUT_PATHS:
-                    c2 = u[_INPUT_PATHS.index(p2), _INPUT_PATHS.index(b.path2)]
-                    if c2 == 0.0:
-                        continue
-                    out.append(Branch(p1, p2, b.weight * c1 * c2, b.spatial, b.spectral))
-        return replace(state, branches=_coalesced(out))
-
-    if isinstance(element, Delay):
-        if state.relabeled:
-            raise IncompletePipeline("cannot add elements after output relabelling")
-        phases = _spectral_phases(state.frequency_grid, element.tau, element.pump_frequency)
-        out = []
-        for b in state.branches:
-            spectral = b.spectral
-            if b.path1 == element.arm:
-                spectral = spectral.scale_slot(0, phases)
-            if b.path2 == element.arm:
-                spectral = spectral.scale_slot(1, phases)
-            out.append(replace(b, spectral=spectral))
-        return replace(state, branches=_coalesced(out))
-
-    if isinstance(element, SpatialFlip):
-        if state.relabeled:
-            raise IncompletePipeline("cannot add elements after output relabelling")
-        out = []
-        for b in state.branches:
-            spatial = b.spatial
-            if b.path1 == element.arm:
-                spatial = spatial.flip_slot(0)
-            if b.path2 == element.arm:
-                spatial = spatial.flip_slot(1)
-            out.append(replace(b, spatial=spatial))
-        return replace(state, branches=_coalesced(out))
-
-    if isinstance(element, RelabelOutputs):
-        mapping = dict(zip(_INPUT_PATHS, _OUTPUT_PATHS))
-        out = tuple(
-            replace(b, path1=mapping[b.path1], path2=mapping[b.path2])
-            for b in state.branches)
-        return replace(state, branches=out, relabeled=True)
-
-    raise UnknownElement(f"unknown element {element!r}")
+    photon, relabeled = _photon_map(element, state.frequency_grid, state.relabeled)
+    out: List[Branch] = []
+    for b in state.branches:
+        for o1 in photon[b.path1]:
+            for o2 in photon[b.path2]:
+                spatial, spectral = b.spatial, b.spectral
+                for slot, o in enumerate((o1, o2)):
+                    if o.flip:
+                        spatial = spatial.flip_slot(slot)
+                    if o.phases is not None:
+                        spectral = spectral.scale_slot(slot, o.phases)
+                out.append(Branch(o1.path, o2.path, b.weight * o1.amplitude * o2.amplitude,
+                                  spatial, spectral))
+    branches = _coalesced(out) if len(out) > len(state.branches) else tuple(out)
+    return replace(state, branches=branches, relabeled=relabeled)
 
 
 def apply_pipeline(state: BranchSumState, elements: Iterable[Element]) -> BranchSumState:
@@ -487,25 +490,32 @@ def _path_pair_norms(state: BranchSumState) -> dict:
     return {pair: _group_norm(g) for pair, g in groups.items()}
 
 
-def coincidence_rate(state: BranchSumState) -> float:
-    """Probability of one photon in each output port, background-1 scaled."""
+def _rates(state: BranchSumState) -> Tuple[float, float, float]:
+    """(singles at c, singles at d, coincidence) from one path-pair norm table."""
     if not state.relabeled:
         raise IncompletePipeline("apply the full pipeline (with relabelling) first")
     t = _path_pair_norms(state)
-    return 2.0 * (t.get(("c", "d"), 0.0) + t.get(("d", "c"), 0.0))
+
+    def singles(port: str, other: str) -> float:
+        return (2.0 * t.get((port, port), 0.0)
+                + t.get((port, other), 0.0)
+                + t.get((other, port), 0.0))
+
+    return (singles("c", "d"), singles("d", "c"),
+            2.0 * (t.get(("c", "d"), 0.0) + t.get(("d", "c"), 0.0)))
+
+
+def coincidence_rate(state: BranchSumState) -> float:
+    """Probability of one photon in each output port, background-1 scaled."""
+    return _rates(state)[2]
 
 
 def singles_rate(state: BranchSumState, port: str) -> float:
     """Expected photon number at one output port, background-1 scaled."""
-    if not state.relabeled:
-        raise IncompletePipeline("apply the full pipeline (with relabelling) first")
+    rates = _rates(state)
     if port not in _OUTPUT_PATHS:
         raise ValueError("port must be 'c' or 'd'")
-    other = "d" if port == "c" else "c"
-    t = _path_pair_norms(state)
-    return (2.0 * t.get((port, port), 0.0)
-            + t.get((port, other), 0.0)
-            + t.get((other, port), 0.0))
+    return rates[_OUTPUT_PATHS.index(port)]
 
 
 # ---------------------------------------------------------------------------
@@ -550,32 +560,23 @@ def to_dense(state: BranchSumState, budget_bytes: int = DEFAULT_DENSE_BUDGET) ->
 
 
 def dense_apply_element(state: DenseTensorState, element: Element) -> DenseTensorState:
-    if isinstance(element, BeamSplitter):
-        if state.relabeled:
-            raise IncompletePipeline("cannot add elements after output relabelling")
-        u = element.matrix()
-        tensor = np.einsum("pq,PQ,qikQIK->pikPIK", u, u, state.tensor)
-        return replace(state, tensor=tensor)
-    if isinstance(element, Delay):
-        if state.relabeled:
-            raise IncompletePipeline("cannot add elements after output relabelling")
-        arm = _INPUT_PATHS.index(element.arm)
-        phases = _spectral_phases(state.frequency_grid, element.tau, element.pump_frequency)
-        tensor = state.tensor.copy()
-        tensor[arm] = tensor[arm] * phases[None, :, None, None, None]
-        tensor[:, :, :, arm] = tensor[:, :, :, arm] * phases[None, None, None, None, :]
-        return replace(state, tensor=tensor)
-    if isinstance(element, SpatialFlip):
-        if state.relabeled:
-            raise IncompletePipeline("cannot add elements after output relabelling")
-        arm = _INPUT_PATHS.index(element.arm)
-        tensor = state.tensor.copy()
-        tensor[arm] = tensor[arm, ::-1]
-        tensor[:, :, :, arm] = tensor[:, :, :, arm, ::-1]
-        return replace(state, tensor=tensor)
-    if isinstance(element, RelabelOutputs):
-        return replace(state, relabeled=True)
-    raise UnknownElement(f"unknown element {element!r}")
+    """Apply one element to the first photon slot, then (by swapping) the second."""
+    photon, relabeled = _photon_map(element, state.frequency_grid, state.relabeled)
+    swap = (3, 4, 5, 0, 1, 2)
+    once = _dense_first_photon(photon, state.tensor).transpose(swap)
+    tensor = _dense_first_photon(photon, once).transpose(swap)
+    return replace(state, tensor=tensor, relabeled=relabeled)
+
+
+def _dense_first_photon(photon: _PhotonMap, tensor: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(tensor)
+    for col, path in enumerate(_INPUT_PATHS):
+        for o in photon[path]:
+            amplitude = tensor[col, ::-1] if o.flip else tensor[col]
+            if o.phases is not None:
+                amplitude = amplitude * o.phases[None, :, None, None, None]
+            out[_PATH_INDEX[o.path]] += o.amplitude * amplitude
+    return out
 
 
 def dense_apply_pipeline(state: DenseTensorState, elements: Iterable[Element]) -> DenseTensorState:
@@ -625,30 +626,11 @@ def _one_photon_singles(
         ("a", modes, spectral_amplitude.astype(complex), 1.0 + 0.0j)]
     relabeled = False
     for element in elements:
-        if isinstance(element, BeamSplitter):
-            u = element.matrix()
-            new = []
-            for path, s, f, w in branches:
-                col = _INPUT_PATHS.index(path)
-                for row, out_path in enumerate(_INPUT_PATHS):
-                    if u[row, col] != 0.0:
-                        new.append((out_path, s, f, w * u[row, col]))
-            branches = new
-        elif isinstance(element, Delay):
-            phases = _spectral_phases(frequency_grid, element.tau, element.pump_frequency)
-            branches = [
-                (path, s, f * phases if path == element.arm else f, w)
-                for path, s, f, w in branches]
-        elif isinstance(element, SpatialFlip):
-            branches = [
-                (path, s[:, ::-1] if path == element.arm else s, f, w)
-                for path, s, f, w in branches]
-        elif isinstance(element, RelabelOutputs):
-            mapping = dict(zip(_INPUT_PATHS, _OUTPUT_PATHS))
-            branches = [(mapping[path], s, f, w) for path, s, f, w in branches]
-            relabeled = True
-        else:
-            raise UnknownElement(f"unknown element {element!r}")
+        photon, relabeled = _photon_map(element, frequency_grid, relabeled)
+        branches = [
+            (o.path, s[:, ::-1] if o.flip else s,
+             f if o.phases is None else f * o.phases, w * o.amplitude)
+            for path, s, f, w in branches for o in photon[path]]
     if not relabeled:
         raise IncompletePipeline("apply the full pipeline (with relabelling) first")
     in_port = [b for b in branches if b[0] == port]
@@ -724,19 +706,6 @@ def _resolve_grids(
 # scan driver
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("BIPHOTON_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"BIPHOTON_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("BIPHOTON_THREADS must be >= 0")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
-
-
 def oracle_scan(
     state: TwoPhotonState,
     cfg: InterferometerConfig,
@@ -747,28 +716,11 @@ def oracle_scan(
     frequency_grid: Optional[FrequencyGrid] = None,
     convention: str = SYMMETRIC,
 ) -> Interferogram:
-    """Delay scan evaluated entirely by the discrete-mode simulator.
-
-    Delay points are independent; they may be evaluated concurrently
-    (BIPHOTON_THREADS caps the pool, 0 = auto) and are always assembled in
-    delay order, so output is deterministic.
-    """
+    """Delay scan evaluated entirely by the discrete-mode simulator."""
     sgrid, fgrid = _resolve_grids(state, spatial_grid, frequency_grid)
     initial = build_initial_state(state, sgrid, fgrid)
     tau = tau_axis(tau_start, tau_stop, tau_step)
-
-    def evaluate(t: float) -> Tuple[float, float, float]:
-        final = apply_pipeline(initial, build_pipeline(cfg, t, convention))
-        return (singles_rate(final, "c"),
-                singles_rate(final, "d"),
-                coincidence_rate(final))
-
-    workers = _thread_count()
-    if workers > 1 and tau.size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, tau))
-    else:
-        rows = [evaluate(t) for t in tau]
+    rows = [_rates(apply_pipeline(initial, build_pipeline(cfg, t, convention))) for t in tau]
     s1, s2, cc = (np.array(col) for col in zip(*rows))
     return Interferogram(
         tau=tau,

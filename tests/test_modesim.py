@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from biphoton.errors import (
 from biphoton.modesim import (
     CONJUGATE,
     SYMMETRIC,
+    _one_photon_singles,
+    _photon_map,
     dense_apply_pipeline,
     dense_coincidence_rate,
     dense_singles_rate,
@@ -42,6 +45,20 @@ def initial(default_state, sgrid, fgrid):
 
 def run(initial_state, cfg, tau, convention=SYMMETRIC):
     return bp.apply_pipeline(initial_state, bp.build_pipeline(cfg, tau, convention))
+
+
+@pytest.fixture(scope="module")
+def interpreters(small_state, small_grids):
+    """Each interpreter of an element list: branch sum, dense tensor, one-photon mixture."""
+    sgrid, fgrid = small_grids
+    built = bp.build_initial_state(small_state, sgrid, fgrid)
+    modes = np.eye(sgrid.point_count)[:2].astype(complex)
+    spectrum = np.full(fgrid.point_count, 1.0 / math.sqrt(fgrid.point_count))
+    return (
+        lambda elements: bp.apply_pipeline(built, elements),
+        lambda elements: dense_apply_pipeline(bp.to_dense(built), elements),
+        lambda elements: _one_photon_singles(modes, spectrum, fgrid, elements, "c"),
+    )
 
 
 class TestFactorAlgebra:
@@ -126,6 +143,54 @@ class TestBuildInitialState:
             bp.build_initial_state(default_state, other, fgrid)
 
 
+class TestPhotonMap:
+    """The single-photon element map against expectations written out by hand."""
+
+    @staticmethod
+    def plain_move(outcomes, path):
+        """One outcome: to ``path``, amplitude one, no flip, no phases."""
+        (o,) = outcomes
+        return (o.path, o.amplitude, o.flip, o.phases) == (path, 1.0, False, None)
+
+    @pytest.mark.parametrize("convention, cross", [(SYMMETRIC, 1j), (CONJUGATE, -1j)])
+    def test_beam_splitter_amplitudes(self, fgrid, convention, cross):
+        photon, relabeled = _photon_map(bp.BeamSplitter(convention), fgrid, False)
+        r = 1.0 / math.sqrt(2.0)
+        expected = {"a": [("a", r), ("b", cross * r)], "b": [("a", cross * r), ("b", r)]}
+        assert not relabeled
+        assert sorted(photon) == ["a", "b"]
+        for path, outcomes in photon.items():
+            assert [o.path for o in outcomes] == [q for q, _ in expected[path]]
+            for o, (_, amplitude) in zip(outcomes, expected[path]):
+                assert o.amplitude == pytest.approx(amplitude, abs=1e-15)
+                assert not o.flip and o.phases is None
+
+    @pytest.mark.parametrize("arm, other", [("a", "b"), ("b", "a")])
+    def test_delay_phase_on_delay_arm_only(self, fgrid, arm, other):
+        tau = 37e-15
+        photon, relabeled = _photon_map(bp.Delay(arm, tau, OMEGA_P), fgrid, False)
+        assert not relabeled
+        assert self.plain_move(photon[other], other)
+        (o,) = photon[arm]
+        assert (o.path, o.amplitude, o.flip) == (arm, 1.0, False)
+        expected = [cmath.exp(-1j * (OMEGA_P / 2.0 + w) * tau) for w in fgrid.omegas()]
+        assert np.allclose(o.phases, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("arm, other", [("a", "b"), ("b", "a")])
+    def test_flip_on_flip_arm_only(self, fgrid, arm, other):
+        photon, relabeled = _photon_map(bp.SpatialFlip(arm), fgrid, False)
+        assert not relabeled
+        assert self.plain_move(photon[other], other)
+        (o,) = photon[arm]
+        assert (o.path, o.amplitude, o.flip, o.phases) == (arm, 1.0, True, None)
+
+    def test_relabel_routes_a_to_c_and_b_to_d(self, fgrid):
+        photon, relabeled = _photon_map(bp.RelabelOutputs(), fgrid, False)
+        assert relabeled
+        assert self.plain_move(photon["a"], "c")
+        assert self.plain_move(photon["b"], "d")
+
+
 class TestElementSemantics:
     def test_double_beam_splitter_routes_to_one_port(self, initial, fgrid):
         # BS followed immediately by BS is the identity up to relabelling:
@@ -183,9 +248,16 @@ class TestElementSemantics:
         final = run(initial, cfg_mzim, 29e-15)
         assert exchange_asymmetry(final) < 1e-6
 
-    def test_unknown_element_rejected(self, initial):
-        with pytest.raises(UnknownElement):
-            bp.apply_element(initial, "mirror")
+    def test_unknown_element_rejected(self, interpreters):
+        for interpret in interpreters:
+            with pytest.raises(UnknownElement):
+                interpret(["mirror"])
+
+    def test_unknown_arm_rejected(self, interpreters):
+        for element in (bp.Delay("c", 1e-15, OMEGA_P), bp.SpatialFlip("x")):
+            for interpret in interpreters:
+                with pytest.raises(ValueError):
+                    interpret([bp.BeamSplitter(), element])
 
     def test_rates_require_relabelled_outputs(self, initial):
         incomplete = bp.apply_element(initial, bp.BeamSplitter())
@@ -194,10 +266,11 @@ class TestElementSemantics:
         with pytest.raises(IncompletePipeline):
             bp.singles_rate(incomplete, "c")
 
-    def test_no_elements_after_relabel(self, initial):
-        done = bp.apply_element(initial, bp.RelabelOutputs())
-        with pytest.raises(IncompletePipeline):
-            bp.apply_element(done, bp.BeamSplitter())
+    def test_no_elements_after_relabel(self, interpreters):
+        for late in (bp.BeamSplitter(), bp.RelabelOutputs()):
+            for interpret in interpreters:
+                with pytest.raises(IncompletePipeline):
+                    interpret([bp.RelabelOutputs(), late])
 
 
 class TestClosedFormEquivalence:
@@ -423,22 +496,3 @@ class TestOracleScan:
         assert gram.singles_port1[i] == pytest.approx(bp.singles_rate(final, "c"), abs=1e-12)
         total = gram.singles_port1 + gram.singles_port2
         assert float(np.max(np.abs(total - 2.0))) < 1e-9
-
-    def test_thread_env_produces_identical_results(self, default_state, cfg_mzi,
-                                                   sgrid, fgrid, monkeypatch):
-        kwargs = dict(spatial_grid=sgrid, frequency_grid=fgrid)
-        monkeypatch.setenv("BIPHOTON_THREADS", "1")
-        serial = bp.oracle_scan(default_state, cfg_mzi, -5e-15, 5e-15, 0.25e-15, **kwargs)
-        for setting in ("4", "0"):  # explicit pool and auto
-            monkeypatch.setenv("BIPHOTON_THREADS", setting)
-            threaded = bp.oracle_scan(default_state, cfg_mzi, -5e-15, 5e-15,
-                                      0.25e-15, **kwargs)
-            assert np.array_equal(serial.coincidences, threaded.coincidences)
-            assert np.array_equal(serial.singles_port1, threaded.singles_port1)
-
-    def test_invalid_thread_env_rejected(self, default_state, cfg_mzi,
-                                         sgrid, fgrid, monkeypatch):
-        monkeypatch.setenv("BIPHOTON_THREADS", "many")
-        with pytest.raises(ValueError):
-            bp.oracle_scan(default_state, cfg_mzi, 0.0, 1e-15, 0.25e-15,
-                           spatial_grid=sgrid, frequency_grid=fgrid)
