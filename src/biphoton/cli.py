@@ -94,6 +94,9 @@ class RunConfig:
 
 
 def _finite(value, field: str) -> float:
+    """A JSON number as a finite float; bools and other types are rejected."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{field}: expected float, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:  # an integer literal beyond the float range
@@ -107,7 +110,7 @@ def _require(mapping: dict, key: str, kind, path: str):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing required field")
     value = mapping[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is float:
         return _finite(value, f"{path}.{key}")
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -145,11 +148,9 @@ def load_config(path) -> RunConfig:
             raise ConfigError("pump.spatial_profile.waist_mm: must be positive")
         params["waist_mm"] = waist
     if kind == "shifted_gaussian":
-        if "shift_mm" not in params:
-            raise ConfigError("pump.spatial_profile.shift_mm: missing required field")
-        params["shift_mm"] = _finite(params["shift_mm"], "pump.spatial_profile.shift_mm")
-    if kind == "tabulated_file" and "path" not in params:
-        raise ConfigError("pump.spatial_profile.path: missing required field")
+        params["shift_mm"] = _require(params, "shift_mm", float, "pump.spatial_profile")
+    if kind == "tabulated_file":
+        _require(params, "path", str, "pump.spatial_profile")
 
     filt = _require(raw, "filter", dict, "")
     center_nm = _require(filt, "center_nm", float, "filter")
@@ -240,15 +241,25 @@ def _pump_amplitude(cfg: RunConfig, grid: SpatialGrid) -> SpatialAmplitude:
             grid,
             waist=params["waist_mm"] * units.MM,
             center=params["shift_mm"] * units.MM)
-    table = np.loadtxt(params["path"], delimiter=",", ndmin=2)
+    try:
+        table = np.loadtxt(params["path"], delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"pump.spatial_profile.path: cannot read the table: {exc}") from None
     if table.shape[1] not in (2, 3):
         raise ConfigError(
             "pump.spatial_profile.path: need columns x_mm,re[,im] in the table")
+    if not np.all(np.isfinite(table)):
+        raise ConfigError("pump.spatial_profile.path: the table holds a non-finite number")
+    if not np.all(np.diff(table[:, 0]) > 0.0):  # np.interp needs increasing x
+        raise ConfigError("pump.spatial_profile.path: x_mm must increase from row to row")
     x = grid.positions() / units.MM
     real = np.interp(x, table[:, 0], table[:, 1], left=0.0, right=0.0)
     imag = (np.interp(x, table[:, 0], table[:, 2], left=0.0, right=0.0)
             if table.shape[1] == 3 else 0.0)
-    return SpatialAmplitude.from_samples(grid, real + 1j * imag)
+    try:
+        return SpatialAmplitude.from_samples(grid, real + 1j * imag)
+    except ValueError as exc:  # the table is zero on the grid
+        raise ConfigError(f"pump.spatial_profile.path: {exc} on the spatial grid") from None
 
 
 def _spectral_density(cfg: RunConfig) -> SpectralDensity:

@@ -304,6 +304,19 @@ def tau_axis(tau_start: float, tau_stop: float, tau_step: float) -> np.ndarray:
     return tau_start + tau_step * np.arange(count)
 
 
+def _scan_axis(state: TwoPhotonState, cfg: InterferometerConfig, tau_start: float,
+               tau_stop: float, tau_step: float) -> np.ndarray:
+    """Delay axis of a scan by either engine, after the checks both make.
+
+    Raises ValueError if state and configuration disagree on the pump
+    frequency, and UnderSampled if the step does not resolve its fringe.
+    """
+    if abs(cfg.pump_frequency - state.pump_frequency) > 1e-9 * cfg.pump_frequency:
+        raise ValueError("state and configuration disagree on the pump frequency")
+    check_step(tau_step, 2.0 * math.pi / cfg.pump_frequency)
+    return tau_axis(tau_start, tau_stop, tau_step)
+
+
 def scan(
     state: TwoPhotonState,
     cfg: InterferometerConfig,
@@ -318,10 +331,7 @@ def scan(
     of the pump period raise UnderSampled.  E1, E2, alpha and beta are each
     computed once per scan; both singles ports come from one fringe array.
     """
-    if abs(cfg.pump_frequency - state.pump_frequency) > 1e-9 * cfg.pump_frequency:
-        raise ValueError("state and configuration disagree on the pump frequency")
-    check_step(tau_step, 2.0 * math.pi / cfg.pump_frequency)
-    tau = tau_axis(tau_start, tau_stop, tau_step)
+    tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
     # Same precondition order as the per-point functions called singles
     # first, so a scan raises the error they would.
     env = _envelopes(state, frequency_grid)

@@ -15,11 +15,16 @@ each photon slot and holds no element-specific logic of its own:
 * a branch-sum form, a short list of product terms (path pair, spatial
   factor, spectral factor).  Factors stay diagonal / anti-diagonal for
   correlated inputs, so memory is O(N + M) per branch and default grids run
-  at interactive speed;
+  at interactive speed.  Branches are never merged: each beam splitter
+  multiplies their count by at most four, so the two-splitter pipeline ends
+  with at most 16 per initial branch;
 * a dense tensor over all (2 N M)^2 ordered two-photon amplitudes, feasible
   only for small grids, used to cross-check the branch-sum bookkeeping;
 * a one-photon mixture over coherent spatial modes, for mixture-averaged
   singles.
+
+The branch sum and the dense tensor read rates out through one port rule
+applied to their table of path-pair norms.
 
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
 b -> (i a + b)/sqrt(2) ("symmetric"); the alternative "conjugate"
@@ -44,7 +49,7 @@ from .errors import (
     IncompletePipeline,
     UnknownElement,
 )
-from .interferometer import Interferogram, InterferometerConfig, MZIM, tau_axis
+from .interferometer import Interferogram, InterferometerConfig, MZIM, _scan_axis
 from .spatial import SpatialGrid, eigendecompose
 from .spectral import FrequencyGrid, default_frequency_grid, normalize
 from .states import (
@@ -263,28 +268,13 @@ class Factor:
 
     def inner(self, other: "Factor") -> complex:
         """Frobenius inner product sum(conj(self) * other)."""
-        a, b = self, other
-        if a.kind == _FULL or b.kind == _FULL:
-            if a.kind != _FULL:
-                return _structured_vs_full(a, b.data, conj_first=True)
-            if b.kind != _FULL:
-                return _structured_vs_full(b, a.data, conj_first=False)
-            return complex(np.vdot(a.data, b.data))
-        if a.kind == b.kind:
-            return complex(np.vdot(a.data, b.data))
+        if self.kind == other.kind:
+            return complex(np.vdot(self.data, other.data))
+        if _FULL in (self.kind, other.kind):
+            return complex(np.vdot(self.to_full(), other.to_full()))
         # diagonal against anti-diagonal: only the central index overlaps.
-        c = a.size // 2
-        return complex(np.conj(a.data[c]) * b.data[c])
-
-
-def _structured_vs_full(structured: Factor, full: np.ndarray, conj_first: bool) -> complex:
-    n = structured.size
-    idx = np.arange(n)
-    cols = idx if structured.kind == _DIAG else n - 1 - idx
-    entries = full[idx, cols]
-    if conj_first:
-        return complex(np.sum(np.conj(structured.data) * entries))
-    return complex(np.sum(np.conj(entries) * structured.data))
+        c = self.size // 2
+        return complex(np.conj(self.data[c]) * other.data[c])
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +308,13 @@ class BranchSumState:
     def paths(self) -> Tuple[str, str]:
         return _OUTPUT_PATHS if self.relabeled else _INPUT_PATHS
 
+    def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
+        """Squared amplitude norm per (photon 1 path, photon 2 path); absent pairs are zero."""
+        groups: dict = {}
+        for b in self.branches:
+            groups.setdefault((b.path1, b.path2), []).append(b)
+        return {pair: _group_norm(g) for pair, g in groups.items()}
+
 
 def build_initial_state(
     state: TwoPhotonState,
@@ -330,9 +327,6 @@ def build_initial_state(
     weight) amplitudes; general sectors become full matrices.  The state is
     exchange-symmetrized and normalized to unit total amplitude norm.
     """
-    for grid in (spatial_grid, frequency_grid):
-        if grid.point_count % 2 == 0:
-            raise GridAsymmetry("grids must have odd point counts")
     if isinstance(state.spatial, CorrelatedPump):
         if state.spatial.grid != spatial_grid:
             raise GridAsymmetry("state's spatial grid differs from the requested grid")
@@ -358,18 +352,12 @@ def build_initial_state(
         raise UnknownElement(f"unsupported spectral sector {type(state.spectral)!r}")
 
     branch = Branch("a", "a", 1.0 + 0.0j, s_factor, f_factor)
-    out = BranchSumState(spatial_grid, frequency_grid, (branch,))
-    out = _symmetrized(out)
+    out = _symmetrized(BranchSumState(spatial_grid, frequency_grid, (branch,)))
     norm = math.sqrt(total_norm(out))
     if norm <= 0.0:
         raise ValueError("state has zero norm on these grids")
-    return _rescaled(out, 1.0 / norm)
-
-
-def _rescaled(state: BranchSumState, factor: float) -> BranchSumState:
-    return replace(
-        state,
-        branches=tuple(replace(b, weight=b.weight * factor) for b in state.branches))
+    return replace(out, branches=tuple(
+        replace(b, weight=b.weight * (1.0 / norm)) for b in out.branches))
 
 
 def _swapped_branches(branches: Iterable[Branch]) -> Tuple[Branch, ...]:
@@ -395,9 +383,7 @@ def _symmetrized(state: BranchSumState) -> BranchSumState:
            and _factor_is_symmetric(b.spectral) for b in state.branches):
         return state
     halved = tuple(replace(b, weight=0.5 * b.weight) for b in state.branches)
-    sym = halved + _swapped_branches(halved)
-    out = replace(state, branches=_coalesced(sym))
-    return _rescaled(out, 1.0 / math.sqrt(total_norm(out)))
+    return replace(state, branches=halved + _swapped_branches(halved))
 
 
 def _branch_inner(x: Branch, y: Branch) -> complex:
@@ -419,7 +405,7 @@ def _group_norm(branches: Sequence[Branch]) -> float:
 
 def total_norm(state: BranchSumState) -> float:
     """Squared amplitude norm of the ordered two-photon tensor."""
-    return float(sum(_path_pair_norms(state).values()))
+    return float(sum(state.path_pair_norms().values()))
 
 
 def exchange_asymmetry(state: BranchSumState) -> float:
@@ -434,31 +420,14 @@ def exchange_asymmetry(state: BranchSumState) -> float:
     return math.sqrt(max(0.0, norm_a + norm_b - 2.0 * cross))
 
 
-def _coalesced(branches: Sequence[Branch]) -> Tuple[Branch, ...]:
-    merged: List[Branch] = []
-    for b in branches:
-        if abs(b.weight) == 0.0:
-            continue
-        for i, m in enumerate(merged):
-            if ((b.path1, b.path2) == (m.path1, m.path2)
-                    and b.spatial.kind == m.spatial.kind
-                    and b.spectral.kind == m.spectral.kind
-                    and np.array_equal(b.spatial.data, m.spatial.data)
-                    and np.array_equal(b.spectral.data, m.spectral.data)):
-                merged[i] = replace(m, weight=m.weight + b.weight)
-                break
-        else:
-            merged.append(b)
-    return tuple(m for m in merged if abs(m.weight) > 0.0)
-
-
 def apply_element(state: BranchSumState, element: Element) -> BranchSumState:
     """Apply one optical element; returns a new state.
 
     Each branch goes to every pairing of its two photons' outcomes.  Only a
     photon split (a beam splitter) multiplies the branch count, by at most
-    four; the new branches are then coalesced, so the count never exceeds 16
-    across a full pipeline.  Every other element maps branches one to one.
+    four; every other element maps branches one to one.  Branches are never
+    merged: a ``build_pipeline`` sequence holds two splitters, so it ends
+    with at most 16 times the initial count (1, or 2 after symmetrization).
     """
     photon, relabeled = _photon_map(element, state.frequency_grid, state.relabeled)
     out: List[Branch] = []
@@ -473,8 +442,7 @@ def apply_element(state: BranchSumState, element: Element) -> BranchSumState:
                         spectral = spectral.scale_slot(slot, o.phases)
                 out.append(Branch(o1.path, o2.path, b.weight * o1.amplitude * o2.amplitude,
                                   spatial, spectral))
-    branches = _coalesced(out) if len(out) > len(state.branches) else tuple(out)
-    return replace(state, branches=branches, relabeled=relabeled)
+    return replace(state, branches=tuple(out), relabeled=relabeled)
 
 
 def apply_pipeline(state: BranchSumState, elements: Iterable[Element]) -> BranchSumState:
@@ -483,18 +451,18 @@ def apply_pipeline(state: BranchSumState, elements: Iterable[Element]) -> Branch
     return state
 
 
-def _path_pair_norms(state: BranchSumState) -> dict:
-    groups: dict = {}
-    for b in state.branches:
-        groups.setdefault((b.path1, b.path2), []).append(b)
-    return {pair: _group_norm(g) for pair, g in groups.items()}
+_State = Union[BranchSumState, "DenseTensorState"]
 
 
-def _rates(state: BranchSumState) -> Tuple[float, float, float]:
-    """(singles at c, singles at d, coincidence) from one path-pair norm table."""
+def _rates(state: _State) -> Tuple[float, float, float]:
+    """(singles at c, singles at d, coincidence) from one path-pair norm table.
+
+    This port rule is the only detection rule: both representations read
+    their rates out through it.
+    """
     if not state.relabeled:
         raise IncompletePipeline("apply the full pipeline (with relabelling) first")
-    t = _path_pair_norms(state)
+    t = state.path_pair_norms()
 
     def singles(port: str, other: str) -> float:
         return (2.0 * t.get((port, port), 0.0)
@@ -505,12 +473,12 @@ def _rates(state: BranchSumState) -> Tuple[float, float, float]:
             2.0 * (t.get(("c", "d"), 0.0) + t.get(("d", "c"), 0.0)))
 
 
-def coincidence_rate(state: BranchSumState) -> float:
+def coincidence_rate(state: _State) -> float:
     """Probability of one photon in each output port, background-1 scaled."""
     return _rates(state)[2]
 
 
-def singles_rate(state: BranchSumState, port: str) -> float:
+def singles_rate(state: _State, port: str) -> float:
     """Expected photon number at one output port, background-1 scaled."""
     rates = _rates(state)
     if port not in _OUTPUT_PATHS:
@@ -537,6 +505,12 @@ class DenseTensorState:
     def exchange_asymmetry(self) -> float:
         swapped = self.tensor.transpose(3, 4, 5, 0, 1, 2)
         return float(np.sqrt(np.sum(np.abs(self.tensor - swapped) ** 2)))
+
+    def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
+        """Squared amplitude norm per (photon 1 path, photon 2 path)."""
+        paths = _OUTPUT_PATHS if self.relabeled else _INPUT_PATHS
+        return {(p, q): float(np.sum(np.abs(self.tensor[i, :, :, j]) ** 2))
+                for i, p in enumerate(paths) for j, q in enumerate(paths)}
 
 
 def to_dense(state: BranchSumState, budget_bytes: int = DEFAULT_DENSE_BUDGET) -> DenseTensorState:
@@ -585,23 +559,8 @@ def dense_apply_pipeline(state: DenseTensorState, elements: Iterable[Element]) -
     return state
 
 
-def dense_coincidence_rate(state: DenseTensorState) -> float:
-    if not state.relabeled:
-        raise IncompletePipeline("apply the full pipeline (with relabelling) first")
-    t_cd = float(np.sum(np.abs(state.tensor[0, :, :, 1]) ** 2))
-    t_dc = float(np.sum(np.abs(state.tensor[1, :, :, 0]) ** 2))
-    return 2.0 * (t_cd + t_dc)
-
-
-def dense_singles_rate(state: DenseTensorState, port: str) -> float:
-    if not state.relabeled:
-        raise IncompletePipeline("apply the full pipeline (with relabelling) first")
-    p = _OUTPUT_PATHS.index(port)
-    o = 1 - p
-    t_pp = float(np.sum(np.abs(state.tensor[p, :, :, p]) ** 2))
-    t_po = float(np.sum(np.abs(state.tensor[p, :, :, o]) ** 2))
-    t_op = float(np.sum(np.abs(state.tensor[o, :, :, p]) ** 2))
-    return 2.0 * t_pp + t_po + t_op
+dense_coincidence_rate = coincidence_rate
+dense_singles_rate = singles_rate
 
 
 # ---------------------------------------------------------------------------
@@ -716,10 +675,13 @@ def oracle_scan(
     frequency_grid: Optional[FrequencyGrid] = None,
     convention: str = SYMMETRIC,
 ) -> Interferogram:
-    """Delay scan evaluated entirely by the discrete-mode simulator."""
+    """Delay scan evaluated entirely by the discrete-mode simulator.
+
+    Makes the same pump-frequency and step checks as the closed ``scan``.
+    """
+    tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
     sgrid, fgrid = _resolve_grids(state, spatial_grid, frequency_grid)
     initial = build_initial_state(state, sgrid, fgrid)
-    tau = tau_axis(tau_start, tau_stop, tau_step)
     rows = [_rates(apply_pipeline(initial, build_pipeline(cfg, t, convention))) for t in tau]
     s1, s2, cc = (np.array(col) for col in zip(*rows))
     return Interferogram(

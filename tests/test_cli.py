@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 import biphoton as bp
-from biphoton.cli import _check_energy, bundled_config_path, main
+from biphoton.cli import _check_energy, bundled_config_path, load_config, main
 from biphoton.errors import BiphotonError
 
 from conftest import COINCIDENCE_PERIOD, SINGLES_PERIOD
@@ -227,6 +228,53 @@ class TestConfigValidation:
         assert f"{section}.{key}" in err
         assert "finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [None, [1], True, "x"],
+                             ids=["null", "list", "bool", "string"])
+    @pytest.mark.parametrize("key", ["waist_mm", "shift_mm"])
+    def test_wrong_type_profile_numbers_exit_one(self, tmp_path, capsys, key, value):
+        cfg = load_bundled("default_mzi")
+        profile = {"kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": 0.5}
+        profile[key] = value
+        cfg["pump"]["spatial_profile"] = profile
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert f"pump.spatial_profile.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_absent_waist_defaults_to_one_mm(self, tmp_path):
+        cfg = load_bundled("default_mzi")
+        cfg["pump"]["spatial_profile"] = {"kind": "hg1"}
+        assert load_config(write_config(tmp_path, cfg)).profile_params["waist_mm"] == 1.0
+
+    @pytest.mark.parametrize("table", [
+        None, "x_mm,re\nzero,one\n", "0.0,1.0\n0.5,1.0,0.0\n", "-1.0,1.0\n0.0,nan\n1.0,1.0\n",
+        "0.5,1.0\n0.0,1.0\n-0.5,1.0\n", "10.0,1.0\n11.0,1.0\n",
+    ], ids=["missing", "non_numeric", "ragged", "nan", "descending", "off_grid"])
+    def test_unreadable_pump_table_exit_one(self, tmp_path, capsys, table):
+        table_path = tmp_path / "pump.csv"
+        if table is not None:
+            table_path.write_text(table)
+        cfg = small_scan_config("default_mzi")
+        cfg["pump"]["spatial_profile"] = {"kind": "tabulated_file", "path": str(table_path)}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert "pump.spatial_profile.path" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pump_table_is_read(self, tmp_path, capsys):
+        table_path = tmp_path / "pump.csv"
+        table_path.write_text("".join(
+            f"{i / 10:.1f},{math.exp(-(i / 10) ** 2):.9f}\n" for i in range(-40, 41)))
+        cfg = small_scan_config("default_mzi")
+        cfg["pump"]["spatial_profile"] = {"kind": "tabulated_file", "path": str(table_path)}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(out.read_text().splitlines()) == 1 + 301
 
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

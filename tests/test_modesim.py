@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
 from biphoton.errors import (
     BudgetExceeded,
     GridAsymmetry,
     IncompletePipeline,
+    UnderSampled,
     UnknownElement,
 )
 from biphoton.modesim import (
@@ -496,3 +498,50 @@ class TestOracleScan:
         assert gram.singles_port1[i] == pytest.approx(bp.singles_rate(final, "c"), abs=1e-12)
         total = gram.singles_port1 + gram.singles_port2
         assert float(np.max(np.abs(total - 2.0))) < 1e-9
+
+    def test_undersampled_step_rejected(self, default_state, cfg_mzi, sgrid, fgrid):
+        with pytest.raises(UnderSampled):
+            bp.oracle_scan(default_state, cfg_mzi, -1e-15, 1e-15, 0.5e-15,
+                           spatial_grid=sgrid, frequency_grid=fgrid)
+
+    def test_pump_frequency_mismatch_rejected(self, default_state, sgrid, fgrid):
+        cfg = bp.InterferometerConfig.mzi(OMEGA_P * 1.01)
+        with pytest.raises(ValueError, match="pump frequency"):
+            bp.oracle_scan(default_state, cfg, -1e-15, 1e-15, 0.1e-15,
+                           spatial_grid=sgrid, frequency_grid=fgrid)
+
+
+class TestOracleProperties:
+    """Physical invariants of the branch sum over random delays and shifted pumps.
+
+    Each example runs at its random delay and at zero delay, where branches
+    of equal data meet and the HOM amplitudes cancel.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(tau_fs=st.floats(min_value=-150.0, max_value=150.0),
+           waist_mm=st.floats(min_value=0.5, max_value=2.0),
+           shift_mm=st.floats(min_value=-1.5, max_value=1.5),
+           balanced=st.booleans())
+    def test_invariants_and_dense_agreement(self, small_state, small_grids,
+                                            tau_fs, waist_mm, shift_mm, balanced):
+        sgrid, fgrid = small_grids
+        pump = bp.gaussian_amplitude(sgrid, waist=waist_mm * 1e-3, center=shift_mm * 1e-3)
+        state = bp.TwoPhotonState(bp.CorrelatedPump(pump), small_state.spectral, OMEGA_P)
+        cfg = (bp.InterferometerConfig.mzi if balanced else bp.InterferometerConfig.mzim)(OMEGA_P)
+        built = bp.build_initial_state(state, sgrid, fgrid)
+        for tau in (0.0, tau_fs * 1e-15):
+            rates = {}
+            for convention in (SYMMETRIC, CONJUGATE):
+                elements = bp.build_pipeline(cfg, tau, convention)
+                final = bp.apply_pipeline(built, elements)
+                dense = dense_apply_pipeline(bp.to_dense(built), elements)
+                s1, s2 = bp.singles_rate(final, "c"), bp.singles_rate(final, "d")
+                cc = bp.coincidence_rate(final)
+                assert bp.total_norm(final) == pytest.approx(1.0, abs=1e-12)
+                assert s1 + s2 == pytest.approx(2.0, abs=1e-12)
+                assert dense_singles_rate(dense, "c") == pytest.approx(s1, abs=1e-12)
+                assert dense_singles_rate(dense, "d") == pytest.approx(s2, abs=1e-12)
+                assert dense_coincidence_rate(dense) == pytest.approx(cc, abs=1e-12)
+                rates[convention] = (s1, s2, cc)
+            assert np.allclose(rates[SYMMETRIC], rates[CONJUGATE], rtol=0.0, atol=1e-12)
