@@ -380,7 +380,13 @@ def _read_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Lis
         except ValueError as exc:
             raise ConfigError(f"line {ln_no}: {exc}")
         engines.append(parts[4])
-    return (np.array(taus), np.array(s1), np.array(s2), np.array(cc), engines)
+    table = np.array([taus, s1, s2, cc])
+    bad = np.argwhere(~np.isfinite(table.T))
+    if bad.size:
+        row, col = bad[0]
+        name = CSV_HEADER.split(",")[col]
+        raise ConfigError(f"line {row + 2}: {name} is not a finite number: {table[col, row]}")
+    return (*table, engines)
 
 
 def _report_to_json(rep: analysis.VisibilityReport) -> dict:

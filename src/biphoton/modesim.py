@@ -26,6 +26,15 @@ each photon slot and holds no element-specific logic of its own:
 The branch sum and the dense tensor read rates out through one port rule
 applied to their table of path-pair norms.
 
+A delay scan runs the branch sum once, at zero delay: the branches do not
+depend on the delay, and each records how many delay phases each of its
+photons received.  Every path-pair norm is then a sum of terms
+g exp(-i m w_p tau / 2) exp(i n h tau) with small integers m and n, and one
+chirp-z call (``spectral.chirp_z``) evaluates all of them on the whole delay
+axis; the same port rule reads the rates out, elementwise.  The per-delay
+branch sum stays the route for a single delay and the reference the scan
+is tested against.
+
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
 b -> (i a + b)/sqrt(2) ("symmetric"); the alternative "conjugate"
 convention carries -i on the cross terms.  Reported rates are convention
@@ -51,7 +60,7 @@ from .errors import (
 )
 from .interferometer import Interferogram, InterferometerConfig, MZIM, _scan_axis
 from .spatial import SpatialGrid, eigendecompose
-from .spectral import FrequencyGrid, default_frequency_grid, normalize
+from .spectral import FrequencyGrid, chirp_z, default_frequency_grid, normalize
 from .states import (
     AntiCorrelated,
     CorrelatedPump,
@@ -276,6 +285,19 @@ class Factor:
         c = self.size // 2
         return complex(np.conj(self.data[c]) * other.data[c])
 
+    def inner_terms(self, other: "Factor") -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms that ``inner`` sums, with each term's (slot 0, slot 1)
+        index counted from the middle node.
+        """
+        c = self.size // 2
+        n = np.arange(self.size) - c
+        if self.kind == other.kind != _FULL:
+            return np.conj(self.data) * other.data, n, n if self.kind == _DIAG else -n
+        if _FULL in (self.kind, other.kind):
+            return np.conj(self.to_full()) * other.to_full(), n[:, None], n[None, :]
+        # diagonal against anti-diagonal: only the central index overlaps.
+        return np.conj(self.data[c:c + 1]) * other.data[c:c + 1], n[c:c + 1], n[c:c + 1]
+
 
 # ---------------------------------------------------------------------------
 # branch-sum state
@@ -288,6 +310,7 @@ class Branch:
     weight: complex
     spatial: Factor
     spectral: Factor
+    delays: Tuple[int, int] = (0, 0)  # Delay phases each photon has received
 
 
 @dataclass(frozen=True)
@@ -362,7 +385,8 @@ def build_initial_state(
 
 def _swapped_branches(branches: Iterable[Branch]) -> Tuple[Branch, ...]:
     return tuple(
-        Branch(b.path2, b.path1, b.weight, b.spatial.transpose(), b.spectral.transpose())
+        Branch(b.path2, b.path1, b.weight, b.spatial.transpose(), b.spectral.transpose(),
+               b.delays[::-1])
         for b in branches)
 
 
@@ -428,6 +452,7 @@ def apply_element(state: BranchSumState, element: Element) -> BranchSumState:
     four; every other element maps branches one to one.  Branches are never
     merged: a ``build_pipeline`` sequence holds two splitters, so it ends
     with at most 16 times the initial count (1, or 2 after symmetrization).
+    Each branch counts the delay phases each of its photons has received.
     """
     photon, relabeled = _photon_map(element, state.frequency_grid, state.relabeled)
     out: List[Branch] = []
@@ -440,8 +465,10 @@ def apply_element(state: BranchSumState, element: Element) -> BranchSumState:
                         spatial = spatial.flip_slot(slot)
                     if o.phases is not None:
                         spectral = spectral.scale_slot(slot, o.phases)
+                delays = (b.delays[0] + (o1.phases is not None),
+                          b.delays[1] + (o2.phases is not None))
                 out.append(Branch(o1.path, o2.path, b.weight * o1.amplitude * o2.amplitude,
-                                  spatial, spectral))
+                                  spatial, spectral, delays))
     return replace(state, branches=tuple(out), relabeled=relabeled)
 
 
@@ -452,25 +479,29 @@ def apply_pipeline(state: BranchSumState, elements: Iterable[Element]) -> Branch
 
 
 _State = Union[BranchSumState, "DenseTensorState"]
+_Rate = Union[float, np.ndarray]
 
 
-def _rates(state: _State) -> Tuple[float, float, float]:
-    """(singles at c, singles at d, coincidence) from one path-pair norm table.
+def _port_rule(t: Dict[Tuple[str, str], _Rate]) -> Tuple[_Rate, _Rate, _Rate]:
+    """(singles at c, singles at d, coincidence) from a path-pair norm table.
 
-    This port rule is the only detection rule: both representations read
-    their rates out through it.
+    This is the only detection rule.  It acts elementwise, so the norms may
+    be floats (one delay) or arrays (a scan); absent pairs are zero.
     """
-    if not state.relabeled:
-        raise IncompletePipeline("apply the full pipeline (with relabelling) first")
-    t = state.path_pair_norms()
-
-    def singles(port: str, other: str) -> float:
+    def singles(port: str, other: str) -> _Rate:
         return (2.0 * t.get((port, port), 0.0)
                 + t.get((port, other), 0.0)
                 + t.get((other, port), 0.0))
 
     return (singles("c", "d"), singles("d", "c"),
             2.0 * (t.get(("c", "d"), 0.0) + t.get(("d", "c"), 0.0)))
+
+
+def _rates(state: _State) -> Tuple[float, float, float]:
+    """Rates of one delay, read from the state's path-pair norm table."""
+    if not state.relabeled:
+        raise IncompletePipeline("apply the full pipeline (with relabelling) first")
+    return _port_rule(state.path_pair_norms())
 
 
 def coincidence_rate(state: _State) -> float:
@@ -665,6 +696,36 @@ def _resolve_grids(
 # scan driver
 
 
+def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.ndarray]:
+    """Delay dependence of the path-pair norms of a final state built at tau = 0.
+
+    A delay multiplies a photon by exp(-i (w_p/2 + W_k) tau), W_k = n h
+    (see ``_photon_map``).  For two branches x, y of one path pair, with
+    d = y.delays - x.delays and m = d0 + d1, conj(w_x) w_y <S_x, S_y>
+    <F_x(tau), F_y(tau)> is exp(-i m w_p tau / 2) sum_n g_n exp(i n h tau),
+    where a spectral term with slot indices (n0, n1) lands at
+    n = -(d0 n0 + d1 n1).  Row (path pair, m) holds g summed over the pair's
+    branches, indexed from n = -2c to 2c (c = M // 2); only the pairs and
+    m that occur get a row.  Each unordered branch pair enters once, at
+    double weight, so only the real part of the delay sum is the norm.
+    """
+    c = state.frequency_grid.point_count // 2
+    groups: dict = {}
+    for b in state.branches:
+        groups.setdefault((b.path1, b.path2), []).append(b)
+    table: dict = {}
+    for pair, group in groups.items():
+        for i, x in enumerate(group):
+            for y in group[i:]:
+                d0, d1 = y.delays[0] - x.delays[0], y.delays[1] - x.delays[1]
+                terms, n0, n1 = x.spectral.inner_terms(y.spectral)
+                coef = ((1.0 if y is x else 2.0) * np.conj(x.weight) * y.weight
+                        * x.spatial.inner(y.spatial))
+                row = table.setdefault((pair, d0 + d1), np.zeros(4 * c + 1, dtype=complex))
+                np.add.at(row, 2 * c - d0 * n0 - d1 * n1, coef * terms)
+    return table
+
+
 def oracle_scan(
     state: TwoPhotonState,
     cfg: InterferometerConfig,
@@ -678,12 +739,20 @@ def oracle_scan(
     """Delay scan evaluated entirely by the discrete-mode simulator.
 
     Makes the same pump-frequency and step checks as the closed ``scan``.
+    The branches do not depend on the delay, so the pipeline runs once, at
+    tau = 0, and every delay's path-pair norms come from one chirp-z call
+    on the rows of ``_delay_table``.
     """
     tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
     sgrid, fgrid = _resolve_grids(state, spatial_grid, frequency_grid)
     initial = build_initial_state(state, sgrid, fgrid)
-    rows = [_rates(apply_pipeline(initial, build_pipeline(cfg, t, convention))) for t in tau]
-    s1, s2, cc = (np.array(col) for col in zip(*rows))
+    table = _delay_table(apply_pipeline(initial, build_pipeline(cfg, 0.0, convention)))
+    sums = chirp_z(np.array(list(table.values())), fgrid.spacing, tau[0], tau_step, tau.size)
+    norms: dict = {}
+    for (pair, m), row in zip(table, sums):
+        pump = np.exp(-0.5j * m * cfg.pump_frequency * tau)
+        norms[pair] = norms.get(pair, 0.0) + (pump * row).real
+    s1, s2, cc = _port_rule(norms)
     return Interferogram(
         tau=tau,
         singles_port1=s1,

@@ -13,9 +13,11 @@ share one discretization and agree to round-off rather than to quadrature
 error.  E2 is, by construction, E1 evaluated at twice the delay.
 
 On a uniform delay axis the quadrature sum is a chirp-z transform, which
-:class:`EnvelopeEvaluator` evaluates by Bluestein's algorithm (Rabiner,
-Schafer & Rader, 1969) in O((T + M) log(T + M)) for T delays and M
-frequencies.  Scalars and non-uniform delays use the direct O(T M) sum.
+:func:`chirp_z` evaluates by Bluestein's algorithm (Rabiner, Schafer &
+Rader, 1969) in O((T + M) log(T + M)) for T delays and M frequencies.
+:class:`EnvelopeEvaluator` takes its real part; the discrete-mode oracle
+calls it once per scan on its table of phase coefficients.  Scalars and
+non-uniform delays use the direct O(T M) sum.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "envelope_first_order",
     "envelope_second_order",
     "EnvelopeEvaluator",
+    "chirp_z",
 ]
 
 
@@ -252,7 +255,7 @@ class EnvelopeEvaluator:
         step = _uniform_step(tau_arr)
         if step is None:
             return self._direct(tau_arr)
-        return self._chirp_z(tau_arr[0], step, tau_arr.size)
+        return chirp_z(self._weights, self.grid.spacing, tau_arr[0], step, tau_arr.size).real
 
     def second_order(self, tau):
         """E2(tau) = E1(2 tau), same weights, hence the identity is exact."""
@@ -266,27 +269,29 @@ class EnvelopeEvaluator:
                 np.outer(block, self._omegas)) @ self._weights
         return out
 
-    def _chirp_z(self, tau0: float, step: float, count: int) -> np.ndarray:
-        """Re sum_k w_k exp(i W_k tau_j) for tau_j = tau0 + j step, j < count.
 
-        With W_k = n h and tau_j = t_c + m step, both indices centred to keep
-        the chirp phases small, n m = (n^2 + m^2 - (m - n)^2) / 2 turns the
-        sum into a linear convolution of two chirps, done by zero-padded FFT.
-        """
-        size = self._weights.size
-        h = self.grid.spacing
-        theta = h * step
-        centre = tau0 + step * (count - 1) / 2.0
-        n = np.arange(size) - (size - 1) // 2
-        m = np.arange(count) - (count - 1) / 2.0
-        u = self._weights * np.exp(1j * (h * centre * n + 0.5 * theta * n**2))
-        lags = np.arange(1 - size, count)  # j - k over every pair
-        diff = lags + ((size - 1) // 2 - (count - 1) / 2.0)  # m - n at that lag
-        length = 1 << (size + count - 2).bit_length()  # power of two >= T + M - 1
-        v = np.zeros(length, dtype=complex)
-        v[lags % length] = np.exp(-0.5j * theta * diff**2)
-        conv = np.fft.ifft(np.fft.fft(u, length) * np.fft.fft(v))[:count]
-        return (np.exp(0.5j * theta * m**2) * conv).real
+def chirp_z(u: np.ndarray, h: float, tau0: float, step: float, count: int) -> np.ndarray:
+    """sum_n u[..., n] exp(i n h tau_j) for tau_j = tau0 + j step, j < count.
+
+    ``n`` is the last axis's index centred on its middle entry (the length
+    is odd); leading axes are independent rows.  With tau_j = t_c + m step,
+    both indices centred to keep the chirp phases small,
+    n m = (n^2 + m^2 - (m - n)^2) / 2 turns the sum into a linear
+    convolution of two chirps, done by zero-padded FFT (Bluestein).
+    """
+    size = u.shape[-1]
+    theta = h * step
+    centre = tau0 + step * (count - 1) / 2.0
+    n = np.arange(size) - (size - 1) // 2
+    m = np.arange(count) - (count - 1) / 2.0
+    u = u * np.exp(1j * (h * centre * n + 0.5 * theta * n**2))
+    lags = np.arange(1 - size, count)  # j - k over every pair
+    diff = lags + ((size - 1) // 2 - (count - 1) / 2.0)  # m - n at that lag
+    length = 1 << (size + count - 2).bit_length()  # power of two >= T + M - 1
+    v = np.zeros(length, dtype=complex)
+    v[lags % length] = np.exp(-0.5j * theta * diff**2)
+    conv = np.fft.ifft(np.fft.fft(u, length) * np.fft.fft(v))[..., :count]
+    return np.exp(0.5j * theta * m**2) * conv
 
 
 def _uniform_step(tau: np.ndarray) -> Optional[float]:

@@ -3,9 +3,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import biphoton as bp
+from biphoton import cli
 from biphoton.cli import _check_energy, bundled_config_path, load_config, main
 from biphoton.errors import BiphotonError
 
@@ -93,6 +95,36 @@ class TestSimulateAndAnalyze:
         # paired rows share the delay column
         assert lines[0].split(",")[0] == lines[1].split(",")[0]
 
+    @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
+    def test_bundled_engine_both_full_size(self, tmp_path, capsys, monkeypatch, name):
+        grams = []
+
+        def recording(*args):
+            grams.append(run_engine(*args))
+            return grams[-1]
+
+        run_engine = cli._run_engine
+        monkeypatch.setattr(cli, "_run_engine", recording)
+        out = tmp_path / "both.csv"
+        assert main(["simulate", "--config", str(bundled_config_path(name)),
+                     "--engine", "both", "--out", str(out)]) == 0
+        deltas = [float(tok.split("=")[1]) for tok in capsys.readouterr().out.split()
+                  if tok.startswith("max|d_")]
+        assert len(deltas) == 2 and max(deltas) <= 1e-12
+
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 5001
+        table = np.array([[float(v) for v in r[:4]] for r in rows])
+        assert float(np.max(np.abs(table[:, 1] + table[:, 2] - 2.0))) <= 1e-8
+
+        closed, oracle = grams
+        assert (closed.engine, oracle.engine) == ("closed", "oracle")
+        for g in grams:
+            assert float(np.max(np.abs(g.singles_port1 + g.singles_port2 - 2.0))) <= 1e-12
+        for column in ("singles_port1", "singles_port2", "coincidences"):
+            diff = getattr(closed, column) - getattr(oracle, column)
+            assert float(np.max(np.abs(diff))) <= 1e-12, column
+
     def test_analyze_mixed_engines_requires_selection(self, tmp_path, capsys):
         cfg = small_scan_config("default_mzi", engine="both")
         path = write_config(tmp_path, cfg)
@@ -143,6 +175,22 @@ class TestAnalyzeSchemaErrors:
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "--in", "/nonexistent.csv"]) == 1
+
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_exit_one(self, tmp_path, capsys, column, value):
+        header = "tau_fs,singles_port1,singles_port2,coincidence,engine"
+        rows = [f"{t:.1f},1.0,1.0,1.0,closed" for t in range(-20, 21)]
+        cells = rows[20].split(",")
+        cells[column] = value
+        rows[20] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        assert main(["analyze", "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "line 22:" in err
+        assert header.split(",")[column] in err
+        assert "Traceback" not in err
 
 
 class TestCompare:

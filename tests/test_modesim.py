@@ -18,6 +18,7 @@ from biphoton.modesim import (
     SYMMETRIC,
     _one_photon_singles,
     _photon_map,
+    _rates,
     dense_apply_pipeline,
     dense_coincidence_rate,
     dense_singles_rate,
@@ -63,23 +64,33 @@ def interpreters(small_state, small_grids):
     )
 
 
+def random_factor(kind, rng):
+    from biphoton.modesim import Factor
+
+    if kind == "full":
+        return Factor.full(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+    vec = rng.normal(size=7) + 1j * rng.normal(size=7)
+    return Factor.diagonal(vec) if kind == "diag" else Factor.antidiagonal(vec)
+
+
 class TestFactorAlgebra:
     @pytest.mark.parametrize("kind_a", ["diag", "antidiag", "full"])
     @pytest.mark.parametrize("kind_b", ["diag", "antidiag", "full"])
     def test_inner_products_match_dense(self, kind_a, kind_b):
-        from biphoton.modesim import Factor
-
         rng = np.random.default_rng(13)
-
-        def make(kind):
-            if kind == "full":
-                return Factor.full(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
-            vec = rng.normal(size=7) + 1j * rng.normal(size=7)
-            return Factor.diagonal(vec) if kind == "diag" else Factor.antidiagonal(vec)
-
-        a, b = make(kind_a), make(kind_b)
+        a, b = random_factor(kind_a, rng), random_factor(kind_b, rng)
         expected = complex(np.vdot(a.to_full(), b.to_full()))
         assert a.inner(b) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("kind_a", ["diag", "antidiag", "full"])
+    @pytest.mark.parametrize("kind_b", ["diag", "antidiag", "full"])
+    def test_inner_terms_sit_at_their_indices(self, kind_a, kind_b):
+        rng = np.random.default_rng(19)
+        a, b = random_factor(kind_a, rng), random_factor(kind_b, rng)
+        terms, n0, n1 = a.inner_terms(b)
+        placed = np.zeros((7, 7), dtype=complex)
+        np.add.at(placed, (n0 + 3, n1 + 3), terms)
+        assert np.allclose(placed, np.conj(a.to_full()) * b.to_full(), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", ["diag", "antidiag", "full"])
     def test_slot_operations_match_dense(self, kind):
@@ -545,3 +556,61 @@ class TestOracleProperties:
                 assert dense_coincidence_rate(dense) == pytest.approx(cc, abs=1e-12)
                 rates[convention] = (s1, s2, cc)
             assert np.allclose(rates[SYMMETRIC], rates[CONJUGATE], rtol=0.0, atol=1e-12)
+
+
+def _batch_states(small_state, small_grids):
+    """Oracle states covering every factor kind: name -> TwoPhotonState."""
+    sgrid, fgrid = small_grids
+    gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
+    shifted = bp.gaussian_amplitude(sgrid, waist=1e-3, center=0.7e-3)
+    rng = np.random.default_rng(29)
+    shape = (fgrid.point_count, fgrid.point_count)
+    general_spectral = bp.GeneralSpectral.from_samples(
+        fgrid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    general_spatial = bp.GeneralSpatial.product(gauss, shifted)
+    anti = small_state.spectral
+    return {
+        "gaussian": (bp.CorrelatedPump(gauss), anti),
+        "shifted": (bp.CorrelatedPump(shifted), anti),
+        "hg1": (bp.CorrelatedPump(bp.hermite_gauss1_amplitude(sgrid, waist=1e-3)), anti),
+        "general_spatial": (general_spatial, anti),
+        "general_spectral": (bp.CorrelatedPump(gauss), general_spectral),
+        "both_general": (general_spatial, general_spectral),
+    }
+
+
+class TestBatchedOracleScan:
+    """The one-pass scan against the per-delay branch sum at every delay."""
+
+    STEP = 0.25e-15
+
+    @pytest.mark.parametrize("name", ["gaussian", "shifted", "hg1", "general_spatial",
+                                      "general_spectral", "both_general"])
+    def test_matches_per_delay_branch_sum(self, small_state, small_grids, name):
+        sgrid, fgrid = small_grids
+        spatial, spectral = _batch_states(small_state, small_grids)[name]
+        state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
+        built = bp.build_initial_state(state, sgrid, fgrid)
+        # Only the exchange-symmetric inputs stay one branch after symmetrisation.
+        assert len(built.branches) == (1 if name in ("gaussian", "shifted", "hg1") else 2)
+        half = 120 * self.STEP  # 241 delays, tau = 0 exactly at the centre
+        for kind in ("mzi", "mzim"):
+            cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
+            for convention in (SYMMETRIC, CONJUGATE):
+                for start, stop in ((-half, half), (17e-15, 17e-15)):
+                    gram = bp.oracle_scan(state, cfg, start, stop, self.STEP,
+                                          spatial_grid=sgrid, frequency_grid=fgrid,
+                                          convention=convention)
+                    assert gram.tau.size == (241 if start < stop else 1)
+                    expected = np.array([
+                        _rates(bp.apply_pipeline(built, bp.build_pipeline(cfg, t, convention)))
+                        for t in gram.tau]).T
+                    got = np.stack([gram.singles_port1, gram.singles_port2, gram.coincidences])
+                    assert float(np.max(np.abs(got - expected))) <= 1e-12
+
+    def test_final_branches_record_delays(self, initial, cfg_mzi, cfg_mzim):
+        for cfg in (cfg_mzi, cfg_mzim):
+            final = run(initial, cfg, 0.0)
+            assert len(final.branches) == 16
+            assert {b.delays for b in final.branches} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert initial.branches[0].delays == (0, 0)

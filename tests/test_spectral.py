@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import biphoton as bp
 from biphoton.errors import ZeroDensity
 from biphoton.interferometer import tau_axis
-from biphoton.spectral import _uniform_step
+from biphoton.spectral import _uniform_step, chirp_z
 
 from conftest import DELTA_OMEGA
 
@@ -240,6 +240,25 @@ class TestChirpZKernel:
         for tau in (axis[:1], bumped, with_nan, np.geomspace(1e-15, 1e-13, 50),
                     axis[:4].reshape(2, 2)):
             assert _uniform_step(tau) is None
+
+
+class TestComplexKernel:
+    """The batched complex kernel against the direct sum, row by row."""
+
+    @pytest.mark.parametrize("size", [3, 33, 2049])
+    @pytest.mark.parametrize("count", [1, 2, 241])
+    def test_batched_rows_match_direct_sum(self, size, count):
+        rng = np.random.default_rng(size + count)
+        u = rng.normal(size=(4, 5, size)) + 1j * rng.normal(size=(4, 5, size))
+        u /= np.sum(np.abs(u), axis=-1, keepdims=True)
+        h, step = 1.1e11, 0.25e-15
+        n = np.arange(size) - size // 2
+        for tau0 in (-30e-15, 0.0, 17e-15):
+            tau = tau0 + step * np.arange(count)
+            got = chirp_z(u, h, tau0, step, count)
+            assert got.shape == (4, 5, count)
+            direct = u @ np.exp(1j * h * np.outer(n, tau))
+            assert float(np.max(np.abs(got - direct))) <= 1e-12
 
 
 class TestSymmetryFlag:
