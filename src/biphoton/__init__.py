@@ -19,7 +19,6 @@ from .errors import (
     IncompletePipeline,
     NoDip,
     NoFringe,
-    NonParityPump,
     NotPositive,
     UnderResolved,
     UnderSampled,
@@ -61,6 +60,7 @@ from .states import (
     OnePhotonState,
     TwoPhotonState,
     default_spdc_state,
+    exchange_overlaps,
     reduce_to_one_photon,
     reduced_spatial_operator,
 )

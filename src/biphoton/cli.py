@@ -362,13 +362,14 @@ def _read_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Lis
         text = Path(path).read_text()
     except FileNotFoundError:
         raise ConfigError(f"input file not found: {path}")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        got = lines[0] if lines else "<empty file>"
+    # (line number in the file, text) of every non-blank line
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
+        got = lines[0][1] if lines else "<empty file>"
         raise ConfigError(
             f"unexpected CSV header: got {got!r}, expected {CSV_HEADER!r}")
     taus, s1, s2, cc, engines = [], [], [], [], []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 5:
             raise ConfigError(f"line {ln_no}: expected 5 fields, got {len(parts)}")
@@ -385,7 +386,8 @@ def _read_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Lis
     if bad.size:
         row, col = bad[0]
         name = CSV_HEADER.split(",")[col]
-        raise ConfigError(f"line {row + 2}: {name} is not a finite number: {table[col, row]}")
+        raise ConfigError(
+            f"line {lines[row + 1][0]}: {name} is not a finite number: {table[col, row]}")
     return (*table, engines)
 
 

@@ -11,10 +11,6 @@ class ZeroDensity(BiphotonError):
     """Spectral density integrates to (numerically) zero on the working grid."""
 
 
-class AsymmetricSpectrum(BiphotonError):
-    """Operation requires an even spectral density |psi(-W)|^2 == |psi(W)|^2."""
-
-
 # -- spatial engine ----------------------------------------------------------
 
 class NotPositive(BiphotonError):
@@ -23,8 +19,9 @@ class NotPositive(BiphotonError):
 
 # -- closed-form interferometer ----------------------------------------------
 
-class NonParityPump(BiphotonError):
-    """Pump is neither purely even nor purely odd; no closed form applies."""
+class AsymmetricSpectrum(BiphotonError):
+    """Spectral density uneven and spatial amplitude exchange asymmetric:
+    the symmetrised state is no product, so no closed form applies."""
 
 
 class UnderSampled(BiphotonError):

@@ -8,18 +8,19 @@ E1/E2 the spectral envelopes and w_p the pump frequency:
         singles:       1 -/+ cos(w_p tau / 2) E1(tau)        (two ports)
 
     mirror-unbalanced variant (one arm applies x -> -x):
-        coincidences:  1 - (beta/2) cos(w_p tau) - (beta/2) E2(tau)
-                       for a pure-parity pump, beta = +1 even / -1 odd
-        singles:       1 -/+ |alpha| cos(w_p tau / 2 - phase) E1(tau)
+        coincidences:  1 - (b/2) cos(w_p tau) - (b/2) E2(tau)
+        singles:       1 -/+ alpha cos(w_p tau / 2) E1(tau)
 
-alpha is the flip overlap of the reduced one-photon spatial operator and
-beta the pump parity overlap.  The coincidence rate of the unbalanced
-variant for an arbitrary-parity pump has no closed form here; use the
-discrete-mode simulator for that case.
+alpha is the flip overlap of one photon, b the parity overlap of the pair
+and E1/E2 are taken over the envelope weights q; all three come from the
+exchange-symmetrised state (``states.exchange_overlaps``) and alpha and b
+are real.  The forms hold whenever the spatial amplitude or the spectral
+density is exchange symmetric.  A state asymmetric in both sectors raises
+AsymmetricSpectrum, and a general spectral sector has no closed form; the
+discrete-mode simulator covers both.
 
-The singles of the balanced interferometer do not reference the spatial
-sector at all, which is the computable face of their independence from
-spatial coherence.
+The balanced interferometer reads neither alpha nor b, which is the
+computable face of its independence from spatial coherence.
 """
 
 from __future__ import annotations
@@ -30,15 +31,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import AsymmetricSpectrum, NonParityPump, UnderSampled
-from .spectral import EnvelopeEvaluator, FrequencyGrid, default_frequency_grid, normalize
-from .states import (
-    AntiCorrelated,
-    CorrelatedPump,
-    TwoPhotonState,
-    reduced_spatial_operator,
-)
-from .spatial import flip_overlap, pump_parity_overlap
+from .errors import UnderSampled
+from .spectral import EnvelopeEvaluator, FrequencyGrid
+from .states import TwoPhotonState, exchange_overlaps
+
+# Not called here: perfbench/spans.py traces these names on this module.
+from .spatial import flip_overlap, pump_parity_overlap  # noqa: F401
+from .states import reduced_spatial_operator  # noqa: F401
 
 __all__ = [
     "MZI",
@@ -55,7 +54,6 @@ __all__ = [
 MZI = "mzi"
 MZIM = "mzim"
 
-PARITY_TOL = 1e-9
 MAX_STEP_FRACTION = 0.2  # of the pump period, the scan resolution bound
 
 
@@ -153,145 +151,84 @@ class Interferogram:
             object.__setattr__(self, name, arr)
 
 
-def _envelopes(state: TwoPhotonState, grid: Optional[FrequencyGrid]) -> EnvelopeEvaluator:
-    if not isinstance(state.spectral, AntiCorrelated):
-        raise ValueError(
-            "closed forms require an anti-correlated spectral sector; "
-            "use the discrete-mode engine for general spectra")
-    g = grid or default_frequency_grid(state.spectral.density)
-    return EnvelopeEvaluator(normalize(state.spectral.density, g), g)
+def _closed_form(state: TwoPhotonState, cfg: InterferometerConfig,
+                 frequency_grid: Optional[FrequencyGrid]):
+    """(singles fringe f, coincidences) as functions of the delay array.
 
-
-def _check_kind(cfg: InterferometerConfig, expected: str):
-    if cfg.kind != expected:
-        raise ValueError(f"operation requires a '{expected}' configuration")
-
-
-def _check_even(state: TwoPhotonState, env: EnvelopeEvaluator):
-    if not state.spectral.density.is_even_on(env.grid):
-        raise AsymmetricSpectrum("coincidence closed form assumes an even density")
-
-
-def _signed_parity(state: TwoPhotonState) -> float:
-    """beta for a pure-parity correlated pump: +1 even, -1 odd."""
-    if not isinstance(state.spatial, CorrelatedPump):
-        raise NonParityPump(
-            "coincidence closed form needs a correlated pump; use the "
-            "discrete-mode engine for general spatial sectors")
-    beta = pump_parity_overlap(state.spatial.pump)
-    if beta.magnitude < 1.0 - PARITY_TOL:
-        raise NonParityPump(
-            f"pump parity overlap magnitude {beta.magnitude:.6f} < 1; no "
-            "closed form for arbitrary pump profiles -- use the "
-            "discrete-mode engine")
-    return float(np.sign(math.cos(beta.phase)))
-
-
-def _singles_fringe(cfg: InterferometerConfig, tau, e1, alpha=None):
-    """Fringe term f of the singles: port 1 carries 1 - f, port 2 1 + f.
-
-    ``alpha`` is the flip overlap for the unbalanced variant and None for
-    the balanced one.
+    Singles port 1 carries 1 - f, port 2 1 + f.  The balanced instrument
+    weights both fringes by one.
     """
-    phase = cfg.pump_frequency * tau / 2.0
-    if alpha is None:
-        return np.cos(phase) * e1
-    return alpha.magnitude * np.cos(phase - alpha.phase) * e1
+    ov = exchange_overlaps(state, frequency_grid)
+    env = EnvelopeEvaluator.from_weights(ov.weights, ov.grid)
+    alpha, b = (1.0, 1.0) if cfg.kind == MZI else (ov.alpha, ov.b)
+    w_p = cfg.pump_frequency
 
+    def fringe(tau):
+        return alpha * np.cos(w_p * tau / 2.0) * env.first_order(tau)
 
-def _coincidences(cfg: InterferometerConfig, tau, e2, beta: float = 1.0):
-    return 1.0 - 0.5 * beta * np.cos(cfg.pump_frequency * tau) - 0.5 * beta * e2
+    def coincidences(tau):
+        return 1.0 - 0.5 * b * np.cos(w_p * tau) - 0.5 * b * env.second_order(tau)
+
+    return fringe, coincidences
 
 
 def _port(fringe, port: int):
     return 1.0 - fringe if port == 1 else 1.0 + fringe
 
 
-def _like(tau, out):
+def _rate(state, cfg, kind, tau, frequency_grid, port=None):
+    """Singles at ``port``, or coincidences if it is None, of a ``kind`` instrument."""
+    if cfg.kind != kind:
+        raise ValueError(f"operation requires a '{kind}' configuration")
+    fringe, coincidences = _closed_form(state, cfg, frequency_grid)
+    tau_arr = np.asarray(tau, dtype=float)
+    out = coincidences(tau_arr) if port is None else _port(fringe(tau_arr), port)
     return float(out) if np.ndim(tau) == 0 else out
 
 
-def g2_mzi(
-    state: TwoPhotonState,
-    cfg: InterferometerConfig,
-    tau,
-    frequency_grid: Optional[FrequencyGrid] = None,
-):
-    """Coincidence rate of the balanced interferometer.
-
-    Requires an even spectral density; raises AsymmetricSpectrum otherwise
-    because the closed form drops the odd sine moment.
-    """
-    _check_kind(cfg, MZI)
-    env = _envelopes(state, frequency_grid)
-    _check_even(state, env)
-    tau_arr = np.asarray(tau, dtype=float)
-    return _like(tau, _coincidences(cfg, tau_arr, env.second_order(tau_arr)))
+def g2_mzi(state: TwoPhotonState, cfg: InterferometerConfig, tau,
+           frequency_grid: Optional[FrequencyGrid] = None):
+    """Coincidence rate of the balanced interferometer."""
+    return _rate(state, cfg, MZI, tau, frequency_grid)
 
 
-def intensity_mzi(
-    state: TwoPhotonState,
-    cfg: InterferometerConfig,
-    tau,
-    frequency_grid: Optional[FrequencyGrid] = None,
-    port: int = 1,
-):
+def intensity_mzi(state: TwoPhotonState, cfg: InterferometerConfig, tau,
+                  frequency_grid: Optional[FrequencyGrid] = None, port: int = 1):
     """Singles rate at one output port of the balanced interferometer.
 
     Port 1 carries 1 - cos(w_p tau / 2) E1(tau), port 2 its mirror image;
-    the two sum to 2 (lossless model).  Independent of the spatial sector
-    by construction: nothing spatial is ever read.
+    the two sum to 2 (lossless model).  Independent of the spatial sector:
+    neither alpha nor b enters.
     """
-    _check_kind(cfg, MZI)
-    env = _envelopes(state, frequency_grid)
-    tau_arr = np.asarray(tau, dtype=float)
-    return _like(tau, _port(_singles_fringe(cfg, tau_arr, env.first_order(tau_arr)), port))
+    return _rate(state, cfg, MZI, tau, frequency_grid, port)
 
 
-def intensity_mzim(
-    state: TwoPhotonState,
-    cfg: InterferometerConfig,
-    tau,
-    frequency_grid: Optional[FrequencyGrid] = None,
-    port: int = 1,
-):
+def intensity_mzim(state: TwoPhotonState, cfg: InterferometerConfig, tau,
+                   frequency_grid: Optional[FrequencyGrid] = None, port: int = 1):
     """Singles rate of the mirror-unbalanced variant.
 
-    The fringe term is weighted by the flip overlap of the reduced
-    one-photon spatial operator: spatially incoherent light (the
-    down-conversion default) gives alpha ~ 0 and an essentially flat trace,
-    while a pure even (odd) transverse mode gives full fringes with phase
-    0 (pi).
+    The fringe term is weighted by the flip overlap alpha of one photon:
+    spatially incoherent light (the down-conversion default) gives
+    alpha ~ 0 and an essentially flat trace, while a pure even (odd)
+    transverse mode gives full fringes of sign +1 (-1).
     """
-    _check_kind(cfg, MZIM)
-    env = _envelopes(state, frequency_grid)
-    alpha = flip_overlap(reduced_spatial_operator(state))
-    tau_arr = np.asarray(tau, dtype=float)
-    fringe = _singles_fringe(cfg, tau_arr, env.first_order(tau_arr), alpha)
-    return _like(tau, _port(fringe, port))
+    return _rate(state, cfg, MZIM, tau, frequency_grid, port)
 
 
-def g2_mzim(
-    state: TwoPhotonState,
-    cfg: InterferometerConfig,
-    tau,
-    frequency_grid: Optional[FrequencyGrid] = None,
-):
-    """Coincidence rate of the mirror-unbalanced variant, pure-parity pump.
+def g2_mzim(state: TwoPhotonState, cfg: InterferometerConfig, tau,
+            frequency_grid: Optional[FrequencyGrid] = None):
+    """Coincidence rate of the mirror-unbalanced variant.
 
-    An even pump reproduces the balanced result exactly.  An odd pump
-    flips the sign of both interference terms: the sinusoid shifts by pi
-    at unchanged amplitude and the dip inverts into a peak.  (The flip of
-    the dip term follows from the sign the flipped-arm amplitude acquires
-    in the exchange pathway; the discrete-mode simulator confirms it
-    independently.)  Arbitrary-parity pumps raise NonParityPump.
+    Both interference terms are weighted by the parity overlap b of the
+    pair, for any spatial sector.  An even pump (b = 1) reproduces the
+    balanced result exactly.  An odd pump (b = -1) flips the sign of both
+    terms: the sinusoid shifts by pi at unchanged amplitude and the dip
+    inverts into a peak.  A pump of no definite parity scales both terms
+    by |b| < 1.  (The flip of the dip term follows from the sign the
+    flipped-arm amplitude acquires in the exchange pathway; the
+    discrete-mode simulator confirms it independently.)
     """
-    _check_kind(cfg, MZIM)
-    beta = _signed_parity(state)
-    env = _envelopes(state, frequency_grid)
-    _check_even(state, env)
-    tau_arr = np.asarray(tau, dtype=float)
-    return _like(tau, _coincidences(cfg, tau_arr, env.second_order(tau_arr), beta))
+    return _rate(state, cfg, MZIM, tau, frequency_grid)
 
 
 def tau_axis(tau_start: float, tau_stop: float, tau_step: float) -> np.ndarray:
@@ -328,24 +265,17 @@ def scan(
     """Closed-form delay scan producing both singles ports and coincidences.
 
     The step must resolve the pump-frequency fringe: steps above one fifth
-    of the pump period raise UnderSampled.  E1, E2, alpha and beta are each
+    of the pump period raise UnderSampled.  alpha, b, E1 and E2 are each
     computed once per scan; both singles ports come from one fringe array.
     """
     tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
-    # Same precondition order as the per-point functions called singles
-    # first, so a scan raises the error they would.
-    env = _envelopes(state, frequency_grid)
-    alpha = (None if cfg.kind == MZI
-             else flip_overlap(reduced_spatial_operator(state)))
-    fringe = _singles_fringe(cfg, tau, env.first_order(tau), alpha)
-    beta = 1.0 if cfg.kind == MZI else _signed_parity(state)
-    _check_even(state, env)
-    cc = _coincidences(cfg, tau, env.second_order(tau), beta)
+    fringe, coincidences = _closed_form(state, cfg, frequency_grid)
+    f = fringe(tau)
     return Interferogram(
         tau=tau,
-        singles_port1=_port(fringe, 1),
-        singles_port2=_port(fringe, 2),
-        coincidences=cc,
+        singles_port1=_port(f, 1),
+        singles_port2=_port(f, 2),
+        coincidences=coincidences(tau),
         config=cfg.describe(),
         state=state.describe(),
         engine="closed",

@@ -4,8 +4,8 @@ Independent validation engine for the closed-form interferograms.  The
 two-photon state lives on (path x position x frequency) modes, and rates
 are mode-summed detection probabilities.  Nothing here knows the closed
 forms: agreement between the two engines is the package's core self-check,
-and the simulator also covers the arbitrary-pump cases for which no closed
-form exists.
+and the simulator also covers the states with no closed form: a general
+spectral sector, or both sectors exchange asymmetric.
 
 Each optical element is defined once, as a single-photon map: every input
 path goes to one or more outcomes (output path, amplitude, position flip or
@@ -64,6 +64,7 @@ from .spectral import FrequencyGrid, chirp_z, default_frequency_grid, normalize
 from .states import (
     AntiCorrelated,
     CorrelatedPump,
+    DiagonalDensity,
     GeneralSpatial,
     GeneralSpectral,
     TwoPhotonState,
@@ -664,17 +665,12 @@ def simulate_mixture(
     weights = np.array([w for w, _ in modes])
     mode_rows = np.array(
         [m.values for _, m in modes]) * math.sqrt(sgrid.spacing)
-    spectral_amplitude = np.sqrt(_diagonal_weights(one))
+    if not isinstance(one.spectral, DiagonalDensity):
+        raise ValueError("mixture simulation requires a frequency-diagonal spectral sector")
+    spectral_amplitude = np.sqrt(one.spectral.weights)
     per_mode = _one_photon_singles(mode_rows, spectral_amplitude, fgrid, elements, "c")
     singles = 2.0 * float(weights @ per_mode)
     return singles, coincidence
-
-
-def _diagonal_weights(one_photon_state) -> np.ndarray:
-    spectral = one_photon_state.spectral
-    if hasattr(spectral, "weights"):
-        return np.asarray(spectral.weights, dtype=float)
-    raise ValueError("mixture simulation requires a frequency-diagonal spectral sector")
 
 
 def _resolve_grids(

@@ -113,6 +113,10 @@ class SpatialAmplitude:
         """Samples of phi(-x); exact index reversal on the symmetric grid."""
         return self.values[::-1]
 
+    def position_weights(self) -> np.ndarray:
+        """|phi(x_i)|^2 dx, the weights of the position-diagonal mixture."""
+        return np.abs(self.values) ** 2 * self.grid.spacing
+
 
 def gaussian_amplitude(grid: SpatialGrid, waist: float, center: float = 0.0) -> SpatialAmplitude:
     """Gaussian beam profile exp(-(x - center)^2 / waist^2), normalized.
@@ -164,8 +168,7 @@ class SpatialDensityOperator:
     @classmethod
     def incoherent(cls, phi: SpatialAmplitude) -> "SpatialDensityOperator":
         """Position-diagonal mixture with weights |phi(x_i)|^2 dx."""
-        w = np.abs(phi.values) ** 2 * phi.grid.spacing
-        return cls(phi.grid, np.diag(w.astype(complex)))
+        return cls(phi.grid, np.diag(phi.position_weights().astype(complex)))
 
     @classmethod
     def general(cls, grid: SpatialGrid, matrix: np.ndarray) -> "SpatialDensityOperator":

@@ -184,10 +184,10 @@ class SpectralDensity:
             raise ValueError("density must be nonnegative everywhere")
         return values
 
-    def is_even_on(self, grid: FrequencyGrid, tol: float = 1e-12) -> bool:
-        """True iff the sampled density is flip-symmetric at every node."""
+    def is_even_on(self, grid: FrequencyGrid) -> bool:
+        """True iff the sampled density is exactly flip-symmetric at every node."""
         d = self.sample(grid)
-        return bool(np.all(np.abs(d - d[::-1]) <= tol * max(1.0, float(np.max(d)))))
+        return bool(np.array_equal(d, d[::-1]))
 
     def describe(self) -> str:
         s = self.shape
@@ -212,17 +212,13 @@ def default_frequency_grid(sd: SpectralDensity, point_count: int = 1025) -> Freq
     return FrequencyGrid(half_width=half, point_count=point_count)
 
 
-def _integral(sd: SpectralDensity, grid: FrequencyGrid) -> float:
-    return float(np.trapezoid(sd.sample(grid), dx=grid.spacing))
-
-
 def normalize(sd: SpectralDensity, grid: FrequencyGrid) -> SpectralDensity:
     """Rescale so the trapezoid integral over ``grid`` equals one.
 
     Raises ZeroDensity when the grid sees (numerically) no density at all,
     e.g. a table whose support lies entirely outside the grid.
     """
-    total = _integral(sd, grid)
+    total = float(np.trapezoid(sd.sample(grid), dx=grid.spacing))
     if total < 1e-300:
         raise ZeroDensity("density integrates to zero on the working grid")
     return replace(sd, scale=sd.scale / total)
@@ -231,12 +227,13 @@ def normalize(sd: SpectralDensity, grid: FrequencyGrid) -> SpectralDensity:
 class EnvelopeEvaluator:
     """Precomputed trapezoid weights for fast envelope evaluation.
 
-    Samples the density once and exposes vectorised E1/E2.  A delay array
-    that is uniform up to round-off (at least two points) goes through the
-    chirp-z transform; its result differs from the direct sum by round-off
-    only, below 1e-12 for unit-integral densities on the bundled grids.
-    Scalars and non-uniform arrays use the direct sum, processed in chunks
-    to bound the cos() workspace.
+    Samples the density once and exposes vectorised E1/E2;
+    :meth:`from_weights` takes the weights q_k = d_k w_k directly.  A delay
+    array that is uniform up to round-off (at least two points) goes
+    through the chirp-z transform; its result differs from the direct sum
+    by round-off only, below 1e-12 for unit-integral densities on the
+    bundled grids.  Scalars and non-uniform arrays use the direct sum,
+    processed in chunks to bound the cos() workspace.
     """
 
     _CHUNK = 8192
@@ -244,8 +241,12 @@ class EnvelopeEvaluator:
     def __init__(self, sd: SpectralDensity, grid: FrequencyGrid):
         self.grid = grid
         self._weights = sd.sample(grid) * grid.trapezoid_weights()
-        self._omegas = grid.omegas()
-        self.norm = float(np.sum(self._weights))
+
+    @classmethod
+    def from_weights(cls, weights: np.ndarray, grid: FrequencyGrid) -> "EnvelopeEvaluator":
+        env = cls.__new__(cls)
+        env.grid, env._weights = grid, np.asarray(weights, dtype=float)
+        return env
 
     def first_order(self, tau):
         """E1(tau) = sum_k w_k d_k cos(W_k tau); scalar in, scalar out."""
@@ -263,10 +264,10 @@ class EnvelopeEvaluator:
 
     def _direct(self, tau_arr: np.ndarray) -> np.ndarray:
         out = np.empty_like(tau_arr)
+        omegas = self.grid.omegas()
         for start in range(0, tau_arr.size, self._CHUNK):
             block = tau_arr[start:start + self._CHUNK]
-            out[start:start + self._CHUNK] = np.cos(
-                np.outer(block, self._omegas)) @ self._weights
+            out[start:start + self._CHUNK] = np.cos(np.outer(block, omegas)) @ self._weights
         return out
 
 

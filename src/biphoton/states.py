@@ -9,17 +9,19 @@ position-correlated and frequency-anti-correlated.
 Reduction to the one-photon state traces over the second photon slot of
 each sector.  For the correlated-pump spatial sector this produces a
 position-diagonal (fully incoherent) operator regardless of the pump
-profile: the photons are jointly coherent but individually not.
+profile: the photons are jointly coherent but individually not.  The
+closed forms read the exchange-symmetrised state (:func:`exchange_overlaps`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import units
+from .errors import AsymmetricSpectrum
 from .spatial import (
     SpatialAmplitude,
     SpatialDensityOperator,
@@ -44,6 +46,8 @@ __all__ = [
     "GeneralDensity",
     "TwoPhotonState",
     "OnePhotonState",
+    "ExchangeOverlaps",
+    "exchange_overlaps",
     "reduced_spatial_operator",
     "reduce_to_one_photon",
     "default_spdc_state",
@@ -236,6 +240,69 @@ class OnePhotonState:
     spatial: SpatialDensityOperator
     spectral: Union[DiagonalDensity, GeneralDensity]
     central_frequency: float
+
+
+class ExchangeOverlaps(NamedTuple):
+    """The inputs of the closed forms, see :func:`exchange_overlaps`."""
+
+    alpha: float  # flip overlap of one photon: weights the unbalanced singles fringe
+    b: float  # parity overlap of the pair: weights the unbalanced coincidence fringes
+    grid: FrequencyGrid
+    weights: np.ndarray  # envelope weights q_k on ``grid``
+
+
+def _overlap_ratio(a: np.ndarray, moved: np.ndarray) -> float:
+    # Re <a, moved> / <a, a>; <a, a> is real, so moved = a gives exactly 1.
+    return float(np.sum(np.conj(a) * moved).real / np.sum(np.conj(a) * a).real)
+
+
+def exchange_overlaps(
+    state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid] = None
+) -> ExchangeOverlaps:
+    """alpha, b and the envelope weights q of the exchange-symmetrised state.
+
+    Both photons enter one port, so the rates see (A F + A^T F^T) / 2 for
+    spatial amplitude A and spectral amplitude F.  If one sector equals its
+    transpose exactly (the simulator's test), that is a product again: A
+    becomes A + A^T, or sqrt(d(W)) becomes the even sqrt(d(W)) + sqrt(d(-W)).
+    Then alpha = <A, A(-x1, x2)> / <A, A> (|phi(0)|^2 dx for a correlated
+    pump), b = <A, A(-x1, -x2)> / <A, A> and q = d times the trapezoid
+    weights.  A general spectral sector raises ValueError, and a state
+    asymmetric in both sectors AsymmetricSpectrum: neither has a closed form.
+    """
+    if not isinstance(state.spectral, AntiCorrelated):
+        raise ValueError(
+            "closed forms require an anti-correlated spectral sector; "
+            "use the discrete-mode engine for general spectra")
+    spatial = state.spatial
+    if isinstance(spatial, CorrelatedPump):
+        pump = spatial.pump
+        alpha = float(pump.position_weights()[pump.grid.center_index])
+        b = _overlap_ratio(pump.values, pump.flipped())
+        spatial_symmetric = True
+    else:
+        a = spatial.amplitude
+        spatial_symmetric = bool(np.array_equal(a, a.T))
+        if not spatial_symmetric:
+            a = a + a.T
+            if not np.any(a):
+                raise ValueError("the spatial amplitude has no exchange-symmetric part")
+        alpha = _overlap_ratio(a, a[::-1, :])
+        b = _overlap_ratio(a, a[::-1, ::-1])
+
+    density = state.spectral.density
+    grid = frequency_grid or default_frequency_grid(density)
+    d = normalize(density, grid).sample(grid)
+    if density.is_even_on(grid):
+        weights = d * grid.trapezoid_weights()
+    elif not spatial_symmetric:
+        raise AsymmetricSpectrum(
+            "both the spatial amplitude and the spectral density are exchange "
+            "asymmetric; no closed form applies -- use the discrete-mode engine")
+    else:
+        weights = (np.sqrt(d) + np.sqrt(d[::-1])) ** 2 * grid.trapezoid_weights()
+        weights = weights / np.sum(weights)
+    return ExchangeOverlaps(alpha, b, grid, weights)
 
 
 def reduced_spatial_operator(state: TwoPhotonState) -> SpatialDensityOperator:

@@ -193,6 +193,62 @@ class TestAnalyzeSchemaErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("bad_row", ["0.2,nan,1.0,1.0,closed", "0.2,one,1.0,1.0,closed",
+                                         "0.2,1.0,closed"],
+                             ids=["non_finite", "unparseable", "short"])
+    def test_blank_lines_keep_line_numbers(self, tmp_path, capsys, bad_row):
+        header = "tau_fs,singles_port1,singles_port2,coincidence,engine"
+        rows = [f"{t / 10:.1f},1.0,1.0,1.0,closed" for t in range(-20, 21)]
+        # line 1 the header, lines 2 and 4 blank, line 5 the bad row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([header, "", rows[0], "", bad_row] + rows[1:]) + "\n")
+        assert main(["analyze", "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "line 5:" in err
+        assert "Traceback" not in err
+
+
+class TestPumpsOfNoDefiniteParity:
+    """Shifted and tabulated pumps are neither even nor odd; the closed
+    engine covers them and agrees with the oracle."""
+
+    @staticmethod
+    def config(tmp_path, kind):
+        cfg = small_scan_config("default_mzim")
+        if kind == "shifted_gaussian":
+            profile = {"kind": kind, "waist_mm": 1.0, "shift_mm": 0.7}
+        else:
+            table = tmp_path / "pump.csv"
+            table.write_text("".join(
+                f"{x:.1f},{math.exp(-(x - 0.5) ** 2):.9f},{0.3 * math.exp(-(x + 0.4) ** 2):.9f}\n"
+                for x in np.arange(-40, 41) / 10))
+            profile = {"kind": kind, "path": str(table)}
+        cfg["pump"]["spatial_profile"] = profile
+        return write_config(tmp_path, cfg)
+
+    @pytest.mark.parametrize("kind", ["shifted_gaussian", "tabulated_file"])
+    @pytest.mark.parametrize("engine", ["closed", "both"])
+    def test_simulate(self, tmp_path, capsys, kind, engine):
+        path = self.config(tmp_path, kind)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--engine", engine,
+                     "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert len(out.read_text().splitlines()) == 1 + 301 * (2 if engine == "both" else 1)
+        if engine == "both":
+            deltas = [float(tok.split("=")[1]) for tok in stdout.split()
+                      if tok.startswith("max|d_")]
+            assert len(deltas) == 2 and max(deltas) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["shifted_gaussian", "tabulated_file"])
+    def test_compare(self, tmp_path, capsys, kind):
+        assert main(["compare", "--config", str(self.config(tmp_path, kind))]) == 0
+        result = json.loads(capsys.readouterr().out)
+        # b < 1 shrinks both MZIM coincidence fringe terms
+        assert result["coincidence_identical"] is False
+        assert result["mzi_report"]["v1"] >= 0.99
+
+
 class TestCompare:
     def test_default_state_coincidences_identical(self, tmp_path, capsys):
         path = write_config(tmp_path, load_bundled("default_mzi"))

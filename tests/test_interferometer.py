@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
-from biphoton.errors import AsymmetricSpectrum, NonParityPump, UnderSampled
+from biphoton.errors import AsymmetricSpectrum, UnderSampled
+from biphoton.modesim import CONJUGATE, SYMMETRIC
 
 from conftest import DELTA_OMEGA, OMEGA_P
+
+SKEWED = bp.SpectralDensity(bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)))
 
 
 @pytest.fixture
@@ -29,6 +33,23 @@ def shifted_state(default_state, sgrid):
     pump = bp.gaussian_amplitude(sgrid, waist=1e-3, center=1e-3)
     return bp.TwoPhotonState(bp.CorrelatedPump(pump), default_state.spectral,
                              default_state.pump_frequency)
+
+
+def assert_matches_oracle(state, cfg, sgrid, fgrid, singles=None, coincidences=None):
+    """Closed scan (or the given point functions) against the oracle scan, to 1e-12."""
+    tau_start, tau_stop, tau_step = -100e-15, 100e-15, 0.25e-15
+    closed = bp.scan(state, cfg, tau_start, tau_stop, tau_step, frequency_grid=fgrid)
+    got = [closed.singles_port1, closed.singles_port2, closed.coincidences]
+    if singles is not None:
+        got = [singles(state, cfg, closed.tau, fgrid, port=1),
+               singles(state, cfg, closed.tau, fgrid, port=2),
+               coincidences(state, cfg, closed.tau, fgrid)]
+    for convention in (SYMMETRIC, CONJUGATE):
+        oracle = bp.oracle_scan(state, cfg, tau_start, tau_stop, tau_step, spatial_grid=sgrid,
+                                frequency_grid=fgrid, convention=convention)
+        expected = [oracle.singles_port1, oracle.singles_port2, oracle.coincidences]
+        for a, b in zip(got, expected):
+            assert float(np.max(np.abs(a - b))) <= 1e-12
 
 
 class TestConfig:
@@ -82,11 +103,10 @@ class TestCoincidenceMzi:
         assert value == pytest.approx(
             1.0 - 0.5 * math.cos(OMEGA_P * tau) - 0.5 * sinc, abs=1e-5)
 
-    def test_asymmetric_spectrum_rejected(self, default_state, cfg_mzi, sgrid):
-        table = bp.SpectralDensity(bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)))
-        state = bp.TwoPhotonState(default_state.spatial, bp.AntiCorrelated(table), OMEGA_P)
-        with pytest.raises(AsymmetricSpectrum):
-            bp.g2_mzi(state, cfg_mzi, 10e-15)
+    def test_asymmetric_spectrum_matches_oracle(self, default_state, cfg_mzi, sgrid):
+        state = bp.TwoPhotonState(default_state.spatial, bp.AntiCorrelated(SKEWED), OMEGA_P)
+        fgrid = bp.default_frequency_grid(SKEWED)
+        assert_matches_oracle(state, cfg_mzi, sgrid, fgrid, bp.intensity_mzi, bp.g2_mzi)
 
 
 class TestSinglesMzi:
@@ -170,13 +190,21 @@ class TestCoincidenceMzim:
         assert float(np.max(np.abs(even + odd - 2.0))) < 1e-12
         assert bp.g2_mzim(odd_state, cfg_mzim, 0.0, fgrid) == pytest.approx(2.0, abs=1e-9)
 
-    def test_arbitrary_pump_rejected(self, shifted_state, cfg_mzim, fgrid):
-        with pytest.raises(NonParityPump):
-            bp.g2_mzim(shifted_state, cfg_mzim, 10e-15, fgrid)
+    def test_arbitrary_pump_matches_oracle(self, shifted_state, cfg_mzim, sgrid, fgrid):
+        b = bp.exchange_overlaps(shifted_state, fgrid).b
+        assert 0.1 < b < 0.9
+        assert_matches_oracle(shifted_state, cfg_mzim, sgrid, fgrid,
+                              bp.intensity_mzim, bp.g2_mzim)
 
-    def test_general_spatial_rejected(self, coherent_even_state, cfg_mzim, fgrid):
-        with pytest.raises(NonParityPump):
-            bp.g2_mzim(coherent_even_state, cfg_mzim, 10e-15, fgrid)
+    def test_general_spatial_matches_oracle(self, coherent_even_state, cfg_mzim, sgrid, fgrid):
+        # HG1 x G is exchange asymmetric: its singles fringe must come from
+        # the symmetrised amplitude (alpha = 0 there, -1 without symmetrising).
+        gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
+        hg1 = bp.hermite_gauss1_amplitude(sgrid, waist=1e-3)
+        asymmetric = bp.TwoPhotonState(bp.GeneralSpatial.product(hg1, gauss),
+                                       coherent_even_state.spectral, OMEGA_P)
+        for state in (coherent_even_state, asymmetric):
+            assert_matches_oracle(state, cfg_mzim, sgrid, fgrid, bp.intensity_mzim, bp.g2_mzim)
 
 
 class TestScan:
@@ -276,17 +304,34 @@ class TestScanMatchesPointFunctions:
     def test_mzim_odd_pump(self, odd_state, cfg_mzim, fgrid):
         self.assert_scan_matches(odd_state, cfg_mzim, fgrid, bp.intensity_mzim, bp.g2_mzim)
 
-    def test_non_parity_pump_rejected(self, shifted_state, cfg_mzim, fgrid):
-        with pytest.raises(NonParityPump):
-            bp.scan(shifted_state, cfg_mzim, -10e-15, 10e-15, 0.1e-15, frequency_grid=fgrid)
+    def test_non_parity_pump_matches_oracle(self, shifted_state, cfg_mzim, sgrid, fgrid):
+        self.assert_scan_matches(shifted_state, cfg_mzim, fgrid, bp.intensity_mzim, bp.g2_mzim)
+        assert_matches_oracle(shifted_state, cfg_mzim, sgrid, fgrid)
 
     @pytest.mark.parametrize("kind", ["mzi", "mzim"])
-    def test_asymmetric_spectrum_rejected(self, default_state, kind):
-        table = bp.SpectralDensity(bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)))
-        state = bp.TwoPhotonState(default_state.spatial, bp.AntiCorrelated(table), OMEGA_P)
+    def test_asymmetric_spectrum_matches_oracle(self, default_state, sgrid, kind):
+        state = bp.TwoPhotonState(default_state.spatial, bp.AntiCorrelated(SKEWED), OMEGA_P)
+        fgrid = bp.default_frequency_grid(SKEWED)
         cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
-        with pytest.raises(AsymmetricSpectrum):
+        singles = bp.intensity_mzi if kind == "mzi" else bp.intensity_mzim
+        coincidences = bp.g2_mzi if kind == "mzi" else bp.g2_mzim
+        self.assert_scan_matches(state, cfg, fgrid, singles, coincidences)
+        assert_matches_oracle(state, cfg, sgrid, fgrid)
+
+    @pytest.mark.parametrize("kind", ["mzi", "mzim"])
+    def test_asymmetric_spectrum_rejected(self, default_state, sgrid, kind):
+        # An uneven spectrum is rejected only together with an exchange-
+        # asymmetric spatial amplitude: the symmetrised state is no product.
+        gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
+        shifted = bp.gaussian_amplitude(sgrid, waist=1e-3, center=1e-3)
+        state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, shifted),
+                                  bp.AntiCorrelated(SKEWED), OMEGA_P)
+        cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
+        with pytest.raises(AsymmetricSpectrum, match="both"):
             bp.scan(state, cfg, -10e-15, 10e-15, 0.1e-15)
+        singles = bp.intensity_mzi if kind == "mzi" else bp.intensity_mzim
+        with pytest.raises(AsymmetricSpectrum):
+            singles(state, cfg, 10e-15)
 
     @pytest.mark.parametrize("kind", ["mzi", "mzim"])
     def test_general_spectrum_rejected(self, default_state, kind):
@@ -297,3 +342,49 @@ class TestScanMatchesPointFunctions:
         cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
         with pytest.raises(ValueError, match="anti-correlated"):
             bp.scan(state, cfg, -10e-15, 10e-15, 0.1e-15, frequency_grid=fgrid)
+
+
+class TestClosedMatchesOracle:
+    """Closed engine against the oracle for every state with at most one
+    exchange-asymmetric sector, on both instruments and both conventions."""
+
+    SGRID = bp.SpatialGrid(half_width=3e-3, point_count=17)
+    FGRID = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=65)
+
+    def spatial(self, kind, symmetric, rng):
+        grid = self.SGRID
+        waist = rng.uniform(0.5e-3, 2e-3)
+        if kind == "shifted":
+            pump = bp.gaussian_amplitude(grid, waist, center=rng.uniform(-1.5e-3, 1.5e-3))
+        elif kind == "hg1":
+            pump = bp.hermite_gauss1_amplitude(grid, waist)
+        elif kind == "tabulated":
+            n = grid.point_count
+            pump = bp.SpatialAmplitude.from_samples(
+                grid, rng.normal(size=n) + 1j * rng.normal(size=n))
+        else:
+            n = grid.point_count
+            raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            return bp.GeneralSpatial.from_samples(grid, raw + raw.T if symmetric else raw)
+        return bp.CorrelatedPump(pump)
+
+    def spectral(self, skewed, rng):
+        if not skewed:
+            return bp.AntiCorrelated(bp.SpectralDensity(bp.Rectangular(DELTA_OMEGA)))
+        nodes = np.sort(rng.uniform(-1.5 * DELTA_OMEGA, 1.5 * DELTA_OMEGA, size=5))
+        table = bp.Tabulated(tuple(nodes), tuple(rng.uniform(0.1, 1.0, size=5)))
+        return bp.AntiCorrelated(bp.SpectralDensity(table))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           kind=st.sampled_from(["shifted", "hg1", "tabulated", "general"]),
+           skewed=st.booleans())
+    def test_closed_matches_oracle(self, seed, kind, skewed):
+        rng = np.random.default_rng(seed)
+        # A random general amplitude is asymmetric; with a skewed spectrum
+        # it is symmetrised first, so one sector at most is asymmetric.
+        spatial = self.spatial(kind, symmetric=skewed, rng=rng)
+        state = bp.TwoPhotonState(spatial, self.spectral(skewed, rng), OMEGA_P)
+        for kind_name in ("mzi", "mzim"):
+            cfg = getattr(bp.InterferometerConfig, kind_name)(OMEGA_P)
+            assert_matches_oracle(state, cfg, self.SGRID, self.FGRID)

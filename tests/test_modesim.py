@@ -343,10 +343,10 @@ class TestParityCases:
                 ref, abs=1e-9)
 
     def test_arbitrary_pump_between_bounding_curves(self, default_state, sgrid, fgrid):
-        # No closed form is exposed for an arbitrary pump; the simulator
-        # realises the amplitude reduction.  Both interference terms are
-        # weighted by the (real) pump parity overlap, so the trace sits
-        # strictly between the even-pump curve and the flat background.
+        # The simulator realises the amplitude reduction on its own: both
+        # interference terms are weighted by the (real) pump parity
+        # overlap, so the trace sits strictly between the even-pump curve
+        # and the flat background.
         pump = bp.gaussian_amplitude(sgrid, waist=1e-3, center=1e-3)
         beta = bp.pump_parity_overlap(pump).as_complex().real
         assert 0.0 < beta < 1.0
