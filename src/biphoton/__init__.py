@@ -17,6 +17,7 @@ from .errors import (
     GridAsymmetry,
     GridMismatch,
     IncompletePipeline,
+    InvalidRates,
     NoDip,
     NoFringe,
     NotPositive,

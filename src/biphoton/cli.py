@@ -7,9 +7,18 @@ Commands:
     biphoton compare  --config cfg.json
 
 All config and output values at this boundary are human scale (nm, fs,
-mm); conversion to SI happens exactly once, here.  CSV output uses a fixed
-header and 9-significant-digit formatting, so identical configs produce
-byte-identical files.
+mm); conversion to SI happens exactly once, here.
+
+Output contract: one record per engine per delay, engines paired at each
+delay (closed before oracle).  CSV has the fixed header CSV_HEADER and
+every number as ``%.9g``.  JSON is ``{"records": [...]}`` in the layout of
+``json.dumps(..., indent=1)``, every number as its shortest repr.  Identical
+configs produce byte-identical files.  Both are written column-wise: one
+%-template, repeated per delay, formats the whole table in one operation.
+
+Input: ``analyze`` parses a scan CSV with one np.loadtxt call; a file it
+refuses is read again line by line, so an error names the file line
+(blank lines counted) and the column.
 
 Exit codes: 0 success, 1 invalid config or input schema, 2 engine failure.
 """
@@ -47,6 +56,7 @@ from .states import AntiCorrelated, CorrelatedPump, TwoPhotonState
 __all__ = ["main", "RunConfig", "load_config", "bundled_config_path"]
 
 CSV_HEADER = "tau_fs,singles_port1,singles_port2,coincidence,engine"
+_COLUMNS = CSV_HEADER.split(",")
 COINCIDENCE_MATCH_TOL = 1e-6
 ENERGY_TOL = 1e-9
 
@@ -297,9 +307,7 @@ def _run_engine(cfg: RunConfig, state, icfg, sgrid, fgrid, engine: str) -> Inter
 
 
 def _check_energy(gram: Interferogram):
-    rates = (gram.singles_port1, gram.singles_port2, gram.coincidences)
-    if not all(np.all(np.isfinite(r)) for r in rates):
-        raise BiphotonError(f"{gram.engine} engine produced non-finite rates")
+    # Interferogram itself rejects non-finite rates (InvalidRates)
     total = gram.singles_port1 + gram.singles_port2
     worst = float(np.max(np.abs(total - 2.0)))
     if worst > ENERGY_TOL:
@@ -307,33 +315,29 @@ def _check_energy(gram: Interferogram):
             f"port intensities violate the lossless-model sum rule by {worst:.3e}")
 
 
-def _format_records(grams: List[Interferogram]) -> List[str]:
-    lines = []
-    length = grams[0].tau.size
-    for i in range(length):
-        for g in grams:
-            lines.append(
-                f"{g.tau[i] / units.FS:.9g},{g.singles_port1[i]:.9g},"
-                f"{g.singles_port2[i]:.9g},{g.coincidences[i]:.9g},{g.engine}")
-    return lines
+def _row_values(grams: List[Interferogram]) -> list:
+    """tau_fs, s1, s2, cc of each engine at each delay, as one row-major list."""
+    columns = [c for g in grams
+               for c in (g.tau / units.FS, g.singles_port1, g.singles_port2, g.coincidences)]
+    return np.column_stack(columns).ravel().tolist()
 
 
 def _write_output(path: str, fmt: str, grams: List[Interferogram]) -> None:
+    """Write every row through one %-template: a row per engine, repeated per delay."""
+    values = _row_values(grams)
+    n = grams[0].tau.size
     if fmt == "csv":
-        body = "\n".join([CSV_HEADER] + _format_records(grams)) + "\n"
-        Path(path).write_text(body, newline="")
+        row = "".join(f"%.9g,%.9g,%.9g,%.9g,{g.engine}\n" for g in grams)
+        Path(path).write_text(CSV_HEADER + "\n" + (row * n) % tuple(values), newline="")
         return
-    records = []
-    for i in range(grams[0].tau.size):
-        for g in grams:
-            records.append({
-                "tau_fs": g.tau[i] / units.FS,
-                "singles_port1": float(g.singles_port1[i]),
-                "singles_port2": float(g.singles_port2[i]),
-                "coincidence": float(g.coincidences[i]),
-                "engine": g.engine,
-            })
-    Path(path).write_text(json.dumps({"records": records}, indent=1) + "\n")
+    # the layout of json.dumps({"records": [...]}, indent=1); %r of a float
+    # is the shortest repr json writes for it
+    record = ",\n".join(
+        '  {\n   "tau_fs": %r,\n   "singles_port1": %r,\n   "singles_port2": %r,\n'
+        f'   "coincidence": %r,\n   "engine": {json.dumps(g.engine)}\n  }}'
+        for g in grams)
+    body = ",\n".join([record] * n) % tuple(values)
+    Path(path).write_text('{\n "records": [\n' + body + "\n ]\n}\n")
 
 
 def cmd_simulate(args) -> int:
@@ -357,38 +361,62 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[str]]:
+# One data row: the four numbers, then the engine label verbatim.
+_ROW = np.dtype([("numbers", float, (4,)), ("engine", object)])
+
+
+def _read_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(tau_fs, s1, s2, cc, engine) columns of a scan CSV.
+
+    One np.loadtxt call parses every row and checks that each has five
+    fields.  Lines are split as str.splitlines splits them; np.loadtxt
+    strips \x1f as blank where float() refuses it, so a file holding one
+    skips the fast parse, as does a file without data rows (np.loadtxt
+    warns on those).  Whatever the fast parse refuses goes to the
+    line-by-line reader, which names the first bad line and field.
+    """
     try:
         text = Path(path).read_text()
     except FileNotFoundError:
         raise ConfigError(f"input file not found: {path}")
-    # (line number in the file, text) of every non-blank line
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1] != CSV_HEADER:
-        got = lines[0][1] if lines else "<empty file>"
-        raise ConfigError(
-            f"unexpected CSV header: got {got!r}, expected {CSV_HEADER!r}")
-    taus, s1, s2, cc, engines = [], [], [], [], []
-    for ln_no, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ConfigError(f"line {ln_no}: expected 5 fields, got {len(parts)}")
+    lines = text.splitlines()
+    if lines[:1] == [CSV_HEADER] and any(lines[1:]) and "\x1f" not in text:
         try:
-            taus.append(float(parts[0]))
-            s1.append(float(parts[1]))
-            s2.append(float(parts[2]))
-            cc.append(float(parts[3]))
-        except ValueError as exc:
-            raise ConfigError(f"line {ln_no}: {exc}")
-        engines.append(parts[4])
-    table = np.array([taus, s1, s2, cc])
-    bad = np.argwhere(~np.isfinite(table.T))
-    if bad.size:
-        row, col = bad[0]
-        name = CSV_HEADER.split(",")[col]
+            rows = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=_ROW, ndmin=1)
+        except ValueError:
+            rows = None
+        if rows is not None and np.isfinite(rows["numbers"]).all():
+            return (*rows["numbers"].T, rows["engine"])
+    return _read_csv_lines(lines)
+
+
+def _read_csv_lines(lines: List[str]):
+    """The line-by-line reader: raise ConfigError naming the first bad line
+    and field, or read what the fast parse refused (e.g. a whitespace-only line)."""
+    # (line number in the file, text) of every non-blank line
+    numbered = [(no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()]
+    if not numbered or numbered[0][1] != CSV_HEADER:
+        where, got = numbered[0] if numbered else (1, "<empty file>")
         raise ConfigError(
-            f"line {lines[row + 1][0]}: {name} is not a finite number: {table[col, row]}")
-    return (*table, engines)
+            f"line {where}: unexpected CSV header: got {got!r}, expected {CSV_HEADER!r}")
+    rows, engines = [], []
+    for ln_no, ln in numbered[1:]:
+        *cells, engine = ln.split(",")
+        if len(cells) != 4:
+            raise ConfigError(f"line {ln_no}: expected 5 fields, got {len(cells) + 1}")
+        row = []
+        for name, cell in zip(_COLUMNS, cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ConfigError(f"line {ln_no}: {name} is not a number: {cell!r}") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"line {ln_no}: {name} is not a finite number: {value}")
+            row.append(value)
+        rows.append(row)
+        engines.append(engine)
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    return (*table.T, np.array(engines, dtype=object))
 
 
 def _report_to_json(rep: analysis.VisibilityReport) -> dict:
@@ -423,7 +451,7 @@ def cmd_analyze(args) -> int:
         if not args.engine:
             raise ConfigError(
                 f"file contains engines {unique_engines}; select one with --engine")
-        mask = np.array([e == args.engine for e in engines])
+        mask = engines == args.engine
         if not mask.any():
             raise ConfigError(f"no rows for engine {args.engine!r}")
         taus_fs, s1, cc = taus_fs[mask], s1[mask], cc[mask]

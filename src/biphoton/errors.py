@@ -28,6 +28,10 @@ class UnderSampled(BiphotonError):
     """Scan step too coarse to resolve pump-frequency fringes."""
 
 
+class InvalidRates(BiphotonError):
+    """An interferogram rate trace holds a negative or non-finite value."""
+
+
 # -- discrete-mode simulator ---------------------------------------------------
 
 class GridAsymmetry(BiphotonError):

@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import UnderSampled
+from .errors import InvalidRates, UnderSampled
 from .spectral import EnvelopeEvaluator, FrequencyGrid
 from .states import TwoPhotonState, exchange_overlaps
 
@@ -145,8 +145,9 @@ class Interferogram:
             arr.setflags(write=False)
             arrays[name] = arr
         for name in ("singles_port1", "singles_port2", "coincidences"):
-            if np.any(arrays[name] < -1e-9):
-                raise ValueError(f"{name} contains negative rates")
+            arr = arrays[name]
+            if not np.all(np.isfinite(arr) & (arr >= -1e-9)):
+                raise InvalidRates(f"{name} contains negative or non-finite rates")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 

@@ -16,7 +16,7 @@ closed forms read the exchange-symmetrised state (:func:`exchange_overlaps`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -256,6 +256,17 @@ def _overlap_ratio(a: np.ndarray, moved: np.ndarray) -> float:
     return float(np.sum(np.conj(a) * moved).real / np.sum(np.conj(a) * a).real)
 
 
+def _exchange_symmetric(a: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """(A, True) if A equals its transpose exactly, the simulator's test;
+    else (A + A^T, False), unnormalised."""
+    if np.array_equal(a, a.T):
+        return a, True
+    a = a + a.T
+    if not np.any(a):
+        raise ValueError("the spatial amplitude has no exchange-symmetric part")
+    return a, False
+
+
 def exchange_overlaps(
     state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid] = None
 ) -> ExchangeOverlaps:
@@ -281,12 +292,7 @@ def exchange_overlaps(
         b = _overlap_ratio(pump.values, pump.flipped())
         spatial_symmetric = True
     else:
-        a = spatial.amplitude
-        spatial_symmetric = bool(np.array_equal(a, a.T))
-        if not spatial_symmetric:
-            a = a + a.T
-            if not np.any(a):
-                raise ValueError("the spatial amplitude has no exchange-symmetric part")
+        a, spatial_symmetric = _exchange_symmetric(spatial.amplitude)
         alpha = _overlap_ratio(a, a[::-1, :])
         b = _overlap_ratio(a, a[::-1, ::-1])
 
@@ -309,11 +315,16 @@ def reduced_spatial_operator(state: TwoPhotonState) -> SpatialDensityOperator:
     """Spatial sector of the reduced one-photon state.
 
     A correlated pump reduces to the position-diagonal mixture; a general
-    amplitude reduces by the slot partial trace rho = A A^dagger.
+    amplitude reduces by the slot partial trace rho = A A^dagger of its
+    exchange-symmetrised form (A + A^T, renormalised, when A != A^T), the
+    state both photons carry once they share a port.
     """
     if isinstance(state.spatial, CorrelatedPump):
         return SpatialDensityOperator.incoherent(state.spatial.pump)
-    a = state.spatial.amplitude * state.spatial.grid.spacing
+    a, symmetric = _exchange_symmetric(state.spatial.amplitude)
+    a = a * state.spatial.grid.spacing
+    if not symmetric:
+        a = a / np.linalg.norm(a)
     return SpatialDensityOperator(state.spatial.grid, a @ a.conj().T)
 
 
@@ -323,18 +334,21 @@ def reduce_to_one_photon(
     """Trace out one photon slot of each sector.
 
     Correlated pump -> incoherent (position-diagonal) spatial operator;
-    anti-correlated spectrum -> frequency-diagonal spectral sector.  General
-    sectors reduce by an explicit partial trace of the slot-ordered
-    amplitude, rho = A A^dagger in the discrete convention.
+    anti-correlated spectrum -> frequency-diagonal spectral sector with the
+    envelope weights q of :func:`exchange_overlaps`.  General sectors reduce
+    by an explicit partial trace, rho = A A^dagger in the discrete
+    convention; a general spatial amplitude is exchange-symmetrised first
+    (see :func:`reduced_spatial_operator`).  Both photons share one port, so
+    the one-photon state is that of the exchange-symmetrised pair; a pair
+    asymmetric in both sectors has no product reduction and raises
+    AsymmetricSpectrum.
     """
     rho_x = reduced_spatial_operator(state)
 
     if isinstance(state.spectral, AntiCorrelated):
-        grid = frequency_grid or default_frequency_grid(state.spectral.density)
-        d = normalize(state.spectral.density, grid).sample(grid)
-        w = d * grid.trapezoid_weights()
+        ov = exchange_overlaps(state, frequency_grid)
         spectral: Union[DiagonalDensity, GeneralDensity] = DiagonalDensity(
-            grid, w / w.sum())
+            ov.grid, ov.weights / ov.weights.sum())
     else:
         a = state.spectral.amplitude * state.spectral.grid.spacing
         spectral = GeneralDensity(state.spectral.grid, a @ a.conj().T)

@@ -1,14 +1,21 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import biphoton as bp
 from biphoton import cli
-from biphoton.cli import _check_energy, bundled_config_path, load_config, main
+from biphoton.cli import CSV_HEADER, _check_energy, bundled_config_path, load_config, main
 from biphoton.errors import BiphotonError
 
 from conftest import COINCIDENCE_PERIOD, SINGLES_PERIOD
@@ -31,6 +38,20 @@ def small_scan_config(name, **overrides):
     cfg["scan"] = {"tau_start_fs": -30.0, "tau_stop_fs": 30.0, "tau_step_fs": 0.2}
     cfg.update(overrides)
     return cfg
+
+
+@pytest.fixture
+def recorded_grams(monkeypatch):
+    """The interferograms cli._run_engine returns during the test, in call order."""
+    grams = []
+    run_engine = cli._run_engine
+
+    def recording(*args):
+        grams.append(run_engine(*args))
+        return grams[-1]
+
+    monkeypatch.setattr(cli, "_run_engine", recording)
+    return grams
 
 
 def run_analyze(capsys, csv_path, *extra):
@@ -96,15 +117,8 @@ class TestSimulateAndAnalyze:
         assert lines[0].split(",")[0] == lines[1].split(",")[0]
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
-    def test_bundled_engine_both_full_size(self, tmp_path, capsys, monkeypatch, name):
-        grams = []
-
-        def recording(*args):
-            grams.append(run_engine(*args))
-            return grams[-1]
-
-        run_engine = cli._run_engine
-        monkeypatch.setattr(cli, "_run_engine", recording)
+    def test_bundled_engine_both_full_size(self, tmp_path, capsys, recorded_grams, name):
+        grams = recorded_grams
         out = tmp_path / "both.csv"
         assert main(["simulate", "--config", str(bundled_config_path(name)),
                      "--engine", "both", "--out", str(out)]) == 0
@@ -159,6 +173,57 @@ class TestSimulateAndAnalyze:
                                    "coincidence", "engine"}
 
 
+class TestGoldenOutput:
+    """SHA-256 of ``simulate`` output on the bundled configs, recorded from
+    the per-record writer this package used before the columnar one.  A
+    change to the output contract (format, layout, float text) fails here."""
+
+    CSV_DIGESTS = {
+        ("default_mzi", "closed"):
+            "c9888db42726fa8177191ef302b2ff851ccc2ddd3c5ff9e8513ce5baaf771cf5",
+        ("default_mzi", "oracle"):
+            "54fa821c94e757117ee2946df4aae5646dfbcc552f201d2b0ded2b774893c9c0",
+        ("default_mzi", "both"):
+            "3fdd966c0bb0428280b6967f7736038af151cacb8b1153a67ce6be93bbfbf992",
+        ("default_mzim", "closed"):
+            "51687ce03c4eec83104e135ef4f32486c5cddbe4469c0903a898b3854d47adb8",
+        ("default_mzim", "oracle"):
+            "f15a4ff2313105c7cb7e8e550f76c38660d80e00640a7526ee2e95e990bd9ce8",
+        ("default_mzim", "both"):
+            "8693848ae78857861664a56086264244c93b77dbbbdd93aee58f19574388eaa8",
+    }
+    JSON_DIGEST = "26fac825019e4cb6d315dd986e8b2446a377f5938d7b884ad03eb0b7f55015fa"
+
+    @pytest.mark.parametrize("name, engine", sorted(CSV_DIGESTS))
+    def test_csv_bytes(self, tmp_path, capsys, name, engine):
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(bundled_config_path(name)),
+                     "--engine", engine, "--out", str(out)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.CSV_DIGESTS[name, engine]
+
+    def test_json_bytes_and_records(self, tmp_path, capsys, recorded_grams):
+        grams = recorded_grams
+        cfg = load_bundled("default_mzim")
+        cfg["output"]["format"] = "json"
+        out = tmp_path / "scan.json"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--engine", "both", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.JSON_DIGEST
+
+        # one dict per engine per delay, as json.dumps(..., indent=1) wrote them
+        expected = [
+            {"tau_fs": g.tau[i] / FS, "singles_port1": float(g.singles_port1[i]),
+             "singles_port2": float(g.singles_port2[i]),
+             "coincidence": float(g.coincidences[i]), "engine": g.engine}
+            for i in range(grams[0].tau.size) for g in grams]
+        text = out.read_text()
+        assert json.loads(text)["records"] == expected
+        assert text == json.dumps({"records": expected}, indent=1) + "\n"
+
+
 class TestAnalyzeSchemaErrors:
     def test_wrong_header(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -205,6 +270,152 @@ class TestAnalyzeSchemaErrors:
         assert main(["analyze", "--in", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "line 5:" in err
+        assert "Traceback" not in err
+
+
+def run_main_quietly(argv):
+    """(exit code, stderr) of cli.main; any uncaught exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _not_a_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# Cell text that float() refuses and that leaves the line structure alone:
+# no comma and no character str.splitlines breaks at.
+_NON_NUMERIC = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",),
+                           blacklist_characters=",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    max_size=6).filter(_not_a_float)
+_NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999"])
+
+
+@pytest.fixture(scope="module")
+def written_csv(tmp_path_factory):
+    """Lines of a valid scan CSV written by ``simulate``."""
+    tmp = tmp_path_factory.mktemp("written")
+    out = tmp / "scan.csv"
+    path = write_config(tmp, small_scan_config("default_mzi"))
+    assert run_main_quietly(["simulate", "--config", str(path), "--out", str(out)])[0] == 0
+    return out.read_text().splitlines()
+
+
+class TestReaderFuzz:
+    """A valid CSV with one line corrupted: analyze exits 1, names the file
+    line (counting blank lines) and the column, and prints no traceback."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_corrupted_line(self, written_csv, data):
+        lines = list(written_csv)
+        kind = data.draw(st.sampled_from(
+            ["drop", "add", "non_numeric", "non_finite", "hash", "header"]), label="kind")
+        index = 0 if kind == "header" else data.draw(
+            st.integers(1, len(lines) - 1), label="row")
+        cells = lines[index].split(",")
+        needle = None
+        if kind == "drop":
+            del cells[data.draw(st.integers(0, 4))]
+            needle = "expected 5 fields, got 4"
+        elif kind == "add":
+            cells.insert(data.draw(st.integers(0, 5)), data.draw(st.sampled_from(["1.0", "", "x"])))
+            needle = "expected 5 fields, got 6"
+        elif kind in ("non_numeric", "non_finite"):
+            column = data.draw(st.integers(0, 3))
+            cells[column] = data.draw(_NON_NUMERIC if kind == "non_numeric" else _NON_FINITE)
+            needle = CSV_HEADER.split(",")[column]
+        elif kind == "hash":
+            cells[0] = "#" + cells[0]
+            needle = "tau_fs"
+        else:
+            cells = data.draw(st.sampled_from(
+                [["tau", "singles", "coincidence"], cells + ["x"], [c.upper() for c in cells],
+                 ["#" + cells[0]] + cells[1:], cells[:4]]))
+            needle = "unexpected CSV header"
+        lines[index] = ",".join(cells)
+        blanks = data.draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=3), label="blanks")
+        lines[index:index] = blanks
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.csv"
+            path.write_text("\n".join(lines) + "\n")
+            rc, err = run_main_quietly(["analyze", "--in", str(path)])
+        assert rc == 1
+        assert f"line {index + 1 + len(blanks)}:" in err
+        assert needle in err
+        assert "Traceback" not in err
+
+
+class _Accepted(Exception):
+    """Raised in place of building the problem once a config is accepted."""
+
+
+def _dict_paths(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _dict_paths(value, prefix + (key,))
+
+
+_JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([0, -1, 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6))
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_configs(draw):
+    """JSON text of the bundled config after random key deletions, value
+    replacements and, sometimes, damage to the text itself."""
+    cfg = load_bundled("default_mzi")
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_dict_paths(cfg))
+        if not paths or draw(st.integers(0, 19)) == 0:
+            cfg = draw(_JSON_VALUE)
+            continue
+        path = draw(st.sampled_from(paths))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JSON_VALUE)
+    text = json.dumps(cfg)
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.sampled_from(["", "{", "}", ",", '"', "]", "x", "\\"])) \
+            + text[at + cut:]
+    return text
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_configs())
+    def test_mutated_config_exits_one_or_is_accepted(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_text(text)
+            with mock.patch.object(cli, "build_problem", side_effect=_Accepted):
+                try:
+                    rc, err = run_main_quietly(["simulate", "--config", str(path)])
+                except _Accepted:
+                    return
+        assert rc == 1
+        assert err.startswith("config error: ")
         assert "Traceback" not in err
 
 

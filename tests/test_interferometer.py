@@ -284,6 +284,20 @@ class TestScan:
         assert scan_mzi_fine.engine == "closed"
         assert "rectangular" in scan_mzi_fine.state["spectral"]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-6])
+    @pytest.mark.parametrize("trace", ["singles_port1", "singles_port2", "coincidences"])
+    def test_invalid_rates_rejected(self, trace, bad):
+        rates = {name: [1.0, 1.0] for name in ("singles_port1", "singles_port2",
+                                                "coincidences")}
+        rates[trace] = [1.0, bad]
+        with pytest.raises(bp.InvalidRates, match=trace):
+            bp.Interferogram(tau=[0.0, 1e-15], **rates)
+
+    def test_round_off_below_zero_accepted(self):
+        gram = bp.Interferogram(tau=[0.0], singles_port1=[-1e-12], singles_port2=[2.0],
+                                coincidences=[0.0])
+        assert gram.singles_port1[0] == -1e-12
+
 
 class TestScanMatchesPointFunctions:
     def assert_scan_matches(self, state, cfg, fgrid, singles, coincidences):

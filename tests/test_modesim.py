@@ -452,6 +452,30 @@ class TestMixture:
             singles, _ = bp.simulate_mixture(state, cfg, tau, sgrid, fgrid)
             assert singles == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("sector", ["spatial", "spectral"])
+    def test_exchange_asymmetric_state_matches_pure_and_closed(self, default_state, sector):
+        """The mixture reduces the exchange-symmetrised pair: an asymmetric
+        product amplitude, or a skewed density, gives the singles of the
+        pure-state run and of the closed form."""
+        sgrid = bp.SpatialGrid(half_width=3e-3, point_count=33)
+        gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
+        if sector == "spatial":
+            hg1 = bp.hermite_gauss1_amplitude(sgrid, waist=1e-3)
+            spatial = bp.GeneralSpatial.product(hg1, gauss)
+            density = default_state.spectral.density
+        else:
+            spatial = bp.CorrelatedPump(gauss)
+            density = bp.SpectralDensity(bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)))
+        fgrid = bp.default_frequency_grid(density, point_count=129)
+        state = bp.TwoPhotonState(spatial, bp.AntiCorrelated(density), OMEGA_P)
+        for cfg, closed in ((bp.InterferometerConfig.mzi(OMEGA_P), bp.intensity_mzi),
+                            (bp.InterferometerConfig.mzim(OMEGA_P), bp.intensity_mzim)):
+            for tau in (0.0, 3e-15, 11e-15):
+                singles, _ = bp.simulate_mixture(state, cfg, tau, sgrid, fgrid)
+                final = run(bp.build_initial_state(state, sgrid, fgrid), cfg, tau)
+                assert singles == pytest.approx(bp.singles_rate(final, "c"), abs=1e-12)
+                assert singles == pytest.approx(closed(state, cfg, tau, fgrid), abs=1e-12)
+
     def test_default_state_flat_singles_unchanged_coincidence(
             self, default_state, sgrid, fgrid, cfg_mzim, initial):
         tau = 15e-15

@@ -37,14 +37,31 @@ class TestReduction:
         assert one.central_frequency == pytest.approx(OMEGA_P / 2.0)
 
     def test_product_amplitude_reduces_to_pure_state(self, grid, gauss, hg1, default_state):
-        state = bp.TwoPhotonState(
-            bp.GeneralSpatial.product(gauss, hg1), default_state.spectral, OMEGA_P)
-        rho = bp.reduced_spatial_operator(state).matrix
-        expected = np.outer(gauss.values, gauss.values.conj()) * grid.spacing
-        assert float(np.max(np.abs(rho - expected))) < 1e-12
+        def reduce(phi1, phi2):
+            state = bp.TwoPhotonState(
+                bp.GeneralSpatial.product(phi1, phi2), default_state.spectral, OMEGA_P)
+            return bp.reduced_spatial_operator(state).matrix
+
+        def projector(phi):
+            return np.outer(phi.values, phi.values.conj()) * grid.spacing
+
+        # A symmetric product reduces to the pure state of its mode.
+        rho = reduce(gauss, gauss)
+        assert float(np.max(np.abs(rho - projector(gauss)))) < 1e-12
         eigs = np.linalg.eigvalsh(rho)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-9)
         assert float(np.max(np.abs(eigs[:-1]))) < 1e-9
+
+        # Photons sharing a port carry the symmetrised amplitude
+        # (G H + H G) / sqrt(2): the product of two orthogonal modes reduces
+        # to their equal mixture, whichever slot each sits in.
+        for phi1, phi2 in ((gauss, hg1), (hg1, gauss)):
+            rho = reduce(phi1, phi2)
+            expected = 0.5 * (projector(gauss) + projector(hg1))
+            assert float(np.max(np.abs(rho - expected))) < 1e-12
+            eigs = np.linalg.eigvalsh(rho)
+            assert eigs[-2:] == pytest.approx([0.5, 0.5], abs=1e-9)
+            assert float(np.max(np.abs(eigs[:-2]))) < 1e-9
 
     def test_symmetrized_entangled_amplitude(self, grid, gauss, hg1, default_state):
         amp = (np.outer(gauss.values, hg1.values)
