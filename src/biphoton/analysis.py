@@ -206,15 +206,14 @@ def report(
     tau_coincidence,
     coincidences,
     window: Optional[Tuple[float, float]] = None,
-    fringe_floor: float = FLATNESS_FRINGE_FLOOR,
 ) -> VisibilityReport:
     """Aggregate visibilities, periods and dip width for a scan pair.
 
     Both scans must share one delay grid.  Visibilities are taken from
     global extrema inside the window, which defaults to the central three
     fringe periods on either side of zero delay (where the envelope is
-    close to one).  ``fringe_floor`` is the report-level relative peak
-    threshold: a residual oscillation below one percent of DC counts as
+    close to one).  FLATNESS_FRINGE_FLOOR is the relative peak threshold
+    for a fringe: a residual oscillation below one percent of DC counts as
     flat, consistent with the package-wide 0.02 flatness bound.
     """
     tau_s = np.asarray(tau_singles, dtype=float)
@@ -224,8 +223,8 @@ def report(
     singles_arr = _as_samples(singles)
     coinc_arr = _as_samples(coincidences)
 
-    period_singles = _optional_period(singles_arr, tau_s, fringe_floor, 4)
-    period_coinc = _optional_period(coinc_arr, tau_c, fringe_floor, 4)
+    period_singles = _optional_period(singles_arr, tau_s, FLATNESS_FRINGE_FLOOR, 4)
+    period_coinc = _optional_period(coinc_arr, tau_c, FLATNESS_FRINGE_FLOOR, 4)
 
     if window is None:
         if period_singles is not None:

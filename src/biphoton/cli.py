@@ -59,6 +59,10 @@ CSV_HEADER = "tau_fs,singles_port1,singles_port2,coincidence,engine"
 _COLUMNS = CSV_HEADER.split(",")
 COINCIDENCE_MATCH_TOL = 1e-6
 ENERGY_TOL = 1e-9
+# Checked before anything is allocated: 40x the bundled delay count, 16x
+# the largest bundled or benchmark grid.
+MAX_DELAYS = 200_001
+MAX_GRID_POINTS = 65_537
 
 _PROFILE_KINDS = ("gaussian", "hg1", "shifted_gaussian", "tabulated_file")
 _FILTER_SHAPES = ("rectangular", "gaussian")
@@ -144,7 +148,7 @@ def load_config(path) -> RunConfig:
 
     pump = _require(raw, "pump", dict, "")
     wavelength_nm = _require(pump, "wavelength_nm", float, "pump")
-    if wavelength_nm <= 0.0:
+    if wavelength_nm * units.NM <= 0.0:  # also a positive value that underflows
         raise ConfigError("pump.wavelength_nm: must be positive")
     profile = _require(pump, "spatial_profile", dict, "pump")
     kind = _require(profile, "kind", str, "pump.spatial_profile")
@@ -154,7 +158,7 @@ def load_config(path) -> RunConfig:
     params = {k: v for k, v in profile.items() if k != "kind"}
     if kind in ("gaussian", "hg1", "shifted_gaussian"):
         waist = _finite(params.get("waist_mm", 1.0), "pump.spatial_profile.waist_mm")
-        if waist <= 0.0:
+        if waist * units.MM <= 0.0:
             raise ConfigError("pump.spatial_profile.waist_mm: must be positive")
         params["waist_mm"] = waist
     if kind == "shifted_gaussian":
@@ -166,9 +170,9 @@ def load_config(path) -> RunConfig:
     center_nm = _require(filt, "center_nm", float, "filter")
     bandwidth_nm = _require(filt, "bandwidth_nm", float, "filter")
     shape = _require(filt, "shape", str, "filter")
-    if center_nm <= 0.0:
+    if center_nm * units.NM <= 0.0:
         raise ConfigError("filter.center_nm: must be positive")
-    if not 0.0 < bandwidth_nm < center_nm:
+    if not (0.0 < bandwidth_nm * units.NM and bandwidth_nm < center_nm):
         raise ConfigError("filter.bandwidth_nm: must be positive and below center_nm")
     if shape not in _FILTER_SHAPES:
         raise ConfigError(f"filter.shape: must be one of {_FILTER_SHAPES}, got {shape!r}")
@@ -187,10 +191,15 @@ def load_config(path) -> RunConfig:
     tau_start_fs = _require(scan_cfg, "tau_start_fs", float, "scan")
     tau_stop_fs = _require(scan_cfg, "tau_stop_fs", float, "scan")
     tau_step_fs = _require(scan_cfg, "tau_step_fs", float, "scan")
-    if tau_step_fs <= 0.0:
+    if tau_step_fs * units.FS <= 0.0:
         raise ConfigError("scan.tau_step_fs: must be positive")
     if tau_stop_fs < tau_start_fs:
         raise ConfigError("scan.tau_stop_fs: must not precede tau_start_fs")
+    # tau_axis makes floor(span + 1e-9) + 1 delays; a span that overflows is inf
+    span = (tau_stop_fs - tau_start_fs) / tau_step_fs
+    if not span + 1e-9 < MAX_DELAYS:
+        raise ConfigError(
+            f"scan.tau_step_fs: the scan would exceed {MAX_DELAYS} delays")
     pump_period_fs = 2.0 * np.pi / units.omega_from_wavelength(wavelength_nm * units.NM) / units.FS
     try:
         check_step(tau_step_fs, pump_period_fs)
@@ -208,7 +217,9 @@ def load_config(path) -> RunConfig:
     for label, n in (("spatial_points", spatial_points), ("spectral_points", spectral_points)):
         if n < 3 or n % 2 == 0:
             raise ConfigError(f"grids.{label}: must be an odd integer >= 3, got {n}")
-    if halfwidth_mm <= 0.0:
+        if n > MAX_GRID_POINTS:
+            raise ConfigError(f"grids.{label}: must not exceed {MAX_GRID_POINTS}, got {n}")
+    if halfwidth_mm * units.MM <= 0.0:
         raise ConfigError("grids.spatial_halfwidth_mm: must be positive")
 
     output = _require(raw, "output", dict, "")

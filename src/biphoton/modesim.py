@@ -60,7 +60,7 @@ from .errors import (
 )
 from .interferometer import Interferogram, InterferometerConfig, MZIM, _scan_axis
 from .spatial import SpatialGrid, eigendecompose
-from .spectral import FrequencyGrid, chirp_z, default_frequency_grid, normalize
+from .spectral import FrequencyGrid, chirp_z, normalize
 from .states import (
     AntiCorrelated,
     CorrelatedPump,
@@ -68,6 +68,7 @@ from .states import (
     GeneralSpatial,
     GeneralSpectral,
     TwoPhotonState,
+    _working_frequency_grid,
     reduce_to_one_photon,
 )
 
@@ -334,10 +335,15 @@ class BranchSumState:
 
     def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
         """Squared amplitude norm per (photon 1 path, photon 2 path); absent pairs are zero."""
-        groups: dict = {}
-        for b in self.branches:
-            groups.setdefault((b.path1, b.path2), []).append(b)
-        return {pair: _group_norm(g) for pair, g in groups.items()}
+        return {pair: _group_norm(g) for pair, g in _by_path_pair(self.branches).items()}
+
+
+def _by_path_pair(branches: Iterable[Branch]) -> Dict[Tuple[str, str], List[Branch]]:
+    """Branches grouped by (photon 1 path, photon 2 path), in order of appearance."""
+    groups: Dict[Tuple[str, str], List[Branch]] = {}
+    for b in branches:
+        groups.setdefault((b.path1, b.path2), []).append(b)
+    return groups
 
 
 def build_initial_state(
@@ -351,14 +357,12 @@ def build_initial_state(
     weight) amplitudes; general sectors become full matrices.  The state is
     exchange-symmetrized and normalized to unit total amplitude norm.
     """
+    if state.spatial.grid != spatial_grid:
+        raise GridAsymmetry("state's spatial grid differs from the requested grid")
     if isinstance(state.spatial, CorrelatedPump):
-        if state.spatial.grid != spatial_grid:
-            raise GridAsymmetry("state's spatial grid differs from the requested grid")
         s_factor = Factor.diagonal(
             state.spatial.pump.values * math.sqrt(spatial_grid.spacing))
     elif isinstance(state.spatial, GeneralSpatial):
-        if state.spatial.grid != spatial_grid:
-            raise GridAsymmetry("state's spatial grid differs from the requested grid")
         s_factor = Factor.full(state.spatial.amplitude * spatial_grid.spacing)
     else:
         raise UnknownElement(f"unsupported spatial sector {type(state.spatial)!r}")
@@ -545,15 +549,15 @@ class DenseTensorState:
                 for i, p in enumerate(paths) for j, q in enumerate(paths)}
 
 
-def to_dense(state: BranchSumState, budget_bytes: int = DEFAULT_DENSE_BUDGET) -> DenseTensorState:
-    """Expand the branch sum into the dense tensor, if it fits the budget."""
+def to_dense(state: BranchSumState) -> DenseTensorState:
+    """Expand the branch sum into the dense tensor, if it fits DEFAULT_DENSE_BUDGET."""
     n = state.spatial_grid.point_count
     m = state.frequency_grid.point_count
     amplitudes = (2 * n * m) ** 2
     required = amplitudes * 16  # complex128
-    if required > budget_bytes:
+    if required > DEFAULT_DENSE_BUDGET:
         raise BudgetExceeded(
-            f"dense tensor needs {required} bytes > budget {budget_bytes}")
+            f"dense tensor needs {required} bytes > budget {DEFAULT_DENSE_BUDGET}")
     tensor = np.zeros((2, n, m, 2, n, m), dtype=complex)
     paths = state.paths
     for b in state.branches:
@@ -678,14 +682,8 @@ def _resolve_grids(
     spatial_grid: Optional[SpatialGrid],
     frequency_grid: Optional[FrequencyGrid],
 ) -> Tuple[SpatialGrid, FrequencyGrid]:
-    if spatial_grid is None:
-        spatial_grid = state.spatial.grid
-    if frequency_grid is None:
-        if isinstance(state.spectral, AntiCorrelated):
-            frequency_grid = default_frequency_grid(state.spectral.density)
-        else:
-            frequency_grid = state.spectral.grid
-    return spatial_grid, frequency_grid
+    return (spatial_grid or state.spatial.grid,
+            _working_frequency_grid(state, frequency_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -706,11 +704,8 @@ def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.
     double weight, so only the real part of the delay sum is the norm.
     """
     c = state.frequency_grid.point_count // 2
-    groups: dict = {}
-    for b in state.branches:
-        groups.setdefault((b.path1, b.path2), []).append(b)
     table: dict = {}
-    for pair, group in groups.items():
+    for pair, group in _by_path_pair(state.branches).items():
         for i, x in enumerate(group):
             for y in group[i:]:
                 d0, d1 = y.delays[0] - x.delays[0], y.delays[1] - x.delays[1]

@@ -1,12 +1,16 @@
 """Transverse spatial amplitudes, density operators and parity functionals.
 
-Two functionals of the transverse degree of freedom control the behaviour
-of the mirror-unbalanced interferometer:
+Two functionals of the transverse degree of freedom describe the
+mirror-unbalanced interferometer:
 
 * the flip overlap  alpha = integral dx rho(-x, x)  of the one-photon
   density operator, which weights the singles fringe amplitude, and
 * the pump parity overlap  beta = integral dx phi*(x) phi(-x)  of the pump
-  amplitude, which controls the coincidence fringes.
+  amplitude, which weights the coincidence fringes.
+
+The closed engine reads alpha and b from ``states.exchange_overlaps``
+instead.  These two stay as the independent reference: the benchmark's
+checks (``perfbench/checks.py``) compare oracle coincidences against beta.
 
 Both are real (they are traces of products of Hermitian operators), so the
 phase of either overlap is 0 or pi whenever its magnitude is nonzero.
@@ -27,6 +31,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import NotPositive
+from .spectral import _SymmetricGrid
 
 __all__ = [
     "SpatialGrid",
@@ -43,42 +48,52 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-9
+NORM_TOL = 1e-9  # on a unit norm, trace or weight sum
 EIGENVALUE_FLOOR = -1e-10
+MODE_WEIGHT_FLOOR = 1e-12  # eigendecompose drops modes at or below this weight
 
 
-@dataclass(frozen=True)
-class SpatialGrid:
+class SpatialGrid(_SymmetricGrid):
     """Uniform transverse grid, symmetric about x = 0 with x = 0 a node."""
 
-    half_width: float
-    point_count: int
-
-    def __post_init__(self):
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be positive")
-        if self.point_count < 3 or self.point_count % 2 == 0:
-            raise ValueError("point_count must be an odd integer >= 3")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.point_count - 1)
-
     def positions(self) -> np.ndarray:
-        # (signed integer index) * spacing: the node at -x_i is the exact
-        # floating-point negation of the node at x_i, so parity operations
-        # are exact index reversals with no rounding skew.
-        center = (self.point_count - 1) // 2
-        return (np.arange(self.point_count) - center) * self.spacing
-
-    @property
-    def center_index(self) -> int:
-        return self.point_count // 2
+        return self._nodes()
 
 
 def default_spatial_grid(point_count: int = 257, half_width: float = 3e-3) -> SpatialGrid:
     """3 mm half width resolves a millimetre-scale pump waist comfortably."""
     return SpatialGrid(half_width=half_width, point_count=point_count)
+
+
+def _unit_norm_samples(samples, cell: float) -> np.ndarray:
+    """``samples`` as complex, scaled to sum |a|^2 cell = 1 (cell dx, or dx^2 for a pair)."""
+    a = np.asarray(samples, dtype=complex)
+    norm = math.sqrt(float(np.sum(np.abs(a) ** 2)) * cell)
+    if norm < 1e-150:
+        raise ValueError("cannot normalize a zero amplitude")
+    return a / norm
+
+
+def _require_unit_norm(a: np.ndarray, cell: float, what: str) -> None:
+    total = float(np.sum(np.abs(a) ** 2)) * cell
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"{what} norm must be 1, got {total!r}")
+
+
+def _density_matrix(grid: _SymmetricGrid, matrix) -> np.ndarray:
+    """``matrix`` copied as complex, after the checks of every one-photon
+    density matrix: one row and column per grid node, Hermitian, unit trace."""
+    m = np.array(matrix, dtype=complex)
+    n = grid.point_count
+    if m.shape != (n, n):
+        raise ValueError("matrix must have one row and one column per grid node")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL * scale:
+        raise ValueError("matrix must be Hermitian")
+    tr = float(np.real(np.trace(m)))
+    if abs(tr - 1.0) > NORM_TOL:
+        raise ValueError(f"trace must be 1, got {tr!r}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -92,19 +107,13 @@ class SpatialAmplitude:
         v = np.array(self.values, dtype=complex)
         if v.shape != (self.grid.point_count,):
             raise ValueError("values must match the grid point count")
+        _require_unit_norm(v, self.grid.spacing, "amplitude")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        n = self.norm_squared()
-        if abs(n - 1.0) > TRACE_TOL:
-            raise ValueError(f"amplitude not normalized: sum|phi|^2 dx = {n!r}")
 
     @classmethod
     def from_samples(cls, grid: SpatialGrid, values: Sequence[complex]) -> "SpatialAmplitude":
-        v = np.asarray(values, dtype=complex)
-        n = math.sqrt(float(np.sum(np.abs(v) ** 2)) * grid.spacing)
-        if n < 1e-150:
-            raise ValueError("cannot normalize a zero amplitude")
-        return cls(grid, v / n)
+        return cls(grid, _unit_norm_samples(values, grid.spacing))
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2)) * self.grid.spacing
@@ -142,17 +151,8 @@ class SpatialDensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n = self.grid.point_count
-        if m.shape != (n, n):
-            raise ValueError("matrix must be N x N for the grid")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL * scale:
-            raise ValueError("matrix is not Hermitian")
+        m = _density_matrix(self.grid, self.matrix)
         m = 0.5 * (m + m.conj().T)
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1, got {tr!r}")
         low = float(np.min(np.linalg.eigvalsh(m)))
         if low < EIGENVALUE_FLOOR:
             raise NotPositive(f"eigenvalue {low!r} below tolerance {EIGENVALUE_FLOOR}")
@@ -200,7 +200,7 @@ class ParityOverlap:
     phase: float
 
     def __post_init__(self):
-        if self.magnitude > 1.0 + 1e-9:
+        if self.magnitude > 1.0 + NORM_TOL:
             raise ValueError(f"overlap magnitude {self.magnitude!r} exceeds 1")
 
     @classmethod
@@ -243,15 +243,13 @@ def parity_decompose(phi: SpatialAmplitude) -> Tuple[np.ndarray, np.ndarray]:
     return 0.5 * (v + f), 0.5 * (v - f)
 
 
-def eigendecompose(
-    rho: SpatialDensityOperator, weight_floor: float = 1e-12
-) -> List[Tuple[float, SpatialAmplitude]]:
+def eigendecompose(rho: SpatialDensityOperator) -> List[Tuple[float, SpatialAmplitude]]:
     """Coherent-mode decomposition of a density operator.
 
     Returns (weight, mode) pairs sorted by descending weight.  Weights are
     the eigenvalues of the unit-trace matrix and sum to one; modes are
-    orthonormal in the sum |phi|^2 dx sense.  Eigenvalues below
-    ``weight_floor`` are dropped; an eigenvalue below the positivity
+    orthonormal in the sum |phi|^2 dx sense.  Eigenvalues at or below
+    MODE_WEIGHT_FLOOR are dropped; an eigenvalue below the positivity
     tolerance raises NotPositive.
     """
     vals, vecs = np.linalg.eigh(rho.matrix)
@@ -261,7 +259,7 @@ def eigendecompose(
     modes: List[Tuple[float, SpatialAmplitude]] = []
     for k in range(vals.size - 1, -1, -1):
         w = float(vals[k])
-        if w <= weight_floor:
+        if w <= MODE_WEIGHT_FLOOR:
             break
         modes.append((w, SpatialAmplitude(rho.grid, vecs[:, k] / math.sqrt(dx))))
     return modes

@@ -46,12 +46,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform grid of baseband detunings, symmetric about W = 0.
+class _SymmetricGrid:
+    """Uniform grid symmetric about 0, with 0 a node (odd point count).
 
-    The point count is odd so that W = 0 is a node and W -> -W is an exact
-    index reversal; the discrete-mode simulator relies on that bijection to
-    represent frequency anti-correlation without interpolation.
+    Subclasses name the axis; grids of two kinds are never equal.
     """
 
     half_width: float
@@ -67,11 +65,26 @@ class FrequencyGrid:
     def spacing(self) -> float:
         return 2.0 * self.half_width / (self.point_count - 1)
 
+    @property
+    def center_index(self) -> int:
+        return self.point_count // 2
+
+    def _nodes(self) -> np.ndarray:
+        # (signed integer index) * spacing: the node at -x is the exact
+        # floating-point negation of the node at x, so flips are exact
+        # index reversals with no rounding skew.
+        return (np.arange(self.point_count) - self.center_index) * self.spacing
+
+
+class FrequencyGrid(_SymmetricGrid):
+    """Uniform grid of baseband detunings, symmetric about W = 0.
+
+    The discrete-mode simulator relies on W -> -W being an exact index
+    reversal to represent frequency anti-correlation without interpolation.
+    """
+
     def omegas(self) -> np.ndarray:
-        # Built as (signed integer index) * spacing so that the node at -W_k
-        # is the exact floating-point negation of the node at W_k.
-        center = (self.point_count - 1) // 2
-        return (np.arange(self.point_count) - center) * self.spacing
+        return self._nodes()
 
     def flip_indices(self) -> np.ndarray:
         """Index permutation realising W -> -W."""
@@ -218,7 +231,7 @@ def normalize(sd: SpectralDensity, grid: FrequencyGrid) -> SpectralDensity:
     Raises ZeroDensity when the grid sees (numerically) no density at all,
     e.g. a table whose support lies entirely outside the grid.
     """
-    total = float(np.trapezoid(sd.sample(grid), dx=grid.spacing))
+    total = float(np.sum(sd.sample(grid) * grid.trapezoid_weights()))
     if total < 1e-300:
         raise ZeroDensity("density integrates to zero on the working grid")
     return replace(sd, scale=sd.scale / total)

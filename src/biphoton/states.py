@@ -23,9 +23,13 @@ import numpy as np
 from . import units
 from .errors import AsymmetricSpectrum
 from .spatial import (
+    NORM_TOL,
     SpatialAmplitude,
     SpatialDensityOperator,
     SpatialGrid,
+    _density_matrix,
+    _require_unit_norm,
+    _unit_norm_samples,
     default_spatial_grid,
     gaussian_amplitude,
 )
@@ -33,6 +37,7 @@ from .spectral import (
     FrequencyGrid,
     Rectangular,
     SpectralDensity,
+    _SymmetricGrid,
     default_frequency_grid,
     normalize,
 )
@@ -62,8 +67,6 @@ DEFAULT_FILTER_CENTER = 810e-9    # m
 DEFAULT_FILTER_BANDWIDTH = 10e-9  # m
 DEFAULT_PUMP_WAIST = 1e-3         # m
 
-NORM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class CorrelatedPump:
@@ -81,42 +84,42 @@ class CorrelatedPump:
 
 
 @dataclass(frozen=True)
-class GeneralSpatial:
-    """Arbitrary two-photon transverse amplitude phi(x_i, x_j).
+class _JointAmplitude:
+    """Arbitrary two-photon amplitude a(u_i, u_j) on one grid for both
+    photons, normalised to sum |a_ij|^2 h^2 = 1 (h the grid spacing)."""
 
-    Normalization: sum |phi_ij|^2 dx^2 = 1.
-    """
-
-    grid: SpatialGrid
+    grid: _SymmetricGrid
     amplitude: np.ndarray
+
+    _sector = ""  # "spatial" or "spectral"
 
     def __post_init__(self):
         a = np.array(self.amplitude, dtype=complex)
         n = self.grid.point_count
         if a.shape != (n, n):
-            raise ValueError("amplitude must be N x N for the grid")
-        total = float(np.sum(np.abs(a) ** 2)) * self.grid.spacing**2
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"joint spatial norm must be 1, got {total!r}")
+            raise ValueError("amplitude must have one row and one column per grid node")
+        _require_unit_norm(a, self.grid.spacing**2, f"joint {self._sector}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitude", a)
 
     @classmethod
-    def from_samples(cls, grid: SpatialGrid, amplitude) -> "GeneralSpatial":
-        a = np.asarray(amplitude, dtype=complex)
-        total = np.sqrt(np.sum(np.abs(a) ** 2) * grid.spacing**2)
-        if total < 1e-150:
-            raise ValueError("cannot normalize a zero amplitude")
-        return cls(grid, a / total)
+    def from_samples(cls, grid: _SymmetricGrid, amplitude):
+        return cls(grid, _unit_norm_samples(amplitude, grid.spacing**2))
+
+    def describe(self) -> str:
+        return f"general_{self._sector}"
+
+
+class GeneralSpatial(_JointAmplitude):
+    """Arbitrary two-photon transverse amplitude phi(x_i, x_j) on a SpatialGrid."""
+
+    _sector = "spatial"
 
     @classmethod
     def product(cls, phi1: SpatialAmplitude, phi2: SpatialAmplitude) -> "GeneralSpatial":
         if phi1.grid != phi2.grid:
             raise ValueError("amplitudes must share a grid")
         return cls(phi1.grid, np.outer(phi1.values, phi2.values))
-
-    def describe(self) -> str:
-        return "general_spatial"
 
 
 @dataclass(frozen=True)
@@ -134,37 +137,10 @@ class AntiCorrelated:
         return f"anti_correlated({self.density.describe()})"
 
 
-@dataclass(frozen=True)
-class GeneralSpectral:
-    """Arbitrary two-photon spectral amplitude psi(W_k, W_l).
+class GeneralSpectral(_JointAmplitude):
+    """Arbitrary two-photon spectral amplitude psi(W_k, W_l) on a FrequencyGrid."""
 
-    Normalization: sum |psi_kl|^2 dW^2 = 1.
-    """
-
-    grid: FrequencyGrid
-    amplitude: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amplitude, dtype=complex)
-        m = self.grid.point_count
-        if a.shape != (m, m):
-            raise ValueError("amplitude must be M x M for the grid")
-        total = float(np.sum(np.abs(a) ** 2)) * self.grid.spacing**2
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"joint spectral norm must be 1, got {total!r}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitude", a)
-
-    @classmethod
-    def from_samples(cls, grid: FrequencyGrid, amplitude) -> "GeneralSpectral":
-        a = np.asarray(amplitude, dtype=complex)
-        total = np.sqrt(np.sum(np.abs(a) ** 2) * grid.spacing**2)
-        if total < 1e-150:
-            raise ValueError("cannot normalize a zero amplitude")
-        return cls(grid, a / total)
-
-    def describe(self) -> str:
-        return "general_spectral"
+    _sector = "spectral"
 
 
 SpatialSector = Union[CorrelatedPump, GeneralSpatial]
@@ -219,15 +195,7 @@ class GeneralDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        size = self.grid.point_count
-        if m.shape != (size, size):
-            raise ValueError("matrix must be M x M for the grid")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
-            raise ValueError("matrix must be Hermitian")
-        if abs(float(np.real(np.trace(m))) - 1.0) > NORM_TOL:
-            raise ValueError("trace must be 1")
+        m = _density_matrix(self.grid, self.matrix)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -267,6 +235,18 @@ def _exchange_symmetric(a: np.ndarray) -> Tuple[np.ndarray, bool]:
     return a, False
 
 
+def _working_frequency_grid(
+    state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid]
+) -> FrequencyGrid:
+    """The grid given, else the density's default grid, else the general
+    spectral sector's own grid."""
+    if frequency_grid is not None:
+        return frequency_grid
+    if isinstance(state.spectral, AntiCorrelated):
+        return default_frequency_grid(state.spectral.density)
+    return state.spectral.grid
+
+
 def exchange_overlaps(
     state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid] = None
 ) -> ExchangeOverlaps:
@@ -297,7 +277,7 @@ def exchange_overlaps(
         b = _overlap_ratio(a, a[::-1, ::-1])
 
     density = state.spectral.density
-    grid = frequency_grid or default_frequency_grid(density)
+    grid = _working_frequency_grid(state, frequency_grid)
     d = normalize(density, grid).sample(grid)
     if density.is_even_on(grid):
         weights = d * grid.trapezoid_weights()

@@ -161,3 +161,107 @@ class TestValidation:
     def test_positive_pump_frequency_required(self, gauss, default_state):
         with pytest.raises(ValueError):
             bp.TwoPhotonState(bp.CorrelatedPump(gauss), default_state.spectral, -1.0)
+
+
+class TestSharedGrid:
+    """SpatialGrid and FrequencyGrid are one symmetric-grid definition."""
+
+    GRIDS = [bp.SpatialGrid, bp.FrequencyGrid]
+
+    def test_kinds_never_equal(self):
+        assert bp.SpatialGrid(1e-3, 65) != bp.FrequencyGrid(1e-3, 65)
+        assert bp.FrequencyGrid(1e-3, 65) != bp.SpatialGrid(1e-3, 65)
+        assert bp.SpatialGrid(1e-3, 65) == bp.SpatialGrid(1e-3, 65)
+
+    @pytest.mark.parametrize("half_width, count", [
+        (3e-3, 257), (1.2345678e-3, 1025), (7.77e13, 129), (4.0 * 1.436e13, 4097)])
+    def test_nodes_negate_exactly(self, half_width, count):
+        x = bp.SpatialGrid(half_width, count).positions()
+        w = bp.FrequencyGrid(half_width, count).omegas()
+        for nodes in (x, w):
+            assert np.array_equal(nodes[::-1], -nodes)
+            assert nodes[count // 2] == 0.0
+        assert np.array_equal(x, w)
+
+    @pytest.mark.parametrize("cls", GRIDS)
+    @pytest.mark.parametrize("half_width, count", [(1.0, 8), (1.0, 1), (0.0, 9), (-1.0, 9)])
+    def test_invalid_grid_rejected(self, cls, half_width, count):
+        with pytest.raises(ValueError):
+            cls(half_width, count)
+
+
+DENSITY_TYPES = [
+    (bp.SpatialDensityOperator, bp.SpatialGrid(1e-3, 5)),
+    (bp.GeneralDensity, bp.FrequencyGrid(1e13, 5)),
+]
+
+
+@pytest.mark.parametrize("cls, grid", DENSITY_TYPES, ids=["spatial", "spectral"])
+class TestDensityMatrixChecks:
+    """Both density-matrix types go through one Hermitian, unit-trace check."""
+
+    def test_valid_matrix_accepted(self, cls, grid):
+        m = np.eye(5, dtype=complex) / 5
+        m[0, 1], m[1, 0] = 0.05j, -0.05j
+        assert np.array_equal(cls(grid, m).matrix, m)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (5, 4), (5,), (5, 5, 1)])
+    def test_wrong_shape_rejected(self, cls, grid, shape):
+        with pytest.raises(ValueError, match="one row and one column"):
+            cls(grid, np.full(shape, 0.2))
+
+    def test_non_hermitian_rejected(self, cls, grid):
+        m = np.eye(5, dtype=complex) / 5
+        m[0, 1] = 0.05j  # m[1, 0] stays 0
+        with pytest.raises(ValueError, match="Hermitian"):
+            cls(grid, m)
+
+    @pytest.mark.parametrize("trace", [0.0, 0.999, 1.25, -1.0])
+    def test_trace_not_one_rejected(self, cls, grid, trace):
+        with pytest.raises(ValueError, match="trace must be 1"):
+            cls(grid, np.eye(5) * trace / 5)
+
+
+class TestDiagonalDensityChecks:
+    @pytest.fixture
+    def grid(self):
+        return bp.FrequencyGrid(1e13, 5)
+
+    def test_valid_weights_accepted(self, grid):
+        w = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+        assert np.array_equal(bp.DiagonalDensity(grid, w).weights, w)
+
+    def test_negative_weight_rejected(self, grid):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bp.DiagonalDensity(grid, [0.3, 0.3, 0.5, 0.3, -0.4])
+
+    @pytest.mark.parametrize("total", [0.0, 0.99, 2.0])
+    def test_sum_not_one_rejected(self, grid, total):
+        with pytest.raises(ValueError, match="sum to 1"):
+            bp.DiagonalDensity(grid, np.full(5, total / 5))
+
+    def test_wrong_length_rejected(self, grid):
+        with pytest.raises(ValueError, match="match the grid"):
+            bp.DiagonalDensity(grid, np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("cls, grid", [
+    (bp.GeneralSpatial, bp.SpatialGrid(1e-3, 5)),
+    (bp.GeneralSpectral, bp.FrequencyGrid(1e13, 5)),
+], ids=["spatial", "spectral"])
+class TestJointAmplitudeChecks:
+    """GeneralSpatial and GeneralSpectral share one joint-amplitude definition."""
+
+    def test_from_samples_is_unit_norm(self, cls, grid):
+        raw = np.arange(25.0).reshape(5, 5) + 1j
+        a = cls.from_samples(grid, raw)
+        assert float(np.sum(np.abs(a.amplitude) ** 2)) * grid.spacing**2 == pytest.approx(1.0)
+        assert not a.amplitude.flags.writeable
+
+    def test_wrong_shape_rejected(self, cls, grid):
+        with pytest.raises(ValueError, match="one row and one column"):
+            cls(grid, np.full((4, 4), 0.25 / grid.spacing))
+
+    def test_zero_amplitude_rejected(self, cls, grid):
+        with pytest.raises(ValueError, match="zero amplitude"):
+            cls.from_samples(grid, np.zeros((5, 5)))
