@@ -64,7 +64,8 @@ ENERGY_TOL = 1e-9
 MAX_DELAYS = 200_001
 MAX_GRID_POINTS = 65_537
 
-_PROFILE_KINDS = ("gaussian", "hg1", "shifted_gaussian", "tabulated_file")
+_WAIST_KINDS = ("gaussian", "hg1", "shifted_gaussian")
+_PROFILE_KINDS = _WAIST_KINDS + ("tabulated_file",)
 _FILTER_SHAPES = ("rectangular", "gaussian")
 _ENGINES = ("closed", "oracle", "both")
 _GAUSS_FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
@@ -156,7 +157,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"pump.spatial_profile.kind: must be one of {_PROFILE_KINDS}, got {kind!r}")
     params = {k: v for k, v in profile.items() if k != "kind"}
-    if kind in ("gaussian", "hg1", "shifted_gaussian"):
+    if kind in _WAIST_KINDS:
         waist = _finite(params.get("waist_mm", 1.0), "pump.spatial_profile.waist_mm")
         if waist * units.MM <= 0.0:
             raise ConfigError("pump.spatial_profile.waist_mm: must be positive")
@@ -176,6 +177,13 @@ def load_config(path) -> RunConfig:
         raise ConfigError("filter.bandwidth_nm: must be positive and below center_nm")
     if shape not in _FILTER_SHAPES:
         raise ConfigError(f"filter.shape: must be one of {_FILTER_SHAPES}, got {shape!r}")
+    try:  # center^2 is a Python float: it overflows, or underflows to 0
+        width = units.bandwidth_to_angular(center_nm * units.NM, bandwidth_nm * units.NM)
+    except (OverflowError, ZeroDivisionError):
+        width = math.nan
+    if not (math.isfinite(width) and width > 0.0):
+        raise ConfigError("filter.center_nm: the angular bandwidth "
+                          "2 pi c bandwidth_nm / center_nm^2 is not a finite positive number")
 
     itf = _require(raw, "interferometer", dict, "")
     ikind = _require(itf, "kind", str, "interferometer")
@@ -221,6 +229,12 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"grids.{label}: must not exceed {MAX_GRID_POINTS}, got {n}")
     if halfwidth_mm * units.MM <= 0.0:
         raise ConfigError("grids.spatial_halfwidth_mm: must be positive")
+    spacing_mm = 2.0 * halfwidth_mm / (spatial_points - 1)
+    if kind in _WAIST_KINDS and not params["waist_mm"] >= spacing_mm:
+        raise ConfigError(
+            f"pump.spatial_profile.waist_mm: {params['waist_mm']:g} is below one spatial grid "
+            f"spacing, 2 grids.spatial_halfwidth_mm / (grids.spatial_points - 1) = "
+            f"{spacing_mm:g} mm")
 
     output = _require(raw, "output", dict, "")
     out_path = _require(output, "path", str, "output")

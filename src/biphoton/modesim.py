@@ -739,10 +739,10 @@ def oracle_scan(
     initial = build_initial_state(state, sgrid, fgrid)
     table = _delay_table(apply_pipeline(initial, build_pipeline(cfg, 0.0, convention)))
     sums = chirp_z(np.array(list(table.values())), fgrid.spacing, tau[0], tau_step, tau.size)
+    pumps = {m: np.exp(-0.5j * m * cfg.pump_frequency * tau) for _, m in table}
     norms: dict = {}
     for (pair, m), row in zip(table, sums):
-        pump = np.exp(-0.5j * m * cfg.pump_frequency * tau)
-        norms[pair] = norms.get(pair, 0.0) + (pump * row).real
+        norms[pair] = norms.get(pair, 0.0) + (pumps[m] * row).real
     s1, s2, cc = _port_rule(norms)
     return Interferogram(
         tau=tau,

@@ -292,20 +292,35 @@ def chirp_z(u: np.ndarray, h: float, tau0: float, step: float, count: int) -> np
     both indices centred to keep the chirp phases small,
     n m = (n^2 + m^2 - (m - n)^2) / 2 turns the sum into a linear
     convolution of two chirps, done by zero-padded FFT (Bluestein).
+
+    The kernel's FFT is taken once; the rows then pass one at a time
+    through one work buffer of the padded length L, transformed in place.
+    Beside the input and the output, the workspace is O(L) whatever the
+    number of rows.
     """
     size = u.shape[-1]
     theta = h * step
     centre = tau0 + step * (count - 1) / 2.0
     n = np.arange(size) - (size - 1) // 2
     m = np.arange(count) - (count - 1) / 2.0
-    u = u * np.exp(1j * (h * centre * n + 0.5 * theta * n**2))
+    chirp = np.exp(1j * (h * centre * n + 0.5 * theta * n**2))
+    post = np.exp(0.5j * theta * m**2)
     lags = np.arange(1 - size, count)  # j - k over every pair
     diff = lags + ((size - 1) // 2 - (count - 1) / 2.0)  # m - n at that lag
     length = 1 << (size + count - 2).bit_length()  # power of two >= T + M - 1
-    v = np.zeros(length, dtype=complex)
-    v[lags % length] = np.exp(-0.5j * theta * diff**2)
-    conv = np.fft.ifft(np.fft.fft(u, length) * np.fft.fft(v))[..., :count]
-    return np.exp(0.5j * theta * m**2) * conv
+    kernel = np.zeros(length, dtype=complex)
+    kernel[lags % length] = np.exp(-0.5j * theta * diff**2)
+    np.fft.fft(kernel, out=kernel)
+    out = np.empty(u.shape[:-1] + (count,), dtype=complex)
+    buf = np.empty(length, dtype=complex)
+    for row, dest in zip(u.reshape(-1, size), out.reshape(-1, count)):
+        np.multiply(row, chirp, out=buf[:size])
+        buf[size:] = 0.0
+        np.fft.fft(buf, out=buf)
+        buf *= kernel
+        np.fft.ifft(buf, out=buf)
+        np.multiply(post, buf[:count], out=dest)
+    return out
 
 
 def _uniform_step(tau: np.ndarray) -> Optional[float]:

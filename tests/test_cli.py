@@ -220,6 +220,15 @@ class TestGoldenOutput:
             "9c6ae68fcc542c535bee46863dc4d9416cc2cc16c3a810790267eefdf1f7e4b7",
     }
 
+    # MZIM on a 4097-point spectral grid, JSON, --engine both, +-5 fs at
+    # 0.05 fs: the oracle's delay table has 8193-point rows, padded to an
+    # FFT length of 16384 (the bundled configs reach 8192).  The hg1 pump
+    # gives 12 rows, the Gaussian fewer.
+    FINE_GRID_JSON_DIGESTS = {
+        "gaussian": "a04eed88b14e6f157b718b1005711520b6a5803e20317164c996f7320ff8d72a",
+        "hg1": "5ee861c51c35450e3c494aeacae27c0ee048e5d3b6f58213c2bb5906624bed07",
+    }
+
     @staticmethod
     def small_grid_config(tmp_path, case):
         cfg = load_bundled("default_mzim")
@@ -258,6 +267,21 @@ class TestGoldenOutput:
         capsys.readouterr()
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.SMALL_GRID_DIGESTS[case, engine]
+
+    @pytest.mark.parametrize("kind", sorted(FINE_GRID_JSON_DIGESTS))
+    def test_fine_grid_json_bytes(self, tmp_path, capsys, kind):
+        cfg = load_bundled("default_mzim")
+        cfg["scan"] = {"tau_start_fs": -5.0, "tau_stop_fs": 5.0, "tau_step_fs": 0.05}
+        cfg["grids"] = {"spatial_points": 257, "spectral_points": 4097,
+                        "spatial_halfwidth_mm": 3.0}
+        cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": 0.9 if kind == "hg1" else 1.0}
+        cfg["output"]["format"] = "json"
+        out = tmp_path / "scan.json"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--engine", "both", "--out", str(out)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.FINE_GRID_JSON_DIGESTS[kind]
 
     def test_json_bytes_and_records(self, tmp_path, capsys, recorded_grams):
         grams = recorded_grams
@@ -650,6 +674,49 @@ class TestConfigValidation:
         assert err.startswith(f"config error: {field}: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("center_nm, bandwidth_nm", [(1e-200, 1e-201), (1e300, 10.0)],
+                             ids=["center_squared_underflows", "center_squared_overflows"])
+    def test_extreme_filter_center_exits_one(self, tmp_path, capsys, center_nm, bandwidth_nm):
+        cfg = load_bundled("default_mzi")
+        cfg["filter"].update(center_nm=center_nm, bandwidth_nm=bandwidth_nm)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: filter.center_nm: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "hg1", "shifted_gaussian"])
+    @pytest.mark.parametrize("section, key, value", [
+        ("pump.spatial_profile", "waist_mm", 1e-310),
+        ("grids", "spatial_halfwidth_mm", 1e300),
+    ], ids=["subnormal_waist", "huge_halfwidth"])
+    def test_waist_below_grid_spacing_exits_one(self, tmp_path, capsys, kind, section, key,
+                                                value):
+        cfg = load_bundled("default_mzi")
+        cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": 1.0, "shift_mm": 0.5}
+        table = cfg
+        for part in section.split("."):
+            table = table[part]
+        table[key] = value
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pump.spatial_profile.waist_mm: ")
+        assert "grids.spatial_halfwidth_mm" in err and "grids.spatial_points" in err
+        assert not out.exists()
+
+    def test_waist_of_one_grid_spacing_accepted(self, tmp_path):
+        cfg = load_bundled("default_mzi")
+        cfg["grids"] = {"spatial_points": 5, "spectral_points": 129, "spatial_halfwidth_mm": 2.0}
+        cfg["pump"]["spatial_profile"]["waist_mm"] = 1.0
+        assert load_config(write_config(tmp_path, cfg)).profile_params["waist_mm"] == 1.0
+        cfg["pump"]["spatial_profile"]["waist_mm"] = 0.999
+        with pytest.raises(cli.ConfigError, match="pump.spatial_profile.waist_mm"):
+            load_config(write_config(tmp_path, cfg))
 
     def test_sizes_at_the_ceilings_accepted(self, tmp_path):
         cfg = load_bundled("default_mzi")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,38 @@ class TestComplexKernel:
             assert got.shape == (4, 5, count)
             direct = u @ np.exp(1j * h * np.outer(n, tau))
             assert float(np.max(np.abs(got - direct))) <= 1e-12
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_rows_are_independent_bit_for_bit(self, real):
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(2, 3, 129))
+        if not real:
+            u = u + 1j * rng.normal(size=u.shape)
+        args = (1.1e11, -20e-15, 0.3e-15, 57)
+        got = chirp_z(u, *args)
+        assert got.shape == (2, 3, 57)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(got[index], chirp_z(u[index], *args))
+
+    def test_one_row_returns_one_axis(self):
+        got = chirp_z(np.ones(33), 1.1e11, 0.0, 0.25e-15, 7)
+        assert got.shape == (7,)
+        assert got[0] == pytest.approx(33.0)
+
+    def test_workspace_does_not_grow_with_rows(self):
+        # 12 rows of 8193 points, 801 delays: the oracle's delay table on a
+        # 4097-point grid, padded to 16384.  A 12 x 16384 complex temporary
+        # alone is 3 MB; the row loop peaks near 1 MB.
+        u = np.random.default_rng(0).normal(size=(12, 8193)) + 0j
+        args = (1.1e11, -20e-15, 0.05e-15, 801)
+        chirp_z(u, *args)  # FFT plans built outside the trace
+        tracemalloc.start()
+        try:
+            chirp_z(u, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestSymmetryFlag:
