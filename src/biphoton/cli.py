@@ -151,6 +151,10 @@ def load_config(path) -> RunConfig:
     wavelength_nm = _require(pump, "wavelength_nm", float, "pump")
     if wavelength_nm * units.NM <= 0.0:  # also a positive value that underflows
         raise ConfigError("pump.wavelength_nm: must be positive")
+    pump_frequency = units.omega_from_wavelength(wavelength_nm * units.NM)
+    if not math.isfinite(pump_frequency):
+        raise ConfigError("pump.wavelength_nm: the pump frequency 2 pi c / wavelength "
+                          "is not a finite number")
     profile = _require(pump, "spatial_profile", dict, "pump")
     kind = _require(profile, "kind", str, "pump.spatial_profile")
     if kind not in _PROFILE_KINDS:
@@ -184,6 +188,11 @@ def load_config(path) -> RunConfig:
     if not (math.isfinite(width) and width > 0.0):
         raise ConfigError("filter.center_nm: the angular bandwidth "
                           "2 pi c bandwidth_nm / center_nm^2 is not a finite positive number")
+    # degenerate down-conversion: each photon carries twice the pump wavelength
+    if not abs(center_nm - 2.0 * wavelength_nm) <= bandwidth_nm / 2.0:
+        raise ConfigError(
+            f"filter.center_nm: the passband {center_nm:g} +- {bandwidth_nm / 2.0:g} nm must "
+            f"hold the degenerate wavelength 2 pump.wavelength_nm = {2.0 * wavelength_nm:g} nm")
 
     itf = _require(raw, "interferometer", dict, "")
     ikind = _require(itf, "kind", str, "interferometer")
@@ -208,7 +217,7 @@ def load_config(path) -> RunConfig:
     if not span + 1e-9 < MAX_DELAYS:
         raise ConfigError(
             f"scan.tau_step_fs: the scan would exceed {MAX_DELAYS} delays")
-    pump_period_fs = 2.0 * np.pi / units.omega_from_wavelength(wavelength_nm * units.NM) / units.FS
+    pump_period_fs = 2.0 * np.pi / pump_frequency / units.FS
     try:
         check_step(tau_step_fs, pump_period_fs)
     except UnderSampled as exc:
@@ -235,6 +244,11 @@ def load_config(path) -> RunConfig:
             f"pump.spatial_profile.waist_mm: {params['waist_mm']:g} is below one spatial grid "
             f"spacing, 2 grids.spatial_halfwidth_mm / (grids.spatial_points - 1) = "
             f"{spacing_mm:g} mm")
+    if kind == "shifted_gaussian" and not abs(params["shift_mm"]) < halfwidth_mm:
+        raise ConfigError(
+            f"pump.spatial_profile.shift_mm: {params['shift_mm']:g} must put the pump centre "
+            f"inside the spatial grid, |shift_mm| < grids.spatial_halfwidth_mm = "
+            f"{halfwidth_mm:g} mm")
 
     output = _require(raw, "output", dict, "")
     out_path = _require(output, "path", str, "output")
@@ -463,10 +477,13 @@ def _parse_window(text: Optional[str]):
     if text is None:
         return None
     try:
-        lo, hi = text.split(":")
-        return (float(lo) * units.FS, float(hi) * units.FS)
+        lo, hi = (float(bound) * units.FS for bound in text.split(":"))
     except ValueError:
-        raise ConfigError(f"--window must look like 'lo:hi' in fs, got {text!r}")
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(
+            f"--window must look like 'lo:hi' in fs, with finite lo < hi, got {text!r}")
+    return (lo, hi)
 
 
 def cmd_analyze(args) -> int:

@@ -9,8 +9,11 @@ spectral sector, or both sectors exchange asymmetric.
 
 Each optical element is defined once, as a single-photon map: every input
 path goes to one or more outcomes (output path, amplitude, position flip or
-not, spectral phases or none).  Each representation applies that map to
-each photon slot and holds no element-specific logic of its own:
+not, spectral phases or none).  One driver serves the two two-photon
+representations: ``apply_element`` builds an element's map and hands it to
+the state, which defines how a photon map acts on each of its photon slots
+and holds no element-specific logic of its own; ``apply_pipeline`` folds
+that over the elements.  The representations are
 
 * a branch-sum form, a short list of product terms (path pair, spatial
   factor, spectral factor).  Factors stay diagonal / anti-diagonal for
@@ -19,21 +22,24 @@ each photon slot and holds no element-specific logic of its own:
   multiplies their count by at most four, so the two-splitter pipeline ends
   with at most 16 per initial branch;
 * a dense tensor over all (2 N M)^2 ordered two-photon amplitudes, feasible
-  only for small grids, used to cross-check the branch-sum bookkeeping;
-* a one-photon mixture over coherent spatial modes, for mixture-averaged
-  singles.
+  only for small grids, used to cross-check the branch-sum bookkeeping.
 
-The branch sum and the dense tensor read rates out through one port rule
-applied to their table of path-pair norms.
+Both give a table of path-pair norms, and everything else reads that table:
+the port rule (the rates), ``total_norm`` and ``exchange_asymmetry`` (the
+norm of the state minus its exchange swap).  The branch sum's norms come
+from one walk over the unordered pairs of a path pair's branches.  A third,
+independent route, a one-photon mixture over coherent spatial modes, gives
+mixture-averaged singles; it shares only the photon map.
 
 A delay scan runs the branch sum once, at zero delay: the branches do not
 depend on the delay, and each records how many delay phases each of its
 photons received.  Every path-pair norm is then a sum of terms
 g exp(-i m w_p tau / 2) exp(i n h tau) with small integers m and n, and one
 chirp-z call (``spectral.chirp_z``) evaluates all of them on the whole delay
-axis; the same port rule reads the rates out, elementwise.  The per-delay
-branch sum stays the route for a single delay and the reference the scan
-is tested against.
+axis; its rows come from the same branch-pair walk as the norms, and the
+same port rule reads the rates out, elementwise.  The per-delay branch sum
+stays the route for a single delay and the reference the scan is tested
+against.
 
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
 b -> (i a + b)/sqrt(2) ("symmetric"); the alternative "conjugate"
@@ -104,6 +110,7 @@ DEFAULT_DENSE_BUDGET = 1 << 30  # bytes
 _INPUT_PATHS = ("a", "b")
 _OUTPUT_PATHS = ("c", "d")
 _PATH_INDEX = {p: i for paths in (_INPUT_PATHS, _OUTPUT_PATHS) for i, p in enumerate(paths)}
+_SWAP = (3, 4, 5, 0, 1, 2)  # exchange the photon slots of a dense tensor
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +158,7 @@ class _Outcome(NamedTuple):
 
 
 _PhotonMap = Dict[str, List[_Outcome]]
+_State = Union["BranchSumState", "DenseTensorState"]
 
 
 def _photon_map(element: Element, frequency_grid: FrequencyGrid,
@@ -238,25 +246,19 @@ class Factor:
     def flip_slot(self, slot: int) -> "Factor":
         """Reverse the position index of one photon slot."""
         if self.kind == _FULL:
-            return Factor(_FULL, self.data[::-1, :] if slot == 0 else self.data[:, ::-1])
-        if self.kind == _DIAG:
-            # S'[i, i'] = S[N-1-i, i'] puts weight at i' = N-1-i.
-            vec = self.data[::-1] if slot == 0 else self.data
-            return Factor(_ANTIDIAG, vec)
-        vec = self.data[::-1] if slot == 0 else self.data
-        return Factor(_DIAG, vec)
+            return Factor(_FULL, np.flip(self.data, axis=slot))
+        # S'[i, i'] = S[N-1-i, i']: a flip turns diagonal into anti-diagonal
+        # and back, and entry k moves to N-1-k when slot 0 indexes it.
+        return Factor(_ANTIDIAG if self.kind == _DIAG else _DIAG,
+                      self.data[::-1] if slot == 0 else self.data)
 
     def scale_slot(self, slot: int, phases: np.ndarray) -> "Factor":
         """Multiply by a mode-diagonal phase on one photon slot."""
         if self.kind == _FULL:
-            return Factor(
-                _FULL,
-                self.data * (phases[:, None] if slot == 0 else phases[None, :]))
-        if self.kind == _DIAG:
-            return Factor(_DIAG, self.data * phases)
-        # antidiagonal: slot 0 sees index k, slot 1 sees index N-1-k.
-        vec = phases if slot == 0 else phases[::-1]
-        return Factor(_ANTIDIAG, self.data * vec)
+            return Factor(_FULL, self.data * np.expand_dims(phases, 1 - slot))
+        # entry k sits at slot 0 index k; slot 1 sees k, or N-1-k if antidiagonal.
+        reverse = slot == 1 and self.kind == _ANTIDIAG
+        return Factor(self.kind, self.data * (phases[::-1] if reverse else phases))
 
     def transpose(self) -> "Factor":
         if self.kind == _FULL:
@@ -277,28 +279,32 @@ class Factor:
             out[idx, n - 1 - idx] = self.data
         return out
 
-    def inner(self, other: "Factor") -> complex:
-        """Frobenius inner product sum(conj(self) * other)."""
+    def _aligned(self, other: "Factor") -> Tuple[np.ndarray, np.ndarray, int]:
+        """The entries of self and other that meet in the inner product, as
+        two arrays of one shape, and the sign of slot 1's index against slot
+        0's along a structured (1-d) pair: -1 for two anti-diagonals.
+        """
         if self.kind == other.kind:
-            return complex(np.vdot(self.data, other.data))
+            return self.data, other.data, -1 if self.kind == _ANTIDIAG else 1
         if _FULL in (self.kind, other.kind):
-            return complex(np.vdot(self.to_full(), other.to_full()))
+            return self.to_full(), other.to_full(), 1
         # diagonal against anti-diagonal: only the central index overlaps.
         c = self.size // 2
-        return complex(np.conj(self.data[c]) * other.data[c])
+        return self.data[c:c + 1], other.data[c:c + 1], 1
+
+    def inner(self, other: "Factor") -> complex:
+        """Frobenius inner product sum(conj(self) * other)."""
+        mine, theirs, _ = self._aligned(other)
+        return complex(np.vdot(mine, theirs))
 
     def inner_terms(self, other: "Factor") -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The terms that ``inner`` sums, with each term's (slot 0, slot 1)
         index counted from the middle node.
         """
-        c = self.size // 2
-        n = np.arange(self.size) - c
-        if self.kind == other.kind != _FULL:
-            return np.conj(self.data) * other.data, n, n if self.kind == _DIAG else -n
-        if _FULL in (self.kind, other.kind):
-            return np.conj(self.to_full()) * other.to_full(), n[:, None], n[None, :]
-        # diagonal against anti-diagonal: only the central index overlaps.
-        return np.conj(self.data[c:c + 1]) * other.data[c:c + 1], n[c:c + 1], n[c:c + 1]
+        mine, theirs, sign = self._aligned(other)
+        n = np.arange(len(mine)) - len(mine) // 2
+        n0, n1 = (n[:, None], n[None, :]) if mine.ndim == 2 else (n, sign * n)
+        return np.conj(mine) * theirs, n0, n1
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +342,37 @@ class BranchSumState:
     def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
         """Squared amplitude norm per (photon 1 path, photon 2 path); absent pairs are zero."""
         return {pair: _group_norm(g) for pair, g in _by_path_pair(self.branches).items()}
+
+    def _mapped(self, photon: _PhotonMap, relabeled: bool) -> "BranchSumState":
+        """Each branch goes to every pairing of its two photons' outcomes.
+
+        Only a photon split (a beam splitter) multiplies the branch count,
+        by at most four; every other element maps branches one to one.
+        Branches are never merged: a ``build_pipeline`` sequence holds two
+        splitters, so it ends with at most 16 times the initial count (1, or
+        2 after symmetrization).  Each branch counts the delay phases each
+        of its photons has received.
+        """
+        out: List[Branch] = []
+        for b in self.branches:
+            for o1 in photon[b.path1]:
+                for o2 in photon[b.path2]:
+                    spatial, spectral = b.spatial, b.spectral
+                    for slot, o in enumerate((o1, o2)):
+                        if o.flip:
+                            spatial = spatial.flip_slot(slot)
+                        if o.phases is not None:
+                            spectral = spectral.scale_slot(slot, o.phases)
+                    delays = (b.delays[0] + (o1.phases is not None),
+                              b.delays[1] + (o2.phases is not None))
+                    out.append(Branch(o1.path, o2.path, b.weight * o1.amplitude * o2.amplitude,
+                                      spatial, spectral, delays))
+        return replace(self, branches=tuple(out), relabeled=relabeled)
+
+    def _minus_swap(self) -> "BranchSumState":
+        """The state minus its exchange swap: the branches, then the swapped ones negated."""
+        return replace(self, branches=self.branches + tuple(
+            replace(b, weight=-b.weight) for b in _swapped_branches(self.branches)))
 
 
 def _by_path_pair(branches: Iterable[Branch]) -> Dict[Tuple[str, str], List[Branch]]:
@@ -396,11 +433,7 @@ def _swapped_branches(branches: Iterable[Branch]) -> Tuple[Branch, ...]:
 
 
 def _factor_is_symmetric(factor: Factor) -> bool:
-    if factor.kind == _DIAG:
-        return True
-    if factor.kind == _ANTIDIAG:
-        return bool(np.array_equal(factor.data, factor.data[::-1]))
-    return bool(np.array_equal(factor.data, factor.data.T))
+    return bool(np.array_equal(factor.data, factor.transpose().data))
 
 
 def _symmetrized(state: BranchSumState) -> BranchSumState:
@@ -415,75 +448,48 @@ def _symmetrized(state: BranchSumState) -> BranchSumState:
     return replace(state, branches=halved + _swapped_branches(halved))
 
 
-def _branch_inner(x: Branch, y: Branch) -> complex:
-    if (x.path1, x.path2) != (y.path1, y.path2):
-        return 0.0
-    return (np.conj(x.weight) * y.weight
-            * x.spatial.inner(y.spatial)
-            * x.spectral.inner(y.spectral))
+def _branch_pairs(branches: Sequence[Branch]) -> Iterable[Tuple[Branch, Branch, complex]]:
+    """Each unordered pair (x, y) of one path pair's branches, x first, with
+    coef = (1 if y is x else 2) conj(w_x) w_y <S_x, S_y>.
+
+    A pair's share of the norm is Re(coef <F_x, F_y>); the doubling counts
+    the (y, x) term, the complex conjugate of this one.
+    """
+    for i, x in enumerate(branches):
+        for y in branches[i:]:
+            yield x, y, ((1.0 if y is x else 2.0) * np.conj(x.weight) * y.weight
+                         * x.spatial.inner(y.spatial))
 
 
 def _group_norm(branches: Sequence[Branch]) -> float:
     total = 0.0
-    for i, x in enumerate(branches):
-        total += _branch_inner(x, x).real
-        for y in branches[i + 1:]:
-            total += 2.0 * _branch_inner(x, y).real
+    for x, y, coef in _branch_pairs(branches):
+        total += (coef * x.spectral.inner(y.spectral)).real
     return total
 
 
-def total_norm(state: BranchSumState) -> float:
+def total_norm(state: _State) -> float:
     """Squared amplitude norm of the ordered two-photon tensor."""
     return float(sum(state.path_pair_norms().values()))
 
 
-def exchange_asymmetry(state: BranchSumState) -> float:
+def exchange_asymmetry(state: _State) -> float:
     """Norm of (A - A_swapped); zero for a bosonic (symmetric) state."""
-    swapped = _swapped_branches(state.branches)
-    norm_a = total_norm(state)
-    norm_b = total_norm(replace(state, branches=swapped))
-    cross = 0.0
-    for x in state.branches:
-        for y in swapped:
-            cross += _branch_inner(x, y).real
-    return math.sqrt(max(0.0, norm_a + norm_b - 2.0 * cross))
+    return math.sqrt(max(0.0, total_norm(state._minus_swap())))
 
 
-def apply_element(state: BranchSumState, element: Element) -> BranchSumState:
-    """Apply one optical element; returns a new state.
-
-    Each branch goes to every pairing of its two photons' outcomes.  Only a
-    photon split (a beam splitter) multiplies the branch count, by at most
-    four; every other element maps branches one to one.  Branches are never
-    merged: a ``build_pipeline`` sequence holds two splitters, so it ends
-    with at most 16 times the initial count (1, or 2 after symmetrization).
-    Each branch counts the delay phases each of its photons has received.
-    """
+def apply_element(state: _State, element: Element) -> _State:
+    """Apply one optical element; returns a new state of the same representation."""
     photon, relabeled = _photon_map(element, state.frequency_grid, state.relabeled)
-    out: List[Branch] = []
-    for b in state.branches:
-        for o1 in photon[b.path1]:
-            for o2 in photon[b.path2]:
-                spatial, spectral = b.spatial, b.spectral
-                for slot, o in enumerate((o1, o2)):
-                    if o.flip:
-                        spatial = spatial.flip_slot(slot)
-                    if o.phases is not None:
-                        spectral = spectral.scale_slot(slot, o.phases)
-                delays = (b.delays[0] + (o1.phases is not None),
-                          b.delays[1] + (o2.phases is not None))
-                out.append(Branch(o1.path, o2.path, b.weight * o1.amplitude * o2.amplitude,
-                                  spatial, spectral, delays))
-    return replace(state, branches=tuple(out), relabeled=relabeled)
+    return state._mapped(photon, relabeled)
 
 
-def apply_pipeline(state: BranchSumState, elements: Iterable[Element]) -> BranchSumState:
+def apply_pipeline(state: _State, elements: Iterable[Element]) -> _State:
     for element in elements:
         state = apply_element(state, element)
     return state
 
 
-_State = Union[BranchSumState, "DenseTensorState"]
 _Rate = Union[float, np.ndarray]
 
 
@@ -535,18 +541,20 @@ class DenseTensorState:
     tensor: np.ndarray  # shape (2, N, M, 2, N, M)
     relabeled: bool = False
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.tensor) ** 2))
-
-    def exchange_asymmetry(self) -> float:
-        swapped = self.tensor.transpose(3, 4, 5, 0, 1, 2)
-        return float(np.sqrt(np.sum(np.abs(self.tensor - swapped) ** 2)))
-
     def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
         """Squared amplitude norm per (photon 1 path, photon 2 path)."""
         paths = _OUTPUT_PATHS if self.relabeled else _INPUT_PATHS
         return {(p, q): float(np.sum(np.abs(self.tensor[i, :, :, j]) ** 2))
                 for i, p in enumerate(paths) for j, q in enumerate(paths)}
+
+    def _mapped(self, photon: _PhotonMap, relabeled: bool) -> "DenseTensorState":
+        """Apply the map to the first photon slot, then (by swapping) the second."""
+        once = _dense_first_photon(photon, self.tensor).transpose(_SWAP)
+        tensor = _dense_first_photon(photon, once).transpose(_SWAP)
+        return replace(self, tensor=tensor, relabeled=relabeled)
+
+    def _minus_swap(self) -> "DenseTensorState":
+        return replace(self, tensor=self.tensor - self.tensor.transpose(_SWAP))
 
 
 def to_dense(state: BranchSumState) -> DenseTensorState:
@@ -569,15 +577,6 @@ def to_dense(state: BranchSumState) -> DenseTensorState:
                             relabeled=state.relabeled)
 
 
-def dense_apply_element(state: DenseTensorState, element: Element) -> DenseTensorState:
-    """Apply one element to the first photon slot, then (by swapping) the second."""
-    photon, relabeled = _photon_map(element, state.frequency_grid, state.relabeled)
-    swap = (3, 4, 5, 0, 1, 2)
-    once = _dense_first_photon(photon, state.tensor).transpose(swap)
-    tensor = _dense_first_photon(photon, once).transpose(swap)
-    return replace(state, tensor=tensor, relabeled=relabeled)
-
-
 def _dense_first_photon(photon: _PhotonMap, tensor: np.ndarray) -> np.ndarray:
     out = np.zeros_like(tensor)
     for col, path in enumerate(_INPUT_PATHS):
@@ -587,16 +586,6 @@ def _dense_first_photon(photon: _PhotonMap, tensor: np.ndarray) -> np.ndarray:
                 amplitude = amplitude * o.phases[None, :, None, None, None]
             out[_PATH_INDEX[o.path]] += o.amplitude * amplitude
     return out
-
-
-def dense_apply_pipeline(state: DenseTensorState, elements: Iterable[Element]) -> DenseTensorState:
-    for element in elements:
-        state = dense_apply_element(state, element)
-    return state
-
-
-dense_coincidence_rate = coincidence_rate
-dense_singles_rate = singles_rate
 
 
 # ---------------------------------------------------------------------------
@@ -700,20 +689,18 @@ def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.
     where a spectral term with slot indices (n0, n1) lands at
     n = -(d0 n0 + d1 n1).  Row (path pair, m) holds g summed over the pair's
     branches, indexed from n = -2c to 2c (c = M // 2); only the pairs and
-    m that occur get a row.  Each unordered branch pair enters once, at
-    double weight, so only the real part of the delay sum is the norm.
+    m that occur get a row.  The pairs come from ``_branch_pairs``, the walk
+    ``_group_norm`` reads too: each unordered pair enters once, at double
+    weight, so only the real part of the delay sum is the norm.
     """
     c = state.frequency_grid.point_count // 2
     table: dict = {}
     for pair, group in _by_path_pair(state.branches).items():
-        for i, x in enumerate(group):
-            for y in group[i:]:
-                d0, d1 = y.delays[0] - x.delays[0], y.delays[1] - x.delays[1]
-                terms, n0, n1 = x.spectral.inner_terms(y.spectral)
-                coef = ((1.0 if y is x else 2.0) * np.conj(x.weight) * y.weight
-                        * x.spatial.inner(y.spatial))
-                row = table.setdefault((pair, d0 + d1), np.zeros(4 * c + 1, dtype=complex))
-                np.add.at(row, 2 * c - d0 * n0 - d1 * n1, coef * terms)
+        for x, y, coef in _branch_pairs(group):
+            d0, d1 = y.delays[0] - x.delays[0], y.delays[1] - x.delays[1]
+            terms, n0, n1 = x.spectral.inner_terms(y.spectral)
+            row = table.setdefault((pair, d0 + d1), np.zeros(4 * c + 1, dtype=complex))
+            np.add.at(row, 2 * c - d0 * n0 - d1 * n1, coef * terms)
     return table
 
 

@@ -171,10 +171,6 @@ class SpatialDensityOperator:
         return cls(phi.grid, np.diag(phi.position_weights().astype(complex)))
 
     @classmethod
-    def general(cls, grid: SpatialGrid, matrix: np.ndarray) -> "SpatialDensityOperator":
-        return cls(grid, matrix)
-
-    @classmethod
     def from_csv(cls, path, grid: SpatialGrid) -> "SpatialDensityOperator":
         """Read a row-major matrix of interleaved (re, im) pairs."""
         raw = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)

@@ -218,10 +218,7 @@ def default_frequency_grid(sd: SpectralDensity, point_count: int = 1025) -> Freq
     land exactly on grid nodes.
     """
     s = sd.shape
-    if isinstance(s, Gaussian):
-        half = 6.0 * s.rms_width
-    else:
-        half = 4.0 * s.support_half_width
+    half = s.support_half_width if isinstance(s, Gaussian) else 4.0 * s.support_half_width
     return FrequencyGrid(half_width=half, point_count=point_count)
 
 

@@ -160,6 +160,24 @@ class TestSimulateAndAnalyze:
         rep = run_analyze(capsys, out, "--window=-10:10")
         assert rep["window"] == [-10.0, 10.0]
 
+    @pytest.mark.parametrize("window", ["10:5", "nan:5", "5:5", "-inf:5", "1:2:3", "x:5"])
+    def test_malformed_window_exits_one(self, tmp_path, capsys, window):
+        path = write_config(tmp_path, small_scan_config("default_mzi"))
+        out = tmp_path / "mzi.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out), f"--window={window}"]) == 1
+        assert capsys.readouterr().err.startswith("config error: --window ")
+
+    def test_window_outside_scan_exits_two(self, tmp_path, capsys):
+        # README's example: a well-formed window that holds no samples
+        out = tmp_path / "mzi.csv"
+        assert main(["simulate", "--config", str(bundled_config_path("default_mzi")),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out), "--window=500:600"]) == 2
+        assert capsys.readouterr().err == "engine error: window contains no samples\n"
+
     def test_json_output_format(self, tmp_path, capsys):
         cfg = small_scan_config("default_mzi")
         cfg["output"]["format"] = "json"
@@ -351,6 +369,25 @@ class TestAnalyzeSchemaErrors:
         err = capsys.readouterr().err
         assert "line 5:" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("edit", ["leading_blank_lines", "whitespace_line"])
+    def test_line_reader_returns_the_fast_parse_columns(self, tmp_path, edit):
+        header = "tau_fs,singles_port1,singles_port2,coincidence,engine"
+        rows = [f"{t / 10:.1f},1.25,0.75,{1 + t / 100:.2f},closed" for t in range(-20, 21)]
+        good = tmp_path / "good.csv"
+        good.write_text("\n".join([header] + rows) + "\n")
+        lines = ["", "", header] + rows if edit == "leading_blank_lines" else (
+            [header] + rows[:5] + ["   "] + rows[5:])
+        odd = tmp_path / "odd.csv"
+        odd.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(cli, "_read_csv_lines", wraps=cli._read_csv_lines) as reader:
+            fast = cli._read_csv(good)
+            assert reader.call_count == 0
+            slow = cli._read_csv(odd)
+            assert reader.call_count == 1
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
 
 
 def run_main_quietly(argv):
@@ -588,6 +625,8 @@ class TestCompare:
 class TestConfigValidation:
     @pytest.mark.parametrize("mutate, needle", [
         (lambda c: c["pump"].pop("wavelength_nm"), "pump.wavelength_nm"),
+        # the pump frequency 2 pi c / 1e-309 m overflows to inf
+        (lambda c: c["pump"].update(wavelength_nm=1e-300), "config error: pump.wavelength_nm: "),
         (lambda c: c["scan"].update(tau_step_fs=0.5), "scan.tau_step_fs"),
         (lambda c: c["grids"].update(spatial_points=256), "grids.spatial_points"),
         (lambda c: c["filter"].update(bandwidth_nm=900.0), "filter.bandwidth_nm"),
@@ -718,6 +757,49 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="pump.spatial_profile.waist_mm"):
             load_config(write_config(tmp_path, cfg))
 
+    @pytest.mark.parametrize("shift_mm", [1e10, 1e300, 10.0, -10.0, 3.0])
+    def test_shift_off_the_grid_exits_one(self, tmp_path, capsys, shift_mm):
+        # off the grid the sampled pump is zero (1e10) or cut off at the edge (10)
+        cfg = load_bundled("default_mzi")
+        cfg["pump"]["spatial_profile"] = {
+            "kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": shift_mm}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pump.spatial_profile.shift_mm: ")
+        assert "grids.spatial_halfwidth_mm" in err
+        assert not out.exists()
+
+    def test_shift_inside_the_grid_accepted(self, tmp_path):
+        cfg = load_bundled("default_mzi")
+        cfg["pump"]["spatial_profile"] = {
+            "kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": -2.99}
+        assert load_config(write_config(tmp_path, cfg)).profile_params["shift_mm"] == -2.99
+
+    @pytest.mark.parametrize("wavelength_nm, center_nm", [
+        (1e300, 810.0), (1e308, 810.0), (405.0, 815.01), (405.0, 804.99),
+    ], ids=["huge_pump", "doubled_pump_overflows", "centre_above_band", "centre_below_band"])
+    def test_filter_off_the_degenerate_wavelength_exits_one(self, tmp_path, capsys,
+                                                            wavelength_nm, center_nm):
+        cfg = load_bundled("default_mzi")
+        cfg["pump"]["wavelength_nm"] = wavelength_nm
+        cfg["filter"]["center_nm"] = center_nm
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: filter.center_nm: ")
+        assert "pump.wavelength_nm" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("center_nm", [805.0, 815.0])
+    def test_filter_edge_on_the_degenerate_wavelength_accepted(self, tmp_path, center_nm):
+        # the bundled 10 nm passband, its edge moved onto 2 x 405 nm
+        cfg = load_bundled("default_mzi")
+        cfg["filter"]["center_nm"] = center_nm
+        assert load_config(write_config(tmp_path, cfg)).filter_center == center_nm * 1e-9
+
     def test_sizes_at_the_ceilings_accepted(self, tmp_path):
         cfg = load_bundled("default_mzi")
         cfg["scan"]["tau_step_fs"] = 400.0 / (cli.MAX_DELAYS - 1)
@@ -794,6 +876,22 @@ class TestEnergyCheck:
         rates[trace] = [1.0, bad]
         with pytest.raises(BiphotonError, match="non-finite"):
             _check_energy(bp.Interferogram(tau=[0.0, 1e-15], **rates))
+
+
+    def test_sum_rule_violation_exits_two(self, tmp_path, capsys, monkeypatch):
+        def lossy(cfg, *_args):
+            tau = np.array([cfg.tau_start, cfg.tau_stop])
+            return bp.Interferogram(tau=tau, singles_port1=[1.0, 1.0],
+                                    singles_port2=[1.0, 0.9], coincidences=[1.0, 1.0])
+
+        monkeypatch.setattr(cli, "_run_engine", lossy)
+        path = write_config(tmp_path, small_scan_config("default_mzi"))
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("engine error: port intensities violate the lossless-model "
+                              "sum rule by 1.000e-01")
+        assert not out.exists()
 
 
 class TestConsoleScript:

@@ -19,9 +19,6 @@ from biphoton.modesim import (
     _one_photon_singles,
     _photon_map,
     _rates,
-    dense_apply_pipeline,
-    dense_coincidence_rate,
-    dense_singles_rate,
     exchange_asymmetry,
 )
 
@@ -59,7 +56,7 @@ def interpreters(small_state, small_grids):
     spectrum = np.full(fgrid.point_count, 1.0 / math.sqrt(fgrid.point_count))
     return (
         lambda elements: bp.apply_pipeline(built, elements),
-        lambda elements: dense_apply_pipeline(bp.to_dense(built), elements),
+        lambda elements: bp.apply_pipeline(bp.to_dense(built), elements),
         lambda elements: _one_photon_singles(modes, spectrum, fgrid, elements, "c"),
     )
 
@@ -245,15 +242,13 @@ class TestElementSemantics:
     def test_exchange_symmetry_preserved_dense(self, small_state, small_grids, cfg_mzim):
         # The dense representation supports a direct, cancellation-free
         # asymmetry check at the 1e-12 scale, element by element.
-        from biphoton.modesim import dense_apply_element
-
         sgrid, fgrid = small_grids
         state = bp.to_dense(bp.build_initial_state(small_state, sgrid, fgrid))
-        assert state.exchange_asymmetry() < 1e-12
+        assert exchange_asymmetry(state) < 1e-12
         for element in bp.build_pipeline(cfg_mzim, 33e-15):
-            state = dense_apply_element(state, element)
-            assert state.exchange_asymmetry() < 1e-12
-            assert state.norm() == pytest.approx(1.0, abs=1e-12)
+            state = bp.apply_element(state, element)
+            assert exchange_asymmetry(state) < 1e-12
+            assert bp.total_norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_exchange_symmetry_branch_diagnostic(self, initial, cfg_mzim):
         # The branch-sum asymmetry is a difference of cancelling unit-scale
@@ -495,12 +490,12 @@ class TestDenseRepresentation:
             for tau in (0.0, 35e-15, 180e-15):
                 elements = bp.build_pipeline(cfg, tau)
                 branch_final = bp.apply_pipeline(built, elements)
-                dense_final = dense_apply_pipeline(bp.to_dense(built), elements)
-                assert dense_final.norm() == pytest.approx(1.0, abs=1e-12)
-                assert dense_coincidence_rate(dense_final) == pytest.approx(
+                dense_final = bp.apply_pipeline(bp.to_dense(built), elements)
+                assert bp.total_norm(dense_final) == pytest.approx(1.0, abs=1e-12)
+                assert bp.coincidence_rate(dense_final) == pytest.approx(
                     bp.coincidence_rate(branch_final), abs=1e-12)
                 for port in ("c", "d"):
-                    assert dense_singles_rate(dense_final, port) == pytest.approx(
+                    assert bp.singles_rate(dense_final, port) == pytest.approx(
                         bp.singles_rate(branch_final, port), abs=1e-12)
 
     def test_post_pipeline_expansion_matches(self, small_state, small_grids, cfg_mzim):
@@ -509,7 +504,7 @@ class TestDenseRepresentation:
         elements = bp.build_pipeline(cfg_mzim, 42e-15)
         branch_final = bp.apply_pipeline(built, elements)
         expanded = bp.to_dense(branch_final)
-        direct = dense_apply_pipeline(bp.to_dense(built), elements)
+        direct = bp.apply_pipeline(bp.to_dense(built), elements)
         assert float(np.max(np.abs(expanded.tensor - direct.tensor))) < 1e-12
 
     def test_budget_guard(self, fgrid):
@@ -570,14 +565,14 @@ class TestOracleProperties:
             for convention in (SYMMETRIC, CONJUGATE):
                 elements = bp.build_pipeline(cfg, tau, convention)
                 final = bp.apply_pipeline(built, elements)
-                dense = dense_apply_pipeline(bp.to_dense(built), elements)
+                dense = bp.apply_pipeline(bp.to_dense(built), elements)
                 s1, s2 = bp.singles_rate(final, "c"), bp.singles_rate(final, "d")
                 cc = bp.coincidence_rate(final)
                 assert bp.total_norm(final) == pytest.approx(1.0, abs=1e-12)
                 assert s1 + s2 == pytest.approx(2.0, abs=1e-12)
-                assert dense_singles_rate(dense, "c") == pytest.approx(s1, abs=1e-12)
-                assert dense_singles_rate(dense, "d") == pytest.approx(s2, abs=1e-12)
-                assert dense_coincidence_rate(dense) == pytest.approx(cc, abs=1e-12)
+                assert bp.singles_rate(dense, "c") == pytest.approx(s1, abs=1e-12)
+                assert bp.singles_rate(dense, "d") == pytest.approx(s2, abs=1e-12)
+                assert bp.coincidence_rate(dense) == pytest.approx(cc, abs=1e-12)
                 rates[convention] = (s1, s2, cc)
             assert np.allclose(rates[SYMMETRIC], rates[CONJUGATE], rtol=0.0, atol=1e-12)
 
@@ -631,6 +626,17 @@ class TestBatchedOracleScan:
                         for t in gram.tau]).T
                     got = np.stack([gram.singles_port1, gram.singles_port2, gram.coincidences])
                     assert float(np.max(np.abs(got - expected))) <= 1e-12
+
+    def test_general_spectral_scans_on_its_own_grid(self, small_state, small_grids, cfg_mzim):
+        # without a frequency grid the scan takes the general sector's grid
+        sgrid, fgrid = small_grids
+        spatial, spectral = _batch_states(small_state, small_grids)["general_spectral"]
+        state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
+        own = bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP, spatial_grid=sgrid)
+        given = bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP,
+                               spatial_grid=sgrid, frequency_grid=fgrid)
+        for column in ("singles_port1", "singles_port2", "coincidences"):
+            assert np.array_equal(getattr(own, column), getattr(given, column))
 
     def test_final_branches_record_delays(self, initial, cfg_mzi, cfg_mzim):
         for cfg in (cfg_mzi, cfg_mzim):
