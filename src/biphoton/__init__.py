@@ -20,6 +20,7 @@ from .errors import (
     InvalidRates,
     NoDip,
     NoFringe,
+    NonFiniteSpectrum,
     NotPositive,
     UnderResolved,
     UnderSampled,
@@ -75,6 +76,7 @@ from .interferometer import (
     intensity_mzi,
     intensity_mzim,
     scan,
+    scan_configs,
 )
 from .modesim import (
     BeamSplitter,

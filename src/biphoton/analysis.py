@@ -20,6 +20,7 @@ from .errors import (
     GridMismatch,
     NoDip,
     NoFringe,
+    NonFiniteSpectrum,
     UnderResolved,
 )
 
@@ -35,6 +36,9 @@ MIN_SAMPLES_PER_PERIOD = 16
 FRINGE_FLOOR = 1e-6          # relative non-DC peak below which there is no fringe
 FLATNESS_FRINGE_FLOOR = 1e-2  # report-level floor consistent with the 0.02 flatness bound
 NOTCH_FRACTION = 0.25        # notch cutoff as a fraction of the fringe frequency
+# n |sample| must stay below this: spectra are bounded by sum |sample| (twice
+# that for a mean-free row), and the peak interpolation takes second differences
+SPECTRUM_CEILING = np.finfo(float).max / 8.0
 
 
 def _as_samples(samples) -> np.ndarray:
@@ -70,29 +74,41 @@ def visibility(samples) -> float:
     return min(max((hi - lo) / (hi + lo), 0.0), 1.0)
 
 
-def fringe_period(
-    samples,
-    tau,
-    min_relative_peak: float = FRINGE_FLOOR,
-    min_samples_per_period: int = MIN_SAMPLES_PER_PERIOD,
-) -> float:
-    """Period of the dominant oscillation in a uniformly sampled trace.
+def _trace(samples, tau, what: str) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(samples, delays, step) of one uniformly sampled trace.
 
-    The mean is removed, a Hann window applied, and the largest non-DC
-    line of the magnitude spectrum refined by quadratic interpolation
-    around the peak bin.  Raises NoFringe when that line is below
-    ``min_relative_peak`` of the DC level and UnderResolved when the
-    detected period spans fewer than ``min_samples_per_period`` samples.
+    Raises NonFiniteSpectrum unless every |sample| stays below
+    SPECTRUM_CEILING / n: the trace's spectra, and their sums and second
+    differences, are then finite.
     """
     arr = _as_samples(samples)
     tau_arr = np.asarray(tau, dtype=float)
     if tau_arr.shape != arr.shape:
         raise GridMismatch("samples and delay grid differ in length")
     step = _uniform_step(tau_arr)
-    n = arr.size
-    window = np.hanning(n)
-    dc = float(np.abs(np.sum(arr * window)))
-    spectrum = np.abs(np.fft.rfft((arr - arr.mean()) * window))
+    peak, bound = float(np.max(np.abs(arr))), SPECTRUM_CEILING / arr.size
+    if not peak < bound:
+        raise NonFiniteSpectrum(
+            f"the {what} rates must be finite and below {bound:.3g} for a spectrum "
+            f"over {arr.size} samples not to overflow; got {peak:.3g}")
+    return arr, tau_arr, step
+
+
+def _fringe_row(arr: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """The mean-free, Hann-windowed trace whose spectrum holds the fringe line."""
+    return (arr - arr.mean()) * window
+
+
+def _dc(arr: np.ndarray, window: np.ndarray) -> float:
+    return float(np.abs(np.sum(arr * window)))
+
+
+def _period(spectrum: np.ndarray, dc: float, n: int, step: float,
+            min_relative_peak: float, min_samples_per_period: int) -> float:
+    """Fringe period from the magnitude spectrum of a ``_fringe_row``.
+
+    ``dc`` is ``_dc`` of the samples.  Raises as :func:`fringe_period`.
+    """
     if spectrum.size < 3:
         raise UnderResolved("trace too short for spectral analysis")
     k = int(np.argmax(spectrum[1:]) + 1)
@@ -116,12 +132,62 @@ def fringe_period(
     return period
 
 
-def _notch_slow_component(samples: np.ndarray, step: float, cutoff_angular: float) -> np.ndarray:
-    """Trace with all Fourier components above the cutoff removed."""
-    spectrum = np.fft.rfft(samples)
-    omega = 2.0 * math.pi * np.fft.rfftfreq(samples.size, d=step)
-    spectrum[omega > cutoff_angular] = 0.0
-    return np.fft.irfft(spectrum, n=samples.size)
+def fringe_period(
+    samples,
+    tau,
+    min_relative_peak: float = FRINGE_FLOOR,
+    min_samples_per_period: int = MIN_SAMPLES_PER_PERIOD,
+) -> float:
+    """Period of the dominant oscillation in a uniformly sampled trace.
+
+    The mean is removed, a Hann window applied, and the largest non-DC
+    line of the magnitude spectrum refined by quadratic interpolation
+    around the peak bin.  Raises NoFringe when that line is below
+    ``min_relative_peak`` of the DC level, UnderResolved when the
+    detected period spans fewer than ``min_samples_per_period`` samples,
+    and NonFiniteSpectrum when the samples are too large to transform.
+    """
+    arr, _, step = _trace(samples, tau, "samples")
+    window = np.hanning(arr.size)
+    spectrum = np.abs(np.fft.rfft(_fringe_row(arr, window)))
+    return _period(spectrum, _dc(arr, window), arr.size, step,
+                   min_relative_peak, min_samples_per_period)
+
+
+def _dip_width(spectrum: np.ndarray, tau: np.ndarray, step: float,
+               fringe_frequency: float) -> float:
+    """Full width at half depth of the slow dip, from the trace's rfft.
+
+    ``spectrum`` is zeroed in place above the notch.  Raises as
+    :func:`hom_dip_fwhm`.
+    """
+    n = tau.size
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=step)
+    spectrum[omega > NOTCH_FRACTION * fringe_frequency] = 0.0
+    slow = np.fft.irfft(spectrum, n=n)
+
+    i_min = int(np.argmin(slow))
+    distance = np.abs(tau - tau[i_min])
+    outer = distance >= 0.8 * float(distance.max())
+    baseline = float(np.median(slow[outer]))
+    depth = baseline - float(slow[i_min])
+    if depth < 1e-3:
+        raise NoDip(f"dip depth {depth:.3e} below 1e-3")
+    level = baseline - 0.5 * depth
+
+    # the first sample at or above half depth on each side of the minimum,
+    # which must lie inside the scan
+    recovered = slow >= level
+    right = np.flatnonzero(recovered[i_min + 1:])
+    left = np.flatnonzero(recovered[:i_min])
+    if not (0 < i_min < n - 1 and right.size and left.size):
+        raise NoDip("dip does not recover to half depth inside the scan")
+    j = np.array([i_min + 1 + right[0], left[-1]])
+    i = j + np.array([-1, 1])  # the neighbour toward the minimum
+    # linear interpolation between sample i and sample j
+    frac = (level - slow[i]) / (slow[j] - slow[i])
+    edges = tau[i] + frac * (tau[j] - tau[i])
+    return float(edges[0]) - float(edges[1])
 
 
 def hom_dip_fwhm(samples, tau, fringe_frequency: float) -> float:
@@ -131,36 +197,11 @@ def hom_dip_fwhm(samples, tau, fringe_frequency: float) -> float:
     all Fourier components above one quarter of it; the dip is then
     measured on the remaining slow trace against a baseline taken as the
     median of the outermost fifth of the samples.  Raises NoDip when the
-    dip depth is below 1e-3.
+    dip depth is below 1e-3, and NonFiniteSpectrum when the samples are
+    too large to transform.
     """
-    arr = _as_samples(samples)
-    tau_arr = np.asarray(tau, dtype=float)
-    if tau_arr.shape != arr.shape:
-        raise GridMismatch("samples and delay grid differ in length")
-    step = _uniform_step(tau_arr)
-    slow = _notch_slow_component(arr, step, NOTCH_FRACTION * fringe_frequency)
-
-    i_min = int(np.argmin(slow))
-    distance = np.abs(tau_arr - tau_arr[i_min])
-    outer = distance >= 0.8 * float(distance.max())
-    baseline = float(np.median(slow[outer]))
-    depth = baseline - float(slow[i_min])
-    if depth < 1e-3:
-        raise NoDip(f"dip depth {depth:.3e} below 1e-3")
-    level = baseline - 0.5 * depth
-
-    def crossing(direction: int) -> float:
-        i = i_min
-        while 0 < i < arr.size - 1:
-            j = i + direction
-            if slow[j] >= level:
-                # linear interpolation between sample j-direction and j
-                frac = (level - slow[i]) / (slow[j] - slow[i])
-                return float(tau_arr[i] + frac * (tau_arr[j] - tau_arr[i]))
-            i = j
-        raise NoDip("dip does not recover to half depth inside the scan")
-
-    return crossing(+1) - crossing(-1)
+    arr, tau_arr, step = _trace(samples, tau, "samples")
+    return _dip_width(np.fft.rfft(arr), tau_arr, step, fringe_frequency)
 
 
 @dataclass(frozen=True)
@@ -187,16 +228,14 @@ class VisibilityReport:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
         for name in ("fringe_period_singles", "fringe_period_coincidence", "hom_fwhm"):
             v = getattr(self, name)
-            if v is not None and v <= 0.0:
-                raise ValueError(f"{name} must be positive when present")
+            if v is not None and not 0.0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite when present, got {v!r}")
 
 
-def _optional_period(samples, tau, min_relative_peak, min_samples_per_period) -> Optional[float]:
+def _optional(estimate, *args) -> Optional[float]:
     try:
-        return fringe_period(samples, tau,
-                             min_relative_peak=min_relative_peak,
-                             min_samples_per_period=min_samples_per_period)
-    except NoFringe:
+        return estimate(*args)
+    except (NoFringe, NoDip):
         return None
 
 
@@ -220,11 +259,19 @@ def report(
     tau_c = np.asarray(tau_coincidence, dtype=float)
     if tau_s.shape != tau_c.shape or np.any(np.abs(tau_s - tau_c) > 1e-20 + 1e-9 * np.abs(tau_s)):
         raise GridMismatch("singles and coincidence scans use different delay grids")
-    singles_arr = _as_samples(singles)
-    coinc_arr = _as_samples(coincidences)
+    singles_arr, tau_s, step_s = _trace(singles, tau_s, "singles")
+    coinc_arr, tau_c, step_c = _trace(coincidences, tau_c, "coincidence")
+    n = singles_arr.size
 
-    period_singles = _optional_period(singles_arr, tau_s, FLATNESS_FRINGE_FLOOR, 4)
-    period_coinc = _optional_period(coinc_arr, tau_c, FLATNESS_FRINGE_FLOOR, 4)
+    # one rfft: the two fringe rows, and the raw coincidences for the notch
+    hann = np.hanning(n)
+    spectra = np.fft.rfft(np.stack([_fringe_row(singles_arr, hann),
+                                    _fringe_row(coinc_arr, hann), coinc_arr]))
+    magnitude = np.abs(spectra[:2])
+    dc_s, dc_c = _dc(singles_arr, hann), _dc(coinc_arr, hann)
+
+    period_singles = _optional(_period, magnitude[0], dc_s, n, step_s, FLATNESS_FRINGE_FLOOR, 4)
+    period_coinc = _optional(_period, magnitude[1], dc_c, n, step_c, FLATNESS_FRINGE_FLOOR, 4)
 
     if window is None:
         if period_singles is not None:
@@ -243,10 +290,7 @@ def report(
 
     hom = None
     if period_coinc is not None:
-        try:
-            hom = hom_dip_fwhm(coinc_arr, tau_c, 2.0 * math.pi / period_coinc)
-        except NoDip:
-            hom = None
+        hom = _optional(_dip_width, spectra[2], tau_c, step_c, 2.0 * math.pi / period_coinc)
 
     return VisibilityReport(
         v1=v1,

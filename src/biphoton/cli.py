@@ -38,7 +38,13 @@ import numpy as np
 
 from . import analysis, modesim, units
 from .errors import BiphotonError, UnderSampled
-from .interferometer import Interferogram, InterferometerConfig, check_step, scan
+from .interferometer import (
+    Interferogram,
+    InterferometerConfig,
+    check_step,
+    scan,
+    scan_configs,
+)
 from .spatial import (
     SpatialAmplitude,
     SpatialGrid,
@@ -63,6 +69,11 @@ ENERGY_TOL = 1e-9
 # the largest bundled or benchmark grid.
 MAX_DELAYS = 200_001
 MAX_GRID_POINTS = 65_537
+
+# Share of |pump|^2 the spatial grid must hold.  The state layer
+# renormalises whatever the grid keeps, so a pump cut off at the grid
+# edge would silently become another pump.
+MIN_PUMP_ON_GRID = 0.999
 
 _WAIST_KINDS = ("gaussian", "hg1", "shifted_gaussian")
 _PROFILE_KINDS = _WAIST_KINDS + ("tabulated_file",)
@@ -169,7 +180,8 @@ def load_config(path) -> RunConfig:
     if kind == "shifted_gaussian":
         params["shift_mm"] = _require(params, "shift_mm", float, "pump.spatial_profile")
     if kind == "tabulated_file":
-        _require(params, "path", str, "pump.spatial_profile")
+        params["table"] = _read_pump_table(
+            _require(params, "path", str, "pump.spatial_profile"))
 
     filt = _require(raw, "filter", dict, "")
     center_nm = _require(filt, "center_nm", float, "filter")
@@ -244,11 +256,7 @@ def load_config(path) -> RunConfig:
             f"pump.spatial_profile.waist_mm: {params['waist_mm']:g} is below one spatial grid "
             f"spacing, 2 grids.spatial_halfwidth_mm / (grids.spatial_points - 1) = "
             f"{spacing_mm:g} mm")
-    if kind == "shifted_gaussian" and not abs(params["shift_mm"]) < halfwidth_mm:
-        raise ConfigError(
-            f"pump.spatial_profile.shift_mm: {params['shift_mm']:g} must put the pump centre "
-            f"inside the spatial grid, |shift_mm| < grids.spatial_halfwidth_mm = "
-            f"{halfwidth_mm:g} mm")
+    _check_pump_on_grid(kind, params, halfwidth_mm)
 
     output = _require(raw, "output", dict, "")
     out_path = _require(output, "path", str, "output")
@@ -278,6 +286,67 @@ def load_config(path) -> RunConfig:
     )
 
 
+def _read_pump_table(path: str) -> np.ndarray:
+    """The rows x_mm, re[, im] of a tabulated pump, checked."""
+    try:
+        table = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"pump.spatial_profile.path: cannot read the table: {exc}") from None
+    if table.shape[1] not in (2, 3):
+        raise ConfigError(
+            "pump.spatial_profile.path: need columns x_mm,re[,im] in the table")
+    if not np.all(np.isfinite(table)):
+        raise ConfigError("pump.spatial_profile.path: the table holds a non-finite number")
+    if not np.all(np.diff(table[:, 0]) > 0.0):  # np.interp needs increasing x
+        raise ConfigError("pump.spatial_profile.path: x_mm must increase from row to row")
+    return table
+
+
+def _gaussian_on_grid(waist: float, shift: float, half: float) -> float:
+    """Share of |exp(-(x - shift)^2 / waist^2)|^2 on [-half, half]."""
+    r = math.sqrt(2.0) / waist
+    return 0.5 * (math.erf(r * (half - shift)) + math.erf(r * (half + shift)))
+
+
+def _hg1_on_grid(waist: float, half: float) -> float:
+    """Share of |x exp(-x^2 / waist^2)|^2 on [-half, half]."""
+    a = 2.0 * half / waist
+    return math.erf(a / math.sqrt(2.0)) - math.sqrt(2.0 / math.pi) * a * math.exp(-0.5 * a * a)
+
+
+def _table_on_grid(table: np.ndarray, half: float) -> float:
+    """Share of the table's own trapezoid norm held by its rows with |x_mm| <= half."""
+    x = table[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked through the total
+        values = table[:, 1:] / np.max(np.abs(table[:, 1:]))
+        gaps = np.diff(x)
+        cells = np.concatenate([gaps, [0.0]]) + np.concatenate([[0.0], gaps])
+        power = 0.5 * cells * np.sum(values**2, axis=1)
+        total = float(np.sum(power))
+    if not 0.0 < total < math.inf:
+        raise ConfigError("pump.spatial_profile.path: the table's norm sum |re + i im|^2 dx "
+                          "is not a finite positive number")
+    return float(np.sum(power[np.abs(x) <= half])) / total
+
+
+def _check_pump_on_grid(kind: str, params: dict, half: float) -> None:
+    """Raise ConfigError, naming the field, if the grid keeps too little of |pump|^2."""
+    if kind == "tabulated_file":
+        field, kept = "path", _table_on_grid(params["table"], half)
+    elif kind == "hg1":
+        field, kept = "waist_mm", _hg1_on_grid(params["waist_mm"], half)
+    else:
+        field, kept = "waist_mm", _gaussian_on_grid(params["waist_mm"], 0.0, half)
+        if kind == "shifted_gaussian" and kept >= MIN_PUMP_ON_GRID:  # the shift cuts it off
+            field, kept = "shift_mm", _gaussian_on_grid(params["waist_mm"],
+                                                        params["shift_mm"], half)
+    if not kept >= MIN_PUMP_ON_GRID:
+        raise ConfigError(
+            f"pump.spatial_profile.{field}: the spatial grid, |x| <= "
+            f"grids.spatial_halfwidth_mm = {half:g} mm, keeps {kept:.3%} of |pump|^2; "
+            f"at least {MIN_PUMP_ON_GRID:.1%} must lie on it")
+
+
 def _pump_amplitude(cfg: RunConfig, grid: SpatialGrid) -> SpatialAmplitude:
     kind = cfg.profile_kind
     params = cfg.profile_params
@@ -290,17 +359,7 @@ def _pump_amplitude(cfg: RunConfig, grid: SpatialGrid) -> SpatialAmplitude:
             grid,
             waist=params["waist_mm"] * units.MM,
             center=params["shift_mm"] * units.MM)
-    try:
-        table = np.loadtxt(params["path"], delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"pump.spatial_profile.path: cannot read the table: {exc}") from None
-    if table.shape[1] not in (2, 3):
-        raise ConfigError(
-            "pump.spatial_profile.path: need columns x_mm,re[,im] in the table")
-    if not np.all(np.isfinite(table)):
-        raise ConfigError("pump.spatial_profile.path: the table holds a non-finite number")
-    if not np.all(np.diff(table[:, 0]) > 0.0):  # np.interp needs increasing x
-        raise ConfigError("pump.spatial_profile.path: x_mm must increase from row to row")
+    table = params["table"]
     x = grid.positions() / units.MM
     real = np.interp(x, table[:, 0], table[:, 1], left=0.0, right=0.0)
     imag = (np.interp(x, table[:, 0], table[:, 2], left=0.0, right=0.0)
@@ -329,12 +388,14 @@ def build_problem(cfg: RunConfig):
         spectral=AntiCorrelated(density),
         pump_frequency=cfg.pump_frequency,
     )
-    if cfg.interferometer_kind == "mzi":
-        icfg = InterferometerConfig.mzi(cfg.pump_frequency, delay_arm=cfg.delay_arm)
-    else:
-        icfg = InterferometerConfig.mzim(
-            cfg.pump_frequency, delay_arm=cfg.delay_arm, flip_arm=cfg.flip_arm)
-    return state, icfg, sgrid, fgrid
+    return state, _instrument(cfg, cfg.interferometer_kind), sgrid, fgrid
+
+
+def _instrument(cfg: RunConfig, kind: str) -> InterferometerConfig:
+    if kind == "mzi":
+        return InterferometerConfig.mzi(cfg.pump_frequency, delay_arm=cfg.delay_arm)
+    return InterferometerConfig.mzim(
+        cfg.pump_frequency, delay_arm=cfg.delay_arm, flip_arm=cfg.flip_arm)
 
 
 def _run_engine(cfg: RunConfig, state, icfg, sgrid, fgrid, engine: str) -> Interferogram:
@@ -507,16 +568,19 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     if cfg.engine == "both":
         raise ConfigError("engine: compare needs a single engine ('closed' or 'oracle')")
+    kinds = ("mzi", "mzim")
+    state, _, sgrid, fgrid = build_problem(cfg)
+    icfgs = [_instrument(cfg, kind) for kind in kinds]
+    if cfg.engine == "closed":  # one envelope pair serves both instruments
+        grams = scan_configs(state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
+                             frequency_grid=fgrid)
+    else:
+        grams = [_run_engine(cfg, state, icfg, sgrid, fgrid, cfg.engine) for icfg in icfgs]
     results = {}
-    grams = {}
-    for kind in ("mzi", "mzim"):
-        variant = replace(cfg, interferometer_kind=kind)
-        state, icfg, sgrid, fgrid = build_problem(variant)
-        gram = _run_engine(variant, state, icfg, sgrid, fgrid, cfg.engine)
-        grams[kind] = gram
+    for kind, gram in zip(kinds, grams):
         rep = analysis.report(gram.tau, gram.singles_port1, gram.tau, gram.coincidences)
         results[f"{kind}_report"] = _report_to_json(rep)
-    delta = float(np.max(np.abs(grams["mzi"].coincidences - grams["mzim"].coincidences)))
+    delta = float(np.max(np.abs(grams[0].coincidences - grams[1].coincidences)))
     results["max_coincidence_delta"] = delta
     results["coincidence_identical"] = bool(delta <= COINCIDENCE_MATCH_TOL)
     print(json.dumps(results, indent=1))

@@ -68,5 +68,9 @@ class NoDip(BiphotonError):
     """Envelope-extracted trace has no dip of significant depth."""
 
 
+class NonFiniteSpectrum(BiphotonError):
+    """A trace holds a non-finite rate, or rates so large its spectrum would overflow."""
+
+
 class GridMismatch(BiphotonError):
     """Two scans do not share the same delay grid."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "intensity_mzim",
     "g2_mzim",
     "scan",
+    "scan_configs",
 ]
 
 MZI = "mzi"
@@ -152,25 +153,26 @@ class Interferogram:
             object.__setattr__(self, name, arr)
 
 
-def _closed_form(state: TwoPhotonState, cfg: InterferometerConfig,
-                 frequency_grid: Optional[FrequencyGrid]):
-    """(singles fringe f, coincidences) as functions of the delay array.
+def _envelopes(state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid]):
+    """(overlaps, envelope evaluator) of the exchange-symmetrised state.
 
-    Singles port 1 carries 1 - f, port 2 1 + f.  The balanced instrument
-    weights both fringes by one.
+    Both belong to the source: an instrument only weights the envelopes,
+    by one (balanced) or by alpha and b (mirror-unbalanced).
     """
     ov = exchange_overlaps(state, frequency_grid)
-    env = EnvelopeEvaluator.from_weights(ov.weights, ov.grid)
-    alpha, b = (1.0, 1.0) if cfg.kind == MZI else (ov.alpha, ov.b)
-    w_p = cfg.pump_frequency
+    return ov, EnvelopeEvaluator.from_weights(ov.weights, ov.grid)
 
-    def fringe(tau):
-        return alpha * np.cos(w_p * tau / 2.0) * env.first_order(tau)
 
-    def coincidences(tau):
-        return 1.0 - 0.5 * b * np.cos(w_p * tau) - 0.5 * b * env.second_order(tau)
+def _fringe(ov, cfg: InterferometerConfig, tau, e1):
+    """Singles fringe f at ``tau`` from E1 there: port 1 carries 1 - f, port 2 1 + f."""
+    alpha = 1.0 if cfg.kind == MZI else ov.alpha
+    return alpha * np.cos(cfg.pump_frequency * tau / 2.0) * e1
 
-    return fringe, coincidences
+
+def _coincidences(ov, cfg: InterferometerConfig, tau, e2):
+    """Coincidence rate at ``tau`` from E2 there."""
+    b = 1.0 if cfg.kind == MZI else ov.b
+    return 1.0 - 0.5 * b * np.cos(cfg.pump_frequency * tau) - 0.5 * b * e2
 
 
 def _port(fringe, port: int):
@@ -181,9 +183,12 @@ def _rate(state, cfg, kind, tau, frequency_grid, port=None):
     """Singles at ``port``, or coincidences if it is None, of a ``kind`` instrument."""
     if cfg.kind != kind:
         raise ValueError(f"operation requires a '{kind}' configuration")
-    fringe, coincidences = _closed_form(state, cfg, frequency_grid)
+    ov, env = _envelopes(state, frequency_grid)
     tau_arr = np.asarray(tau, dtype=float)
-    out = coincidences(tau_arr) if port is None else _port(fringe(tau_arr), port)
+    if port is None:
+        out = _coincidences(ov, cfg, tau_arr, env.second_order(tau_arr))
+    else:
+        out = _port(_fringe(ov, cfg, tau_arr, env.first_order(tau_arr)), port)
     return float(out) if np.ndim(tau) == 0 else out
 
 
@@ -269,15 +274,39 @@ def scan(
     of the pump period raise UnderSampled.  alpha, b, E1 and E2 are each
     computed once per scan; both singles ports come from one fringe array.
     """
-    tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
-    fringe, coincidences = _closed_form(state, cfg, frequency_grid)
-    f = fringe(tau)
-    return Interferogram(
-        tau=tau,
-        singles_port1=_port(f, 1),
-        singles_port2=_port(f, 2),
-        coincidences=coincidences(tau),
-        config=cfg.describe(),
-        state=state.describe(),
-        engine="closed",
-    )
+    return scan_configs(state, [cfg], tau_start, tau_stop, tau_step, frequency_grid)[0]
+
+
+def scan_configs(
+    state: TwoPhotonState,
+    cfgs: Sequence[InterferometerConfig],
+    tau_start: float,
+    tau_stop: float,
+    tau_step: float,
+    frequency_grid: Optional[FrequencyGrid] = None,
+) -> List[Interferogram]:
+    """Closed-form delay scans of one state through each of ``cfgs``.
+
+    The scans share one delay axis, one exchange_overlaps call and one
+    evaluation of E1 and E2; each instrument only weights the envelopes.
+    Every configuration is checked as :func:`scan` checks its own.
+    """
+    if not cfgs:
+        raise ValueError("need at least one interferometer configuration")
+    for cfg in cfgs:
+        tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
+    ov, env = _envelopes(state, frequency_grid)
+    e1, e2 = env.first_order(tau), env.second_order(tau)
+    grams = []
+    for cfg in cfgs:
+        f = _fringe(ov, cfg, tau, e1)
+        grams.append(Interferogram(
+            tau=tau,
+            singles_port1=_port(f, 1),
+            singles_port2=_port(f, 2),
+            coincidences=_coincidences(ov, cfg, tau, e2),
+            config=cfg.describe(),
+            state=state.describe(),
+            engine="closed",
+        ))
+    return grams

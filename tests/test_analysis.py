@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
+from biphoton.analysis import FLATNESS_FRINGE_FLOOR
 from biphoton.errors import (
     EmptyOrNegative,
     GridMismatch,
     NoDip,
     NoFringe,
+    NonFiniteSpectrum,
     UnderResolved,
 )
 
@@ -147,6 +149,54 @@ class TestHomDipFwhm:
         with pytest.raises(NoDip):
             bp.hom_dip_fwhm(np.ones_like(taus), taus, OMEGA_P)
 
+    @staticmethod
+    def walked_fwhm(samples, tau, fringe_frequency):
+        """Reference: the notch, then a sample-by-sample walk out from the minimum."""
+        spectrum = np.fft.rfft(samples)
+        omega = 2.0 * np.pi * np.fft.rfftfreq(samples.size, d=tau[1] - tau[0])
+        spectrum[omega > 0.25 * fringe_frequency] = 0.0
+        slow = np.fft.irfft(spectrum, n=samples.size)
+        i_min = int(np.argmin(slow))
+        distance = np.abs(tau - tau[i_min])
+        baseline = float(np.median(slow[distance >= 0.8 * float(distance.max())]))
+        depth = baseline - float(slow[i_min])
+        if depth < 1e-3:
+            raise NoDip("shallow")
+        level = baseline - 0.5 * depth
+
+        def crossing(direction):
+            i = i_min
+            while 0 < i < samples.size - 1:
+                j = i + direction
+                if slow[j] >= level:
+                    frac = (level - slow[i]) / (slow[j] - slow[i])
+                    return float(tau[i] + frac * (tau[j] - tau[i]))
+                i = j
+            raise NoDip("no recovery")
+
+        return crossing(+1) - crossing(-1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(centre=st.floats(min_value=-1.2, max_value=1.2),
+           width=st.floats(min_value=0.02, max_value=1.0),
+           depth=st.floats(min_value=0.0, max_value=1.0),
+           count=st.sampled_from([1000, 1001]),
+           fringes=st.booleans())
+    def test_vectorised_crossings_equal_the_walk(self, centre, width, depth, count, fringes):
+        # the dip may sit off-centre, touch the edge or not recover inside the scan
+        taus = np.linspace(-100e-15, 100e-15, count)
+        x = taus / 100e-15
+        trace = 1.0 - depth * np.exp(-(((x - centre) / width) ** 2))
+        if fringes:
+            trace = trace - 0.5 * depth * np.cos(OMEGA_P * taus)
+        try:
+            expected = self.walked_fwhm(trace, taus, OMEGA_P)
+        except NoDip:
+            with pytest.raises(NoDip):
+                bp.hom_dip_fwhm(trace, taus, OMEGA_P)
+        else:
+            assert bp.hom_dip_fwhm(trace, taus, OMEGA_P) == expected
+
     def test_default_scan_dip_width(self, scan_mzi_fine):
         # On the +-200 fs window the robust baseline (median of the outer
         # fifth) sits on the envelope's first negative lobe, biasing the
@@ -196,3 +246,56 @@ class TestReport:
         zeros = np.zeros_like(taus)
         with pytest.raises(EmptyOrNegative):
             bp.report(taus, zeros, taus, zeros)
+
+    @pytest.mark.parametrize("count", [5001, 5000], ids=["odd", "even"])
+    @pytest.mark.parametrize("scan_name", ["scan_mzi_fine", "scan_mzim_fine"])
+    def test_one_fft_equals_the_estimators(self, request, scan_name, count):
+        # report takes one rfft over stacked rows; each number must equal
+        # what fringe_period and hom_dip_fwhm give on their own, bit for bit
+        gram = request.getfixturevalue(scan_name)
+        tau, s, c = gram.tau[:count], gram.singles_port1[:count], gram.coincidences[:count]
+        rep = bp.report(tau, s, tau, c)
+        for trace, period in ((s, rep.fringe_period_singles), (c, rep.fringe_period_coincidence)):
+            if period is None:
+                with pytest.raises(NoFringe):
+                    bp.fringe_period(trace, tau, FLATNESS_FRINGE_FLOOR, 4)
+            else:
+                assert period == bp.fringe_period(trace, tau, FLATNESS_FRINGE_FLOOR, 4)
+        assert rep.fringe_period_coincidence is not None and rep.hom_fwhm is not None
+        assert rep.hom_fwhm == bp.hom_dip_fwhm(c, tau, 2.0 * math.pi / rep.fringe_period_coincidence)
+
+
+class TestNonFiniteSpectrum:
+    """Rates near the float limit would overflow the windowed FFT: every
+    estimator raises instead of returning NaN."""
+
+    taus = np.arange(50) * 0.1e-15
+    flat = np.full(50, 1e308)
+
+    def test_report_raises(self):
+        with pytest.raises(NonFiniteSpectrum, match="singles"):
+            bp.report(self.taus, self.flat, self.taus, self.flat, window=(0.0, 1e-15))
+
+    def test_overflowing_coincidences_named(self):
+        singles = 1.0 + 0.5 * np.cos(2.0 * np.pi * self.taus / 1e-15)
+        with pytest.raises(NonFiniteSpectrum, match="coincidence"):
+            bp.report(self.taus, singles, self.taus, self.flat)
+
+    @pytest.mark.parametrize("value", [1e308, 1e306, math.nan, math.inf])
+    def test_estimators_raise(self, value):
+        trace = np.full(50, 1.0)
+        trace[7] = value
+        with pytest.raises(NonFiniteSpectrum, match="samples"):
+            bp.fringe_period(trace, self.taus)
+        with pytest.raises(NonFiniteSpectrum, match="samples"):
+            bp.hom_dip_fwhm(trace, self.taus, 2.0 * np.pi / 1e-15)
+
+    @pytest.mark.parametrize("field", ["fringe_period_singles", "fringe_period_coincidence",
+                                       "hom_fwhm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_report_fields_must_be_finite(self, field, value):
+        fields = dict(v1=0.5, v12=0.5, complementarity_sum=0.5, window=(-1.0, 1.0),
+                      fringe_period_singles=1.0, fringe_period_coincidence=1.0, hom_fwhm=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            bp.VisibilityReport(**fields)

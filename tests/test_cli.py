@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -268,6 +269,34 @@ class TestGoldenOutput:
             cfg["pump"]["spatial_profile"] = {"kind": "tabulated_file", "path": str(table)}
         return write_config(tmp_path, cfg)
 
+    # stdout of analyze (on the closed scan CSV) and of compare, recorded
+    # before compare shared one envelope pair between its instruments and
+    # report took its FFTs in one call
+    STDOUT_DIGESTS = {
+        ("analyze", "default_mzi"):
+            "c4f37beba168378b644f6a46ed08a4639b78f94b69270eab3b1dead26831847c",
+        ("analyze", "default_mzim"):
+            "62249ae14870a3eaa20ac41f97fbf50335b75dcbc9048722b7761304977df9c4",
+        ("compare", "default_mzi"):
+            "6c4c628fa63ad63ddcf5e37de947f509443bc0f30d6303748257a6aa6528669f",
+        ("compare", "default_mzim"):
+            "6c4c628fa63ad63ddcf5e37de947f509443bc0f30d6303748257a6aa6528669f",
+    }
+
+    @pytest.mark.parametrize("command, name", sorted(STDOUT_DIGESTS))
+    def test_stdout_bytes(self, tmp_path, capsys, command, name):
+        config = str(bundled_config_path(name))
+        if command == "analyze":
+            out = tmp_path / "scan.csv"
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+            capsys.readouterr()
+            argv = ["analyze", "--in", str(out)]
+        else:
+            argv = ["compare", "--config", config]
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.STDOUT_DIGESTS[command, name]
+
     @pytest.mark.parametrize("name, engine", sorted(CSV_DIGESTS))
     def test_csv_bytes(self, tmp_path, capsys, name, engine):
         out = tmp_path / "scan.csv"
@@ -388,6 +417,37 @@ class TestAnalyzeSchemaErrors:
             assert reader.call_count == 1
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)
+
+
+class TestAnalyzeOverflow:
+    """Rates near the float limit overflow the windowed FFT: analyze exits 2
+    naming the trace, and never prints NaN."""
+
+    @staticmethod
+    def huge_csv(tmp_path, case):
+        rows = [CSV_HEADER]
+        for i in range(50):
+            if case == "flat":
+                s1 = s2 = 1e308
+            else:
+                sign = (-1) ** i
+                s1, s2 = 1e308 * (1 + 0.5 * sign) / 1.5, 1e308 * (1 - 0.5 * sign) / 1.5
+            rows.append(f"{0.1 * i:.9g},{s1:.9g},{s2:.9g},1e308,closed")
+        path = tmp_path / f"{case}.csv"
+        path.write_text("\n".join(rows) + "\n")
+        return path
+
+    @pytest.mark.parametrize("window", [None, "0:1"])
+    @pytest.mark.parametrize("case", ["flat", "alternating"])
+    def test_exits_two(self, tmp_path, capsys, case, window):
+        argv = ["analyze", "--in", str(self.huge_csv(tmp_path, case))]
+        if window:
+            argv += ["--window", window]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("engine error: the singles rates must be finite and "
+                                       "below ")
 
 
 def run_main_quietly(argv):
@@ -617,6 +677,30 @@ class TestCompare:
             COINCIDENCE_PERIOD / FS, rel=0.01)
         assert result["mzi_report"]["v12"] >= 0.99
 
+    def test_closed_grams_equal_separate_scans(self, tmp_path, capsys, monkeypatch):
+        # compare scans both instruments with one envelope pair; each trace
+        # must equal a scan of that instrument alone, bit for bit
+        cfg = small_scan_config("default_mzi")
+        cfg["pump"]["spatial_profile"] = {
+            "kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": 0.7}
+        path = write_config(tmp_path, cfg)
+        traces = []
+        report = cli.analysis.report
+        monkeypatch.setattr(cli.analysis, "report",
+                            lambda *args: traces.append(args) or report(*args))
+        assert main(["compare", "--config", str(path)]) == 0
+        capsys.readouterr()
+        run = load_config(path)
+        assert len(traces) == 2
+        for kind, (tau, singles, _, coincidences) in zip(("mzi", "mzim"), traces):
+            state, icfg, _, fgrid = cli.build_problem(replace(run, interferometer_kind=kind))
+            alone = bp.scan(state, icfg, run.tau_start, run.tau_stop, run.tau_step,
+                            frequency_grid=fgrid)
+            assert icfg.kind == kind
+            for got, want in ((tau, alone.tau), (singles, alone.singles_port1),
+                              (coincidences, alone.coincidences)):
+                assert np.array_equal(got, want)
+
     def test_compare_rejects_engine_both(self, tmp_path, capsys):
         path = write_config(tmp_path, small_scan_config("default_mzi", engine="both"))
         assert main(["compare", "--config", str(path)]) == 1
@@ -757,9 +841,10 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="pump.spatial_profile.waist_mm"):
             load_config(write_config(tmp_path, cfg))
 
-    @pytest.mark.parametrize("shift_mm", [1e10, 1e300, 10.0, -10.0, 3.0])
+    @pytest.mark.parametrize("shift_mm", [1e10, 1e300, 10.0, -10.0, 3.0, -2.99, -2.9, -1.5])
     def test_shift_off_the_grid_exits_one(self, tmp_path, capsys, shift_mm):
-        # off the grid the sampled pump is zero (1e10) or cut off at the edge (10)
+        # off the grid the sampled pump is zero (1e10) or cut off at the edge
+        # (10); -2.99 keeps 51 % of |pump|^2 on the grid, -1.5 keeps 99.87 %
         cfg = load_bundled("default_mzi")
         cfg["pump"]["spatial_profile"] = {
             "kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": shift_mm}
@@ -772,10 +857,33 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_shift_inside_the_grid_accepted(self, tmp_path):
+        # keeps 99.91 % of |pump|^2 on the +-3 mm grid
         cfg = load_bundled("default_mzi")
         cfg["pump"]["spatial_profile"] = {
-            "kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": -2.99}
-        assert load_config(write_config(tmp_path, cfg)).profile_params["shift_mm"] == -2.99
+            "kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": -1.45}
+        assert load_config(write_config(tmp_path, cfg)).profile_params["shift_mm"] == -1.45
+
+    @pytest.mark.parametrize("kind, waist_mm, kept", [
+        ("gaussian", 100.0, "4.784%"), ("shifted_gaussian", 3.0, "95.450%"),
+        ("hg1", 2.0, "97.071%"),
+    ])
+    def test_pump_wider_than_the_grid_exits_one(self, tmp_path, capsys, kind, waist_mm, kept):
+        cfg = load_bundled("default_mzim")
+        cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": waist_mm, "shift_mm": 0.1}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pump.spatial_profile.waist_mm: ")
+        assert f"keeps {kept} of |pump|^2" in err and "grids.spatial_halfwidth_mm" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "hg1"])
+    def test_pump_filling_the_grid_accepted(self, tmp_path, kind):
+        # the widest waist the benchmark draws, on the bundled +-3 mm grid
+        cfg = load_bundled("default_mzim")
+        cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": 1.2}
+        assert load_config(write_config(tmp_path, cfg)).profile_params["waist_mm"] == 1.2
 
     @pytest.mark.parametrize("wavelength_nm, center_nm", [
         (1e300, 810.0), (1e308, 810.0), (405.0, 815.01), (405.0, 804.99),
@@ -832,7 +940,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("table", [
         None, "x_mm,re\nzero,one\n", "0.0,1.0\n0.5,1.0,0.0\n", "-1.0,1.0\n0.0,nan\n1.0,1.0\n",
         "0.5,1.0\n0.0,1.0\n-0.5,1.0\n", "10.0,1.0\n11.0,1.0\n",
-    ], ids=["missing", "non_numeric", "ragged", "nan", "descending", "off_grid"])
+        "-1.0,0.0\n0.0,0.0\n1.0,0.0\n", "0.0,1.0\n",
+        "".join(f"{i / 10:.1f},1.0\n" for i in range(-50, 51)),
+    ], ids=["missing", "non_numeric", "ragged", "nan", "descending", "off_grid", "zero",
+            "one_row", "cut_at_the_grid_edge"])
     def test_unreadable_pump_table_exit_one(self, tmp_path, capsys, table):
         table_path = tmp_path / "pump.csv"
         if table is not None:
