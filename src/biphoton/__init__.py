@@ -49,21 +49,16 @@ from .spatial import (
     flip_overlap,
     gaussian_amplitude,
     hermite_gauss1_amplitude,
-    parity_decompose,
     pump_parity_overlap,
 )
 from .states import (
     AntiCorrelated,
     CorrelatedPump,
-    DiagonalDensity,
-    GeneralDensity,
     GeneralSpatial,
     GeneralSpectral,
-    OnePhotonState,
     TwoPhotonState,
     default_spdc_state,
     exchange_overlaps,
-    reduce_to_one_photon,
     reduced_spatial_operator,
 )
 from .interferometer import (

@@ -71,6 +71,8 @@ def visibility(samples) -> float:
     lo = max(float(arr.min()), 0.0)
     if hi <= 0.0:
         raise EmptyOrNegative("maximum rate must be positive")
+    if not math.isfinite(hi + lo):  # rates near float max: halving is exact
+        hi, lo = 0.5 * hi, 0.5 * lo
     return min(max((hi - lo) / (hi + lo), 0.0), 1.0)
 
 

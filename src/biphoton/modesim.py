@@ -70,12 +70,12 @@ from .spectral import FrequencyGrid, chirp_z, normalize
 from .states import (
     AntiCorrelated,
     CorrelatedPump,
-    DiagonalDensity,
     GeneralSpatial,
     GeneralSpectral,
     TwoPhotonState,
     _working_frequency_grid,
-    reduce_to_one_photon,
+    exchange_overlaps,
+    reduced_spatial_operator,
 )
 
 __all__ = [
@@ -643,9 +643,12 @@ def simulate_mixture(
 
     The coincidence rate comes from the full pure two-photon state; the
     singles rate is the weight-averaged singles of the coherent modes of
-    the reduced one-photon state.  Both routes must agree with the direct
-    pure-state evaluation -- this operation exists to validate the fringe
-    weighting of the unbalanced interferometer by brute force.
+    the reduced spatial operator, each carrying the spectral amplitude
+    sqrt(q) of the envelope weights q of ``exchange_overlaps``.  Both
+    routes must agree with the direct pure-state evaluation -- this
+    operation exists to validate the fringe weighting of the unbalanced
+    interferometer by brute force.  A general spectral sector has no
+    frequency-diagonal reduction and raises ValueError.
     """
     sgrid, fgrid = _resolve_grids(state, spatial_grid, frequency_grid)
     initial = build_initial_state(state, sgrid, fgrid)
@@ -653,14 +656,14 @@ def simulate_mixture(
     final = apply_pipeline(initial, elements)
     coincidence = coincidence_rate(final)
 
-    one = reduce_to_one_photon(state, frequency_grid=fgrid)
-    modes = eigendecompose(one.spatial)
+    modes = eigendecompose(reduced_spatial_operator(state))
     weights = np.array([w for w, _ in modes])
     mode_rows = np.array(
         [m.values for _, m in modes]) * math.sqrt(sgrid.spacing)
-    if not isinstance(one.spectral, DiagonalDensity):
+    if not isinstance(state.spectral, AntiCorrelated):
         raise ValueError("mixture simulation requires a frequency-diagonal spectral sector")
-    spectral_amplitude = np.sqrt(one.spectral.weights)
+    q = exchange_overlaps(state, fgrid).weights
+    spectral_amplitude = np.sqrt(q / q.sum())
     per_mode = _one_photon_singles(mode_rows, spectral_amplitude, fgrid, elements, "c")
     singles = 2.0 * float(weights @ per_mode)
     return singles, coincidence

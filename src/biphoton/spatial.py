@@ -43,7 +43,6 @@ __all__ = [
     "hermite_gauss1_amplitude",
     "flip_overlap",
     "pump_parity_overlap",
-    "parity_decompose",
     "eigendecompose",
 ]
 
@@ -80,22 +79,6 @@ def _require_unit_norm(a: np.ndarray, cell: float, what: str) -> None:
         raise ValueError(f"{what} norm must be 1, got {total!r}")
 
 
-def _density_matrix(grid: _SymmetricGrid, matrix) -> np.ndarray:
-    """``matrix`` copied as complex, after the checks of every one-photon
-    density matrix: one row and column per grid node, Hermitian, unit trace."""
-    m = np.array(matrix, dtype=complex)
-    n = grid.point_count
-    if m.shape != (n, n):
-        raise ValueError("matrix must have one row and one column per grid node")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL * scale:
-        raise ValueError("matrix must be Hermitian")
-    tr = float(np.real(np.trace(m)))
-    if abs(tr - 1.0) > NORM_TOL:
-        raise ValueError(f"trace must be 1, got {tr!r}")
-    return m
-
-
 @dataclass(frozen=True)
 class SpatialAmplitude:
     """Complex transverse amplitude phi(x) with sum |phi|^2 dx = 1."""
@@ -114,9 +97,6 @@ class SpatialAmplitude:
     @classmethod
     def from_samples(cls, grid: SpatialGrid, values: Sequence[complex]) -> "SpatialAmplitude":
         return cls(grid, _unit_norm_samples(values, grid.spacing))
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2)) * self.grid.spacing
 
     def flipped(self) -> np.ndarray:
         """Samples of phi(-x); exact index reversal on the symmetric grid."""
@@ -151,7 +131,16 @@ class SpatialDensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _density_matrix(self.grid, self.matrix)
+        m = np.array(self.matrix, dtype=complex)
+        n = self.grid.point_count
+        if m.shape != (n, n):
+            raise ValueError("matrix must have one row and one column per grid node")
+        scale = max(1.0, float(np.max(np.abs(m))))
+        if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL * scale:
+            raise ValueError("matrix must be Hermitian")
+        tr = float(np.real(np.trace(m)))
+        if abs(tr - 1.0) > NORM_TOL:
+            raise ValueError(f"trace must be 1, got {tr!r}")
         m = 0.5 * (m + m.conj().T)
         low = float(np.min(np.linalg.eigvalsh(m)))
         if low < EIGENVALUE_FLOOR:
@@ -169,23 +158,6 @@ class SpatialDensityOperator:
     def incoherent(cls, phi: SpatialAmplitude) -> "SpatialDensityOperator":
         """Position-diagonal mixture with weights |phi(x_i)|^2 dx."""
         return cls(phi.grid, np.diag(phi.position_weights().astype(complex)))
-
-    @classmethod
-    def from_csv(cls, path, grid: SpatialGrid) -> "SpatialDensityOperator":
-        """Read a row-major matrix of interleaved (re, im) pairs."""
-        raw = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-        n = grid.point_count
-        if raw.shape != (n, 2 * n):
-            raise ValueError(
-                f"expected {n} rows x {2 * n} columns of re,im pairs, got {raw.shape}")
-        return cls(grid, raw[:, 0::2] + 1j * raw[:, 1::2])
-
-    def to_csv(self, path) -> None:
-        n = self.grid.point_count
-        flat = np.empty((n, 2 * n))
-        flat[:, 0::2] = self.matrix.real
-        flat[:, 1::2] = self.matrix.imag
-        np.savetxt(path, flat, delimiter=",", fmt="%.17e")
 
 
 @dataclass(frozen=True)
@@ -224,19 +196,6 @@ def pump_parity_overlap(phi: SpatialAmplitude) -> ParityOverlap:
     """beta = sum_i phi*(x_i) phi(-x_i) dx; (1, 0) even, (1, pi) odd."""
     beta = complex(np.sum(phi.values.conj() * phi.flipped()) * phi.grid.spacing)
     return ParityOverlap.from_complex(beta)
-
-
-def parity_decompose(phi: SpatialAmplitude) -> Tuple[np.ndarray, np.ndarray]:
-    """Split phi into even and odd parts (returned as raw sample arrays).
-
-    even(x) = (phi(x) + phi(-x))/2 and odd(x) = (phi(x) - phi(-x))/2; the
-    parts sum back to phi exactly and their squared norms (times dx) add to
-    one.  The parts are generally not unit-normalized themselves, hence raw
-    arrays rather than SpatialAmplitude instances.
-    """
-    v = phi.values
-    f = phi.flipped()
-    return 0.5 * (v + f), 0.5 * (v - f)
 
 
 def eigendecompose(rho: SpatialDensityOperator) -> List[Tuple[float, SpatialAmplitude]]:

@@ -86,10 +86,6 @@ class FrequencyGrid(_SymmetricGrid):
     def omegas(self) -> np.ndarray:
         return self._nodes()
 
-    def flip_indices(self) -> np.ndarray:
-        """Index permutation realising W -> -W."""
-        return np.arange(self.point_count)[::-1]
-
     def trapezoid_weights(self) -> np.ndarray:
         """Trapezoid-rule quadrature weights: the spacing, halved at both ends."""
         w = np.full(self.point_count, self.spacing)

@@ -1,4 +1,4 @@
-"""Two-photon and reduced one-photon states.
+"""Two-photon states and their one-photon reduction.
 
 The two-photon description is structurally separable between the spatial
 and spectral sectors: each sector is chosen independently and no
@@ -6,11 +6,15 @@ cross-correlation between them can be expressed.  The sectors themselves
 may be entangled internally -- the default down-conversion state is
 position-correlated and frequency-anti-correlated.
 
-Reduction to the one-photon state traces over the second photon slot of
-each sector.  For the correlated-pump spatial sector this produces a
-position-diagonal (fully incoherent) operator regardless of the pump
-profile: the photons are jointly coherent but individually not.  The
-closed forms read the exchange-symmetrised state (:func:`exchange_overlaps`).
+Both photons enter one port, so every one-photon quantity belongs to the
+exchange-symmetrised pair.  :func:`exchange_overlaps` gives what the
+closed forms read: the flip overlap alpha, the parity overlap b and the
+envelope weights q, which for an anti-correlated spectrum are also the
+frequency-diagonal one-photon spectral sector.  The spatial sector of the
+one-photon state is :func:`reduced_spatial_operator`, the partial trace
+over the second photon slot.  For a correlated pump it is
+position-diagonal (fully incoherent) whatever the pump profile: the
+photons are jointly coherent but individually not.
 """
 
 from __future__ import annotations
@@ -23,11 +27,9 @@ import numpy as np
 from . import units
 from .errors import AsymmetricSpectrum
 from .spatial import (
-    NORM_TOL,
     SpatialAmplitude,
     SpatialDensityOperator,
     SpatialGrid,
-    _density_matrix,
     _require_unit_norm,
     _unit_norm_samples,
     default_spatial_grid,
@@ -47,14 +49,10 @@ __all__ = [
     "GeneralSpatial",
     "AntiCorrelated",
     "GeneralSpectral",
-    "DiagonalDensity",
-    "GeneralDensity",
     "TwoPhotonState",
-    "OnePhotonState",
     "ExchangeOverlaps",
     "exchange_overlaps",
     "reduced_spatial_operator",
-    "reduce_to_one_photon",
     "default_spdc_state",
     "DEFAULT_PUMP_WAVELENGTH",
     "DEFAULT_FILTER_CENTER",
@@ -167,49 +165,6 @@ class TwoPhotonState:
         }
 
 
-@dataclass(frozen=True)
-class DiagonalDensity:
-    """Frequency-diagonal one-photon spectral sector with weights q_k
-    summing to one (q_k = |psi(W_k)|^2 dW)."""
-
-    grid: FrequencyGrid
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        if w.shape != (self.grid.point_count,):
-            raise ValueError("weights must match the grid")
-        if np.any(w < -1e-12):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > NORM_TOL:
-            raise ValueError("weights must sum to 1")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class GeneralDensity:
-    """Full M x M Hermitian one-photon spectral density matrix, unit trace."""
-
-    grid: FrequencyGrid
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _density_matrix(self.grid, self.matrix)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class OnePhotonState:
-    """Reduced single-photon state: spatial operator, spectral sector and
-    the carrier frequency (half the pump frequency)."""
-
-    spatial: SpatialDensityOperator
-    spectral: Union[DiagonalDensity, GeneralDensity]
-    central_frequency: float
-
-
 class ExchangeOverlaps(NamedTuple):
     """The inputs of the closed forms, see :func:`exchange_overlaps`."""
 
@@ -306,38 +261,6 @@ def reduced_spatial_operator(state: TwoPhotonState) -> SpatialDensityOperator:
     if not symmetric:
         a = a / np.linalg.norm(a)
     return SpatialDensityOperator(state.spatial.grid, a @ a.conj().T)
-
-
-def reduce_to_one_photon(
-    state: TwoPhotonState, frequency_grid: FrequencyGrid | None = None
-) -> OnePhotonState:
-    """Trace out one photon slot of each sector.
-
-    Correlated pump -> incoherent (position-diagonal) spatial operator;
-    anti-correlated spectrum -> frequency-diagonal spectral sector with the
-    envelope weights q of :func:`exchange_overlaps`.  General sectors reduce
-    by an explicit partial trace, rho = A A^dagger in the discrete
-    convention; a general spatial amplitude is exchange-symmetrised first
-    (see :func:`reduced_spatial_operator`).  Both photons share one port, so
-    the one-photon state is that of the exchange-symmetrised pair; a pair
-    asymmetric in both sectors has no product reduction and raises
-    AsymmetricSpectrum.
-    """
-    rho_x = reduced_spatial_operator(state)
-
-    if isinstance(state.spectral, AntiCorrelated):
-        ov = exchange_overlaps(state, frequency_grid)
-        spectral: Union[DiagonalDensity, GeneralDensity] = DiagonalDensity(
-            ov.grid, ov.weights / ov.weights.sum())
-    else:
-        a = state.spectral.amplitude * state.spectral.grid.spacing
-        spectral = GeneralDensity(state.spectral.grid, a @ a.conj().T)
-
-    return OnePhotonState(
-        spatial=rho_x,
-        spectral=spectral,
-        central_frequency=state.pump_frequency / 2.0,
-    )
 
 
 def default_spdc_state(

@@ -45,6 +45,11 @@ class TestVisibility:
         assert bp.visibility(scale * base) == pytest.approx(
             bp.visibility(base), abs=1e-12)
 
+    def test_rates_near_float_max(self):
+        # hi + lo overflows to inf here; the true value is 0.7 / 2.7
+        v = bp.visibility([1.7e308, 1e308])
+        assert v == pytest.approx((1.7 - 1.0) / 2.7, rel=1e-15)
+
     def test_background_subtraction_raises_visibility(self):
         base = np.array([0.5, 1.0, 1.5])
         v0 = bp.visibility(base)

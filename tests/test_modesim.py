@@ -471,6 +471,16 @@ class TestMixture:
                 assert singles == pytest.approx(bp.singles_rate(final, "c"), abs=1e-12)
                 assert singles == pytest.approx(closed(state, cfg, tau, fgrid), abs=1e-12)
 
+    def test_general_spectral_sector_rejected(self):
+        sgrid = bp.SpatialGrid(half_width=3e-3, point_count=33)
+        fgrid = bp.FrequencyGrid(half_width=2e13, point_count=9)
+        raw = np.random.default_rng(5).normal(size=(9, 9))
+        state = bp.TwoPhotonState(
+            bp.CorrelatedPump(bp.gaussian_amplitude(sgrid, waist=1e-3)),
+            bp.GeneralSpectral.from_samples(fgrid, raw), OMEGA_P)
+        with pytest.raises(ValueError, match="frequency-diagonal"):
+            bp.simulate_mixture(state, bp.InterferometerConfig.mzim(OMEGA_P), 3e-15)
+
     def test_default_state_flat_singles_unchanged_coincidence(
             self, default_state, sgrid, fgrid, cfg_mzim, initial):
         tau = 15e-15

@@ -1,0 +1,44 @@
+"""The public surface: export lists and the README example.
+
+A name deleted from a module but left in its ``__all__`` breaks
+``from biphoton.<module> import *``; a README example that drifts from the
+code misleads its first reader.  Both are checked here.
+"""
+
+import contextlib
+import importlib
+import io
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import biphoton
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+MODULES = [info.name for info in pkgutil.iter_modules(biphoton.__path__)
+           if hasattr(importlib.import_module(f"biphoton.{info.name}"), "__all__")]
+
+
+def test_modules_declare_exports():
+    assert {"spatial", "spectral", "states", "modesim", "analysis"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"biphoton.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_readme_example_prints_documented_visibility():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    code = blocks[0]
+    documented = re.search(r"print\(rep\.v1, rep\.v12\)\s*#\s*([0-9.]+),", code).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
+    v1 = float(out.getvalue().split()[0])
+    assert f"{v1:.3g}" == documented == "0.0187"

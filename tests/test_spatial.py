@@ -35,9 +35,10 @@ class TestGridAndAmplitudes:
         with pytest.raises(ValueError):
             bp.SpatialGrid(half_width=1e-3, point_count=8)
 
-    def test_amplitudes_unit_norm(self, gauss, hg1):
-        assert gauss.norm_squared() == pytest.approx(1.0, abs=1e-12)
-        assert hg1.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    def test_amplitudes_unit_norm(self, grid, gauss, hg1):
+        for phi in (gauss, hg1):
+            norm = float(np.sum(np.abs(phi.values) ** 2)) * grid.spacing
+            assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_unnormalized_values_rejected(self, grid):
         with pytest.raises(ValueError):
@@ -116,41 +117,6 @@ class TestPumpParity:
         assert beta.magnitude == pytest.approx(math.exp(-2.0), rel=1e-4)
 
 
-class TestParityDecompose:
-    def test_even_input(self, grid, gauss):
-        even, odd = bp.parity_decompose(gauss)
-        assert np.allclose(even, gauss.values, atol=1e-15)
-        assert np.allclose(odd, 0.0, atol=1e-15)
-
-    def test_odd_input(self, grid, hg1):
-        even, odd = bp.parity_decompose(hg1)
-        assert np.allclose(odd, hg1.values, atol=1e-15)
-        assert np.allclose(even, 0.0, atol=1e-15)
-
-    def test_balanced_superposition(self, grid, gauss, hg1):
-        mixed = bp.SpatialAmplitude(
-            grid, (gauss.values + hg1.values) / math.sqrt(2.0))
-        even, odd = bp.parity_decompose(mixed)
-        dx = grid.spacing
-        assert float(np.sum(np.abs(even) ** 2)) * dx == pytest.approx(0.5, abs=1e-12)
-        assert float(np.sum(np.abs(odd) ** 2)) * dx == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(even + odd, mixed.values, atol=1e-15)
-
-    def test_idempotent_and_norm_preserving(self, grid):
-        rng = np.random.default_rng(3)
-        phi = bp.SpatialAmplitude.from_samples(
-            grid, rng.normal(size=grid.point_count) + 1j * rng.normal(size=grid.point_count))
-        even, odd = bp.parity_decompose(phi)
-        dx = grid.spacing
-        total = (np.sum(np.abs(even) ** 2) + np.sum(np.abs(odd) ** 2)) * dx
-        assert float(total) == pytest.approx(1.0, abs=1e-12)
-        # decomposing the even part again changes nothing
-        even_amp = bp.SpatialAmplitude.from_samples(grid, even)
-        even2, odd2 = bp.parity_decompose(even_amp)
-        assert np.allclose(even2, even_amp.values, atol=1e-12)
-        assert np.allclose(odd2, 0.0, atol=1e-12)
-
-
 class TestEigendecompose:
     def test_rank_one_projector(self, gauss):
         modes = bp.eigendecompose(bp.SpatialDensityOperator.coherent(gauss))
@@ -203,19 +169,3 @@ class TestDensityOperatorValidation:
         m = 2.0 * np.outer(gauss.values, gauss.values.conj()) * grid.spacing
         with pytest.raises(ValueError):
             bp.SpatialDensityOperator(grid, m)
-
-    def test_csv_round_trip(self, tmp_path, grid, gauss, hg1):
-        dx = grid.spacing
-        rho = (0.7 * np.outer(gauss.values, gauss.values.conj())
-               + 0.3 * np.outer(hg1.values, hg1.values.conj())) * dx
-        op = bp.SpatialDensityOperator(grid, rho)
-        path = tmp_path / "rho.csv"
-        op.to_csv(path)
-        back = bp.SpatialDensityOperator.from_csv(path, grid)
-        assert float(np.max(np.abs(back.matrix - op.matrix))) < 1e-12
-
-    def test_csv_wrong_shape_rejected(self, tmp_path, grid):
-        path = tmp_path / "bad.csv"
-        np.savetxt(path, np.ones((4, 8)), delimiter=",")
-        with pytest.raises(ValueError):
-            bp.SpatialDensityOperator.from_csv(path, grid)

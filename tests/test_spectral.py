@@ -35,12 +35,6 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             bp.FrequencyGrid(half_width=1e13, point_count=count)
 
-    def test_flip_is_bijection(self):
-        grid = bp.FrequencyGrid(half_width=1e13, point_count=9)
-        flip = grid.flip_indices()
-        assert np.array_equal(flip[flip], np.arange(9))
-        assert np.array_equal(grid.omegas()[flip], -grid.omegas())
-
 
 class TestNormalize:
     def test_rectangle_already_normalized_is_unchanged(self):

@@ -28,13 +28,11 @@ class TestReduction:
     def test_correlated_pump_reduces_to_incoherent(self, grid, gauss, default_state):
         state = bp.TwoPhotonState(bp.CorrelatedPump(gauss),
                                   default_state.spectral, OMEGA_P)
-        one = bp.reduce_to_one_photon(state)
-        rho = one.spatial.matrix
+        rho = bp.reduced_spatial_operator(state).matrix
         expected = np.abs(gauss.values) ** 2 * grid.spacing
         assert np.allclose(np.diag(rho), expected, atol=1e-15)
         off = rho - np.diag(np.diag(rho))
         assert float(np.max(np.abs(off))) == 0.0
-        assert one.central_frequency == pytest.approx(OMEGA_P / 2.0)
 
     def test_product_amplitude_reduces_to_pure_state(self, grid, gauss, hg1, default_state):
         def reduce(phi1, phi2):
@@ -90,31 +88,17 @@ class TestReduction:
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         state = bp.TwoPhotonState(
             bp.GeneralSpatial.from_samples(grid, raw), default_state.spectral, OMEGA_P)
-        one = bp.reduce_to_one_photon(state)
-        rho = one.spatial.matrix
+        rho = bp.reduced_spatial_operator(state).matrix
         assert float(np.real(np.trace(rho))) == pytest.approx(1.0, abs=1e-9)
         assert float(np.min(np.linalg.eigvalsh(rho))) > -1e-10
 
     def test_anticorrelated_reduces_to_diagonal_density(self, default_state, fgrid):
-        one = bp.reduce_to_one_photon(default_state, frequency_grid=fgrid)
-        weights = one.spectral.weights
+        weights = bp.exchange_overlaps(default_state, fgrid).weights
         assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-12)
         density = bp.normalize(default_state.spectral.density, fgrid).sample(fgrid)
         interior = slice(1, -1)
         assert np.allclose(
             weights[interior], density[interior] * fgrid.spacing, rtol=1e-12)
-
-    def test_general_spectral_reduces_to_hermitian_density(self, grid, gauss, default_state):
-        fgrid = bp.FrequencyGrid(half_width=2e13, point_count=33)
-        rng = np.random.default_rng(5)
-        m = fgrid.point_count
-        raw = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        spectral = bp.GeneralSpectral.from_samples(fgrid, raw)
-        state = bp.TwoPhotonState(bp.CorrelatedPump(gauss), spectral, OMEGA_P)
-        one = bp.reduce_to_one_photon(state)
-        rho = one.spectral.matrix
-        assert float(np.real(np.trace(rho))) == pytest.approx(1.0, abs=1e-9)
-        assert float(np.max(np.abs(rho - rho.conj().T))) < 1e-12
 
 
 class TestDefaultState:
@@ -190,15 +174,11 @@ class TestSharedGrid:
             cls(half_width, count)
 
 
-DENSITY_TYPES = [
+@pytest.mark.parametrize("cls, grid", [
     (bp.SpatialDensityOperator, bp.SpatialGrid(1e-3, 5)),
-    (bp.GeneralDensity, bp.FrequencyGrid(1e13, 5)),
-]
-
-
-@pytest.mark.parametrize("cls, grid", DENSITY_TYPES, ids=["spatial", "spectral"])
+], ids=["spatial"])
 class TestDensityMatrixChecks:
-    """Both density-matrix types go through one Hermitian, unit-trace check."""
+    """The one density-matrix type checks shape, Hermiticity and unit trace."""
 
     def test_valid_matrix_accepted(self, cls, grid):
         m = np.eye(5, dtype=complex) / 5
@@ -220,29 +200,6 @@ class TestDensityMatrixChecks:
     def test_trace_not_one_rejected(self, cls, grid, trace):
         with pytest.raises(ValueError, match="trace must be 1"):
             cls(grid, np.eye(5) * trace / 5)
-
-
-class TestDiagonalDensityChecks:
-    @pytest.fixture
-    def grid(self):
-        return bp.FrequencyGrid(1e13, 5)
-
-    def test_valid_weights_accepted(self, grid):
-        w = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
-        assert np.array_equal(bp.DiagonalDensity(grid, w).weights, w)
-
-    def test_negative_weight_rejected(self, grid):
-        with pytest.raises(ValueError, match="nonnegative"):
-            bp.DiagonalDensity(grid, [0.3, 0.3, 0.5, 0.3, -0.4])
-
-    @pytest.mark.parametrize("total", [0.0, 0.99, 2.0])
-    def test_sum_not_one_rejected(self, grid, total):
-        with pytest.raises(ValueError, match="sum to 1"):
-            bp.DiagonalDensity(grid, np.full(5, total / 5))
-
-    def test_wrong_length_rejected(self, grid):
-        with pytest.raises(ValueError, match="match the grid"):
-            bp.DiagonalDensity(grid, np.full(4, 0.25))
 
 
 @pytest.mark.parametrize("cls, grid", [
