@@ -61,10 +61,13 @@ def _uniform_step(tau: np.ndarray) -> float:
 def visibility(samples) -> float:
     """(max - min) / (max + min), clamped to [0, 1].
 
-    Raises EmptyOrNegative for empty input, rates below -1e-9, or a
-    nonpositive maximum.  Invariant under positive rescaling.
+    Raises NonFiniteSpectrum when a rate is NaN or infinite, and
+    EmptyOrNegative for empty input, rates below -1e-9, or a nonpositive
+    maximum.  Invariant under positive rescaling.
     """
     arr = _as_samples(samples)
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteSpectrum("rates must be finite")
     if np.any(arr < -1e-9):
         raise EmptyOrNegative("rates must be nonnegative")
     hi = float(arr.max())
@@ -242,27 +245,22 @@ def _optional(estimate, *args) -> Optional[float]:
 
 
 def report(
-    tau_singles,
+    tau,
     singles,
-    tau_coincidence,
     coincidences,
     window: Optional[Tuple[float, float]] = None,
 ) -> VisibilityReport:
     """Aggregate visibilities, periods and dip width for a scan pair.
 
-    Both scans must share one delay grid.  Visibilities are taken from
-    global extrema inside the window, which defaults to the central three
-    fringe periods on either side of zero delay (where the envelope is
-    close to one).  FLATNESS_FRINGE_FLOOR is the relative peak threshold
+    Both scans are sampled on the one delay grid ``tau``.  Visibilities
+    are taken from global extrema inside the window, which defaults to the
+    central three fringe periods on either side of zero delay (where the
+    envelope is close to one).  FLATNESS_FRINGE_FLOOR is the relative peak threshold
     for a fringe: a residual oscillation below one percent of DC counts as
     flat, consistent with the package-wide 0.02 flatness bound.
     """
-    tau_s = np.asarray(tau_singles, dtype=float)
-    tau_c = np.asarray(tau_coincidence, dtype=float)
-    if tau_s.shape != tau_c.shape or np.any(np.abs(tau_s - tau_c) > 1e-20 + 1e-9 * np.abs(tau_s)):
-        raise GridMismatch("singles and coincidence scans use different delay grids")
-    singles_arr, tau_s, step_s = _trace(singles, tau_s, "singles")
-    coinc_arr, tau_c, step_c = _trace(coincidences, tau_c, "coincidence")
+    singles_arr, tau_arr, step = _trace(singles, tau, "singles")
+    coinc_arr, _, _ = _trace(coincidences, tau_arr, "coincidence")
     n = singles_arr.size
 
     # one rfft: the two fringe rows, and the raw coincidences for the notch
@@ -272,8 +270,8 @@ def report(
     magnitude = np.abs(spectra[:2])
     dc_s, dc_c = _dc(singles_arr, hann), _dc(coinc_arr, hann)
 
-    period_singles = _optional(_period, magnitude[0], dc_s, n, step_s, FLATNESS_FRINGE_FLOOR, 4)
-    period_coinc = _optional(_period, magnitude[1], dc_c, n, step_c, FLATNESS_FRINGE_FLOOR, 4)
+    period_singles = _optional(_period, magnitude[0], dc_s, n, step, FLATNESS_FRINGE_FLOOR, 4)
+    period_coinc = _optional(_period, magnitude[1], dc_c, n, step, FLATNESS_FRINGE_FLOOR, 4)
 
     if window is None:
         if period_singles is not None:
@@ -281,9 +279,9 @@ def report(
         elif period_coinc is not None:
             half = 6.0 * period_coinc
         else:
-            half = float(np.max(np.abs(tau_s)))
+            half = float(np.max(np.abs(tau_arr)))
         window = (-half, half)
-    mask = (tau_s >= window[0]) & (tau_s <= window[1])
+    mask = (tau_arr >= window[0]) & (tau_arr <= window[1])
     if not np.any(mask):
         raise GridMismatch("window contains no samples")
 
@@ -292,7 +290,7 @@ def report(
 
     hom = None
     if period_coinc is not None:
-        hom = _optional(_dip_width, spectra[2], tau_c, step_c, 2.0 * math.pi / period_coinc)
+        hom = _optional(_dip_width, spectra[2], tau_arr, step, 2.0 * math.pi / period_coinc)
 
     return VisibilityReport(
         v1=v1,

@@ -93,7 +93,9 @@ def bundled_config_path(name: str) -> Path:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description with all quantities converted to SI."""
+    """Validated run description in SI units, except that ``profile_params``
+    keeps the config's millimetres (``waist_mm``, ``shift_mm``, the table's
+    ``x_mm``) until ``_pump_amplitude`` converts them to sample the pump."""
 
     pump_wavelength: float
     profile_kind: str
@@ -398,12 +400,12 @@ def _instrument(cfg: RunConfig, kind: str) -> InterferometerConfig:
         cfg.pump_frequency, delay_arm=cfg.delay_arm, flip_arm=cfg.flip_arm)
 
 
-def _run_engine(cfg: RunConfig, state, icfg, sgrid, fgrid, engine: str) -> Interferogram:
+def _run_engine(cfg: RunConfig, state, icfg, fgrid, engine: str) -> Interferogram:
     if engine == "closed":
         return scan(state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
                     frequency_grid=fgrid)
     return modesim.oracle_scan(state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
-                               spatial_grid=sgrid, frequency_grid=fgrid)
+                               frequency_grid=fgrid)
 
 
 def _check_energy(gram: Interferogram):
@@ -446,10 +448,10 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, engine=args.engine)
     if args.out:
         cfg = replace(cfg, output_path=args.out)
-    state, icfg, sgrid, fgrid = build_problem(cfg)
+    state, icfg, _, fgrid = build_problem(cfg)
 
     engines = ["closed", "oracle"] if cfg.engine == "both" else [cfg.engine]
-    grams = [_run_engine(cfg, state, icfg, sgrid, fgrid, e) for e in engines]
+    grams = [_run_engine(cfg, state, icfg, fgrid, e) for e in engines]
     for g in grams:
         _check_energy(g)
     _write_output(cfg.output_path, cfg.output_format, grams)
@@ -559,7 +561,7 @@ def cmd_analyze(args) -> int:
             raise ConfigError(f"no rows for engine {args.engine!r}")
         taus_fs, s1, cc = taus_fs[mask], s1[mask], cc[mask]
     tau = taus_fs * units.FS
-    rep = analysis.report(tau, s1, tau, cc, window=_parse_window(args.window))
+    rep = analysis.report(tau, s1, cc, window=_parse_window(args.window))
     print(json.dumps(_report_to_json(rep), indent=1))
     return 0
 
@@ -569,16 +571,16 @@ def cmd_compare(args) -> int:
     if cfg.engine == "both":
         raise ConfigError("engine: compare needs a single engine ('closed' or 'oracle')")
     kinds = ("mzi", "mzim")
-    state, _, sgrid, fgrid = build_problem(cfg)
+    state, _, _, fgrid = build_problem(cfg)
     icfgs = [_instrument(cfg, kind) for kind in kinds]
     if cfg.engine == "closed":  # one envelope pair serves both instruments
         grams = scan_configs(state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
                              frequency_grid=fgrid)
     else:
-        grams = [_run_engine(cfg, state, icfg, sgrid, fgrid, cfg.engine) for icfg in icfgs]
+        grams = [_run_engine(cfg, state, icfg, fgrid, cfg.engine) for icfg in icfgs]
     results = {}
     for kind, gram in zip(kinds, grams):
-        rep = analysis.report(gram.tau, gram.singles_port1, gram.tau, gram.coincidences)
+        rep = analysis.report(gram.tau, gram.singles_port1, gram.coincidences)
         results[f"{kind}_report"] = _report_to_json(rep)
     delta = float(np.max(np.abs(grams[0].coincidences - grams[1].coincidences)))
     results["max_coincidence_delta"] = delta

@@ -35,7 +35,7 @@ class InvalidRates(BiphotonError):
 # -- discrete-mode simulator ---------------------------------------------------
 
 class GridAsymmetry(BiphotonError):
-    """Grid does not admit the index flip / negation bijections."""
+    """A general spectral sector is simulated on a frequency grid not its own."""
 
 
 class UnknownElement(BiphotonError):
@@ -73,4 +73,4 @@ class NonFiniteSpectrum(BiphotonError):
 
 
 class GridMismatch(BiphotonError):
-    """Two scans do not share the same delay grid."""
+    """A trace and its delay grid differ in length, or a window holds no sample."""

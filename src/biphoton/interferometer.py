@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def check_step(tau_step: float, pump_period: float) -> None:
 
     Both arguments are in the same unit, whichever the caller uses.
     """
-    if tau_step > MAX_STEP_FRACTION * pump_period:
+    if not tau_step <= MAX_STEP_FRACTION * pump_period:
         raise UnderSampled(
             f"step {tau_step} exceeds {MAX_STEP_FRACTION} of the pump period "
             f"{pump_period:.6g}; fringes would be undersampled")
@@ -73,50 +73,41 @@ def check_step(tau_step: float, pump_period: float) -> None:
 class InterferometerConfig:
     """Interferometer kind, pump frequency and per-arm element placement.
 
-    The kind is tied to the mirror counts: equal reflection parity in the
-    two arms is the balanced instrument, unequal parity applies a single
-    transverse flip.  ``delay_arm`` and ``flip_arm`` only matter to the
-    discrete-mode simulator; the closed forms are assignment-independent.
+    ``kind`` is ``MZI``, the balanced instrument (equal reflection parity in
+    the two arms), or ``MZIM``, the same instrument with one mirror removed,
+    whose odd arm applies a single transverse flip.  ``delay_arm`` and
+    ``flip_arm`` only matter to the discrete-mode simulator; the closed
+    forms are assignment-independent.
     """
 
     kind: str
     pump_frequency: float
-    mirror_counts: Tuple[int, int]
     delay_arm: str = "b"
     flip_arm: str = "b"
 
     def __post_init__(self):
         if self.kind not in (MZI, MZIM):
             raise ValueError(f"kind must be '{MZI}' or '{MZIM}'")
-        if self.pump_frequency <= 0.0:
+        if not self.pump_frequency > 0.0:
             raise ValueError("pump_frequency must be positive")
-        a, b = self.mirror_counts
-        if a < 0 or b < 0:
-            raise ValueError("mirror counts must be nonnegative")
-        parity_equal = (a - b) % 2 == 0
-        if parity_equal != (self.kind == MZI):
-            raise ValueError(
-                "mirror parities must match the kind: equal parity is "
-                f"'{MZI}', unequal is '{MZIM}' (got counts {self.mirror_counts})")
         for arm in (self.delay_arm, self.flip_arm):
             if arm not in ("a", "b"):
                 raise ValueError("arms are labelled 'a' and 'b'")
 
     @classmethod
     def mzi(cls, pump_frequency: float, delay_arm: str = "b") -> "InterferometerConfig":
-        return cls(MZI, pump_frequency, (3, 3), delay_arm=delay_arm)
+        return cls(MZI, pump_frequency, delay_arm=delay_arm)
 
     @classmethod
     def mzim(
         cls, pump_frequency: float, delay_arm: str = "b", flip_arm: str = "b"
     ) -> "InterferometerConfig":
-        return cls(MZIM, pump_frequency, (3, 2), delay_arm=delay_arm, flip_arm=flip_arm)
+        return cls(MZIM, pump_frequency, delay_arm=delay_arm, flip_arm=flip_arm)
 
     def describe(self) -> dict:
         return {
             "kind": self.kind,
             "pump_frequency": self.pump_frequency,
-            "mirror_counts": list(self.mirror_counts),
             "delay_arm": self.delay_arm,
             "flip_arm": self.flip_arm,
         }

@@ -385,17 +385,15 @@ def _by_path_pair(branches: Iterable[Branch]) -> Dict[Tuple[str, str], List[Bran
 
 def build_initial_state(
     state: TwoPhotonState,
-    spatial_grid: SpatialGrid,
     frequency_grid: FrequencyGrid,
 ) -> BranchSumState:
-    """Both photons in path a, factors discretized on the given grids.
+    """Both photons in path a, on the state's spatial grid and ``frequency_grid``.
 
     Correlated sectors become structured factors carrying sqrt(quadrature
     weight) amplitudes; general sectors become full matrices.  The state is
     exchange-symmetrized and normalized to unit total amplitude norm.
     """
-    if state.spatial.grid != spatial_grid:
-        raise GridAsymmetry("state's spatial grid differs from the requested grid")
+    spatial_grid = state.spatial.grid
     if isinstance(state.spatial, CorrelatedPump):
         s_factor = Factor.diagonal(
             state.spatial.pump.values * math.sqrt(spatial_grid.spacing))
@@ -635,7 +633,6 @@ def simulate_mixture(
     state: TwoPhotonState,
     cfg: InterferometerConfig,
     tau: float,
-    spatial_grid: Optional[SpatialGrid] = None,
     frequency_grid: Optional[FrequencyGrid] = None,
     convention: str = SYMMETRIC,
 ) -> Tuple[float, float]:
@@ -648,10 +645,10 @@ def simulate_mixture(
     routes must agree with the direct pure-state evaluation -- this
     operation exists to validate the fringe weighting of the unbalanced
     interferometer by brute force.  A general spectral sector has no
-    frequency-diagonal reduction and raises ValueError.
+    frequency-diagonal reduction and raises ValueError.  Grids as in ``oracle_scan``.
     """
-    sgrid, fgrid = _resolve_grids(state, spatial_grid, frequency_grid)
-    initial = build_initial_state(state, sgrid, fgrid)
+    fgrid = _working_frequency_grid(state, frequency_grid)
+    initial = build_initial_state(state, fgrid)
     elements = build_pipeline(cfg, tau, convention)
     final = apply_pipeline(initial, elements)
     coincidence = coincidence_rate(final)
@@ -659,7 +656,7 @@ def simulate_mixture(
     modes = eigendecompose(reduced_spatial_operator(state))
     weights = np.array([w for w, _ in modes])
     mode_rows = np.array(
-        [m.values for _, m in modes]) * math.sqrt(sgrid.spacing)
+        [m.values for _, m in modes]) * math.sqrt(state.spatial.grid.spacing)
     if not isinstance(state.spectral, AntiCorrelated):
         raise ValueError("mixture simulation requires a frequency-diagonal spectral sector")
     q = exchange_overlaps(state, fgrid).weights
@@ -667,15 +664,6 @@ def simulate_mixture(
     per_mode = _one_photon_singles(mode_rows, spectral_amplitude, fgrid, elements, "c")
     singles = 2.0 * float(weights @ per_mode)
     return singles, coincidence
-
-
-def _resolve_grids(
-    state: TwoPhotonState,
-    spatial_grid: Optional[SpatialGrid],
-    frequency_grid: Optional[FrequencyGrid],
-) -> Tuple[SpatialGrid, FrequencyGrid]:
-    return (spatial_grid or state.spatial.grid,
-            _working_frequency_grid(state, frequency_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -713,20 +701,21 @@ def oracle_scan(
     tau_start: float,
     tau_stop: float,
     tau_step: float,
-    spatial_grid: Optional[SpatialGrid] = None,
     frequency_grid: Optional[FrequencyGrid] = None,
     convention: str = SYMMETRIC,
 ) -> Interferogram:
     """Delay scan evaluated entirely by the discrete-mode simulator.
 
-    Makes the same pump-frequency and step checks as the closed ``scan``.
-    The branches do not depend on the delay, so the pipeline runs once, at
+    Runs on the state's spatial grid and on ``frequency_grid``, by default
+    the density's (or a general spectral sector's own grid), and makes the
+    same pump-frequency and step checks as the closed ``scan``.  The
+    branches do not depend on the delay, so the pipeline runs once, at
     tau = 0, and every delay's path-pair norms come from one chirp-z call
     on the rows of ``_delay_table``.
     """
     tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
-    sgrid, fgrid = _resolve_grids(state, spatial_grid, frequency_grid)
-    initial = build_initial_state(state, sgrid, fgrid)
+    fgrid = _working_frequency_grid(state, frequency_grid)
+    initial = build_initial_state(state, fgrid)
     table = _delay_table(apply_pipeline(initial, build_pipeline(cfg, 0.0, convention)))
     sums = chirp_z(np.array(list(table.values())), fgrid.spacing, tau[0], tau_step, tau.size)
     pumps = {m: np.exp(-0.5j * m * cfg.pump_frequency * tau) for _, m in table}

@@ -75,7 +75,7 @@ def _unit_norm_samples(samples, cell: float) -> np.ndarray:
 
 def _require_unit_norm(a: np.ndarray, cell: float, what: str) -> None:
     total = float(np.sum(np.abs(a) ** 2)) * cell
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"{what} norm must be 1, got {total!r}")
 
 
@@ -136,10 +136,10 @@ class SpatialDensityOperator:
         if m.shape != (n, n):
             raise ValueError("matrix must have one row and one column per grid node")
         scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.conj().T))) > HERMITICITY_TOL * scale:
-            raise ValueError("matrix must be Hermitian")
+        if not float(np.max(np.abs(m - m.conj().T))) <= HERMITICITY_TOL * scale:
+            raise ValueError("matrix must be finite and Hermitian")
         tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > NORM_TOL:
+        if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"trace must be 1, got {tr!r}")
         m = 0.5 * (m + m.conj().T)
         low = float(np.min(np.linalg.eigvalsh(m)))

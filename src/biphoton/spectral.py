@@ -56,7 +56,7 @@ class _SymmetricGrid:
     point_count: int
 
     def __post_init__(self):
-        if self.half_width <= 0.0:
+        if not self.half_width > 0.0:
             raise ValueError("half_width must be positive")
         if self.point_count < 3 or self.point_count % 2 == 0:
             raise ValueError("point_count must be an odd integer >= 3")
@@ -101,7 +101,7 @@ class Rectangular:
     full_width: float
 
     def __post_init__(self):
-        if self.full_width <= 0.0:
+        if not self.full_width > 0.0:
             raise ValueError("full_width must be positive")
 
     @property
@@ -127,7 +127,7 @@ class Gaussian:
     rms_width: float
 
     def __post_init__(self):
-        if self.rms_width <= 0.0:
+        if not self.rms_width > 0.0:
             raise ValueError("rms_width must be positive")
 
     @property
@@ -154,9 +154,9 @@ class Tabulated:
         de = np.asarray(self.densities, dtype=float)
         if om.ndim != 1 or om.size < 2 or om.shape != de.shape:
             raise ValueError("need matching 1-d tables with at least 2 points")
-        if np.any(np.diff(om) <= 0.0):
+        if not np.all(np.diff(om) > 0.0):
             raise ValueError("tabulated detunings must be strictly increasing")
-        if np.any(de < 0.0):
+        if not np.all(de >= 0.0):
             raise ValueError("tabulated density must be nonnegative")
         object.__setattr__(self, "omegas", tuple(float(v) for v in om))
         object.__setattr__(self, "densities", tuple(float(v) for v in de))
@@ -184,7 +184,7 @@ class SpectralDensity:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise ValueError("scale must be positive")
 
     def sample(self, grid: FrequencyGrid) -> np.ndarray:

@@ -154,7 +154,7 @@ class TwoPhotonState:
     pump_frequency: float
 
     def __post_init__(self):
-        if self.pump_frequency <= 0.0:
+        if not self.pump_frequency > 0.0:
             raise ValueError("pump_frequency must be positive")
 
     def describe(self) -> dict:

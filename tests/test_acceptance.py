@@ -35,8 +35,8 @@ def oracle_taus():
     return np.linspace(-300e-15, 300e-15, 200)
 
 
-def oracle_rates(state, cfg, taus, sgrid, fgrid):
-    initial = bp.build_initial_state(state, sgrid, fgrid)
+def oracle_rates(state, cfg, taus, fgrid):
+    initial = bp.build_initial_state(state, fgrid)
     singles, coincidences = [], []
     for tau in taus:
         final = bp.apply_pipeline(initial, bp.build_pipeline(cfg, tau))
@@ -83,14 +83,13 @@ def test_criterion_02_mzim_singles_flatness(default_state, cfg_mzim, fgrid, coar
 
 
 def test_criterion_03_coincidence_invariance(coarse_scans, default_state,
-                                             sgrid, fgrid, cfg_mzi, cfg_mzim,
-                                             oracle_taus):
+                                             fgrid, cfg_mzi, cfg_mzim, oracle_taus):
     mzi, mzim = coarse_scans
     closed_delta = float(np.max(np.abs(mzi.coincidences - mzim.coincidences)))
     assert closed_delta <= 1e-9
 
-    _, cc_mzi = oracle_rates(default_state, cfg_mzi, oracle_taus, sgrid, fgrid)
-    _, cc_mzim = oracle_rates(default_state, cfg_mzim, oracle_taus, sgrid, fgrid)
+    _, cc_mzi = oracle_rates(default_state, cfg_mzi, oracle_taus, fgrid)
+    _, cc_mzim = oracle_rates(default_state, cfg_mzim, oracle_taus, fgrid)
     oracle_delta = float(np.max(np.abs(cc_mzi - cc_mzim)))
     assert oracle_delta <= 1e-6
 
@@ -118,12 +117,12 @@ def test_criterion_04_fringe_frequency_doubling(default_state, cfg_mzi, fgrid):
                 f"{period_coinc * 1e15:.4f} fs (coincidence), ratio {ratio:.4f}")
 
 
-def test_criterion_05_oracle_equivalence(default_state, sgrid, fgrid,
+def test_criterion_05_oracle_equivalence(default_state, fgrid,
                                          cfg_mzi, cfg_mzim, oracle_taus):
     start = time.perf_counter()
     worst = 0.0
     for cfg in (cfg_mzi, cfg_mzim):
-        s_oracle, c_oracle = oracle_rates(default_state, cfg, oracle_taus, sgrid, fgrid)
+        s_oracle, c_oracle = oracle_rates(default_state, cfg, oracle_taus, fgrid)
         if cfg.kind == "mzi":
             s_closed = bp.intensity_mzi(default_state, cfg, oracle_taus, fgrid, port=1)
             c_closed = bp.g2_mzi(default_state, cfg, oracle_taus, fgrid)
@@ -139,7 +138,7 @@ def test_criterion_05_oracle_equivalence(default_state, sgrid, fgrid,
     small_sgrid = bp.SpatialGrid(half_width=3e-3, point_count=9)
     small_fgrid = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=17)
     small_state = bp.default_spdc_state(spatial_grid=small_sgrid)
-    built = bp.build_initial_state(small_state, small_sgrid, small_fgrid)
+    built = bp.build_initial_state(small_state, small_fgrid)
     dense_worst = 0.0
     for cfg in (cfg_mzi, cfg_mzim):
         for tau in (0.0, 27e-15, 140e-15):
@@ -158,7 +157,7 @@ def test_criterion_05_oracle_equivalence(default_state, sgrid, fgrid,
                 f"({elapsed:.1f} s < 60 s)")
 
 
-def test_criterion_06_odd_pump_parity(odd_state, sgrid, fgrid):
+def test_criterion_06_odd_pump_parity(odd_state, fgrid):
     cfg_mzi = bp.InterferometerConfig.mzi(odd_state.pump_frequency)
     cfg_mzim = bp.InterferometerConfig.mzim(odd_state.pump_frequency)
 
@@ -176,10 +175,9 @@ def test_criterion_06_odd_pump_parity(odd_state, sgrid, fgrid):
     ratio_c, shift_c = check("closed", closed_mzi.tau,
                              closed_mzi.coincidences, closed_mzim.coincidences)
 
-    oracle_mzi = bp.oracle_scan(odd_state, cfg_mzi, -60e-15, 60e-15, 0.2e-15,
-                                spatial_grid=sgrid, frequency_grid=fgrid)
+    oracle_mzi = bp.oracle_scan(odd_state, cfg_mzi, -60e-15, 60e-15, 0.2e-15, frequency_grid=fgrid)
     oracle_mzim = bp.oracle_scan(odd_state, cfg_mzim, -60e-15, 60e-15, 0.2e-15,
-                                 spatial_grid=sgrid, frequency_grid=fgrid)
+                                 frequency_grid=fgrid)
     ratio_o, shift_o = check("oracle", oracle_mzi.tau,
                              oracle_mzi.coincidences, oracle_mzim.coincidences)
     announce(6, f"odd pump: sinusoid amplitude ratio {ratio_c:.5f} (closed) / "
@@ -224,10 +222,10 @@ def test_criterion_07_bandwidth_reciprocity(default_state, sgrid):
                 f"and the envelope first zero (ratio {zero_ratio:.4f})")
 
 
-def test_criterion_08_hom_dip_zero(default_state, sgrid, fgrid, cfg_mzi, cfg_mzim):
+def test_criterion_08_hom_dip_zero(default_state, fgrid, cfg_mzi, cfg_mzim):
     closed_mzi = bp.g2_mzi(default_state, cfg_mzi, 0.0, fgrid)
     closed_mzim = bp.g2_mzim(default_state, cfg_mzim, 0.0, fgrid)
-    initial = bp.build_initial_state(default_state, sgrid, fgrid)
+    initial = bp.build_initial_state(default_state, fgrid)
     oracle_mzi = bp.coincidence_rate(
         bp.apply_pipeline(initial, bp.build_pipeline(cfg_mzi, 0.0)))
     oracle_mzim = bp.coincidence_rate(
@@ -256,7 +254,7 @@ def test_criterion_09_spatial_sector_independence(default_state, odd_state,
     sample_taus = taus[::25]
     reference = None
     for state in (default_state, coherent_state, odd_state):
-        initial = bp.build_initial_state(state, sgrid, fgrid)
+        initial = bp.build_initial_state(state, fgrid)
         rates = []
         for tau in sample_taus:
             final = bp.apply_pipeline(initial, bp.build_pipeline(cfg_mzi, tau))
@@ -272,10 +270,9 @@ def test_criterion_09_spatial_sector_independence(default_state, odd_state,
 
 
 def test_criterion_10_complementarity_diagnostic(scan_mzi_fine, scan_mzim_fine):
-    rep_mzi = bp.report(scan_mzi_fine.tau, scan_mzi_fine.singles_port1,
-                        scan_mzi_fine.tau, scan_mzi_fine.coincidences)
+    rep_mzi = bp.report(scan_mzi_fine.tau, scan_mzi_fine.singles_port1, scan_mzi_fine.coincidences)
     rep_mzim = bp.report(scan_mzim_fine.tau, scan_mzim_fine.singles_port1,
-                         scan_mzim_fine.tau, scan_mzim_fine.coincidences)
+                         scan_mzim_fine.coincidences)
     assert rep_mzi.complementarity_sum >= 1.9
     assert rep_mzim.complementarity_sum <= 1.05
     announce(10, f"complementarity diagnostic: MZI v1^2+v12^2="

@@ -692,7 +692,7 @@ class TestCompare:
         capsys.readouterr()
         run = load_config(path)
         assert len(traces) == 2
-        for kind, (tau, singles, _, coincidences) in zip(("mzi", "mzim"), traces):
+        for kind, (tau, singles, coincidences) in zip(("mzi", "mzim"), traces):
             state, icfg, _, fgrid = cli.build_problem(replace(run, interferometer_kind=kind))
             alone = bp.scan(state, icfg, run.tau_start, run.tau_stop, run.tau_step,
                             frequency_grid=fgrid)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import biphoton as bp
 from biphoton.errors import (
     BudgetExceeded,
-    GridAsymmetry,
     IncompletePipeline,
     UnderSampled,
     UnknownElement,
@@ -39,8 +38,8 @@ def small_state(small_grids):
 
 
 @pytest.fixture(scope="session")
-def initial(default_state, sgrid, fgrid):
-    return bp.build_initial_state(default_state, sgrid, fgrid)
+def initial(default_state, fgrid):
+    return bp.build_initial_state(default_state, fgrid)
 
 
 def run(initial_state, cfg, tau, convention=SYMMETRIC):
@@ -51,7 +50,7 @@ def run(initial_state, cfg, tau, convention=SYMMETRIC):
 def interpreters(small_state, small_grids):
     """Each interpreter of an element list: branch sum, dense tensor, one-photon mixture."""
     sgrid, fgrid = small_grids
-    built = bp.build_initial_state(small_state, sgrid, fgrid)
+    built = bp.build_initial_state(small_state, fgrid)
     modes = np.eye(sgrid.point_count)[:2].astype(complex)
     spectrum = np.full(fgrid.point_count, 1.0 / math.sqrt(fgrid.point_count))
     return (
@@ -124,13 +123,13 @@ class TestBuildInitialState:
         gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
         state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, gauss),
                                   default_state.spectral, OMEGA_P)
-        built = bp.build_initial_state(state, sgrid, fgrid)
+        built = bp.build_initial_state(state, fgrid)
         assert built.branches[0].spatial.kind == "full"
         assert bp.total_norm(built) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_explicit_dense_construction(self, small_state, small_grids):
         sgrid, fgrid = small_grids
-        built = bp.to_dense(bp.build_initial_state(small_state, sgrid, fgrid))
+        built = bp.to_dense(bp.build_initial_state(small_state, fgrid))
 
         # independent dense construction straight from the discretization
         n, m = sgrid.point_count, fgrid.point_count
@@ -146,11 +145,6 @@ class TestBuildInitialState:
                 expected[0, i, k, 0, i, m - 1 - k] = (
                     phi[i] * math.sqrt(sgrid.spacing) * psi[k])
         assert float(np.max(np.abs(built.tensor - expected))) < 1e-12
-
-    def test_mismatched_grid_rejected(self, default_state, fgrid):
-        other = bp.SpatialGrid(half_width=2e-3, point_count=257)
-        with pytest.raises(GridAsymmetry):
-            bp.build_initial_state(default_state, other, fgrid)
 
 
 class TestPhotonMap:
@@ -242,8 +236,8 @@ class TestElementSemantics:
     def test_exchange_symmetry_preserved_dense(self, small_state, small_grids, cfg_mzim):
         # The dense representation supports a direct, cancellation-free
         # asymmetry check at the 1e-12 scale, element by element.
-        sgrid, fgrid = small_grids
-        state = bp.to_dense(bp.build_initial_state(small_state, sgrid, fgrid))
+        _, fgrid = small_grids
+        state = bp.to_dense(bp.build_initial_state(small_state, fgrid))
         assert exchange_asymmetry(state) < 1e-12
         for element in bp.build_pipeline(cfg_mzim, 33e-15):
             state = bp.apply_element(state, element)
@@ -317,7 +311,7 @@ class TestClosedFormEquivalence:
         gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
         state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, gauss),
                                   default_state.spectral, OMEGA_P)
-        built = bp.build_initial_state(state, sgrid, fgrid)
+        built = bp.build_initial_state(state, fgrid)
         expected = bp.intensity_mzim(state, cfg_mzim, self.TAUS[::10], fgrid, port=1)
         for tau, ref in zip(self.TAUS[::10], expected):
             final = run(built, cfg_mzim, tau)
@@ -329,8 +323,8 @@ class TestClosedFormEquivalence:
 
 
 class TestParityCases:
-    def test_odd_pump_coincidences(self, odd_state, sgrid, fgrid, cfg_mzim):
-        built = bp.build_initial_state(odd_state, sgrid, fgrid)
+    def test_odd_pump_coincidences(self, odd_state, fgrid, cfg_mzim):
+        built = bp.build_initial_state(odd_state, fgrid)
         taus = np.linspace(-150e-15, 150e-15, 40)
         expected = bp.g2_mzim(odd_state, cfg_mzim, taus, fgrid)
         for tau, ref in zip(taus, expected):
@@ -346,7 +340,7 @@ class TestParityCases:
         beta = bp.pump_parity_overlap(pump).as_complex().real
         assert 0.0 < beta < 1.0
         state = bp.TwoPhotonState(bp.CorrelatedPump(pump), default_state.spectral, OMEGA_P)
-        built = bp.build_initial_state(state, sgrid, fgrid)
+        built = bp.build_initial_state(state, fgrid)
         cfg = bp.InterferometerConfig.mzim(OMEGA_P)
         density = bp.normalize(default_state.spectral.density, fgrid)
         env = bp.EnvelopeEvaluator(density, fgrid)
@@ -360,9 +354,8 @@ class TestParityCases:
             if abs(interference) > 1e-12:
                 assert lo < value < hi
 
-    def test_even_pump_fringe_versus_odd_pump_fringe(self, initial, odd_state,
-                                                     sgrid, fgrid, cfg_mzim):
-        built_odd = bp.build_initial_state(odd_state, sgrid, fgrid)
+    def test_even_pump_fringe_versus_odd_pump_fringe(self, initial, odd_state, fgrid, cfg_mzim):
+        built_odd = bp.build_initial_state(odd_state, fgrid)
         tau = 0.25 * 2.0 * math.pi / OMEGA_P
         even = bp.coincidence_rate(run(initial, cfg_mzim, tau))
         odd = bp.coincidence_rate(run(built_odd, cfg_mzim, tau))
@@ -408,7 +401,7 @@ class TestInvariances:
         taus = (7e-15, 42e-15, 155e-15)
         reference = None
         for state in (default_state, coherent, odd_state):
-            built = bp.build_initial_state(state, sgrid, fgrid)
+            built = bp.build_initial_state(state, fgrid)
             rates = []
             for tau in taus:
                 final = run(built, cfg_mzi, tau)
@@ -428,8 +421,8 @@ class TestMixture:
                                   default_state.spectral, OMEGA_P)
         cfg = bp.InterferometerConfig.mzim(OMEGA_P)
         tau = 19e-15
-        singles, coincidence = bp.simulate_mixture(state, cfg, tau, sgrid, fgrid)
-        built = bp.build_initial_state(state, sgrid, fgrid)
+        singles, coincidence = bp.simulate_mixture(state, cfg, tau, fgrid)
+        built = bp.build_initial_state(state, fgrid)
         final = run(built, cfg, tau)
         assert singles == pytest.approx(bp.singles_rate(final, "c"), abs=1e-9)
         assert coincidence == pytest.approx(bp.coincidence_rate(final), abs=1e-12)
@@ -444,7 +437,7 @@ class TestMixture:
         cfg = bp.InterferometerConfig.mzim(OMEGA_P)
         # flip weights +1 and -1 average to zero: flat singles
         for tau in (5e-15, 28e-15):
-            singles, _ = bp.simulate_mixture(state, cfg, tau, sgrid, fgrid)
+            singles, _ = bp.simulate_mixture(state, cfg, tau, fgrid)
             assert singles == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("sector", ["spatial", "spectral"])
@@ -466,8 +459,8 @@ class TestMixture:
         for cfg, closed in ((bp.InterferometerConfig.mzi(OMEGA_P), bp.intensity_mzi),
                             (bp.InterferometerConfig.mzim(OMEGA_P), bp.intensity_mzim)):
             for tau in (0.0, 3e-15, 11e-15):
-                singles, _ = bp.simulate_mixture(state, cfg, tau, sgrid, fgrid)
-                final = run(bp.build_initial_state(state, sgrid, fgrid), cfg, tau)
+                singles, _ = bp.simulate_mixture(state, cfg, tau, fgrid)
+                final = run(bp.build_initial_state(state, fgrid), cfg, tau)
                 assert singles == pytest.approx(bp.singles_rate(final, "c"), abs=1e-12)
                 assert singles == pytest.approx(closed(state, cfg, tau, fgrid), abs=1e-12)
 
@@ -482,10 +475,9 @@ class TestMixture:
             bp.simulate_mixture(state, bp.InterferometerConfig.mzim(OMEGA_P), 3e-15)
 
     def test_default_state_flat_singles_unchanged_coincidence(
-            self, default_state, sgrid, fgrid, cfg_mzim, initial):
+            self, default_state, fgrid, cfg_mzim, initial):
         tau = 15e-15
-        singles, coincidence = bp.simulate_mixture(default_state, cfg_mzim, tau,
-                                                   sgrid, fgrid)
+        singles, coincidence = bp.simulate_mixture(default_state, cfg_mzim, tau, fgrid)
         alpha = bp.flip_overlap(bp.reduced_spatial_operator(default_state)).magnitude
         assert abs(singles - 1.0) <= alpha + 1e-9
         final = run(initial, cfg_mzim, tau)
@@ -494,8 +486,8 @@ class TestMixture:
 
 class TestDenseRepresentation:
     def test_observables_match_branch_sum(self, small_state, small_grids, cfg_mzi, cfg_mzim):
-        sgrid, fgrid = small_grids
-        built = bp.build_initial_state(small_state, sgrid, fgrid)
+        _, fgrid = small_grids
+        built = bp.build_initial_state(small_state, fgrid)
         for cfg in (cfg_mzi, cfg_mzim):
             for tau in (0.0, 35e-15, 180e-15):
                 elements = bp.build_pipeline(cfg, tau)
@@ -509,8 +501,8 @@ class TestDenseRepresentation:
                         bp.singles_rate(branch_final, port), abs=1e-12)
 
     def test_post_pipeline_expansion_matches(self, small_state, small_grids, cfg_mzim):
-        sgrid, fgrid = small_grids
-        built = bp.build_initial_state(small_state, sgrid, fgrid)
+        _, fgrid = small_grids
+        built = bp.build_initial_state(small_state, fgrid)
         elements = bp.build_pipeline(cfg_mzim, 42e-15)
         branch_final = bp.apply_pipeline(built, elements)
         expanded = bp.to_dense(branch_final)
@@ -521,16 +513,15 @@ class TestDenseRepresentation:
         sgrid = bp.SpatialGrid(half_width=3e-3, point_count=65)
         fgrid_big = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=129)
         state = bp.default_spdc_state(spatial_grid=sgrid)
-        built = bp.build_initial_state(state, sgrid, fgrid_big)
+        built = bp.build_initial_state(state, fgrid_big)
         with pytest.raises(BudgetExceeded):
             bp.to_dense(built)  # (2*65*129)^2 amplitudes ~ 4.5 GiB
 
 
 class TestOracleScan:
-    def test_scan_matches_pointwise_evaluation(self, default_state, cfg_mzi,
-                                               sgrid, fgrid, initial):
+    def test_scan_matches_pointwise_evaluation(self, default_state, cfg_mzi, fgrid, initial):
         gram = bp.oracle_scan(default_state, cfg_mzi, -20e-15, 20e-15, 0.25e-15,
-                              spatial_grid=sgrid, frequency_grid=fgrid)
+                              frequency_grid=fgrid)
         assert gram.engine == "oracle"
         i = 17
         final = run(initial, cfg_mzi, gram.tau[i])
@@ -539,16 +530,14 @@ class TestOracleScan:
         total = gram.singles_port1 + gram.singles_port2
         assert float(np.max(np.abs(total - 2.0))) < 1e-9
 
-    def test_undersampled_step_rejected(self, default_state, cfg_mzi, sgrid, fgrid):
+    def test_undersampled_step_rejected(self, default_state, cfg_mzi, fgrid):
         with pytest.raises(UnderSampled):
-            bp.oracle_scan(default_state, cfg_mzi, -1e-15, 1e-15, 0.5e-15,
-                           spatial_grid=sgrid, frequency_grid=fgrid)
+            bp.oracle_scan(default_state, cfg_mzi, -1e-15, 1e-15, 0.5e-15, frequency_grid=fgrid)
 
-    def test_pump_frequency_mismatch_rejected(self, default_state, sgrid, fgrid):
+    def test_pump_frequency_mismatch_rejected(self, default_state, fgrid):
         cfg = bp.InterferometerConfig.mzi(OMEGA_P * 1.01)
         with pytest.raises(ValueError, match="pump frequency"):
-            bp.oracle_scan(default_state, cfg, -1e-15, 1e-15, 0.1e-15,
-                           spatial_grid=sgrid, frequency_grid=fgrid)
+            bp.oracle_scan(default_state, cfg, -1e-15, 1e-15, 0.1e-15, frequency_grid=fgrid)
 
 
 class TestOracleProperties:
@@ -569,7 +558,7 @@ class TestOracleProperties:
         pump = bp.gaussian_amplitude(sgrid, waist=waist_mm * 1e-3, center=shift_mm * 1e-3)
         state = bp.TwoPhotonState(bp.CorrelatedPump(pump), small_state.spectral, OMEGA_P)
         cfg = (bp.InterferometerConfig.mzi if balanced else bp.InterferometerConfig.mzim)(OMEGA_P)
-        built = bp.build_initial_state(state, sgrid, fgrid)
+        built = bp.build_initial_state(state, fgrid)
         for tau in (0.0, tau_fs * 1e-15):
             rates = {}
             for convention in (SYMMETRIC, CONJUGATE):
@@ -616,10 +605,10 @@ class TestBatchedOracleScan:
     @pytest.mark.parametrize("name", ["gaussian", "shifted", "hg1", "general_spatial",
                                       "general_spectral", "both_general"])
     def test_matches_per_delay_branch_sum(self, small_state, small_grids, name):
-        sgrid, fgrid = small_grids
+        _, fgrid = small_grids
         spatial, spectral = _batch_states(small_state, small_grids)[name]
         state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
-        built = bp.build_initial_state(state, sgrid, fgrid)
+        built = bp.build_initial_state(state, fgrid)
         # Only the exchange-symmetric inputs stay one branch after symmetrisation.
         assert len(built.branches) == (1 if name in ("gaussian", "shifted", "hg1") else 2)
         half = 120 * self.STEP  # 241 delays, tau = 0 exactly at the centre
@@ -628,7 +617,7 @@ class TestBatchedOracleScan:
             for convention in (SYMMETRIC, CONJUGATE):
                 for start, stop in ((-half, half), (17e-15, 17e-15)):
                     gram = bp.oracle_scan(state, cfg, start, stop, self.STEP,
-                                          spatial_grid=sgrid, frequency_grid=fgrid,
+                                          frequency_grid=fgrid,
                                           convention=convention)
                     assert gram.tau.size == (241 if start < stop else 1)
                     expected = np.array([
@@ -639,12 +628,11 @@ class TestBatchedOracleScan:
 
     def test_general_spectral_scans_on_its_own_grid(self, small_state, small_grids, cfg_mzim):
         # without a frequency grid the scan takes the general sector's grid
-        sgrid, fgrid = small_grids
+        _, fgrid = small_grids
         spatial, spectral = _batch_states(small_state, small_grids)["general_spectral"]
         state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
-        own = bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP, spatial_grid=sgrid)
-        given = bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP,
-                               spatial_grid=sgrid, frequency_grid=fgrid)
+        own = bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP)
+        given = bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP, frequency_grid=fgrid)
         for column in ("singles_port1", "singles_port2", "coincidences"):
             assert np.array_equal(getattr(own, column), getattr(given, column))
 

@@ -169,3 +169,14 @@ class TestDensityOperatorValidation:
         m = 2.0 * np.outer(gauss.values, gauss.values.conj()) * grid.spacing
         with pytest.raises(ValueError):
             bp.SpatialDensityOperator(grid, m)
+
+    @pytest.mark.parametrize("build, needle", [
+        (lambda g: bp.SpatialAmplitude(g, [math.nan] * 5), "amplitude norm"),
+        (lambda g: bp.GeneralSpatial(g, np.full((5, 5), math.nan)), "joint spatial norm"),
+        (lambda g: bp.SpatialDensityOperator(g, np.diag([math.nan, 1.0, 0.0, 0.0, 0.0])),
+         "finite and Hermitian"),
+    ], ids=["amplitude", "general_spatial", "density_operator"])
+    def test_nan_rejected(self, build, needle):
+        # NaN fails every comparison, so each check must be written to fail it
+        with pytest.raises(ValueError, match=needle):
+            build(bp.SpatialGrid(half_width=1e-3, point_count=5))

@@ -5,6 +5,8 @@ import pytest
 
 import biphoton as bp
 from biphoton import units
+from biphoton.errors import UnderSampled
+from biphoton.interferometer import check_step
 
 from conftest import COINCIDENCE_PERIOD, DELTA_OMEGA, OMEGA_P, SINGLES_PERIOD
 
@@ -146,6 +148,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             bp.TwoPhotonState(bp.CorrelatedPump(gauss), default_state.spectral, -1.0)
 
+    @pytest.mark.parametrize("build, error", [
+        (lambda state: bp.Rectangular(math.nan), ValueError),
+        (lambda state: bp.Gaussian(math.nan), ValueError),
+        (lambda state: bp.SpectralDensity(bp.Rectangular(1.0), scale=math.nan), ValueError),
+        (lambda state: bp.Tabulated((0.0, 1.0), (math.nan, 1.0)), ValueError),
+        (lambda state: bp.Tabulated((0.0, math.nan), (1.0, 1.0)), ValueError),
+        (lambda state: bp.TwoPhotonState(state.spatial, state.spectral, math.nan), ValueError),
+        (lambda state: bp.InterferometerConfig.mzi(math.nan), ValueError),
+        (lambda state: check_step(math.nan, 1.0), UnderSampled),
+    ], ids=["rectangular", "gaussian", "scale", "tabulated_density", "tabulated_detuning",
+            "pump_frequency", "interferometer", "check_step"])
+    def test_nan_rejected(self, default_state, build, error):
+        # NaN fails every comparison, so each check must be written to fail it
+        with pytest.raises(error):
+            build(default_state)
+
 
 class TestSharedGrid:
     """SpatialGrid and FrequencyGrid are one symmetric-grid definition."""
@@ -168,7 +186,8 @@ class TestSharedGrid:
         assert np.array_equal(x, w)
 
     @pytest.mark.parametrize("cls", GRIDS)
-    @pytest.mark.parametrize("half_width, count", [(1.0, 8), (1.0, 1), (0.0, 9), (-1.0, 9)])
+    @pytest.mark.parametrize("half_width, count",
+                             [(1.0, 8), (1.0, 1), (0.0, 9), (-1.0, 9), (math.nan, 9)])
     def test_invalid_grid_rejected(self, cls, half_width, count):
         with pytest.raises(ValueError):
             cls(half_width, count)
