@@ -53,7 +53,8 @@ def _uniform_step(tau: np.ndarray) -> float:
         raise UnderResolved("need at least two samples")
     steps = np.diff(tau)
     step = float(steps[0])
-    if step <= 0.0 or np.any(np.abs(steps - step) > 1e-6 * abs(step)):
+    # written so that a NaN delay fails it
+    if not (step > 0.0 and np.all(np.abs(steps - step) <= 1e-6 * abs(step))):
         raise ValueError("delay grid must be uniform and increasing")
     return step
 

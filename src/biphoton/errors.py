@@ -8,7 +8,8 @@ class BiphotonError(Exception):
 # -- spectral engine ---------------------------------------------------------
 
 class ZeroDensity(BiphotonError):
-    """Spectral density integrates to (numerically) zero on the working grid."""
+    """Spectral density integrates to (numerically) zero, or to no finite
+    value, on the working grid."""
 
 
 # -- spatial engine ----------------------------------------------------------

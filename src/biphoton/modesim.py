@@ -36,10 +36,10 @@ depend on the delay, and each records how many delay phases each of its
 photons received.  Every path-pair norm is then a sum of terms
 g exp(-i m w_p tau / 2) exp(i n h tau) with small integers m and n, and one
 chirp-z call (``spectral.chirp_z``) evaluates all of them on the whole delay
-axis; its rows come from the same branch-pair walk as the norms, and the
-same port rule reads the rates out, elementwise.  The per-delay branch sum
-stays the route for a single delay and the reference the scan is tested
-against.
+axis, once per distinct row; its rows come from the same branch-pair walk as
+the norms, and the same port rule reads the rates out, elementwise.  The
+per-delay branch sum stays the route for a single delay and the reference
+the scan is tested against.
 
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
 b -> (i a + b)/sqrt(2) ("symmetric"); the alternative "conjugate"
@@ -683,6 +683,12 @@ def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.
     m that occur get a row.  The pairs come from ``_branch_pairs``, the walk
     ``_group_norm`` reads too: each unordered pair enters once, at double
     weight, so only the real part of the delay sum is the norm.
+
+    Rows repeat: for an exchange-symmetrised state the (c, d) and (d, c)
+    rows are equal, (c, c) equals (d, d) at m = 0, and the rows whose
+    terms cancel are all zero.  On the bundled configs 12 rows hold 7
+    distinct ones (5 for an hg1 pump).  Nothing here relies on that;
+    ``oracle_scan`` finds the repeats by bit pattern.
     """
     c = state.frequency_grid.point_count // 2
     table: dict = {}
@@ -693,6 +699,26 @@ def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.
             row = table.setdefault((pair, d0 + d1), np.zeros(4 * c + 1, dtype=complex))
             np.add.at(row, 2 * c - d0 * n0 - d1 * n1, coef * terms)
     return table
+
+
+def _distinct_rows(rows: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[int]]:
+    """The rows that differ from each other in some bit, in order of first
+    appearance, and for each row the index of its bit-equal row among them.
+
+    Rows are compared as integers, so -0.0 and 0.0 stay apart and a NaN row
+    matches only a row of the same bits: a transform of equal bits is the
+    same transform, whatever the rows mean.
+    """
+    distinct: List[np.ndarray] = []
+    which: List[int] = []
+    for row in rows:
+        bits = row.view(np.int64)
+        k = next((k for k, seen in enumerate(distinct)
+                  if (bits == seen.view(np.int64)).all()), len(distinct))
+        if k == len(distinct):
+            distinct.append(row)
+        which.append(k)
+    return distinct, which
 
 
 def oracle_scan(
@@ -711,17 +737,21 @@ def oracle_scan(
     same pump-frequency and step checks as the closed ``scan``.  The
     branches do not depend on the delay, so the pipeline runs once, at
     tau = 0, and every delay's path-pair norms come from one chirp-z call
-    on the rows of ``_delay_table``.
+    on the rows of ``_delay_table``.  Each distinct row is transformed
+    once, and every (path pair, m) key reads its row's transform: rows are
+    compared by bit pattern, so the rates are those of transforming every
+    row, bit for bit, whatever symmetry the state has or lacks.
     """
     tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
     fgrid = _working_frequency_grid(state, frequency_grid)
     initial = build_initial_state(state, fgrid)
     table = _delay_table(apply_pipeline(initial, build_pipeline(cfg, 0.0, convention)))
-    sums = chirp_z(np.array(list(table.values())), fgrid.spacing, tau[0], tau_step, tau.size)
+    distinct, which = _distinct_rows(list(table.values()))
+    sums = chirp_z(np.array(distinct), fgrid.spacing, tau[0], tau_step, tau.size)
     pumps = {m: np.exp(-0.5j * m * cfg.pump_frequency * tau) for _, m in table}
     norms: dict = {}
-    for (pair, m), row in zip(table, sums):
-        norms[pair] = norms.get(pair, 0.0) + (pumps[m] * row).real
+    for (pair, m), k in zip(table, which):
+        norms[pair] = norms.get(pair, 0.0) + (pumps[m] * sums[k]).real
     s1, s2, cc = _port_rule(norms)
     return Interferogram(
         tau=tau,

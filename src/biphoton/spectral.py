@@ -127,8 +127,10 @@ class Gaussian:
     rms_width: float
 
     def __post_init__(self):
-        if not self.rms_width > 0.0:
-            raise ValueError("rms_width must be positive")
+        # the samples divide by rms_width**2, which must not round to 0 or inf
+        if not (self.rms_width > 0.0 and 0.0 < self.rms_width * self.rms_width < math.inf):
+            raise ValueError(
+                f"rms_width must be positive with a finite nonzero square, got {self.rms_width!r}")
 
     @property
     def support_half_width(self) -> float:
@@ -221,12 +223,15 @@ def default_frequency_grid(sd: SpectralDensity, point_count: int = 1025) -> Freq
 def normalize(sd: SpectralDensity, grid: FrequencyGrid) -> SpectralDensity:
     """Rescale so the trapezoid integral over ``grid`` equals one.
 
-    Raises ZeroDensity when the grid sees (numerically) no density at all,
-    e.g. a table whose support lies entirely outside the grid.
+    Raises ZeroDensity unless the integral is finite and at least 1e-300:
+    when the grid sees (numerically) no density at all, e.g. a table whose
+    support lies entirely outside the grid, or when a sample is not finite.
     """
     total = float(np.sum(sd.sample(grid) * grid.trapezoid_weights()))
-    if total < 1e-300:
-        raise ZeroDensity("density integrates to zero on the working grid")
+    if not 1e-300 <= total < math.inf:
+        raise ZeroDensity(
+            f"{sd.describe()} integrates to {total!r} on the working grid; "
+            "need a finite integral of at least 1e-300")
     return replace(sd, scale=sd.scale / total)
 
 

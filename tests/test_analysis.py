@@ -268,6 +268,23 @@ class TestReport:
         assert rep.hom_fwhm == bp.hom_dip_fwhm(c, tau, 2.0 * math.pi / rep.fringe_period_coincidence)
 
 
+class TestNanDelay:
+    """A NaN delay fails the uniform-grid check of every estimator (tier-1
+    runs with warnings as errors, so none may warn first)."""
+
+    @pytest.mark.parametrize("index", [0, 1000, -1], ids=["first", "middle", "last"])
+    def test_estimators_raise(self, scan_mzi_fine, index):
+        tau = scan_mzi_fine.tau.copy()
+        tau[index] = math.nan
+        s, c = scan_mzi_fine.singles_port1, scan_mzi_fine.coincidences
+        with pytest.raises(ValueError, match="uniform and increasing"):
+            bp.fringe_period(s, tau)
+        with pytest.raises(ValueError, match="uniform and increasing"):
+            bp.hom_dip_fwhm(c, tau, OMEGA_P)
+        with pytest.raises(ValueError, match="uniform and increasing"):
+            bp.report(tau, s, s)
+
+
 class TestNonFiniteSpectrum:
     """Rates near the float limit would overflow the windowed FFT: every
     estimator raises instead of returning NaN."""

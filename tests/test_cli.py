@@ -241,8 +241,9 @@ class TestGoldenOutput:
 
     # MZIM on a 4097-point spectral grid, JSON, --engine both, +-5 fs at
     # 0.05 fs: the oracle's delay table has 8193-point rows, padded to an
-    # FFT length of 16384 (the bundled configs reach 8192).  The hg1 pump
-    # gives 12 rows, the Gaussian fewer.
+    # FFT length of 16384 (the bundled configs reach 8192).  Both pumps give
+    # 12 rows; only the distinct ones are transformed, 5 for hg1 and 7 for
+    # the Gaussian.
     FINE_GRID_JSON_DIGESTS = {
         "gaussian": "a04eed88b14e6f157b718b1005711520b6a5803e20317164c996f7320ff8d72a",
         "hg1": "5ee861c51c35450e3c494aeacae27c0ee048e5d3b6f58213c2bb5906624bed07",

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
+from biphoton import modesim
+from biphoton.cli import build_problem, bundled_config_path, load_config
 from biphoton.errors import (
     BudgetExceeded,
     IncompletePipeline,
@@ -15,11 +17,13 @@ from biphoton.errors import (
 from biphoton.modesim import (
     CONJUGATE,
     SYMMETRIC,
+    _distinct_rows,
     _one_photon_singles,
     _photon_map,
     _rates,
     exchange_asymmetry,
 )
+from biphoton.spectral import chirp_z
 
 from conftest import DELTA_OMEGA, OMEGA_P
 
@@ -642,3 +646,79 @@ class TestBatchedOracleScan:
             assert len(final.branches) == 16
             assert {b.delays for b in final.branches} == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert initial.branches[0].delays == (0, 0)
+
+
+def _bundled_scan_args(name):
+    cfg = load_config(bundled_config_path(name))
+    state, icfg, _, fgrid = build_problem(cfg)
+    return (state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step), fgrid
+
+
+def _every_row(rows):
+    return list(rows), list(range(len(rows)))
+
+
+class TestDistinctRows:
+    """The scan transforms each distinct delay-table row once."""
+
+    def _assert_matches_every_row(self, monkeypatch, args, fgrid):
+        got = bp.oracle_scan(*args, frequency_grid=fgrid)
+        with monkeypatch.context() as patch:
+            patch.setattr(modesim, "_distinct_rows", _every_row)
+            reference = bp.oracle_scan(*args, frequency_grid=fgrid)
+        for column in ("singles_port1", "singles_port2", "coincidences"):
+            assert np.array_equal(getattr(got, column), getattr(reference, column))
+
+    @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
+    def test_bundled_scan_equals_every_row_reference(self, monkeypatch, name):
+        self._assert_matches_every_row(monkeypatch, *_bundled_scan_args(name))
+
+    @pytest.mark.parametrize("name", ["shifted", "hg1", "general_spatial", "both_general"])
+    def test_small_grid_scan_equals_every_row_reference(self, monkeypatch, small_state,
+                                                        small_grids, name):
+        _, fgrid = small_grids
+        spatial, spectral = _batch_states(small_state, small_grids)[name]
+        state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
+        for kind in ("mzi", "mzim"):
+            cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
+            self._assert_matches_every_row(monkeypatch, (state, cfg, -30e-15, 30e-15, 0.25e-15),
+                                           fgrid)
+
+    @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
+    def test_bundled_configs_transform_seven_of_twelve_rows(self, monkeypatch, name):
+        args, fgrid = _bundled_scan_args(name)
+        state, icfg = args[:2]
+        final = bp.apply_pipeline(bp.build_initial_state(state, fgrid),
+                                  bp.build_pipeline(icfg, 0.0))
+        assert len(modesim._delay_table(final)) == 12
+        transformed = []
+
+        def recording(u, *rest):
+            transformed.append(u.shape[0])
+            return chirp_z(u, *rest)
+
+        monkeypatch.setattr(modesim, "chirp_z", recording)
+        bp.oracle_scan(*args, frequency_grid=fgrid)
+        assert transformed == [7]
+
+    def test_rows_merge_only_on_equal_bits(self):
+        rng = np.random.default_rng(3)
+        row = rng.normal(size=9) + 1j * rng.normal(size=9)
+        row[4] = 0.0
+        signed_zero = row.copy()
+        signed_zero[4] = complex(-0.0, 0.0)
+        with_nan = row.copy()
+        with_nan[2] = complex(np.nan, 1.0)
+        other_nan = with_nan.copy()
+        other_nan.view(np.int64)[4] ^= 1  # another NaN payload
+        rows = [row, signed_zero, with_nan, with_nan.copy(), other_nan, row.copy()]
+        distinct, which = _distinct_rows(rows)
+        assert which == [0, 1, 2, 2, 3, 0]
+        assert all(d is r for d, r in zip(distinct, (row, signed_zero, with_nan, other_nan)))
+        # a merged row reads its representative's transform: equal input bits
+        # give equal output bits
+        args = (1.1e11, -1e-15, 0.25e-15, 7)
+        every = chirp_z(np.array(rows), *args)
+        once = chirp_z(np.array(distinct), *args)
+        for j, k in enumerate(which):
+            assert np.array_equal(every[j].view(np.int64), once[k].view(np.int64))

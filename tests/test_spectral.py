@@ -65,6 +65,22 @@ class TestNormalize:
         with pytest.raises(ZeroDensity):
             bp.normalize(table, grid)
 
+    def test_non_finite_total_raises_naming_the_density(self, monkeypatch):
+        table = bp.SpectralDensity(bp.Tabulated((0.0, 1.0), (math.inf, 1.0)))
+        grid = bp.FrequencyGrid(half_width=2.0, point_count=9)
+        with pytest.raises(ZeroDensity, match=r"tabulated\(2 points\) integrates to inf"):
+            bp.normalize(table, grid)
+        monkeypatch.setattr(bp.Tabulated, "sample",
+                            lambda self, grid: np.full(grid.point_count, math.nan))
+        with pytest.raises(ZeroDensity, match="integrates to nan"):
+            bp.normalize(table, grid)
+
+    @pytest.mark.parametrize("rms_width", [5e-324, 1e-170, 1e160])
+    def test_gaussian_width_with_unrepresentable_square_rejected(self, rms_width):
+        # the samples divide by rms_width**2: 0 would give 0/0 at W = 0
+        with pytest.raises(ValueError, match="rms_width"):
+            bp.Gaussian(rms_width)
+
     def test_negative_tabulated_density_rejected(self):
         with pytest.raises(ValueError):
             bp.Tabulated((-1e13, 0.0, 1e13), (0.5, -0.1, 0.5))
