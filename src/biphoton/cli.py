@@ -7,7 +7,7 @@ Commands:
     biphoton compare  --config cfg.json
 
 All config and output values at this boundary are human scale (nm, fs,
-mm); conversion to SI happens exactly once, here.
+mm); load_config converts them to SI once and builds the engines' inputs.
 
 Output contract: one record per engine per delay, engines paired at each
 delay (closed before oracle).  CSV has the fixed header CSV_HEADER and
@@ -52,6 +52,7 @@ from .spatial import (
     hermite_gauss1_amplitude,
 )
 from .spectral import (
+    FrequencyGrid,
     Gaussian,
     Rectangular,
     SpectralDensity,
@@ -93,32 +94,18 @@ def bundled_config_path(name: str) -> Path:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description in SI units, except that ``profile_params``
-    keeps the config's millimetres (``waist_mm``, ``shift_mm``, the table's
-    ``x_mm``) until ``_pump_amplitude`` converts them to sample the pump."""
+    """A validated run in SI units: the engines' inputs, which load_config
+    builds while it checks them, then the scan, engine and output settings."""
 
-    pump_wavelength: float
-    profile_kind: str
-    profile_params: dict
-    filter_shape: str
-    filter_center: float
-    filter_bandwidth: float
-    interferometer_kind: str
-    delay_arm: str
-    flip_arm: str
+    state: TwoPhotonState
+    instrument: InterferometerConfig
+    frequency_grid: FrequencyGrid
     tau_start: float
     tau_stop: float
     tau_step: float
     engine: str
-    spatial_points: int
-    spectral_points: int
-    spatial_halfwidth: float
     output_path: str
     output_format: str
-
-    @property
-    def pump_frequency(self) -> float:
-        return units.omega_from_wavelength(self.pump_wavelength)
 
 
 def _finite(value, field: str) -> float:
@@ -150,7 +137,11 @@ def _require(mapping: dict, key: str, kind, path: str):
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+    """Parse and validate a JSON run configuration into the engines' inputs.
+
+    The checks that need no array run first, then the pump is sampled.
+    Raises ConfigError naming the field.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -266,23 +257,21 @@ def load_config(path) -> RunConfig:
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format: must be 'csv' or 'json', got {out_format!r}")
 
+    density = SpectralDensity(Rectangular(width) if shape == "rectangular"
+                              # the configured bandwidth is the FWHM of a Gaussian density
+                              else Gaussian(width / _GAUSS_FWHM))
+    sgrid = SpatialGrid(half_width=halfwidth_mm * units.MM, point_count=spatial_points)
+    state = TwoPhotonState(spatial=CorrelatedPump(_pump_amplitude(kind, params, sgrid)),
+                           spectral=AntiCorrelated(density), pump_frequency=pump_frequency)
     return RunConfig(
-        pump_wavelength=wavelength_nm * units.NM,
-        profile_kind=kind,
-        profile_params=params,
-        filter_shape=shape,
-        filter_center=center_nm * units.NM,
-        filter_bandwidth=bandwidth_nm * units.NM,
-        interferometer_kind=ikind,
-        delay_arm=delay_arm,
-        flip_arm=flip_arm,
+        state=state,
+        instrument=InterferometerConfig(ikind, pump_frequency, delay_arm=delay_arm,
+                                        flip_arm=flip_arm),
+        frequency_grid=default_frequency_grid(density, point_count=spectral_points),
         tau_start=tau_start_fs * units.FS,
         tau_stop=tau_stop_fs * units.FS,
         tau_step=tau_step_fs * units.FS,
         engine=engine,
-        spatial_points=spatial_points,
-        spectral_points=spectral_points,
-        spatial_halfwidth=halfwidth_mm * units.MM,
         output_path=out_path,
         output_format=out_format,
     )
@@ -349,9 +338,8 @@ def _check_pump_on_grid(kind: str, params: dict, half: float) -> None:
             f"at least {MIN_PUMP_ON_GRID:.1%} must lie on it")
 
 
-def _pump_amplitude(cfg: RunConfig, grid: SpatialGrid) -> SpatialAmplitude:
-    kind = cfg.profile_kind
-    params = cfg.profile_params
+def _pump_amplitude(kind: str, params: dict, grid: SpatialGrid) -> SpatialAmplitude:
+    """The pump sampled on the grid; ``params`` holds the config's millimetres."""
     if kind == "gaussian":
         return gaussian_amplitude(grid, waist=params["waist_mm"] * units.MM)
     if kind == "hg1":
@@ -372,40 +360,20 @@ def _pump_amplitude(cfg: RunConfig, grid: SpatialGrid) -> SpatialAmplitude:
         raise ConfigError(f"pump.spatial_profile.path: {exc} on the spatial grid") from None
 
 
-def _spectral_density(cfg: RunConfig) -> SpectralDensity:
-    width = units.bandwidth_to_angular(cfg.filter_center, cfg.filter_bandwidth)
-    if cfg.filter_shape == "rectangular":
-        return SpectralDensity(Rectangular(width))
-    # Gaussian filter: the configured bandwidth is the FWHM of the density.
-    return SpectralDensity(Gaussian(width / _GAUSS_FWHM))
-
-
 def build_problem(cfg: RunConfig):
-    """(state, interferometer config, spatial grid, frequency grid)."""
-    sgrid = SpatialGrid(half_width=cfg.spatial_halfwidth, point_count=cfg.spatial_points)
-    density = _spectral_density(cfg)
-    fgrid = default_frequency_grid(density, point_count=cfg.spectral_points)
-    state = TwoPhotonState(
-        spatial=CorrelatedPump(_pump_amplitude(cfg, sgrid)),
-        spectral=AntiCorrelated(density),
-        pump_frequency=cfg.pump_frequency,
-    )
-    return state, _instrument(cfg, cfg.interferometer_kind), sgrid, fgrid
+    """(state, interferometer config, spatial grid, frequency grid) of a loaded run.
+
+    An accessor: load_config built all four and raised every config error.
+    The CLI reads the fields itself; the benchmark (perfbench/checks.py,
+    perfbench/cold_start.py) still calls this.
+    """
+    return cfg.state, cfg.instrument, cfg.state.spatial.grid, cfg.frequency_grid
 
 
-def _instrument(cfg: RunConfig, kind: str) -> InterferometerConfig:
-    if kind == "mzi":
-        return InterferometerConfig.mzi(cfg.pump_frequency, delay_arm=cfg.delay_arm)
-    return InterferometerConfig.mzim(
-        cfg.pump_frequency, delay_arm=cfg.delay_arm, flip_arm=cfg.flip_arm)
-
-
-def _run_engine(cfg: RunConfig, state, icfg, fgrid, engine: str) -> Interferogram:
-    if engine == "closed":
-        return scan(state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
-                    frequency_grid=fgrid)
-    return modesim.oracle_scan(state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
-                               frequency_grid=fgrid)
+def _run_engine(cfg: RunConfig, icfg: InterferometerConfig, engine: str) -> Interferogram:
+    run = scan if engine == "closed" else modesim.oracle_scan
+    return run(cfg.state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
+               frequency_grid=cfg.frequency_grid)
 
 
 def _check_energy(gram: Interferogram):
@@ -448,10 +416,9 @@ def cmd_simulate(args) -> int:
         cfg = replace(cfg, engine=args.engine)
     if args.out:
         cfg = replace(cfg, output_path=args.out)
-    state, icfg, _, fgrid = build_problem(cfg)
 
     engines = ["closed", "oracle"] if cfg.engine == "both" else [cfg.engine]
-    grams = [_run_engine(cfg, state, icfg, fgrid, e) for e in engines]
+    grams = [_run_engine(cfg, cfg.instrument, e) for e in engines]
     for g in grams:
         _check_energy(g)
     _write_output(cfg.output_path, cfg.output_format, grams)
@@ -551,15 +518,14 @@ def _parse_window(text: Optional[str]):
 
 def cmd_analyze(args) -> int:
     taus_fs, s1, _s2, cc, engines = _read_csv(args.infile)
-    unique_engines = sorted(set(engines))
-    if len(unique_engines) > 1:
-        if not args.engine:
-            raise ConfigError(
-                f"file contains engines {unique_engines}; select one with --engine")
+    if args.engine:
         mask = engines == args.engine
         if not mask.any():
             raise ConfigError(f"no rows for engine {args.engine!r}")
         taus_fs, s1, cc = taus_fs[mask], s1[mask], cc[mask]
+    elif len(set(engines)) > 1:
+        raise ConfigError(
+            f"file contains engines {sorted(set(engines))}; select one with --engine")
     tau = taus_fs * units.FS
     rep = analysis.report(tau, s1, cc, window=_parse_window(args.window))
     print(json.dumps(_report_to_json(rep), indent=1))
@@ -571,13 +537,13 @@ def cmd_compare(args) -> int:
     if cfg.engine == "both":
         raise ConfigError("engine: compare needs a single engine ('closed' or 'oracle')")
     kinds = ("mzi", "mzim")
-    state, _, _, fgrid = build_problem(cfg)
-    icfgs = [_instrument(cfg, kind) for kind in kinds]
+    # neither engine reads flip_arm for an MZI
+    icfgs = [replace(cfg.instrument, kind=kind) for kind in kinds]
     if cfg.engine == "closed":  # one envelope pair serves both instruments
-        grams = scan_configs(state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
-                             frequency_grid=fgrid)
+        grams = scan_configs(cfg.state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
+                             frequency_grid=cfg.frequency_grid)
     else:
-        grams = [_run_engine(cfg, state, icfg, fgrid, cfg.engine) for icfg in icfgs]
+        grams = [_run_engine(cfg, icfg, cfg.engine) for icfg in icfgs]
     results = {}
     for kind, gram in zip(kinds, grams):
         rep = analysis.report(gram.tau, gram.singles_port1, gram.coincidences)

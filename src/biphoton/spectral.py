@@ -56,8 +56,8 @@ class _SymmetricGrid:
     point_count: int
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ValueError("half_width must be positive")
+        if not 0.0 < self.half_width < math.inf:
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width!r}")
         if self.point_count < 3 or self.point_count % 2 == 0:
             raise ValueError("point_count must be an odd integer >= 3")
 
@@ -101,8 +101,10 @@ class Rectangular:
     full_width: float
 
     def __post_init__(self):
-        if not self.full_width > 0.0:
-            raise ValueError("full_width must be positive")
+        # the band edges sit at +-full_width / 2, which must not round to 0
+        if not (self.full_width / 2.0 > 0.0 and self.full_width < math.inf):
+            raise ValueError(
+                f"full_width must be finite with a positive half, got {self.full_width!r}")
 
     @property
     def support_half_width(self) -> float:
@@ -115,9 +117,13 @@ class Rectangular:
         # exact band area.
         om = grid.omegas()
         h = grid.spacing
+        cell = h * self.full_width
+        if not 0.0 < cell < math.inf:
+            raise ValueError(f"full_width {self.full_width!r} times the grid spacing {h!r} "
+                             "is not a finite positive number")
         lo = np.clip(om - h / 2.0, -self.support_half_width, self.support_half_width)
         hi = np.clip(om + h / 2.0, -self.support_half_width, self.support_half_width)
-        return (hi - lo) / (h * self.full_width)
+        return (hi - lo) / cell
 
 
 @dataclass(frozen=True)
@@ -186,8 +192,8 @@ class SpectralDensity:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
 
     def sample(self, grid: FrequencyGrid) -> np.ndarray:
         values = self.scale * self.shape.sample(grid)

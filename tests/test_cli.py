@@ -6,7 +6,6 @@ import math
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +21,8 @@ from biphoton.errors import BiphotonError
 from conftest import COINCIDENCE_PERIOD, SINGLES_PERIOD
 
 FS = 1e-15
+MM = 1e-3
+NM = 1e-9
 
 
 def load_bundled(name):
@@ -53,6 +54,16 @@ def recorded_grams(monkeypatch):
 
     monkeypatch.setattr(cli, "_run_engine", recording)
     return grams
+
+
+def assert_pump(run, amplitude):
+    """The run's sampled pump is ``amplitude``, grid and samples bit for bit."""
+    pump = run.state.spatial.pump
+    assert pump.grid == amplitude.grid
+    assert np.array_equal(pump.values, amplitude.values)
+
+
+BUNDLED_GRID = bp.SpatialGrid(half_width=3.0 * MM, point_count=257)
 
 
 def run_analyze(capsys, csv_path, *extra):
@@ -150,6 +161,19 @@ class TestSimulateAndAnalyze:
         assert "--engine" in capsys.readouterr().err
         rep = run_analyze(capsys, out, "--engine", "oracle")
         assert rep["v1"] >= 0.9
+
+    def test_analyze_engine_missing_from_the_file_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_scan_config("default_mzi", engine="oracle"))
+        out = tmp_path / "oracle.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out), "--engine", "closed"]) == 1
+        assert capsys.readouterr().err == "config error: no rows for engine 'closed'\n"
+        # naming the one engine the file holds prints what no --engine prints
+        assert main(["analyze", "--in", str(out)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["analyze", "--in", str(out), "--engine", "oracle"]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_analyze_window_flag(self, tmp_path, capsys):
         cfg = small_scan_config("default_mzi")
@@ -533,7 +557,7 @@ class TestReaderFuzz:
 
 
 class _Accepted(Exception):
-    """Raised in place of building the problem once a config is accepted."""
+    """Raised in place of running an engine once a config is accepted."""
 
 
 def _dict_paths(node, prefix=()):
@@ -587,7 +611,7 @@ class TestConfigFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.json"
             path.write_text(text)
-            with mock.patch.object(cli, "build_problem", side_effect=_Accepted):
+            with mock.patch.object(cli, "_run_engine", side_effect=_Accepted):
                 try:
                     rc, err = run_main_quietly(["simulate", "--config", str(path)])
                 except _Accepted:
@@ -691,12 +715,13 @@ class TestCompare:
                             lambda *args: traces.append(args) or report(*args))
         assert main(["compare", "--config", str(path)]) == 0
         capsys.readouterr()
-        run = load_config(path)
         assert len(traces) == 2
         for kind, (tau, singles, coincidences) in zip(("mzi", "mzim"), traces):
-            state, icfg, _, fgrid = cli.build_problem(replace(run, interferometer_kind=kind))
-            alone = bp.scan(state, icfg, run.tau_start, run.tau_stop, run.tau_step,
-                            frequency_grid=fgrid)
+            cfg["interferometer"]["kind"] = kind
+            run = load_config(write_config(tmp_path, cfg, f"{kind}.json"))
+            icfg = run.instrument
+            alone = bp.scan(run.state, icfg, run.tau_start, run.tau_stop, run.tau_step,
+                            frequency_grid=run.frequency_grid)
             assert icfg.kind == kind
             for got, want in ((tau, alone.tau), (singles, alone.singles_port1),
                               (coincidences, alone.coincidences)):
@@ -792,7 +817,7 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match=field):
             load_config(path)
         out = tmp_path / "scan.csv"
-        with mock.patch.object(cli, "build_problem", side_effect=AssertionError):
+        with mock.patch.object(cli, "_pump_amplitude", side_effect=AssertionError):
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ")
@@ -837,7 +862,9 @@ class TestConfigValidation:
         cfg = load_bundled("default_mzi")
         cfg["grids"] = {"spatial_points": 5, "spectral_points": 129, "spatial_halfwidth_mm": 2.0}
         cfg["pump"]["spatial_profile"]["waist_mm"] = 1.0
-        assert load_config(write_config(tmp_path, cfg)).profile_params["waist_mm"] == 1.0
+        run = load_config(write_config(tmp_path, cfg))
+        grid = bp.SpatialGrid(half_width=2.0 * MM, point_count=5)
+        assert_pump(run, bp.gaussian_amplitude(grid, waist=1.0 * MM))
         cfg["pump"]["spatial_profile"]["waist_mm"] = 0.999
         with pytest.raises(cli.ConfigError, match="pump.spatial_profile.waist_mm"):
             load_config(write_config(tmp_path, cfg))
@@ -862,7 +889,8 @@ class TestConfigValidation:
         cfg = load_bundled("default_mzi")
         cfg["pump"]["spatial_profile"] = {
             "kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": -1.45}
-        assert load_config(write_config(tmp_path, cfg)).profile_params["shift_mm"] == -1.45
+        run = load_config(write_config(tmp_path, cfg))
+        assert_pump(run, bp.gaussian_amplitude(BUNDLED_GRID, waist=1.0 * MM, center=-1.45 * MM))
 
     @pytest.mark.parametrize("kind, waist_mm, kept", [
         ("gaussian", 100.0, "4.784%"), ("shifted_gaussian", 3.0, "95.450%"),
@@ -884,7 +912,8 @@ class TestConfigValidation:
         # the widest waist the benchmark draws, on the bundled +-3 mm grid
         cfg = load_bundled("default_mzim")
         cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": 1.2}
-        assert load_config(write_config(tmp_path, cfg)).profile_params["waist_mm"] == 1.2
+        sample = bp.gaussian_amplitude if kind == "gaussian" else bp.hermite_gauss1_amplitude
+        assert_pump(load_config(write_config(tmp_path, cfg)), sample(BUNDLED_GRID, waist=1.2 * MM))
 
     @pytest.mark.parametrize("wavelength_nm, center_nm", [
         (1e300, 810.0), (1e308, 810.0), (405.0, 815.01), (405.0, 804.99),
@@ -907,7 +936,11 @@ class TestConfigValidation:
         # the bundled 10 nm passband, its edge moved onto 2 x 405 nm
         cfg = load_bundled("default_mzi")
         cfg["filter"]["center_nm"] = center_nm
-        assert load_config(write_config(tmp_path, cfg)).filter_center == center_nm * 1e-9
+        run = load_config(write_config(tmp_path, cfg))
+        width = bp.units.bandwidth_to_angular(center_nm * NM, 10.0 * NM)
+        density = bp.SpectralDensity(bp.Rectangular(width))
+        assert run.state.spectral.density == density
+        assert run.frequency_grid == bp.default_frequency_grid(density, point_count=1025)
 
     def test_sizes_at_the_ceilings_accepted(self, tmp_path):
         cfg = load_bundled("default_mzi")
@@ -917,7 +950,8 @@ class TestConfigValidation:
         run = load_config(write_config(tmp_path, cfg))
         tau = bp.interferometer.tau_axis(run.tau_start, run.tau_stop, run.tau_step)
         assert tau.size == cli.MAX_DELAYS
-        assert run.spectral_points == run.spatial_points == cli.MAX_GRID_POINTS
+        assert run.frequency_grid.point_count == cli.MAX_GRID_POINTS
+        assert run.state.spatial.grid.point_count == cli.MAX_GRID_POINTS
 
     @pytest.mark.parametrize("value", [None, [1], True, "x"],
                              ids=["null", "list", "bool", "string"])
@@ -936,7 +970,8 @@ class TestConfigValidation:
     def test_absent_waist_defaults_to_one_mm(self, tmp_path):
         cfg = load_bundled("default_mzi")
         cfg["pump"]["spatial_profile"] = {"kind": "hg1"}
-        assert load_config(write_config(tmp_path, cfg)).profile_params["waist_mm"] == 1.0
+        run = load_config(write_config(tmp_path, cfg))
+        assert_pump(run, bp.hermite_gauss1_amplitude(BUNDLED_GRID, waist=1.0 * MM))
 
     @pytest.mark.parametrize("table", [
         None, "x_mm,re\nzero,one\n", "0.0,1.0\n0.5,1.0,0.0\n", "-1.0,1.0\n0.0,nan\n1.0,1.0\n",
@@ -969,6 +1004,15 @@ class TestConfigValidation:
         capsys.readouterr()
         assert len(out.read_text().splitlines()) == 1 + 301
 
+    def test_pump_table_between_grid_nodes_rejected_by_load_config(self, tmp_path):
+        # the bundled grid has nodes at 0 and 6/256 mm; the table is zero at both
+        table_path = tmp_path / "pump.csv"
+        table_path.write_text("0.001,0.0\n0.002,1.0\n0.003,0.0\n")
+        cfg = load_bundled("default_mzi")
+        cfg["pump"]["spatial_profile"] = {"kind": "tabulated_file", "path": str(table_path)}
+        with pytest.raises(cli.ConfigError, match="^pump.spatial_profile.path: "):
+            load_config(write_config(tmp_path, cfg))
+
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -977,6 +1021,32 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == 1
+
+
+class TestInputsBuiltOnce:
+    """load_config derives the pump frequency and the filter's angular width
+    once; the commands read the state and instrument it built."""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_each_conversion_runs_once(self, tmp_path, capsys, command):
+        path = str(write_config(tmp_path, small_scan_config("default_mzim")))
+        argv = {"simulate": ["simulate", "--config", path, "--engine", "both",
+                             "--out", str(tmp_path / "scan.csv")],
+                "compare": ["compare", "--config", path]}[command]
+        with mock.patch.object(bp.units, "omega_from_wavelength",
+                               wraps=bp.units.omega_from_wavelength) as omega, \
+                mock.patch.object(bp.units, "bandwidth_to_angular",
+                                  wraps=bp.units.bandwidth_to_angular) as width:
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert (omega.call_count, width.call_count) == (1, 1)
+
+    def test_build_problem_returns_the_loaded_inputs(self, tmp_path):
+        run = load_config(write_config(tmp_path, load_bundled("default_mzim")))
+        state, icfg, sgrid, fgrid = cli.build_problem(run)
+        assert (state, icfg, fgrid) == (run.state, run.instrument, run.frequency_grid)
+        assert sgrid == BUNDLED_GRID
+        assert icfg == bp.InterferometerConfig.mzim(state.pump_frequency)
 
 
 class TestEnergyCheck:

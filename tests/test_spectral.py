@@ -86,6 +86,45 @@ class TestNormalize:
             bp.Tabulated((-1e13, 0.0, 1e13), (0.5, -0.1, 0.5))
 
 
+@pytest.mark.filterwarnings("error")
+class TestUnrepresentableSpectralInputs:
+    """Inputs whose samples numpy cannot form fail with a named ValueError
+    before any arithmetic warns."""
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan, 0.0, -1.0])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        # inf would sample inf * 0 outside the band
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            bp.SpectralDensity(bp.Rectangular(1e13), scale=scale)
+
+    @pytest.mark.parametrize("width", [5e-324, math.inf, math.nan, 0.0])
+    def test_rectangle_width_must_have_a_positive_half(self, width):
+        with pytest.raises(ValueError, match="full_width must be finite with a positive half"):
+            bp.Rectangular(width)
+
+    @pytest.mark.parametrize("width, grid", [
+        (1e-320, None),  # the default grid's spacing times the width underflows to 0
+        (1e300, bp.FrequencyGrid(half_width=1e300, point_count=3)),  # overflows to inf
+    ], ids=["underflow", "overflow"])
+    def test_rectangle_cell_must_be_finite_and_positive(self, width, grid):
+        sd = bp.SpectralDensity(bp.Rectangular(width))
+        grid = grid or bp.default_frequency_grid(sd)
+        with pytest.raises(ValueError, match=r"full_width .* times the grid spacing"):
+            sd.sample(grid)
+
+    @pytest.mark.parametrize("width", [1e308, 1.7e308])
+    def test_default_grid_of_a_huge_rectangle_rejected(self, width):
+        # four times the half width overflows to inf
+        with pytest.raises(ValueError, match="half_width must be positive and finite"):
+            bp.default_frequency_grid(bp.SpectralDensity(bp.Rectangular(width)))
+
+    @pytest.mark.parametrize("grid_class", [bp.FrequencyGrid, bp.SpatialGrid])
+    @pytest.mark.parametrize("half_width", [math.inf, math.nan, 0.0])
+    def test_grid_half_width_must_be_finite(self, grid_class, half_width):
+        with pytest.raises(ValueError, match="half_width must be positive and finite"):
+            grid_class(half_width=half_width, point_count=9)
+
+
 class TestEnvelopes:
     def test_unit_value_at_zero_delay(self, fgrid, default_state):
         sd = bp.normalize(default_state.spectral.density, fgrid)
