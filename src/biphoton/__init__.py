@@ -45,7 +45,6 @@ from .spatial import (
     SpatialDensityOperator,
     SpatialGrid,
     default_spatial_grid,
-    eigendecompose,
     flip_overlap,
     gaussian_amplitude,
     hermite_gauss1_amplitude,
@@ -87,7 +86,6 @@ from .modesim import (
     build_pipeline,
     coincidence_rate,
     oracle_scan,
-    simulate_mixture,
     singles_rate,
     to_dense,
     total_norm,

@@ -41,6 +41,7 @@ from .errors import BiphotonError, UnderSampled
 from .interferometer import (
     Interferogram,
     InterferometerConfig,
+    check_reach,
     check_step,
     scan,
     scan_configs,
@@ -80,7 +81,7 @@ _WAIST_KINDS = ("gaussian", "hg1", "shifted_gaussian")
 _PROFILE_KINDS = _WAIST_KINDS + ("tabulated_file",)
 _FILTER_SHAPES = ("rectangular", "gaussian")
 _ENGINES = ("closed", "oracle", "both")
-_GAUSS_FWHM = 2.0 * np.sqrt(2.0 * np.log(2.0))
+_GAUSS_FWHM = float(2.0 * np.sqrt(2.0 * np.log(2.0)))
 
 
 class ConfigError(Exception):
@@ -243,6 +244,19 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"grids.{label}: must not exceed {MAX_GRID_POINTS}, got {n}")
     if halfwidth_mm * units.MM <= 0.0:
         raise ConfigError("grids.spatial_halfwidth_mm: must be positive")
+    try:  # a width whose square underflows: Gaussian rejects it here, Rectangular.sample later
+        density = SpectralDensity(Rectangular(width) if shape == "rectangular"
+                                  # the configured bandwidth is the FWHM of a Gaussian density
+                                  else Gaussian(width / _GAUSS_FWHM))
+        frequency_grid = default_frequency_grid(density, point_count=spectral_points)
+        if shape == "rectangular" and not 0.0 < frequency_grid.spacing * width < math.inf:
+            raise ValueError("the width times the grid spacing is not a finite positive number")
+    except ValueError as exc:
+        raise ConfigError(f"filter.bandwidth_nm: {exc}") from None
+    try:
+        check_reach(tau_start_fs * units.FS, tau_stop_fs * units.FS, frequency_grid)
+    except UnderSampled as exc:
+        raise ConfigError(f"scan.tau_start_fs/tau_stop_fs: {exc}; raise grids.spectral_points")
     spacing_mm = 2.0 * halfwidth_mm / (spatial_points - 1)
     if kind in _WAIST_KINDS and not params["waist_mm"] >= spacing_mm:
         raise ConfigError(
@@ -257,9 +271,6 @@ def load_config(path) -> RunConfig:
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format: must be 'csv' or 'json', got {out_format!r}")
 
-    density = SpectralDensity(Rectangular(width) if shape == "rectangular"
-                              # the configured bandwidth is the FWHM of a Gaussian density
-                              else Gaussian(width / _GAUSS_FWHM))
     sgrid = SpatialGrid(half_width=halfwidth_mm * units.MM, point_count=spatial_points)
     state = TwoPhotonState(spatial=CorrelatedPump(_pump_amplitude(kind, params, sgrid)),
                            spectral=AntiCorrelated(density), pump_frequency=pump_frequency)
@@ -267,7 +278,7 @@ def load_config(path) -> RunConfig:
         state=state,
         instrument=InterferometerConfig(ikind, pump_frequency, delay_arm=delay_arm,
                                         flip_arm=flip_arm),
-        frequency_grid=default_frequency_grid(density, point_count=spectral_points),
+        frequency_grid=frequency_grid,
         tau_start=tau_start_fs * units.FS,
         tau_stop=tau_stop_fs * units.FS,
         tau_step=tau_step_fs * units.FS,

@@ -26,7 +26,7 @@ class AsymmetricSpectrum(BiphotonError):
 
 
 class UnderSampled(BiphotonError):
-    """Scan step too coarse to resolve pump-frequency fringes."""
+    """Scan step too coarse for the pump fringes, or reach too far for the frequency grid."""
 
 
 class InvalidRates(BiphotonError):

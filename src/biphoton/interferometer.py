@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import InvalidRates, UnderSampled
 from .spectral import EnvelopeEvaluator, FrequencyGrid
-from .states import TwoPhotonState, exchange_overlaps
+from .states import TwoPhotonState, _working_frequency_grid, exchange_overlaps
+from .units import FS
 
 # Not called here: perfbench/spans.py traces these names on this module.
 from .spatial import flip_overlap, pump_parity_overlap  # noqa: F401
@@ -56,6 +57,7 @@ MZI = "mzi"
 MZIM = "mzim"
 
 MAX_STEP_FRACTION = 0.2  # of the pump period, the scan resolution bound
+MAX_REACH_FRACTION = 0.5  # of pi / h, for frequency spacing h: the scan reach bound
 
 
 def check_step(tau_step: float, pump_period: float) -> None:
@@ -67,6 +69,18 @@ def check_step(tau_step: float, pump_period: float) -> None:
         raise UnderSampled(
             f"step {tau_step} exceeds {MAX_STEP_FRACTION} of the pump period "
             f"{pump_period:.6g}; fringes would be undersampled")
+
+
+def check_reach(tau_start: float, tau_stop: float, frequency_grid: FrequencyGrid) -> None:
+    """Raise UnderSampled if |tau_start| or |tau_stop| (s) exceeds MAX_REACH_FRACTION pi / h.
+
+    On a grid of spacing h the discrete E2 repeats with period pi / h: a false
+    HOM dip both engines agree on.  Up to pi / (2 h) the bundled rectangle's E2
+    stays within 2.5e-3 of its sinc (3.6e-2 on 65 points), 0.12 up to 0.99 pi / h."""
+    bound = MAX_REACH_FRACTION * math.pi / frequency_grid.spacing
+    if not (abs(tau_start) <= bound and abs(tau_stop) <= bound):  # NaN fails too
+        raise UnderSampled(f"the scan reaches {max(abs(tau_start), abs(tau_stop)) / FS:.6g} fs, "
+                           f"past {MAX_REACH_FRACTION} pi / h = {bound / FS:.6g} fs")
 
 
 @dataclass(frozen=True)
@@ -229,26 +243,31 @@ def g2_mzim(state: TwoPhotonState, cfg: InterferometerConfig, tau,
 
 
 def tau_axis(tau_start: float, tau_stop: float, tau_step: float) -> np.ndarray:
-    """Inclusive uniform delay axis; a zero-width scan is a single point."""
-    if tau_step <= 0.0:
-        raise ValueError("tau_step must be positive")
-    if tau_stop < tau_start:
+    """Inclusive uniform delay axis, one point if zero-width; NaN fails every check."""
+    if not 0.0 < tau_step < math.inf:
+        raise ValueError(f"tau_step must be positive and finite, got {tau_step!r}")
+    for name, value in (("tau_start", tau_start), ("tau_stop", tau_stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if not tau_start <= tau_stop:
         raise ValueError("tau_stop must not precede tau_start")
     count = int(math.floor((tau_stop - tau_start) / tau_step + 1e-9)) + 1
     return tau_start + tau_step * np.arange(count)
 
 
 def _scan_axis(state: TwoPhotonState, cfg: InterferometerConfig, tau_start: float,
-               tau_stop: float, tau_step: float) -> np.ndarray:
+               tau_stop: float, tau_step: float, frequency_grid: FrequencyGrid) -> np.ndarray:
     """Delay axis of a scan by either engine, after the checks both make.
 
     Raises ValueError if state and configuration disagree on the pump
-    frequency, and UnderSampled if the step does not resolve its fringe.
+    frequency, and UnderSampled from ``check_step`` or ``check_reach``.
     """
     if abs(cfg.pump_frequency - state.pump_frequency) > 1e-9 * cfg.pump_frequency:
         raise ValueError("state and configuration disagree on the pump frequency")
     check_step(tau_step, 2.0 * math.pi / cfg.pump_frequency)
-    return tau_axis(tau_start, tau_stop, tau_step)
+    tau = tau_axis(tau_start, tau_stop, tau_step)
+    check_reach(tau_start, tau_stop, frequency_grid)
+    return tau
 
 
 def scan(
@@ -261,8 +280,8 @@ def scan(
 ) -> Interferogram:
     """Closed-form delay scan producing both singles ports and coincidences.
 
-    The step must resolve the pump-frequency fringe: steps above one fifth
-    of the pump period raise UnderSampled.  alpha, b, E1 and E2 are each
+    Steps above one fifth of the pump period raise UnderSampled, as do scans
+    past ``check_reach``'s bound.  alpha, b, E1 and E2 are each
     computed once per scan; both singles ports come from one fringe array.
     """
     return scan_configs(state, [cfg], tau_start, tau_stop, tau_step, frequency_grid)[0]
@@ -284,9 +303,10 @@ def scan_configs(
     """
     if not cfgs:
         raise ValueError("need at least one interferometer configuration")
+    grid = _working_frequency_grid(state, frequency_grid)
     for cfg in cfgs:
-        tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
-    ov, env = _envelopes(state, frequency_grid)
+        tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step, grid)
+    ov, env = _envelopes(state, grid)
     e1, e2 = env.first_order(tau), env.second_order(tau)
     grams = []
     for cfg in cfgs:

@@ -27,9 +27,7 @@ that over the elements.  The representations are
 Both give a table of path-pair norms, and everything else reads that table:
 the port rule (the rates), ``total_norm`` and ``exchange_asymmetry`` (the
 norm of the state minus its exchange swap).  The branch sum's norms come
-from one walk over the unordered pairs of a path pair's branches.  A third,
-independent route, a one-photon mixture over coherent spatial modes, gives
-mixture-averaged singles; it shares only the photon map.
+from one walk over the unordered pairs of a path pair's branches.
 
 A delay scan runs the branch sum once, at zero delay: the branches do not
 depend on the delay, and each records how many delay phases each of its
@@ -37,9 +35,9 @@ photons received.  Every path-pair norm is then a sum of terms
 g exp(-i m w_p tau / 2) exp(i n h tau) with small integers m and n, and one
 chirp-z call (``spectral.chirp_z``) evaluates all of them on the whole delay
 axis, once per distinct row; its rows come from the same branch-pair walk as
-the norms, and the same port rule reads the rates out, elementwise.  The
-per-delay branch sum stays the route for a single delay and the reference
-the scan is tested against.
+the norms, and the same port rule reads the rates out, elementwise.  So a
+rate has three routes: the scan (the production path), the per-delay
+branch sum (its reference) and the dense tensor (the branch sum's).
 
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
 b -> (i a + b)/sqrt(2) ("symmetric"); the alternative "conjugate"
@@ -65,7 +63,7 @@ from .errors import (
     UnknownElement,
 )
 from .interferometer import Interferogram, InterferometerConfig, MZIM, _scan_axis
-from .spatial import SpatialGrid, eigendecompose
+from .spatial import SpatialGrid
 from .spectral import FrequencyGrid, chirp_z, normalize
 from .states import (
     AntiCorrelated,
@@ -74,8 +72,6 @@ from .states import (
     GeneralSpectral,
     TwoPhotonState,
     _working_frequency_grid,
-    exchange_overlaps,
-    reduced_spatial_operator,
 )
 
 __all__ = [
@@ -95,7 +91,6 @@ __all__ = [
     "singles_rate",
     "total_norm",
     "exchange_asymmetry",
-    "simulate_mixture",
     "to_dense",
     "oracle_scan",
     "SYMMETRIC",
@@ -587,86 +582,6 @@ def _dense_first_photon(photon: _PhotonMap, tensor: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# mixture-averaged singles (independent route for incoherent light)
-
-
-def _one_photon_singles(
-    modes: np.ndarray,
-    spectral_amplitude: np.ndarray,
-    frequency_grid: FrequencyGrid,
-    elements: Iterable[Element],
-    port: str,
-) -> np.ndarray:
-    """Port probabilities for a batch of single-photon spatial modes.
-
-    ``modes`` has one row per coherent mode (already carrying sqrt(dx)
-    weights); ``spectral_amplitude`` carries sqrt of the frequency weights.
-    Returns P(port) per mode; the frequency-diagonal mixture equals the
-    pure-superposition result because no element mixes frequencies.
-    """
-    branches: List[Tuple[str, np.ndarray, np.ndarray, complex]] = [
-        ("a", modes, spectral_amplitude.astype(complex), 1.0 + 0.0j)]
-    relabeled = False
-    for element in elements:
-        photon, relabeled = _photon_map(element, frequency_grid, relabeled)
-        branches = [
-            (o.path, s[:, ::-1] if o.flip else s,
-             f if o.phases is None else f * o.phases, w * o.amplitude)
-            for path, s, f, w in branches for o in photon[path]]
-    if not relabeled:
-        raise IncompletePipeline("apply the full pipeline (with relabelling) first")
-    in_port = [b for b in branches if b[0] == port]
-    n_modes = modes.shape[0]
-    prob = np.zeros(n_modes)
-    for i, (_, s1, f1, w1) in enumerate(in_port):
-        prob += np.abs(w1) ** 2 * np.real(
-            np.einsum("mi,mi->m", s1.conj(), s1)) * float(np.vdot(f1, f1).real)
-        for _, s2, f2, w2 in in_port[i + 1:]:
-            cross = (np.conj(w1) * w2
-                     * np.einsum("mi,mi->m", s1.conj(), s2)
-                     * complex(np.vdot(f1, f2)))
-            prob += 2.0 * cross.real
-    return prob
-
-
-def simulate_mixture(
-    state: TwoPhotonState,
-    cfg: InterferometerConfig,
-    tau: float,
-    frequency_grid: Optional[FrequencyGrid] = None,
-    convention: str = SYMMETRIC,
-) -> Tuple[float, float]:
-    """(singles at port c, coincidence) with mixture-averaged singles.
-
-    The coincidence rate comes from the full pure two-photon state; the
-    singles rate is the weight-averaged singles of the coherent modes of
-    the reduced spatial operator, each carrying the spectral amplitude
-    sqrt(q) of the envelope weights q of ``exchange_overlaps``.  Both
-    routes must agree with the direct pure-state evaluation -- this
-    operation exists to validate the fringe weighting of the unbalanced
-    interferometer by brute force.  A general spectral sector has no
-    frequency-diagonal reduction and raises ValueError.  Grids as in ``oracle_scan``.
-    """
-    fgrid = _working_frequency_grid(state, frequency_grid)
-    initial = build_initial_state(state, fgrid)
-    elements = build_pipeline(cfg, tau, convention)
-    final = apply_pipeline(initial, elements)
-    coincidence = coincidence_rate(final)
-
-    modes = eigendecompose(reduced_spatial_operator(state))
-    weights = np.array([w for w, _ in modes])
-    mode_rows = np.array(
-        [m.values for _, m in modes]) * math.sqrt(state.spatial.grid.spacing)
-    if not isinstance(state.spectral, AntiCorrelated):
-        raise ValueError("mixture simulation requires a frequency-diagonal spectral sector")
-    q = exchange_overlaps(state, fgrid).weights
-    spectral_amplitude = np.sqrt(q / q.sum())
-    per_mode = _one_photon_singles(mode_rows, spectral_amplitude, fgrid, elements, "c")
-    singles = 2.0 * float(weights @ per_mode)
-    return singles, coincidence
-
-
-# ---------------------------------------------------------------------------
 # scan driver
 
 
@@ -734,7 +649,7 @@ def oracle_scan(
 
     Runs on the state's spatial grid and on ``frequency_grid``, by default
     the density's (or a general spectral sector's own grid), and makes the
-    same pump-frequency and step checks as the closed ``scan``.  The
+    same pump-frequency, step and reach checks as the closed ``scan``.  The
     branches do not depend on the delay, so the pipeline runs once, at
     tau = 0, and every delay's path-pair norms come from one chirp-z call
     on the rows of ``_delay_table``.  Each distinct row is transformed
@@ -742,8 +657,8 @@ def oracle_scan(
     compared by bit pattern, so the rates are those of transforming every
     row, bit for bit, whatever symmetry the state has or lacks.
     """
-    tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
     fgrid = _working_frequency_grid(state, frequency_grid)
+    tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step, fgrid)
     initial = build_initial_state(state, fgrid)
     table = _delay_table(apply_pipeline(initial, build_pipeline(cfg, 0.0, convention)))
     distinct, which = _distinct_rows(list(table.values()))

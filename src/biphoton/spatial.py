@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -43,13 +43,11 @@ __all__ = [
     "hermite_gauss1_amplitude",
     "flip_overlap",
     "pump_parity_overlap",
-    "eigendecompose",
 ]
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-9  # on a unit norm, trace or weight sum
 EIGENVALUE_FLOOR = -1e-10
-MODE_WEIGHT_FLOOR = 1e-12  # eigendecompose drops modes at or below this weight
 
 
 class SpatialGrid(_SymmetricGrid):
@@ -196,25 +194,3 @@ def pump_parity_overlap(phi: SpatialAmplitude) -> ParityOverlap:
     """beta = sum_i phi*(x_i) phi(-x_i) dx; (1, 0) even, (1, pi) odd."""
     beta = complex(np.sum(phi.values.conj() * phi.flipped()) * phi.grid.spacing)
     return ParityOverlap.from_complex(beta)
-
-
-def eigendecompose(rho: SpatialDensityOperator) -> List[Tuple[float, SpatialAmplitude]]:
-    """Coherent-mode decomposition of a density operator.
-
-    Returns (weight, mode) pairs sorted by descending weight.  Weights are
-    the eigenvalues of the unit-trace matrix and sum to one; modes are
-    orthonormal in the sum |phi|^2 dx sense.  Eigenvalues at or below
-    MODE_WEIGHT_FLOOR are dropped; an eigenvalue below the positivity
-    tolerance raises NotPositive.
-    """
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    if float(vals.min()) < EIGENVALUE_FLOOR:
-        raise NotPositive(f"eigenvalue {float(vals.min())!r} below tolerance")
-    dx = rho.grid.spacing
-    modes: List[Tuple[float, SpatialAmplitude]] = []
-    for k in range(vals.size - 1, -1, -1):
-        w = float(vals[k])
-        if w <= MODE_WEIGHT_FLOOR:
-            break
-        modes.append((w, SpatialAmplitude(rho.grid, vecs[:, k] / math.sqrt(dx))))
-    return modes

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
 from biphoton.errors import AsymmetricSpectrum, UnderSampled
+from biphoton.interferometer import MAX_REACH_FRACTION, tau_axis
 from biphoton.modesim import CONJUGATE, SYMMETRIC
 
 from conftest import DELTA_OMEGA, OMEGA_P
@@ -292,6 +293,51 @@ class TestScan:
         gram = bp.Interferogram(tau=[0.0], singles_port1=[-1e-12], singles_port2=[2.0],
                                 coincidences=[0.0])
         assert gram.singles_port1[0] == -1e-12
+
+
+class TestScanAxisChecks:
+    @pytest.mark.parametrize("args, name", [
+        ((0.0, 1e-13, math.inf), "tau_step"),
+        ((0.0, 1e-13, math.nan), "tau_step"),
+        ((0.0, 1e-13, 0.0), "tau_step"),
+        ((0.0, math.inf, 1e-15), "tau_stop"),
+        ((0.0, math.nan, 1e-15), "tau_stop"),
+        ((1e-13, 0.0, 1e-15), "tau_stop"),
+        ((-math.inf, 0.0, 1e-15), "tau_start"),
+        ((math.nan, 0.0, 1e-15), "tau_start"),
+    ], ids=["inf_step", "nan_step", "zero_step", "inf_stop", "nan_stop", "stop_first",
+            "inf_start", "nan_start"])
+    def test_tau_axis_names_the_bad_argument(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            tau_axis(*args)
+
+    @pytest.mark.parametrize("run", [bp.scan, bp.oracle_scan], ids=["closed", "oracle"])
+    def test_non_finite_scan_end_named(self, run, default_state, cfg_mzi, fgrid):
+        with pytest.raises(ValueError, match="^tau_stop "):
+            run(default_state, cfg_mzi, 0.0, math.inf, 1e-16, frequency_grid=fgrid)
+        with pytest.raises(ValueError, match="^tau_start "):
+            run(default_state, cfg_mzi, math.nan, 0.0, 1e-16, frequency_grid=fgrid)
+
+    def test_envelope_repeats_with_period_pi_over_h(self, default_state):
+        # the artefact the reach bound keeps out: a second full HOM dip at pi / h
+        fgrid = bp.default_frequency_grid(default_state.spectral.density, point_count=65)
+        density = bp.normalize(default_state.spectral.density, fgrid)
+        e2 = bp.EnvelopeEvaluator(density, fgrid).second_order(math.pi / fgrid.spacing)
+        assert e2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("run", [bp.scan, bp.oracle_scan], ids=["closed", "oracle"])
+    def test_reach_past_the_bound_rejected(self, run, default_state, cfg_mzi):
+        fgrid = bp.default_frequency_grid(default_state.spectral.density, point_count=65)
+        bound = MAX_REACH_FRACTION * math.pi / fgrid.spacing  # 875.4 fs on 65 points
+        inside = bound * (1.0 - 1e-9)
+        gram = run(default_state, cfg_mzi, -inside, -inside + 20e-15, 0.2e-15,
+                   frequency_grid=fgrid)
+        assert gram.tau.size == 101
+        run(default_state, cfg_mzi, inside - 20e-15, inside, 0.2e-15, frequency_grid=fgrid)
+        outside = bound * (1.0 + 1e-9)
+        for start, stop in ((-outside, -outside + 20e-15), (outside - 20e-15, outside)):
+            with pytest.raises(UnderSampled, match="875.406 fs"):
+                run(default_state, cfg_mzi, start, stop, 0.2e-15, frequency_grid=fgrid)
 
 
 class TestScanMatchesPointFunctions:

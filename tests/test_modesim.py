@@ -18,7 +18,6 @@ from biphoton.modesim import (
     CONJUGATE,
     SYMMETRIC,
     _distinct_rows,
-    _one_photon_singles,
     _photon_map,
     _rates,
     exchange_asymmetry,
@@ -52,15 +51,12 @@ def run(initial_state, cfg, tau, convention=SYMMETRIC):
 
 @pytest.fixture(scope="module")
 def interpreters(small_state, small_grids):
-    """Each interpreter of an element list: branch sum, dense tensor, one-photon mixture."""
-    sgrid, fgrid = small_grids
+    """Each interpreter of an element list: branch sum and dense tensor."""
+    _, fgrid = small_grids
     built = bp.build_initial_state(small_state, fgrid)
-    modes = np.eye(sgrid.point_count)[:2].astype(complex)
-    spectrum = np.full(fgrid.point_count, 1.0 / math.sqrt(fgrid.point_count))
     return (
         lambda elements: bp.apply_pipeline(built, elements),
         lambda elements: bp.apply_pipeline(bp.to_dense(built), elements),
-        lambda elements: _one_photon_singles(modes, spectrum, fgrid, elements, "c"),
     )
 
 
@@ -416,76 +412,6 @@ class TestInvariances:
             else:
                 for got, ref in zip(rates, reference):
                     assert np.allclose(got, ref, atol=1e-9)
-
-
-class TestMixture:
-    def test_rank_one_mixture_equals_pure_run(self, default_state, sgrid, fgrid):
-        gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
-        state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, gauss),
-                                  default_state.spectral, OMEGA_P)
-        cfg = bp.InterferometerConfig.mzim(OMEGA_P)
-        tau = 19e-15
-        singles, coincidence = bp.simulate_mixture(state, cfg, tau, fgrid)
-        built = bp.build_initial_state(state, fgrid)
-        final = run(built, cfg, tau)
-        assert singles == pytest.approx(bp.singles_rate(final, "c"), abs=1e-9)
-        assert coincidence == pytest.approx(bp.coincidence_rate(final), abs=1e-12)
-
-    def test_even_odd_mixture_cancels_fringe(self, default_state, sgrid, fgrid):
-        gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
-        hg1 = bp.hermite_gauss1_amplitude(sgrid, waist=1e-3)
-        amp = (np.outer(gauss.values, gauss.values)
-               + np.outer(hg1.values, hg1.values)) / math.sqrt(2.0)
-        state = bp.TwoPhotonState(bp.GeneralSpatial.from_samples(sgrid, amp),
-                                  default_state.spectral, OMEGA_P)
-        cfg = bp.InterferometerConfig.mzim(OMEGA_P)
-        # flip weights +1 and -1 average to zero: flat singles
-        for tau in (5e-15, 28e-15):
-            singles, _ = bp.simulate_mixture(state, cfg, tau, fgrid)
-            assert singles == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("sector", ["spatial", "spectral"])
-    def test_exchange_asymmetric_state_matches_pure_and_closed(self, default_state, sector):
-        """The mixture reduces the exchange-symmetrised pair: an asymmetric
-        product amplitude, or a skewed density, gives the singles of the
-        pure-state run and of the closed form."""
-        sgrid = bp.SpatialGrid(half_width=3e-3, point_count=33)
-        gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
-        if sector == "spatial":
-            hg1 = bp.hermite_gauss1_amplitude(sgrid, waist=1e-3)
-            spatial = bp.GeneralSpatial.product(hg1, gauss)
-            density = default_state.spectral.density
-        else:
-            spatial = bp.CorrelatedPump(gauss)
-            density = bp.SpectralDensity(bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)))
-        fgrid = bp.default_frequency_grid(density, point_count=129)
-        state = bp.TwoPhotonState(spatial, bp.AntiCorrelated(density), OMEGA_P)
-        for cfg, closed in ((bp.InterferometerConfig.mzi(OMEGA_P), bp.intensity_mzi),
-                            (bp.InterferometerConfig.mzim(OMEGA_P), bp.intensity_mzim)):
-            for tau in (0.0, 3e-15, 11e-15):
-                singles, _ = bp.simulate_mixture(state, cfg, tau, fgrid)
-                final = run(bp.build_initial_state(state, fgrid), cfg, tau)
-                assert singles == pytest.approx(bp.singles_rate(final, "c"), abs=1e-12)
-                assert singles == pytest.approx(closed(state, cfg, tau, fgrid), abs=1e-12)
-
-    def test_general_spectral_sector_rejected(self):
-        sgrid = bp.SpatialGrid(half_width=3e-3, point_count=33)
-        fgrid = bp.FrequencyGrid(half_width=2e13, point_count=9)
-        raw = np.random.default_rng(5).normal(size=(9, 9))
-        state = bp.TwoPhotonState(
-            bp.CorrelatedPump(bp.gaussian_amplitude(sgrid, waist=1e-3)),
-            bp.GeneralSpectral.from_samples(fgrid, raw), OMEGA_P)
-        with pytest.raises(ValueError, match="frequency-diagonal"):
-            bp.simulate_mixture(state, bp.InterferometerConfig.mzim(OMEGA_P), 3e-15)
-
-    def test_default_state_flat_singles_unchanged_coincidence(
-            self, default_state, fgrid, cfg_mzim, initial):
-        tau = 15e-15
-        singles, coincidence = bp.simulate_mixture(default_state, cfg_mzim, tau, fgrid)
-        alpha = bp.flip_overlap(bp.reduced_spatial_operator(default_state)).magnitude
-        assert abs(singles - 1.0) <= alpha + 1e-9
-        final = run(initial, cfg_mzim, tau)
-        assert coincidence == pytest.approx(bp.coincidence_rate(final), abs=1e-12)
 
 
 class TestDenseRepresentation:

@@ -117,38 +117,7 @@ class TestPumpParity:
         assert beta.magnitude == pytest.approx(math.exp(-2.0), rel=1e-4)
 
 
-class TestEigendecompose:
-    def test_rank_one_projector(self, gauss):
-        modes = bp.eigendecompose(bp.SpatialDensityOperator.coherent(gauss))
-        assert len(modes) == 1
-        weight, mode = modes[0]
-        assert weight == pytest.approx(1.0, abs=1e-9)
-        overlap = np.sum(np.conj(mode.values) * gauss.values) * gauss.grid.spacing
-        assert abs(overlap) == pytest.approx(1.0, abs=1e-9)
-
-    def test_incoherent_weights_are_position_probabilities(self, grid, gauss):
-        modes = bp.eigendecompose(bp.SpatialDensityOperator.incoherent(gauss))
-        weights = sorted((w for w, _ in modes), reverse=True)
-        expected = sorted(np.abs(gauss.values) ** 2 * grid.spacing, reverse=True)
-        assert np.allclose(weights, expected[:len(weights)], atol=1e-12)
-        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
-
-    def test_two_mode_mixture_reconstructs(self, grid, gauss, hg1):
-        dx = grid.spacing
-        rho = 0.5 * (np.outer(gauss.values, gauss.values.conj())
-                     + np.outer(hg1.values, hg1.values.conj())) * dx
-        op = bp.SpatialDensityOperator(grid, rho)
-        modes = bp.eigendecompose(op)
-        assert len(modes) == 2
-        assert sorted(w for w, _ in modes) == pytest.approx([0.5, 0.5], abs=1e-9)
-        rebuilt = sum(w * np.outer(m.values, m.values.conj()) * dx for w, m in modes)
-        assert float(np.max(np.abs(rebuilt - rho))) < 1e-8
-        # modes are orthonormal
-        for i, (_, mi) in enumerate(modes):
-            for j, (_, mj) in enumerate(modes):
-                inner = np.sum(np.conj(mi.values) * mj.values) * dx
-                assert abs(inner - (1.0 if i == j else 0.0)) < 1e-9
-
+class TestDensityOperatorValidation:
     def test_negative_operator_rejected(self, grid, gauss, hg1):
         dx = grid.spacing
         rho = (1.2 * np.outer(gauss.values, gauss.values.conj())
@@ -156,8 +125,6 @@ class TestEigendecompose:
         with pytest.raises(NotPositive):
             bp.SpatialDensityOperator(grid, rho)
 
-
-class TestDensityOperatorValidation:
     def test_non_hermitian_rejected(self, grid):
         m = np.zeros((grid.point_count, grid.point_count), dtype=complex)
         m[0, 1] = 1.0

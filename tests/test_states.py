@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
 from biphoton import units
@@ -101,6 +102,47 @@ class TestReduction:
         interior = slice(1, -1)
         assert np.allclose(
             weights[interior], density[interior] * fgrid.spacing, rtol=1e-12)
+
+
+class TestFlipOverlapLink:
+    """The singles weight alpha that both engines read from
+    exchange_overlaps is the flip overlap of the reduced one-photon state,
+    the quantity that explains the vanished MZIM singles fringe."""
+
+    @staticmethod
+    def assert_linked(state):
+        alpha = bp.exchange_overlaps(state).alpha
+        flip = bp.flip_overlap(bp.reduced_spatial_operator(state)).as_complex().real
+        assert abs(alpha - flip) <= 1e-12
+        return alpha
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda grid, g, h: bp.GeneralSpatial.product(g, g), 1.0),
+        (lambda grid, g, h: bp.GeneralSpatial.product(g, h), 0.0),
+        (lambda grid, g, h: bp.GeneralSpatial.from_samples(
+            grid, np.outer(g.values, g.values) + np.outer(h.values, h.values)), 0.0),
+        (lambda grid, g, h: bp.CorrelatedPump(
+            bp.gaussian_amplitude(grid, waist=1e-3, center=0.4e-3)), None),
+        (lambda grid, g, h: bp.CorrelatedPump(h), 0.0),
+    ], ids=["gauss_gauss", "gauss_hg1", "even_plus_odd", "shifted_pump", "hg1_pump"])
+    def test_named_states(self, grid, gauss, hg1, default_state, build, expected):
+        spatial = build(grid, gauss, hg1)
+        alpha = self.assert_linked(
+            bp.TwoPhotonState(spatial, default_state.spectral, OMEGA_P))
+        if expected is None:  # a correlated pump: |phi(0)|^2 dx
+            expected = abs(spatial.pump.values[grid.center_index]) ** 2 * grid.spacing
+        assert alpha == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), symmetric=st.booleans())
+    def test_random_general_amplitudes(self, default_state, seed, symmetric):
+        rng = np.random.default_rng(seed)
+        grid = bp.SpatialGrid(half_width=3e-3, point_count=33)
+        raw = rng.normal(size=(33, 33)) + 1j * rng.normal(size=(33, 33))
+        if symmetric:
+            raw = raw + raw.T
+        self.assert_linked(bp.TwoPhotonState(
+            bp.GeneralSpatial.from_samples(grid, raw), default_state.spectral, OMEGA_P))
 
 
 class TestDefaultState:
