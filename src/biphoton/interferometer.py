@@ -242,8 +242,8 @@ def g2_mzim(state: TwoPhotonState, cfg: InterferometerConfig, tau,
     return _rate(state, cfg, MZIM, tau, frequency_grid)
 
 
-def tau_axis(tau_start: float, tau_stop: float, tau_step: float) -> np.ndarray:
-    """Inclusive uniform delay axis, one point if zero-width; NaN fails every check."""
+def _axis_count(tau_start: float, tau_stop: float, tau_step: float) -> int:
+    """Point count of ``tau_axis``'s axis, after its argument checks."""
     if not 0.0 < tau_step < math.inf:
         raise ValueError(f"tau_step must be positive and finite, got {tau_step!r}")
     for name, value in (("tau_start", tau_start), ("tau_stop", tau_stop)):
@@ -251,8 +251,15 @@ def tau_axis(tau_start: float, tau_stop: float, tau_step: float) -> np.ndarray:
             raise ValueError(f"{name} must be finite, got {value!r}")
     if not tau_start <= tau_stop:
         raise ValueError("tau_stop must not precede tau_start")
-    count = int(math.floor((tau_stop - tau_start) / tau_step + 1e-9)) + 1
-    return tau_start + tau_step * np.arange(count)
+    span = (tau_stop - tau_start) / tau_step
+    if not math.isfinite(span):
+        raise ValueError(f"(tau_stop - tau_start) / tau_step = {span!r} is not finite")
+    return int(math.floor(span + 1e-9)) + 1
+
+
+def tau_axis(tau_start: float, tau_stop: float, tau_step: float) -> np.ndarray:
+    """Inclusive uniform delay axis, one point if zero-width; NaN fails every check."""
+    return tau_start + tau_step * np.arange(_axis_count(tau_start, tau_stop, tau_step))
 
 
 def _scan_axis(state: TwoPhotonState, cfg: InterferometerConfig, tau_start: float,
@@ -260,14 +267,16 @@ def _scan_axis(state: TwoPhotonState, cfg: InterferometerConfig, tau_start: floa
     """Delay axis of a scan by either engine, after the checks both make.
 
     Raises ValueError if state and configuration disagree on the pump
-    frequency, and UnderSampled from ``check_step`` or ``check_reach``.
+    frequency or ``tau_axis`` rejects an argument, and UnderSampled from
+    ``check_step`` or ``check_reach``; every check runs before the axis is
+    allocated.
     """
     if abs(cfg.pump_frequency - state.pump_frequency) > 1e-9 * cfg.pump_frequency:
         raise ValueError("state and configuration disagree on the pump frequency")
     check_step(tau_step, 2.0 * math.pi / cfg.pump_frequency)
-    tau = tau_axis(tau_start, tau_stop, tau_step)
+    count = _axis_count(tau_start, tau_stop, tau_step)
     check_reach(tau_start, tau_stop, frequency_grid)
-    return tau
+    return tau_start + tau_step * np.arange(count)
 
 
 def scan(

@@ -604,16 +604,43 @@ def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.
     terms cancel are all zero.  On the bundled configs 12 rows hold 7
     distinct ones (5 for an hg1 pump).  Nothing here relies on that;
     ``oracle_scan`` finds the repeats by bit pattern.
+
+    Each piece of work is done once, and each pair's terms are still added
+    to its row in walk order, so the bits are those of building the table
+    pair by pair.  A row is allocated when its key first appears.  Beam
+    splitters and flips pass a branch's spectral factor on unchanged, so
+    ``inner_terms`` runs once per pair of factor objects: 10 products serve
+    the 40 pairs of a 16-branch state.  A pair whose terms land on a run of
+    distinct, equally spaced nodes (the 1-d pairs with d0 != d1 for
+    anti-diagonal factors) is added through a strided slice; a pair whose
+    terms all land on one node, and a full factor's terms, go through
+    ``np.add.at``, which sums repeated nodes in order.
     """
     c = state.frequency_grid.point_count // 2
     table: dict = {}
+    products: dict = {}
     for pair, group in _by_path_pair(state.branches).items():
         for x, y, coef in _branch_pairs(group):
             d0, d1 = y.delays[0] - x.delays[0], y.delays[1] - x.delays[1]
-            terms, n0, n1 = x.spectral.inner_terms(y.spectral)
-            row = table.setdefault((pair, d0 + d1), np.zeros(4 * c + 1, dtype=complex))
-            np.add.at(row, 2 * c - d0 * n0 - d1 * n1, coef * terms)
+            factors = (id(x.spectral), id(y.spectral))
+            if factors not in products:
+                products[factors] = x.spectral.inner_terms(y.spectral)
+            terms, n0, n1 = products[factors]
+            key = (pair, d0 + d1)
+            if key not in table:
+                table[key] = np.zeros(4 * c + 1, dtype=complex)
+            row = table[key]
+            nodes = 2 * c - d0 * n0 - d1 * n1
+            if nodes.ndim == 1 and nodes.size > 1 and nodes[0] != nodes[1]:
+                row[nodes[0]::nodes[1] - nodes[0]][:nodes.size] += coef * terms
+            else:
+                np.add.at(row, nodes, coef * terms)
     return table
+
+
+def _row_key(bits: np.ndarray) -> bytes:
+    """A fingerprint of a row's bits: about 64 of them, evenly strided."""
+    return bits[::max(1, bits.size // 64)].tobytes()
 
 
 def _distinct_rows(rows: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[int]]:
@@ -622,16 +649,20 @@ def _distinct_rows(rows: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], List[i
 
     Rows are compared as integers, so -0.0 and 0.0 stay apart and a NaN row
     matches only a row of the same bits: a transform of equal bits is the
-    same transform, whatever the rows mean.
+    same transform, whatever the rows mean.  Full bit patterns are compared
+    only within a bucket of rows of equal ``_row_key``.
     """
     distinct: List[np.ndarray] = []
     which: List[int] = []
+    buckets: Dict[bytes, List[int]] = {}
     for row in rows:
         bits = row.view(np.int64)
-        k = next((k for k, seen in enumerate(distinct)
-                  if (bits == seen.view(np.int64)).all()), len(distinct))
-        if k == len(distinct):
+        bucket = buckets.setdefault(_row_key(bits), [])
+        k = next((k for k in bucket if (bits == distinct[k].view(np.int64)).all()), None)
+        if k is None:
+            k = len(distinct)
             distinct.append(row)
+            bucket.append(k)
         which.append(k)
     return distinct, which
 
@@ -652,10 +683,12 @@ def oracle_scan(
     same pump-frequency, step and reach checks as the closed ``scan``.  The
     branches do not depend on the delay, so the pipeline runs once, at
     tau = 0, and every delay's path-pair norms come from one chirp-z call
-    on the rows of ``_delay_table``.  Each distinct row is transformed
-    once, and every (path pair, m) key reads its row's transform: rows are
-    compared by bit pattern, so the rates are those of transforming every
-    row, bit for bit, whatever symmetry the state has or lacks.
+    on the rows of ``_delay_table``, which builds each row and each spectral
+    product once.  Each distinct row is transformed once, and every
+    (path pair, m) key reads its row's transform: rows are compared by bit
+    pattern, so the rates are those of transforming every row, bit for
+    bit, whatever symmetry the state has or lacks.  The pump phase
+    exp(-i m w_p tau / 2) is computed once per distinct m.
     """
     fgrid = _working_frequency_grid(state, frequency_grid)
     tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step, fgrid)
@@ -663,7 +696,7 @@ def oracle_scan(
     table = _delay_table(apply_pipeline(initial, build_pipeline(cfg, 0.0, convention)))
     distinct, which = _distinct_rows(list(table.values()))
     sums = chirp_z(np.array(distinct), fgrid.spacing, tau[0], tau_step, tau.size)
-    pumps = {m: np.exp(-0.5j * m * cfg.pump_frequency * tau) for _, m in table}
+    pumps = {m: np.exp(-0.5j * m * cfg.pump_frequency * tau) for m in {m for _, m in table}}
     norms: dict = {}
     for (pair, m), k in zip(table, which):
         norms[pair] = norms.get(pair, 0.0) + (pumps[m] * sums[k]).real

@@ -291,11 +291,15 @@ class EnvelopeEvaluator:
 def chirp_z(u: np.ndarray, h: float, tau0: float, step: float, count: int) -> np.ndarray:
     """sum_n u[..., n] exp(i n h tau_j) for tau_j = tau0 + j step, j < count.
 
-    ``n`` is the last axis's index centred on its middle entry (the length
-    is odd); leading axes are independent rows.  With tau_j = t_c + m step,
-    both indices centred to keep the chirp phases small,
-    n m = (n^2 + m^2 - (m - n)^2) / 2 turns the sum into a linear
-    convolution of two chirps, done by zero-padded FFT (Bluestein).
+    ``n`` is the last axis's index centred on its middle entry; leading axes
+    are independent rows.  With tau_j = t_c + m step, both indices centred
+    to keep the chirp phases small, n m = (n^2 + m^2 - (m - n)^2) / 2 turns
+    the sum into a linear convolution of two chirps, done by zero-padded
+    FFT (Bluestein).  The output chirp and the kernel depend on m^2 and
+    (m - n)^2 only, so each is evaluated on one half of its axis and the
+    other half is the mirror image, bit for bit.  The (m - n) axis is
+    symmetric only when the row length is odd, so an even length raises
+    ValueError.
 
     The kernel's FFT is taken once; the rows then pass one at a time
     through one work buffer of the padded length L, transformed in place.
@@ -303,17 +307,19 @@ def chirp_z(u: np.ndarray, h: float, tau0: float, step: float, count: int) -> np
     number of rows.
     """
     size = u.shape[-1]
+    if size % 2 == 0:
+        raise ValueError(f"chirp_z needs an odd row length, got {size}")
     theta = h * step
     centre = tau0 + step * (count - 1) / 2.0
     n = np.arange(size) - (size - 1) // 2
     m = np.arange(count) - (count - 1) / 2.0
     chirp = np.exp(1j * (h * centre * n + 0.5 * theta * n**2))
-    post = np.exp(0.5j * theta * m**2)
+    post = _mirrored_exp(0.5j * theta, m)
     lags = np.arange(1 - size, count)  # j - k over every pair
     diff = lags + ((size - 1) // 2 - (count - 1) / 2.0)  # m - n at that lag
     length = 1 << (size + count - 2).bit_length()  # power of two >= T + M - 1
     kernel = np.zeros(length, dtype=complex)
-    kernel[lags % length] = np.exp(-0.5j * theta * diff**2)
+    kernel[lags % length] = _mirrored_exp(-0.5j * theta, diff)
     np.fft.fft(kernel, out=kernel)
     out = np.empty(u.shape[:-1] + (count,), dtype=complex)
     buf = np.empty(length, dtype=complex)
@@ -325,6 +331,15 @@ def chirp_z(u: np.ndarray, h: float, tau0: float, step: float, count: int) -> np
         np.fft.ifft(buf, out=buf)
         np.multiply(post, buf[:count], out=dest)
     return out
+
+
+def _mirrored_exp(coef: complex, x: np.ndarray) -> np.ndarray:
+    """exp(coef x^2) on an axis with x[j] = -x[-1 - j] exactly: the first
+    half is evaluated, the rest is its mirror image, bit for bit.
+    """
+    half = (x.size + 1) // 2
+    first = np.exp(coef * x[:half]**2)
+    return np.concatenate((first, first[:x.size - half][::-1]))
 
 
 def _uniform_step(tau: np.ndarray) -> Optional[float]:

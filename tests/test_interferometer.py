@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,25 @@ class TestScanAxisChecks:
             run(default_state, cfg_mzi, 0.0, math.inf, 1e-16, frequency_grid=fgrid)
         with pytest.raises(ValueError, match="^tau_start "):
             run(default_state, cfg_mzi, math.nan, 0.0, 1e-16, frequency_grid=fgrid)
+
+    def test_tau_axis_names_a_count_that_overflows(self):
+        with pytest.raises(ValueError, match=r"^\(tau_stop - tau_start\) / tau_step = inf "):
+            tau_axis(-1e308, 1e308, 1.0)
+
+    @pytest.mark.parametrize("run", [bp.scan, bp.oracle_scan], ids=["closed", "oracle"])
+    def test_far_reach_rejected_before_the_axis_is_built(self, run, default_state, cfg_mzi,
+                                                          fgrid):
+        # 1e7 delays would be 80 MB; the reach check runs before the axis exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnderSampled, match="reaches 1e\\+06 fs"):
+                run(default_state, cfg_mzi, 0.0, 1e-9, 1e-16, frequency_grid=fgrid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(ValueError, match=r"^\(tau_stop - tau_start\) / tau_step "):
+            run(default_state, cfg_mzi, -1e308, 1e308, 1e-16, frequency_grid=fgrid)
 
     def test_envelope_repeats_with_period_pi_over_h(self, default_state):
         # the artefact the reach bound keeps out: a second full HOM dip at pi / h

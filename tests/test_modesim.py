@@ -574,6 +574,65 @@ class TestBatchedOracleScan:
         assert initial.branches[0].delays == (0, 0)
 
 
+def _every_pair_table(state):
+    """``_delay_table`` as first written: a fresh row offered to every branch
+    pair by ``setdefault``, and every pair's terms placed by ``np.add.at``.
+    """
+    c = state.frequency_grid.point_count // 2
+    table = {}
+    for pair, group in modesim._by_path_pair(state.branches).items():
+        for x, y, coef in modesim._branch_pairs(group):
+            d0, d1 = y.delays[0] - x.delays[0], y.delays[1] - x.delays[1]
+            terms, n0, n1 = x.spectral.inner_terms(y.spectral)
+            row = table.setdefault((pair, d0 + d1), np.zeros(4 * c + 1, dtype=complex))
+            np.add.at(row, 2 * c - d0 * n0 - d1 * n1, coef * terms)
+    return table
+
+
+def _assert_tables_bit_equal(state, fgrid):
+    """Every instrument, arm assignment and beam-splitter convention."""
+    built = bp.build_initial_state(state, fgrid)
+    for kind in (bp.MZI, bp.MZIM):
+        for delay_arm in ("a", "b"):
+            for flip_arm in ("a", "b"):
+                cfg = bp.InterferometerConfig(kind, OMEGA_P, delay_arm, flip_arm)
+                for convention in (SYMMETRIC, CONJUGATE):
+                    final = bp.apply_pipeline(built, bp.build_pipeline(cfg, 0.0, convention))
+                    got, reference = modesim._delay_table(final), _every_pair_table(final)
+                    assert list(got) == list(reference)
+                    for key, row in reference.items():
+                        assert got[key].tobytes() == row.tobytes()
+
+
+class TestDelayTableBits:
+    """Each row built once, each product once, runs placed by slice: the
+    table's bits are those of the pair-by-pair reference."""
+
+    @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
+    def test_bundled_configs(self, name):
+        (state, *_), fgrid = _bundled_scan_args(name)
+        _assert_tables_bit_equal(state, fgrid)
+
+    @pytest.mark.parametrize("name", ["shifted", "hg1", "general_spatial", "both_general"])
+    def test_small_grid_states(self, small_state, small_grids, name):
+        _, fgrid = small_grids
+        spatial, spectral = _batch_states(small_state, small_grids)[name]
+        _assert_tables_bit_equal(bp.TwoPhotonState(spatial, spectral, OMEGA_P), fgrid)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_pumps_and_densities(self, small_grids, seed):
+        sgrid, _ = small_grids
+        fgrid = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=33)
+        rng = np.random.default_rng(seed)
+        pump = bp.SpatialAmplitude.from_samples(
+            sgrid, rng.normal(size=sgrid.point_count) + 1j * rng.normal(size=sgrid.point_count))
+        density = bp.SpectralDensity(bp.Tabulated(
+            tuple(fgrid.omegas()), tuple(rng.uniform(0.1, 1.0, size=fgrid.point_count))))
+        state = bp.TwoPhotonState(bp.CorrelatedPump(pump), bp.AntiCorrelated(density), OMEGA_P)
+        _assert_tables_bit_equal(state, fgrid)
+
+
 def _bundled_scan_args(name):
     cfg = load_config(bundled_config_path(name))
     state, icfg, _, fgrid = build_problem(cfg)
@@ -648,3 +707,17 @@ class TestDistinctRows:
         once = chirp_z(np.array(distinct), *args)
         for j, k in enumerate(which):
             assert np.array_equal(every[j].view(np.int64), once[k].view(np.int64))
+
+    def test_rows_equal_on_every_sampled_bit_stay_apart(self):
+        # 8193-point rows, the oracle's on a 4097-point grid: the bucket key
+        # samples a stride of their bits, and the rest still decides
+        row = np.random.default_rng(4).normal(size=8193) + 0j
+        rows = [row]
+        for entry in (1, 4096, 8192):
+            other = row.copy()
+            other[entry] = complex(other[entry].real, 1.0)
+            assert modesim._row_key(other.view(np.int64)) == modesim._row_key(row.view(np.int64))
+            rows.append(other)
+        distinct, which = _distinct_rows(rows + [row.copy()])
+        assert which == [0, 1, 2, 3, 0]
+        assert all(d is r for d, r in zip(distinct, rows))

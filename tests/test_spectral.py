@@ -343,6 +343,54 @@ class TestComplexKernel:
         assert peak < 2 * 2**20
 
 
+def _chirp_z_full_axes(u, h, tau0, step, count):
+    """``chirp_z`` as first written: ``post`` and the kernel evaluated on
+    their whole axes, not on one half mirrored."""
+    size = u.shape[-1]
+    theta = h * step
+    centre = tau0 + step * (count - 1) / 2.0
+    n = np.arange(size) - (size - 1) // 2
+    m = np.arange(count) - (count - 1) / 2.0
+    chirp = np.exp(1j * (h * centre * n + 0.5 * theta * n**2))
+    post = np.exp(0.5j * theta * m**2)
+    lags = np.arange(1 - size, count)
+    diff = lags + ((size - 1) // 2 - (count - 1) / 2.0)
+    length = 1 << (size + count - 2).bit_length()
+    kernel = np.zeros(length, dtype=complex)
+    kernel[lags % length] = np.exp(-0.5j * theta * diff**2)
+    np.fft.fft(kernel, out=kernel)
+    out = np.empty(u.shape[:-1] + (count,), dtype=complex)
+    buf = np.empty(length, dtype=complex)
+    for row, dest in zip(u.reshape(-1, size), out.reshape(-1, count)):
+        np.multiply(row, chirp, out=buf[:size])
+        buf[size:] = 0.0
+        np.fft.fft(buf, out=buf)
+        buf *= kernel
+        np.fft.ifft(buf, out=buf)
+        np.multiply(post, buf[:count], out=dest)
+    return out
+
+
+class TestMirroredExponentials:
+    """``post`` and the kernel depend on m^2 and (m - n)^2 only: evaluating
+    half of each axis and mirroring the rest moves no output bit."""
+
+    @pytest.mark.parametrize("size", [3, 33, 2049, 8193])
+    @pytest.mark.parametrize("count", [1, 2, 241, 801, 5001])
+    def test_bit_equal_to_full_axes(self, size, count):
+        rng = np.random.default_rng(size * count)
+        u = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+        for tau0 in (-30e-15, 0.0, 17e-15):
+            args = (u, 1.1e11, tau0, 0.25e-15, count)
+            got, reference = chirp_z(*args), _chirp_z_full_axes(*args)
+            assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+
+    @pytest.mark.parametrize("size", [2, 32, 8192])
+    def test_even_row_length_rejected(self, size):
+        with pytest.raises(ValueError, match=f"odd row length, got {size}$"):
+            chirp_z(np.ones(size), 1.1e11, 0.0, 0.25e-15, 7)
+
+
 class TestSymmetryFlag:
     def test_analytic_shapes_are_even(self, fgrid, default_state):
         assert default_state.spectral.density.is_even_on(fgrid)
