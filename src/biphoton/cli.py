@@ -77,8 +77,9 @@ MAX_GRID_POINTS = 65_537
 # edge would silently become another pump.
 MIN_PUMP_ON_GRID = 0.999
 
-_WAIST_KINDS = ("gaussian", "hg1", "shifted_gaussian")
-_PROFILE_KINDS = _WAIST_KINDS + ("tabulated_file",)
+_PROFILE_KEYS = {"gaussian": ("waist_mm",), "hg1": ("waist_mm",),  # each besides "kind"
+                 "shifted_gaussian": ("waist_mm", "shift_mm"), "tabulated_file": ("path",)}
+_WAIST_KINDS = tuple(kind for kind, keys in _PROFILE_KEYS.items() if "waist_mm" in keys)
 _FILTER_SHAPES = ("rectangular", "gaussian")
 _ENGINES = ("closed", "oracle", "both")
 _GAUSS_FWHM = float(2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -137,6 +138,13 @@ def _require(mapping: dict, key: str, kind, path: str):
     raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
 
 
+def _only(mapping: dict, keys, path: str) -> None:
+    """Raise ConfigError naming each key of a config section that load_config does not read."""
+    unknown = [f"{path}.{key}" if path else key for key in mapping if key not in keys]
+    if unknown:
+        raise ConfigError(f"{', '.join(unknown)}: unknown key; expected {', '.join(keys)}")
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration into the engines' inputs.
 
@@ -145,14 +153,16 @@ def load_config(path) -> RunConfig:
     """
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read the config file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
+    _only(raw, ("pump", "filter", "interferometer", "scan", "engine", "grids", "output"), "")
 
     pump = _require(raw, "pump", dict, "")
+    _only(pump, ("wavelength_nm", "spatial_profile"), "pump")
     wavelength_nm = _require(pump, "wavelength_nm", float, "pump")
     if wavelength_nm * units.NM <= 0.0:  # also a positive value that underflows
         raise ConfigError("pump.wavelength_nm: must be positive")
@@ -162,9 +172,10 @@ def load_config(path) -> RunConfig:
                           "is not a finite number")
     profile = _require(pump, "spatial_profile", dict, "pump")
     kind = _require(profile, "kind", str, "pump.spatial_profile")
-    if kind not in _PROFILE_KINDS:
+    if kind not in _PROFILE_KEYS:
         raise ConfigError(
-            f"pump.spatial_profile.kind: must be one of {_PROFILE_KINDS}, got {kind!r}")
+            f"pump.spatial_profile.kind: must be one of {tuple(_PROFILE_KEYS)}, got {kind!r}")
+    _only(profile, ("kind",) + _PROFILE_KEYS[kind], "pump.spatial_profile")
     params = {k: v for k, v in profile.items() if k != "kind"}
     if kind in _WAIST_KINDS:
         waist = _finite(params.get("waist_mm", 1.0), "pump.spatial_profile.waist_mm")
@@ -178,6 +189,7 @@ def load_config(path) -> RunConfig:
             _require(params, "path", str, "pump.spatial_profile"))
 
     filt = _require(raw, "filter", dict, "")
+    _only(filt, ("center_nm", "bandwidth_nm", "shape"), "filter")
     center_nm = _require(filt, "center_nm", float, "filter")
     bandwidth_nm = _require(filt, "bandwidth_nm", float, "filter")
     shape = _require(filt, "shape", str, "filter")
@@ -204,13 +216,10 @@ def load_config(path) -> RunConfig:
     ikind = _require(itf, "kind", str, "interferometer")
     if ikind not in ("mzi", "mzim"):
         raise ConfigError(f"interferometer.kind: must be 'mzi' or 'mzim', got {ikind!r}")
-    delay_arm = str(itf.get("delay_arm", "b"))
-    flip_arm = str(itf.get("flip_arm", "b"))
-    for label, arm in (("delay_arm", delay_arm), ("flip_arm", flip_arm)):
-        if arm not in ("a", "b"):
-            raise ConfigError(f"interferometer.{label}: must be 'a' or 'b', got {arm!r}")
+    _only(itf, ("kind",), "interferometer")
 
     scan_cfg = _require(raw, "scan", dict, "")
+    _only(scan_cfg, ("tau_start_fs", "tau_stop_fs", "tau_step_fs"), "scan")
     tau_start_fs = _require(scan_cfg, "tau_start_fs", float, "scan")
     tau_stop_fs = _require(scan_cfg, "tau_stop_fs", float, "scan")
     tau_step_fs = _require(scan_cfg, "tau_step_fs", float, "scan")
@@ -234,6 +243,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"engine: must be one of {_ENGINES}, got {engine!r}")
 
     grids = _require(raw, "grids", dict, "")
+    _only(grids, ("spatial_points", "spectral_points", "spatial_halfwidth_mm"), "grids")
     spatial_points = _require(grids, "spatial_points", int, "grids")
     spectral_points = _require(grids, "spectral_points", int, "grids")
     halfwidth_mm = _require(grids, "spatial_halfwidth_mm", float, "grids")
@@ -266,6 +276,7 @@ def load_config(path) -> RunConfig:
     _check_pump_on_grid(kind, params, halfwidth_mm)
 
     output = _require(raw, "output", dict, "")
+    _only(output, ("path", "format"), "output")
     out_path = _require(output, "path", str, "output")
     out_format = _require(output, "format", str, "output")
     if out_format not in ("csv", "json"):
@@ -276,8 +287,7 @@ def load_config(path) -> RunConfig:
                            spectral=AntiCorrelated(density), pump_frequency=pump_frequency)
     return RunConfig(
         state=state,
-        instrument=InterferometerConfig(ikind, pump_frequency, delay_arm=delay_arm,
-                                        flip_arm=flip_arm),
+        instrument=InterferometerConfig(ikind, pump_frequency),
         frequency_grid=frequency_grid,
         tau_start=tau_start_fs * units.FS,
         tau_stop=tau_stop_fs * units.FS,
@@ -432,7 +442,10 @@ def cmd_simulate(args) -> int:
     grams = [_run_engine(cfg, cfg.instrument, e) for e in engines]
     for g in grams:
         _check_energy(g)
-    _write_output(cfg.output_path, cfg.output_format, grams)
+    try:
+        _write_output(cfg.output_path, cfg.output_format, grams)
+    except OSError as exc:
+        raise ConfigError(f"output.path: cannot write {cfg.output_path}: {exc.strerror}") from None
     print(f"wrote {grams[0].tau.size} samples per engine to {cfg.output_path}")
     if len(grams) == 2:
         ds = float(np.max(np.abs(grams[0].singles_port1 - grams[1].singles_port1)))
@@ -457,8 +470,8 @@ def _read_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.
     """
     try:
         text = Path(path).read_text()
-    except FileNotFoundError:
-        raise ConfigError(f"input file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read the input file {path}: {exc.strerror}") from None
     lines = text.splitlines()
     if lines[:1] == [CSV_HEADER] and any(lines[1:]) and "\x1f" not in text:
         try:
@@ -548,7 +561,6 @@ def cmd_compare(args) -> int:
     if cfg.engine == "both":
         raise ConfigError("engine: compare needs a single engine ('closed' or 'oracle')")
     kinds = ("mzi", "mzim")
-    # neither engine reads flip_arm for an MZI
     icfgs = [replace(cfg.instrument, kind=kind) for kind in kinds]
     if cfg.engine == "closed":  # one envelope pair serves both instruments
         grams = scan_configs(cfg.state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step,

@@ -85,46 +85,34 @@ def check_reach(tau_start: float, tau_stop: float, frequency_grid: FrequencyGrid
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Interferometer kind, pump frequency and per-arm element placement.
+    """Interferometer kind and pump frequency.
 
     ``kind`` is ``MZI``, the balanced instrument (equal reflection parity in
     the two arms), or ``MZIM``, the same instrument with one mirror removed,
-    whose odd arm applies a single transverse flip.  ``delay_arm`` and
-    ``flip_arm`` only matter to the discrete-mode simulator; the closed
-    forms are assignment-independent.
+    whose odd arm applies a single transverse flip.  Only the parity of the
+    reflections matters, so neither engine asks which arm holds the delay or
+    the flip; the discrete-mode simulator puts both in arm ``b``.
     """
 
     kind: str
     pump_frequency: float
-    delay_arm: str = "b"
-    flip_arm: str = "b"
 
     def __post_init__(self):
         if self.kind not in (MZI, MZIM):
             raise ValueError(f"kind must be '{MZI}' or '{MZIM}'")
         if not self.pump_frequency > 0.0:
             raise ValueError("pump_frequency must be positive")
-        for arm in (self.delay_arm, self.flip_arm):
-            if arm not in ("a", "b"):
-                raise ValueError("arms are labelled 'a' and 'b'")
 
     @classmethod
-    def mzi(cls, pump_frequency: float, delay_arm: str = "b") -> "InterferometerConfig":
-        return cls(MZI, pump_frequency, delay_arm=delay_arm)
+    def mzi(cls, pump_frequency: float) -> "InterferometerConfig":
+        return cls(MZI, pump_frequency)
 
     @classmethod
-    def mzim(
-        cls, pump_frequency: float, delay_arm: str = "b", flip_arm: str = "b"
-    ) -> "InterferometerConfig":
-        return cls(MZIM, pump_frequency, delay_arm=delay_arm, flip_arm=flip_arm)
+    def mzim(cls, pump_frequency: float) -> "InterferometerConfig":
+        return cls(MZIM, pump_frequency)
 
     def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pump_frequency": self.pump_frequency,
-            "delay_arm": self.delay_arm,
-            "flip_arm": self.flip_arm,
-        }
+        return {"kind": self.kind, "pump_frequency": self.pump_frequency}
 
 
 @dataclass(frozen=True)

@@ -191,14 +191,13 @@ def _photon_map(element: Element, frequency_grid: FrequencyGrid,
 def build_pipeline(
     cfg: InterferometerConfig, tau: float, convention: str = SYMMETRIC
 ) -> List[Element]:
-    """Element sequence for the configured interferometer at delay tau."""
-    elements: List[Element] = [BeamSplitter(convention)]
-    elements.append(Delay(cfg.delay_arm, tau, cfg.pump_frequency))
+    """Element sequence for the configured interferometer at delay tau.
+
+    The delay and the MZIM's flip sit in arm b: no rate depends on the arms."""
+    elements: List[Element] = [BeamSplitter(convention), Delay("b", tau, cfg.pump_frequency)]
     if cfg.kind == MZIM:
-        elements.append(SpatialFlip(cfg.flip_arm))
-    elements.append(BeamSplitter(convention))
-    elements.append(RelabelOutputs())
-    return elements
+        elements.append(SpatialFlip("b"))
+    return elements + [BeamSplitter(convention), RelabelOutputs()]
 
 
 # ---------------------------------------------------------------------------

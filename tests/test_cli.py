@@ -738,6 +738,8 @@ class TestConfigValidation:
         # the pump frequency 2 pi c / 1e-309 m overflows to inf
         (lambda c: c["pump"].update(wavelength_nm=1e-300), "config error: pump.wavelength_nm: "),
         (lambda c: c["scan"].update(tau_step_fs=0.5), "scan.tau_step_fs"),
+        (lambda c: c["scan"].update(tau_start_fs=10.0, tau_stop_fs=-10.0),
+         "config error: scan.tau_stop_fs: must not precede tau_start_fs"),
         (lambda c: c["grids"].update(spatial_points=256), "grids.spatial_points"),
         (lambda c: c["filter"].update(bandwidth_nm=900.0), "filter.bandwidth_nm"),
         (lambda c: c.update(engine="quantum"), "engine"),
@@ -897,7 +899,9 @@ class TestConfigValidation:
     def test_waist_below_grid_spacing_exits_one(self, tmp_path, capsys, kind, section, key,
                                                 value):
         cfg = load_bundled("default_mzi")
-        cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": 1.0, "shift_mm": 0.5}
+        cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": 1.0}
+        if kind == "shifted_gaussian":
+            cfg["pump"]["spatial_profile"]["shift_mm"] = 0.5
         table = cfg
         for part in section.split("."):
             table = table[part]
@@ -950,7 +954,9 @@ class TestConfigValidation:
     ])
     def test_pump_wider_than_the_grid_exits_one(self, tmp_path, capsys, kind, waist_mm, kept):
         cfg = load_bundled("default_mzim")
-        cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": waist_mm, "shift_mm": 0.1}
+        cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": waist_mm}
+        if kind == "shifted_gaussian":
+            cfg["pump"]["spatial_profile"]["shift_mm"] = 0.1
         path = write_config(tmp_path, cfg)
         out = tmp_path / "scan.csv"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
@@ -1073,6 +1079,71 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent.json"]) == 1
+
+    @pytest.mark.parametrize("profile, section, key", [
+        ({"kind": "gaussian", "wiast_mm": 0.3}, "pump.spatial_profile", "wiast_mm"),
+        ({"kind": "gaussian", "shift_mm": 0.5}, "pump.spatial_profile", "shift_mm"),
+        ({"kind": "hg1", "shift_mm": 0.5}, "pump.spatial_profile", "shift_mm"),
+        ({"kind": "tabulated_file", "path": "pump.csv", "waist_mm": 1.0},
+         "pump.spatial_profile", "waist_mm"),
+        (None, "", "engnie"),
+        (None, "pump", "waist_mm"),
+        (None, "filter", "centre_nm"),
+        (None, "interferometer", "delay_arm"),
+        (None, "interferometer", "flip_arm"),
+        (None, "scan", "tau_steps_fs"),
+        (None, "grids", "spectral_pts"),
+        (None, "output", "fromat"),
+    ])
+    def test_unknown_key_exits_one_naming_it(self, tmp_path, capsys, profile, section, key):
+        cfg = load_bundled("default_mzi")
+        if profile is not None:
+            cfg["pump"]["spatial_profile"] = profile
+        else:
+            table = cfg
+            for part in filter(None, section.split(".")):
+                table = table[part]
+            table[key] = "b"
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        field = f"{section}.{key}" if section else key
+        assert capsys.readouterr().err.startswith(f"config error: {field}: unknown key; ")
+        assert not out.exists()
+
+    def test_every_unknown_key_of_a_section_is_named(self, tmp_path):
+        cfg = load_bundled("default_mzim")
+        cfg["interferometer"].update(delay_arm="a", flip_arm="a")
+        with pytest.raises(cli.ConfigError, match="^interferometer.delay_arm, "
+                           "interferometer.flip_arm: unknown key; expected kind$"):
+            load_config(write_config(tmp_path, cfg))
+
+
+class TestFileErrors:
+    """A path that cannot be read or written exits 1 naming it, with no traceback."""
+
+    @staticmethod
+    def assert_exit_one(capsys, argv, needle):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and needle in err
+        assert "Traceback" not in err
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        self.assert_exit_one(capsys, ["simulate", "--config", str(tmp_path)], str(tmp_path))
+
+    def test_analyze_input_is_a_directory(self, tmp_path, capsys):
+        self.assert_exit_one(capsys, ["analyze", "--in", str(tmp_path)], str(tmp_path))
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_output_path_cannot_be_written(self, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "scan.csv" if where == "missing_directory" else tmp_path
+        cfg = small_scan_config("default_mzi", output={"path": str(out), "format": "csv"})
+        config = str(write_config(tmp_path, cfg))
+        self.assert_exit_one(capsys, ["simulate", "--config", config],
+                             f"output.path: cannot write {out}: ")
+        self.assert_exit_one(capsys, ["simulate", "--config", config, "--out", str(out)],
+                             f"output.path: cannot write {out}: ")
 
 
 class TestSpectralRefinement:

@@ -319,6 +319,13 @@ class TestScanAxisChecks:
         with pytest.raises(ValueError, match="^tau_start "):
             run(default_state, cfg_mzi, math.nan, 0.0, 1e-16, frequency_grid=fgrid)
 
+    @pytest.mark.parametrize("run", [bp.scan, bp.oracle_scan], ids=["closed", "oracle"])
+    def test_scan_stopping_before_it_starts_rejected(self, run, default_state, cfg_mzi, fgrid):
+        with pytest.raises(ValueError, match="^tau_stop must not precede tau_start$"):
+            tau_axis(1e-15, -1e-15, 1e-16)
+        with pytest.raises(ValueError, match="^tau_stop must not precede tau_start$"):
+            run(default_state, cfg_mzi, 1e-15, -1e-15, 1e-16, frequency_grid=fgrid)
+
     def test_tau_axis_names_a_count_that_overflows(self):
         with pytest.raises(ValueError, match=r"^\(tau_stop - tau_start\) / tau_step = inf "):
             tau_axis(-1e308, 1e308, 1.0)

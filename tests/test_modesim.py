@@ -10,6 +10,7 @@ from biphoton import modesim
 from biphoton.cli import build_problem, bundled_config_path, load_config
 from biphoton.errors import (
     BudgetExceeded,
+    GridAsymmetry,
     IncompletePipeline,
     UnderSampled,
     UnknownElement,
@@ -47,6 +48,17 @@ def initial(default_state, fgrid):
 
 def run(initial_state, cfg, tau, convention=SYMMETRIC):
     return bp.apply_pipeline(initial_state, bp.build_pipeline(cfg, tau, convention))
+
+
+ARM_ASSIGNMENTS = [(delay_arm, flip_arm) for delay_arm in "ab" for flip_arm in "ab"]
+
+
+def arm_pipeline(kind, tau, convention, delay_arm, flip_arm):
+    """The instrument's elements with the delay and the MZIM's flip on the given arms."""
+    elements = [bp.BeamSplitter(convention), bp.Delay(delay_arm, tau, OMEGA_P)]
+    if kind == bp.MZIM:
+        elements.append(bp.SpatialFlip(flip_arm))
+    return elements + [bp.BeamSplitter(convention), bp.RelabelOutputs()]
 
 
 @pytest.fixture(scope="module")
@@ -366,21 +378,26 @@ class TestInvariances:
     def test_arm_assignment_independence(self, default_state, sgrid, fgrid, initial):
         taus = (11e-15, 60e-15)
         reference = None
-        for delay_arm in ("a", "b"):
-            for flip_arm in ("a", "b"):
-                cfg = bp.InterferometerConfig.mzim(
-                    OMEGA_P, delay_arm=delay_arm, flip_arm=flip_arm)
-                rates = []
-                for tau in taus:
-                    final = run(initial, cfg, tau)
-                    rates.append((bp.coincidence_rate(final),
-                                  bp.singles_rate(final, "c"),
-                                  bp.singles_rate(final, "d")))
-                if reference is None:
-                    reference = rates
-                else:
-                    for got, ref in zip(rates, reference):
-                        assert np.allclose(got, ref, atol=1e-9)
+        for delay_arm, flip_arm in ARM_ASSIGNMENTS:
+            rates = []
+            for tau in taus:
+                final = bp.apply_pipeline(
+                    initial, arm_pipeline(bp.MZIM, tau, SYMMETRIC, delay_arm, flip_arm))
+                rates.append((bp.coincidence_rate(final),
+                              bp.singles_rate(final, "c"),
+                              bp.singles_rate(final, "d")))
+            if reference is None:
+                reference = rates
+            else:
+                for got, ref in zip(rates, reference):
+                    assert np.allclose(got, ref, atol=1e-9)
+
+    @pytest.mark.parametrize("convention", [SYMMETRIC, CONJUGATE])
+    @pytest.mark.parametrize("kind", [bp.MZI, bp.MZIM])
+    def test_pipeline_puts_delay_and_flip_in_arm_b(self, kind, convention):
+        cfg = bp.InterferometerConfig(kind, OMEGA_P)
+        assert bp.build_pipeline(cfg, 13e-15, convention) == arm_pipeline(
+            kind, 13e-15, convention, "b", "b")
 
     def test_beam_splitter_convention_independence(self, initial, cfg_mzi, cfg_mzim):
         for cfg in (cfg_mzi, cfg_mzim):
@@ -556,6 +573,14 @@ class TestBatchedOracleScan:
                     got = np.stack([gram.singles_port1, gram.singles_port2, gram.coincidences])
                     assert float(np.max(np.abs(got - expected))) <= 1e-12
 
+    def test_general_spectral_on_a_foreign_grid_rejected(self, small_state, small_grids,
+                                                          cfg_mzim):
+        spatial, spectral = _batch_states(small_state, small_grids)["general_spectral"]
+        state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
+        foreign = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=19)
+        with pytest.raises(GridAsymmetry, match="frequency grid differs"):
+            bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP, frequency_grid=foreign)
+
     def test_general_spectral_scans_on_its_own_grid(self, small_state, small_grids, cfg_mzim):
         # without a frequency grid the scan takes the general sector's grid
         _, fgrid = small_grids
@@ -593,15 +618,14 @@ def _assert_tables_bit_equal(state, fgrid):
     """Every instrument, arm assignment and beam-splitter convention."""
     built = bp.build_initial_state(state, fgrid)
     for kind in (bp.MZI, bp.MZIM):
-        for delay_arm in ("a", "b"):
-            for flip_arm in ("a", "b"):
-                cfg = bp.InterferometerConfig(kind, OMEGA_P, delay_arm, flip_arm)
-                for convention in (SYMMETRIC, CONJUGATE):
-                    final = bp.apply_pipeline(built, bp.build_pipeline(cfg, 0.0, convention))
-                    got, reference = modesim._delay_table(final), _every_pair_table(final)
-                    assert list(got) == list(reference)
-                    for key, row in reference.items():
-                        assert got[key].tobytes() == row.tobytes()
+        for delay_arm, flip_arm in ARM_ASSIGNMENTS:
+            for convention in (SYMMETRIC, CONJUGATE):
+                final = bp.apply_pipeline(
+                    built, arm_pipeline(kind, 0.0, convention, delay_arm, flip_arm))
+                got, reference = modesim._delay_table(final), _every_pair_table(final)
+                assert list(got) == list(reference)
+                for key, row in reference.items():
+                    assert got[key].tobytes() == row.tobytes()
 
 
 class TestDelayTableBits:

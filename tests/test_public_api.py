@@ -1,13 +1,15 @@
-"""The public surface: export lists and the README example.
+"""The public surface: export lists, the README example and its config.
 
 A name deleted from a module but left in its ``__all__`` breaks
 ``from biphoton.<module> import *``; a README example that drifts from the
-code misleads its first reader.  Both are checked here.
+code misleads its first reader.  Both are checked here.  ``load_config``
+rejects keys it does not read, so a stale README config fails here too.
 """
 
 import contextlib
 import importlib
 import io
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import biphoton
+from biphoton.cli import bundled_config_path, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,3 +45,13 @@ def test_readme_example_prints_documented_visibility():
         exec(compile(code, str(README), "exec"), {"__name__": "readme_example"})
     v1 = float(out.getvalue().split()[0])
     assert f"{v1:.3g}" == documented == "0.0187"
+
+
+def test_readme_config_is_the_bundled_mzi_config(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    documented = json.loads(blocks[0])
+    assert documented == json.loads(bundled_config_path("default_mzi").read_text())
+    path = tmp_path / "readme.json"
+    path.write_text(blocks[0])
+    assert load_config(path).instrument.kind == "mzi"
