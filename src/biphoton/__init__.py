@@ -16,7 +16,6 @@ from .errors import (
     EmptyOrNegative,
     GridAsymmetry,
     GridMismatch,
-    IncompletePipeline,
     InvalidRates,
     NoDip,
     NoFringe,
@@ -78,7 +77,6 @@ from .modesim import (
     BranchSumState,
     Delay,
     DenseTensorState,
-    RelabelOutputs,
     SpatialFlip,
     apply_element,
     apply_pipeline,

@@ -145,6 +145,18 @@ def _only(mapping: dict, keys, path: str) -> None:
         raise ConfigError(f"{', '.join(unknown)}: unknown key; expected {', '.join(keys)}")
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of a file; ConfigError naming ``what`` and the path if
+    it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise ConfigError(f"cannot read the {what} {path}: {reason}")
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration into the engines' inputs.
 
@@ -152,9 +164,7 @@ def load_config(path) -> RunConfig:
     Raises ConfigError naming the field.
     """
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read the config file {path}: {exc.strerror}") from None
+        raw = json.loads(_read_text(path, "config file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
     if not isinstance(raw, dict):
@@ -468,10 +478,7 @@ def _read_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.
     warns on those).  Whatever the fast parse refuses goes to the
     line-by-line reader, which names the first bad line and field.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read the input file {path}: {exc.strerror}") from None
+    text = _read_text(path, "input file")
     lines = text.splitlines()
     if lines[:1] == [CSV_HEADER] and any(lines[1:]) and "\x1f" not in text:
         try:

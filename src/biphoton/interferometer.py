@@ -176,8 +176,12 @@ def _rate(state, cfg, kind, tau, frequency_grid, port=None):
     """Singles at ``port``, or coincidences if it is None, of a ``kind`` instrument."""
     if cfg.kind != kind:
         raise ValueError(f"operation requires a '{kind}' configuration")
-    ov, env = _envelopes(state, frequency_grid)
+    if port not in (None, 1, 2):
+        raise ValueError(f"port must be 1 or 2, got {port!r}")
     tau_arr = np.asarray(tau, dtype=float)
+    if not np.isfinite(tau_arr).all():
+        raise ValueError("tau must be finite at every delay")
+    ov, env = _envelopes(state, frequency_grid)
     if port is None:
         out = _coincidences(ov, cfg, tau_arr, env.second_order(tau_arr))
     else:

@@ -7,9 +7,11 @@ forms: agreement between the two engines is the package's core self-check,
 and the simulator also covers the states with no closed form: a general
 spectral sector, or both sectors exchange asymmetric.
 
-Each optical element is defined once, as a single-photon map: every input
-path goes to one or more outcomes (output path, amplitude, position flip or
-not, spectral phases or none).  One driver serves the two two-photon
+The elements are the optics of the two instruments: the 50:50 beam
+splitter, the delay and, for the mirror-unbalanced one, the transverse
+flip.  Each is defined once, as a single-photon map: every input path goes
+to one or more outcomes (output path, amplitude, position flip or not,
+spectral phases or none).  One code path serves the two two-photon
 representations: ``apply_element`` builds an element's map and hands it to
 the state, which defines how a photon map acts on each of its photon slots
 and holds no element-specific logic of its own; ``apply_pipeline`` folds
@@ -40,12 +42,14 @@ rate has three routes: the scan (the production path), the per-delay
 branch sum (its reference) and the dense tensor (the branch sum's).
 
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
-b -> (i a + b)/sqrt(2) ("symmetric"); the alternative "conjugate"
-convention carries -i on the cross terms.  Reported rates are convention
-invariant and that is verified by tests rather than assumed.  A delay tau
-in one arm multiplies each photon amplitude in that arm by
-exp(-i (w_p/2 + W_k) tau); a spatial flip reverses the position index.
-Rates are normalized so the incoherent background equals one.
+b -> (i a + b)/sqrt(2) ("symmetric").  ``BeamSplitter`` also takes the
+"conjugate" convention, with -i on the cross terms; the rates do not
+depend on it, and that is a property the tests check on every route, not
+a run option.  A delay tau in one arm multiplies each photon amplitude in
+that arm by exp(-i (w_p/2 + W_k) tau); a spatial flip reverses the
+position index.  After the last splitter path a is output port 1 and path
+b port 2, the ports the closed engine and ``Interferogram`` name.  Rates
+are normalized so the incoherent background equals one.
 """
 
 from __future__ import annotations
@@ -56,12 +60,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    GridAsymmetry,
-    IncompletePipeline,
-    UnknownElement,
-)
+from .errors import BudgetExceeded, GridAsymmetry, UnknownElement
 from .interferometer import Interferogram, InterferometerConfig, MZIM, _scan_axis
 from .spatial import SpatialGrid
 from .spectral import FrequencyGrid, chirp_z, normalize
@@ -78,7 +77,6 @@ __all__ = [
     "BeamSplitter",
     "Delay",
     "SpatialFlip",
-    "RelabelOutputs",
     "build_pipeline",
     "Factor",
     "Branch",
@@ -102,9 +100,7 @@ CONJUGATE = "conjugate"
 
 DEFAULT_DENSE_BUDGET = 1 << 30  # bytes
 
-_INPUT_PATHS = ("a", "b")
-_OUTPUT_PATHS = ("c", "d")
-_PATH_INDEX = {p: i for paths in (_INPUT_PATHS, _OUTPUT_PATHS) for i, p in enumerate(paths)}
+_PATHS = ("a", "b")  # after the last splitter, a is port 1 and b port 2
 _SWAP = (3, 4, 5, 0, 1, 2)  # exchange the photon slots of a dense tensor
 
 
@@ -129,18 +125,20 @@ class Delay:
     tau: float
     pump_frequency: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau!r}")
+        if not 0.0 < self.pump_frequency < math.inf:
+            raise ValueError(
+                f"pump_frequency must be finite and positive, got {self.pump_frequency!r}")
+
 
 @dataclass(frozen=True)
 class SpatialFlip:
     arm: str
 
 
-@dataclass(frozen=True)
-class RelabelOutputs:
-    pass
-
-
-Element = Union[BeamSplitter, Delay, SpatialFlip, RelabelOutputs]
+Element = Union[BeamSplitter, Delay, SpatialFlip]
 
 
 class _Outcome(NamedTuple):
@@ -156,24 +154,18 @@ _PhotonMap = Dict[str, List[_Outcome]]
 _State = Union["BranchSumState", "DenseTensorState"]
 
 
-def _photon_map(element: Element, frequency_grid: FrequencyGrid,
-                relabeled: bool) -> Tuple[_PhotonMap, bool]:
-    """One element's action on one photon, and whether outputs are relabelled after it.
+def _photon_map(element: Element, frequency_grid: FrequencyGrid) -> _PhotonMap:
+    """One element's action on one photon.
 
     The map sends each input path to its outcomes.  This is the only
     definition of what an element does; every representation applies it to
     each photon slot.
     """
-    if relabeled:
-        raise IncompletePipeline("cannot add elements after output relabelling")
     if isinstance(element, BeamSplitter):
         u = element.matrix()
         return {p: [_Outcome(q, u[row, col], False, None)
-                    for row, q in enumerate(_INPUT_PATHS) if u[row, col] != 0.0]
-                for col, p in enumerate(_INPUT_PATHS)}, False
-    if isinstance(element, RelabelOutputs):
-        return {p: [_Outcome(q, 1.0, False, None)]
-                for p, q in zip(_INPUT_PATHS, _OUTPUT_PATHS)}, True
+                    for row, q in enumerate(_PATHS) if u[row, col] != 0.0]
+                for col, p in enumerate(_PATHS)}
     if isinstance(element, Delay):
         phases = np.exp(
             -1j * (element.pump_frequency / 2.0 + frequency_grid.omegas()) * element.tau)
@@ -182,22 +174,21 @@ def _photon_map(element: Element, frequency_grid: FrequencyGrid,
         in_arm = _Outcome(element.arm, 1.0, True, None)
     else:
         raise UnknownElement(f"unknown element {element!r}")
-    if element.arm not in _INPUT_PATHS:
+    if element.arm not in _PATHS:
         raise ValueError(f"arms are labelled 'a' and 'b', got {element.arm!r}")
     return {p: [in_arm if p == element.arm else _Outcome(p, 1.0, False, None)]
-            for p in _INPUT_PATHS}, False
+            for p in _PATHS}
 
 
-def build_pipeline(
-    cfg: InterferometerConfig, tau: float, convention: str = SYMMETRIC
-) -> List[Element]:
+def build_pipeline(cfg: InterferometerConfig, tau: float) -> List[Element]:
     """Element sequence for the configured interferometer at delay tau.
 
-    The delay and the MZIM's flip sit in arm b: no rate depends on the arms."""
-    elements: List[Element] = [BeamSplitter(convention), Delay("b", tau, cfg.pump_frequency)]
+    The delay and the MZIM's flip sit in arm b: no rate depends on the arms.
+    Path a leaves the last splitter at port 1, path b at port 2."""
+    elements: List[Element] = [BeamSplitter(), Delay("b", tau, cfg.pump_frequency)]
     if cfg.kind == MZIM:
         elements.append(SpatialFlip("b"))
-    return elements + [BeamSplitter(convention), RelabelOutputs()]
+    return elements + [BeamSplitter()]
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +318,12 @@ class BranchSumState:
     spatial_grid: SpatialGrid
     frequency_grid: FrequencyGrid
     branches: Tuple[Branch, ...]
-    relabeled: bool = False
-
-    @property
-    def paths(self) -> Tuple[str, str]:
-        return _OUTPUT_PATHS if self.relabeled else _INPUT_PATHS
 
     def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
         """Squared amplitude norm per (photon 1 path, photon 2 path); absent pairs are zero."""
         return {pair: _group_norm(g) for pair, g in _by_path_pair(self.branches).items()}
 
-    def _mapped(self, photon: _PhotonMap, relabeled: bool) -> "BranchSumState":
+    def _mapped(self, photon: _PhotonMap) -> "BranchSumState":
         """Each branch goes to every pairing of its two photons' outcomes.
 
         Only a photon split (a beam splitter) multiplies the branch count,
@@ -361,7 +347,7 @@ class BranchSumState:
                               b.delays[1] + (o2.phases is not None))
                     out.append(Branch(o1.path, o2.path, b.weight * o1.amplitude * o2.amplitude,
                                       spatial, spectral, delays))
-        return replace(self, branches=tuple(out), relabeled=relabeled)
+        return replace(self, branches=tuple(out))
 
     def _minus_swap(self) -> "BranchSumState":
         """The state minus its exchange swap: the branches, then the swapped ones negated."""
@@ -472,8 +458,7 @@ def exchange_asymmetry(state: _State) -> float:
 
 def apply_element(state: _State, element: Element) -> _State:
     """Apply one optical element; returns a new state of the same representation."""
-    photon, relabeled = _photon_map(element, state.frequency_grid, state.relabeled)
-    return state._mapped(photon, relabeled)
+    return state._mapped(_photon_map(element, state.frequency_grid))
 
 
 def apply_pipeline(state: _State, elements: Iterable[Element]) -> _State:
@@ -486,7 +471,8 @@ _Rate = Union[float, np.ndarray]
 
 
 def _port_rule(t: Dict[Tuple[str, str], _Rate]) -> Tuple[_Rate, _Rate, _Rate]:
-    """(singles at c, singles at d, coincidence) from a path-pair norm table.
+    """(singles at port 1, singles at port 2, coincidence) from a path-pair
+    norm table read after the last splitter: path a is port 1, path b port 2.
 
     This is the only detection rule.  It acts elementwise, so the norms may
     be floats (one delay) or arrays (a scan); absent pairs are zero.
@@ -496,28 +482,20 @@ def _port_rule(t: Dict[Tuple[str, str], _Rate]) -> Tuple[_Rate, _Rate, _Rate]:
                 + t.get((port, other), 0.0)
                 + t.get((other, port), 0.0))
 
-    return (singles("c", "d"), singles("d", "c"),
-            2.0 * (t.get(("c", "d"), 0.0) + t.get(("d", "c"), 0.0)))
-
-
-def _rates(state: _State) -> Tuple[float, float, float]:
-    """Rates of one delay, read from the state's path-pair norm table."""
-    if not state.relabeled:
-        raise IncompletePipeline("apply the full pipeline (with relabelling) first")
-    return _port_rule(state.path_pair_norms())
+    return (singles("a", "b"), singles("b", "a"),
+            2.0 * (t.get(("a", "b"), 0.0) + t.get(("b", "a"), 0.0)))
 
 
 def coincidence_rate(state: _State) -> float:
     """Probability of one photon in each output port, background-1 scaled."""
-    return _rates(state)[2]
+    return _port_rule(state.path_pair_norms())[2]
 
 
-def singles_rate(state: _State, port: str) -> float:
-    """Expected photon number at one output port, background-1 scaled."""
-    rates = _rates(state)
-    if port not in _OUTPUT_PATHS:
-        raise ValueError("port must be 'c' or 'd'")
-    return rates[_OUTPUT_PATHS.index(port)]
+def singles_rate(state: _State, port: int) -> float:
+    """Expected photon number at output port 1 or 2, background-1 scaled."""
+    if port not in (1, 2):
+        raise ValueError(f"port must be 1 or 2, got {port!r}")
+    return _port_rule(state.path_pair_norms())[port - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +509,17 @@ class DenseTensorState:
     spatial_grid: SpatialGrid
     frequency_grid: FrequencyGrid
     tensor: np.ndarray  # shape (2, N, M, 2, N, M)
-    relabeled: bool = False
 
     def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
         """Squared amplitude norm per (photon 1 path, photon 2 path)."""
-        paths = _OUTPUT_PATHS if self.relabeled else _INPUT_PATHS
         return {(p, q): float(np.sum(np.abs(self.tensor[i, :, :, j]) ** 2))
-                for i, p in enumerate(paths) for j, q in enumerate(paths)}
+                for i, p in enumerate(_PATHS) for j, q in enumerate(_PATHS)}
 
-    def _mapped(self, photon: _PhotonMap, relabeled: bool) -> "DenseTensorState":
+    def _mapped(self, photon: _PhotonMap) -> "DenseTensorState":
         """Apply the map to the first photon slot, then (by swapping) the second."""
         once = _dense_first_photon(photon, self.tensor).transpose(_SWAP)
         tensor = _dense_first_photon(photon, once).transpose(_SWAP)
-        return replace(self, tensor=tensor, relabeled=relabeled)
+        return replace(self, tensor=tensor)
 
     def _minus_swap(self) -> "DenseTensorState":
         return replace(self, tensor=self.tensor - self.tensor.transpose(_SWAP))
@@ -559,24 +535,21 @@ def to_dense(state: BranchSumState) -> DenseTensorState:
         raise BudgetExceeded(
             f"dense tensor needs {required} bytes > budget {DEFAULT_DENSE_BUDGET}")
     tensor = np.zeros((2, n, m, 2, n, m), dtype=complex)
-    paths = state.paths
     for b in state.branches:
-        p1 = paths.index(b.path1)
-        p2 = paths.index(b.path2)
+        p1, p2 = _PATHS.index(b.path1), _PATHS.index(b.path2)
         tensor[p1, :, :, p2, :, :] += b.weight * np.einsum(
             "ij,kl->ikjl", b.spatial.to_full(), b.spectral.to_full())
-    return DenseTensorState(state.spatial_grid, state.frequency_grid, tensor,
-                            relabeled=state.relabeled)
+    return DenseTensorState(state.spatial_grid, state.frequency_grid, tensor)
 
 
 def _dense_first_photon(photon: _PhotonMap, tensor: np.ndarray) -> np.ndarray:
     out = np.zeros_like(tensor)
-    for col, path in enumerate(_INPUT_PATHS):
+    for col, path in enumerate(_PATHS):
         for o in photon[path]:
             amplitude = tensor[col, ::-1] if o.flip else tensor[col]
             if o.phases is not None:
                 amplitude = amplitude * o.phases[None, :, None, None, None]
-            out[_PATH_INDEX[o.path]] += o.amplitude * amplitude
+            out[_PATHS.index(o.path)] += o.amplitude * amplitude
     return out
 
 
@@ -598,8 +571,8 @@ def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.
     ``_group_norm`` reads too: each unordered pair enters once, at double
     weight, so only the real part of the delay sum is the norm.
 
-    Rows repeat: for an exchange-symmetrised state the (c, d) and (d, c)
-    rows are equal, (c, c) equals (d, d) at m = 0, and the rows whose
+    Rows repeat: for an exchange-symmetrised state the (a, b) and (b, a)
+    rows are equal, (a, a) equals (b, b) at m = 0, and the rows whose
     terms cancel are all zero.  On the bundled configs 12 rows hold 7
     distinct ones (5 for an hg1 pump).  Nothing here relies on that;
     ``oracle_scan`` finds the repeats by bit pattern.
@@ -673,7 +646,6 @@ def oracle_scan(
     tau_stop: float,
     tau_step: float,
     frequency_grid: Optional[FrequencyGrid] = None,
-    convention: str = SYMMETRIC,
 ) -> Interferogram:
     """Delay scan evaluated entirely by the discrete-mode simulator.
 
@@ -692,7 +664,7 @@ def oracle_scan(
     fgrid = _working_frequency_grid(state, frequency_grid)
     tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step, fgrid)
     initial = build_initial_state(state, fgrid)
-    table = _delay_table(apply_pipeline(initial, build_pipeline(cfg, 0.0, convention)))
+    table = _delay_table(apply_pipeline(initial, build_pipeline(cfg, 0.0)))
     distinct, which = _distinct_rows(list(table.values()))
     sums = chirp_z(np.array(distinct), fgrid.spacing, tau[0], tau_step, tau.size)
     pumps = {m: np.exp(-0.5j * m * cfg.pump_frequency * tau) for m in {m for _, m in table}}

@@ -1,8 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton import units
+from biphoton import modesim, units
+from biphoton.modesim import SYMMETRIC
 
 # Experiment-scale constants derived from the default apparatus values
 # (405 nm pump, 810 nm / 10 nm filters), computed from first principles so
@@ -57,3 +60,23 @@ def odd_state(default_state, sgrid):
     pump = bp.hermite_gauss1_amplitude(sgrid, waist=1e-3)
     return bp.TwoPhotonState(bp.CorrelatedPump(pump), default_state.spectral,
                              default_state.pump_frequency)
+
+
+def arm_pipeline(cfg, tau, convention, delay_arm="b", flip_arm="b"):
+    """The instrument's elements with splitters of the given convention and the
+    delay and the MZIM's flip on the given arms."""
+    elements = [bp.BeamSplitter(convention), bp.Delay(delay_arm, tau, cfg.pump_frequency)]
+    if cfg.kind == bp.MZIM:
+        elements.append(bp.SpatialFlip(flip_arm))
+    return elements + [bp.BeamSplitter(convention)]
+
+
+@contextlib.contextmanager
+def oracle_convention(convention):
+    """Run ``oracle_scan`` with splitters of ``convention``, by patching
+    ``modesim.build_pipeline``; the symmetric convention is its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        if convention != SYMMETRIC:
+            patch.setattr(modesim, "build_pipeline",
+                          lambda cfg, tau: arm_pipeline(cfg, tau, convention))
+        yield

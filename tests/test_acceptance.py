@@ -40,7 +40,7 @@ def oracle_rates(state, cfg, taus, fgrid):
     singles, coincidences = [], []
     for tau in taus:
         final = bp.apply_pipeline(initial, bp.build_pipeline(cfg, tau))
-        singles.append(bp.singles_rate(final, "c"))
+        singles.append(bp.singles_rate(final, 1))
         coincidences.append(bp.coincidence_rate(final))
     return np.array(singles), np.array(coincidences)
 
@@ -148,7 +148,7 @@ def test_criterion_05_oracle_equivalence(default_state, fgrid,
             dense_worst = max(
                 dense_worst,
                 abs(bp.coincidence_rate(branch) - bp.coincidence_rate(dense)),
-                abs(bp.singles_rate(branch, "c") - bp.singles_rate(dense, "c")))
+                abs(bp.singles_rate(branch, 1) - bp.singles_rate(dense, 1)))
     elapsed = time.perf_counter() - start
     assert dense_worst <= 1e-12
     assert elapsed < 60.0
@@ -258,7 +258,7 @@ def test_criterion_09_spatial_sector_independence(default_state, odd_state,
         rates = []
         for tau in sample_taus:
             final = bp.apply_pipeline(initial, bp.build_pipeline(cfg_mzi, tau))
-            rates.append((bp.coincidence_rate(final), bp.singles_rate(final, "c")))
+            rates.append((bp.coincidence_rate(final), bp.singles_rate(final, 1)))
         rates = np.array(rates)
         if reference is None:
             reference = rates

@@ -1135,6 +1135,15 @@ class TestFileErrors:
     def test_analyze_input_is_a_directory(self, tmp_path, capsys):
         self.assert_exit_one(capsys, ["analyze", "--in", str(tmp_path)], str(tmp_path))
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_input_that_is_not_utf8_text(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe{}")
+        flag = {"simulate": "--config", "analyze": "--in"}[command]
+        self.assert_exit_one(capsys, [command, flag, str(path)],
+                             f"cannot read the {'config' if command == 'simulate' else 'input'} "
+                             f"file {path}: not UTF-8 text")
+
     @pytest.mark.parametrize("where", ["missing_directory", "directory"])
     def test_output_path_cannot_be_written(self, tmp_path, capsys, where):
         out = tmp_path / "missing" / "scan.csv" if where == "missing_directory" else tmp_path

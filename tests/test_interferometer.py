@@ -10,7 +10,7 @@ from biphoton.errors import AsymmetricSpectrum, UnderSampled
 from biphoton.interferometer import MAX_REACH_FRACTION, tau_axis
 from biphoton.modesim import CONJUGATE, SYMMETRIC
 
-from conftest import DELTA_OMEGA, OMEGA_P
+from conftest import DELTA_OMEGA, OMEGA_P, oracle_convention
 
 SKEWED = bp.SpectralDensity(bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)))
 
@@ -47,8 +47,9 @@ def assert_matches_oracle(state, cfg, fgrid, singles=None, coincidences=None):
                singles(state, cfg, closed.tau, fgrid, port=2),
                coincidences(state, cfg, closed.tau, fgrid)]
     for convention in (SYMMETRIC, CONJUGATE):
-        oracle = bp.oracle_scan(state, cfg, tau_start, tau_stop, tau_step,
-                                frequency_grid=fgrid, convention=convention)
+        with oracle_convention(convention):
+            oracle = bp.oracle_scan(state, cfg, tau_start, tau_stop, tau_step,
+                                    frequency_grid=fgrid)
         expected = [oracle.singles_port1, oracle.singles_port2, oracle.coincidences]
         for a, b in zip(got, expected):
             assert float(np.max(np.abs(a - b))) <= 1e-12
@@ -66,6 +67,32 @@ class TestConfig:
     def test_kind_mismatch_in_rate_call(self, default_state, cfg_mzim, fgrid):
         with pytest.raises(ValueError):
             bp.g2_mzi(default_state, cfg_mzim, 0.0, fgrid)
+
+
+ROUTES = {"g2_mzi": (bp.g2_mzi, "mzi"), "g2_mzim": (bp.g2_mzim, "mzim"),
+          "intensity_mzi": (bp.intensity_mzi, "mzi"),
+          "intensity_mzim": (bp.intensity_mzim, "mzim")}
+
+
+class TestRateArguments:
+    """Each point-rate function rejects a delay or port it cannot evaluate, by name."""
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf,
+                                     np.array([0.0, 1e-15, math.nan])])
+    def test_non_finite_delay_rejected(self, default_state, fgrid, route, tau):
+        rate, kind = ROUTES[route]
+        cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            rate(default_state, cfg, tau, fgrid)
+
+    @pytest.mark.parametrize("route", ["intensity_mzi", "intensity_mzim"])
+    @pytest.mark.parametrize("port", [0, 3, "c"])
+    def test_port_other_than_one_or_two_rejected(self, default_state, fgrid, route, port):
+        rate, kind = ROUTES[route]
+        cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
+        with pytest.raises(ValueError, match="port must be 1 or 2"):
+            rate(default_state, cfg, 0.0, fgrid, port=port)
 
 
 class TestCoincidenceMzi:

@@ -8,24 +8,11 @@ from hypothesis import given, settings, strategies as st
 import biphoton as bp
 from biphoton import modesim
 from biphoton.cli import build_problem, bundled_config_path, load_config
-from biphoton.errors import (
-    BudgetExceeded,
-    GridAsymmetry,
-    IncompletePipeline,
-    UnderSampled,
-    UnknownElement,
-)
-from biphoton.modesim import (
-    CONJUGATE,
-    SYMMETRIC,
-    _distinct_rows,
-    _photon_map,
-    _rates,
-    exchange_asymmetry,
-)
+from biphoton.errors import BudgetExceeded, GridAsymmetry, UnderSampled, UnknownElement
+from biphoton.modesim import CONJUGATE, SYMMETRIC, _distinct_rows, _photon_map, exchange_asymmetry
 from biphoton.spectral import chirp_z
 
-from conftest import DELTA_OMEGA, OMEGA_P
+from conftest import DELTA_OMEGA, OMEGA_P, arm_pipeline, oracle_convention
 
 
 @pytest.fixture(scope="module")
@@ -46,19 +33,11 @@ def initial(default_state, fgrid):
     return bp.build_initial_state(default_state, fgrid)
 
 
-def run(initial_state, cfg, tau, convention=SYMMETRIC):
-    return bp.apply_pipeline(initial_state, bp.build_pipeline(cfg, tau, convention))
+def run(initial_state, cfg, tau):
+    return bp.apply_pipeline(initial_state, bp.build_pipeline(cfg, tau))
 
 
 ARM_ASSIGNMENTS = [(delay_arm, flip_arm) for delay_arm in "ab" for flip_arm in "ab"]
-
-
-def arm_pipeline(kind, tau, convention, delay_arm, flip_arm):
-    """The instrument's elements with the delay and the MZIM's flip on the given arms."""
-    elements = [bp.BeamSplitter(convention), bp.Delay(delay_arm, tau, OMEGA_P)]
-    if kind == bp.MZIM:
-        elements.append(bp.SpatialFlip(flip_arm))
-    return elements + [bp.BeamSplitter(convention), bp.RelabelOutputs()]
 
 
 @pytest.fixture(scope="module")
@@ -170,10 +149,9 @@ class TestPhotonMap:
 
     @pytest.mark.parametrize("convention, cross", [(SYMMETRIC, 1j), (CONJUGATE, -1j)])
     def test_beam_splitter_amplitudes(self, fgrid, convention, cross):
-        photon, relabeled = _photon_map(bp.BeamSplitter(convention), fgrid, False)
+        photon = _photon_map(bp.BeamSplitter(convention), fgrid)
         r = 1.0 / math.sqrt(2.0)
         expected = {"a": [("a", r), ("b", cross * r)], "b": [("a", cross * r), ("b", r)]}
-        assert not relabeled
         assert sorted(photon) == ["a", "b"]
         for path, outcomes in photon.items():
             assert [o.path for o in outcomes] == [q for q, _ in expected[path]]
@@ -184,8 +162,7 @@ class TestPhotonMap:
     @pytest.mark.parametrize("arm, other", [("a", "b"), ("b", "a")])
     def test_delay_phase_on_delay_arm_only(self, fgrid, arm, other):
         tau = 37e-15
-        photon, relabeled = _photon_map(bp.Delay(arm, tau, OMEGA_P), fgrid, False)
-        assert not relabeled
+        photon = _photon_map(bp.Delay(arm, tau, OMEGA_P), fgrid)
         assert self.plain_move(photon[other], other)
         (o,) = photon[arm]
         assert (o.path, o.amplitude, o.flip) == (arm, 1.0, False)
@@ -194,28 +171,33 @@ class TestPhotonMap:
 
     @pytest.mark.parametrize("arm, other", [("a", "b"), ("b", "a")])
     def test_flip_on_flip_arm_only(self, fgrid, arm, other):
-        photon, relabeled = _photon_map(bp.SpatialFlip(arm), fgrid, False)
-        assert not relabeled
+        photon = _photon_map(bp.SpatialFlip(arm), fgrid)
         assert self.plain_move(photon[other], other)
         (o,) = photon[arm]
         assert (o.path, o.amplitude, o.flip, o.phases) == (arm, 1.0, True, None)
 
-    def test_relabel_routes_a_to_c_and_b_to_d(self, fgrid):
-        photon, relabeled = _photon_map(bp.RelabelOutputs(), fgrid, False)
-        assert relabeled
-        assert self.plain_move(photon["a"], "c")
-        assert self.plain_move(photon["b"], "d")
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_delay_rejects_a_non_finite_tau(self, cfg_mzi, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            bp.Delay("b", tau, OMEGA_P)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            bp.build_pipeline(cfg_mzi, tau)
+
+    @pytest.mark.parametrize("pump_frequency", [math.nan, math.inf, 0.0, -OMEGA_P])
+    def test_delay_rejects_a_pump_frequency_not_finite_and_positive(self, pump_frequency):
+        with pytest.raises(ValueError, match="pump_frequency must be finite and positive"):
+            bp.Delay("b", 1e-15, pump_frequency)
 
 
 class TestElementSemantics:
     def test_double_beam_splitter_routes_to_one_port(self, initial, fgrid):
-        # BS followed immediately by BS is the identity up to relabelling:
-        # everything exits one port, coincidences vanish.
-        elements = [bp.BeamSplitter(), bp.BeamSplitter(), bp.RelabelOutputs()]
+        # BS followed immediately by BS sends path a to i b: everything
+        # exits port 2, coincidences vanish.
+        elements = [bp.BeamSplitter(), bp.BeamSplitter()]
         final = bp.apply_pipeline(initial, elements)
         assert bp.coincidence_rate(final) == pytest.approx(0.0, abs=1e-12)
-        assert bp.singles_rate(final, "d") == pytest.approx(2.0, abs=1e-12)
-        assert bp.singles_rate(final, "c") == pytest.approx(0.0, abs=1e-12)
+        assert bp.singles_rate(final, 2) == pytest.approx(2.0, abs=1e-12)
+        assert bp.singles_rate(final, 1) == pytest.approx(0.0, abs=1e-12)
         assert bp.total_norm(final) == pytest.approx(1.0, abs=1e-12)
 
     def test_delay_on_unoccupied_arm_is_identity(self, initial):
@@ -273,18 +255,14 @@ class TestElementSemantics:
                 with pytest.raises(ValueError):
                     interpret([bp.BeamSplitter(), element])
 
-    def test_rates_require_relabelled_outputs(self, initial):
-        incomplete = bp.apply_element(initial, bp.BeamSplitter())
-        with pytest.raises(IncompletePipeline):
-            bp.coincidence_rate(incomplete)
-        with pytest.raises(IncompletePipeline):
-            bp.singles_rate(incomplete, "c")
-
-    def test_no_elements_after_relabel(self, interpreters):
-        for late in (bp.BeamSplitter(), bp.RelabelOutputs()):
-            for interpret in interpreters:
-                with pytest.raises(IncompletePipeline):
-                    interpret([bp.RelabelOutputs(), late])
+    @pytest.mark.parametrize("port", ["c", "d", 0, 3])
+    def test_singles_port_is_one_or_two(self, initial, cfg_mzi, port):
+        final = run(initial, cfg_mzi, 17e-15)
+        with pytest.raises(ValueError, match="port must be 1 or 2"):
+            bp.singles_rate(final, port)
+        # the port is checked before any norm is read
+        with pytest.raises(ValueError, match="port must be 1 or 2"):
+            bp.singles_rate(None, port)
 
 
 class TestClosedFormEquivalence:
@@ -297,7 +275,7 @@ class TestClosedFormEquivalence:
         for tau, cc_ref, s1_ref in zip(self.TAUS, expected_cc, expected_s1):
             final = run(initial, cfg_mzi, tau)
             worst_cc = max(worst_cc, abs(bp.coincidence_rate(final) - cc_ref))
-            worst_s1 = max(worst_s1, abs(bp.singles_rate(final, "c") - s1_ref))
+            worst_s1 = max(worst_s1, abs(bp.singles_rate(final, 1) - s1_ref))
         assert worst_cc <= 1e-6
         assert worst_s1 <= 1e-6
 
@@ -315,7 +293,7 @@ class TestClosedFormEquivalence:
         worst = 0.0
         for tau, ref in zip(self.TAUS, expected):
             final = run(initial, cfg_mzim, tau)
-            worst = max(worst, abs(bp.singles_rate(final, "c") - ref))
+            worst = max(worst, abs(bp.singles_rate(final, 1) - ref))
         assert worst <= 1e-6
 
     def test_coherent_even_sector_gives_full_fringes(
@@ -327,7 +305,7 @@ class TestClosedFormEquivalence:
         expected = bp.intensity_mzim(state, cfg_mzim, self.TAUS[::10], fgrid, port=1)
         for tau, ref in zip(self.TAUS[::10], expected):
             final = run(built, cfg_mzim, tau)
-            assert bp.singles_rate(final, "c") == pytest.approx(ref, abs=1e-6)
+            assert bp.singles_rate(final, 1) == pytest.approx(ref, abs=1e-6)
 
     def test_zero_delay_full_dip(self, initial, cfg_mzi, cfg_mzim):
         for cfg in (cfg_mzi, cfg_mzim):
@@ -375,17 +353,17 @@ class TestParityCases:
 
 
 class TestInvariances:
-    def test_arm_assignment_independence(self, default_state, sgrid, fgrid, initial):
+    def test_arm_assignment_independence(self, default_state, sgrid, fgrid, initial, cfg_mzim):
         taus = (11e-15, 60e-15)
         reference = None
         for delay_arm, flip_arm in ARM_ASSIGNMENTS:
             rates = []
             for tau in taus:
                 final = bp.apply_pipeline(
-                    initial, arm_pipeline(bp.MZIM, tau, SYMMETRIC, delay_arm, flip_arm))
+                    initial, arm_pipeline(cfg_mzim, tau, SYMMETRIC, delay_arm, flip_arm))
                 rates.append((bp.coincidence_rate(final),
-                              bp.singles_rate(final, "c"),
-                              bp.singles_rate(final, "d")))
+                              bp.singles_rate(final, 1),
+                              bp.singles_rate(final, 2)))
             if reference is None:
                 reference = rates
             else:
@@ -395,18 +373,21 @@ class TestInvariances:
     @pytest.mark.parametrize("convention", [SYMMETRIC, CONJUGATE])
     @pytest.mark.parametrize("kind", [bp.MZI, bp.MZIM])
     def test_pipeline_puts_delay_and_flip_in_arm_b(self, kind, convention):
+        # The variant the tests build for a convention differs from
+        # build_pipeline in the splitters' convention only.
         cfg = bp.InterferometerConfig(kind, OMEGA_P)
-        assert bp.build_pipeline(cfg, 13e-15, convention) == arm_pipeline(
-            kind, 13e-15, convention, "b", "b")
+        elements = [bp.BeamSplitter(convention) if isinstance(e, bp.BeamSplitter) else e
+                    for e in bp.build_pipeline(cfg, 13e-15)]
+        assert elements == arm_pipeline(cfg, 13e-15, convention, "b", "b")
 
     def test_beam_splitter_convention_independence(self, initial, cfg_mzi, cfg_mzim):
         for cfg in (cfg_mzi, cfg_mzim):
             for tau in (0.0, 17e-15, 123e-15):
-                a = run(initial, cfg, tau, convention=SYMMETRIC)
-                b = run(initial, cfg, tau, convention=CONJUGATE)
+                a = run(initial, cfg, tau)
+                b = bp.apply_pipeline(initial, arm_pipeline(cfg, tau, CONJUGATE))
                 assert bp.coincidence_rate(a) == pytest.approx(
                     bp.coincidence_rate(b), abs=1e-9)
-                for port in ("c", "d"):
+                for port in (1, 2):
                     assert bp.singles_rate(a, port) == pytest.approx(
                         bp.singles_rate(b, port), abs=1e-9)
 
@@ -423,7 +404,7 @@ class TestInvariances:
             for tau in taus:
                 final = run(built, cfg_mzi, tau)
                 rates.append((bp.coincidence_rate(final),
-                              bp.singles_rate(final, "c")))
+                              bp.singles_rate(final, 1)))
             if reference is None:
                 reference = rates
             else:
@@ -443,7 +424,7 @@ class TestDenseRepresentation:
                 assert bp.total_norm(dense_final) == pytest.approx(1.0, abs=1e-12)
                 assert bp.coincidence_rate(dense_final) == pytest.approx(
                     bp.coincidence_rate(branch_final), abs=1e-12)
-                for port in ("c", "d"):
+                for port in (1, 2):
                     assert bp.singles_rate(dense_final, port) == pytest.approx(
                         bp.singles_rate(branch_final, port), abs=1e-12)
 
@@ -473,7 +454,7 @@ class TestOracleScan:
         i = 17
         final = run(initial, cfg_mzi, gram.tau[i])
         assert gram.coincidences[i] == pytest.approx(bp.coincidence_rate(final), abs=1e-12)
-        assert gram.singles_port1[i] == pytest.approx(bp.singles_rate(final, "c"), abs=1e-12)
+        assert gram.singles_port1[i] == pytest.approx(bp.singles_rate(final, 1), abs=1e-12)
         total = gram.singles_port1 + gram.singles_port2
         assert float(np.max(np.abs(total - 2.0))) < 1e-9
 
@@ -509,15 +490,15 @@ class TestOracleProperties:
         for tau in (0.0, tau_fs * 1e-15):
             rates = {}
             for convention in (SYMMETRIC, CONJUGATE):
-                elements = bp.build_pipeline(cfg, tau, convention)
+                elements = arm_pipeline(cfg, tau, convention)
                 final = bp.apply_pipeline(built, elements)
                 dense = bp.apply_pipeline(bp.to_dense(built), elements)
-                s1, s2 = bp.singles_rate(final, "c"), bp.singles_rate(final, "d")
+                s1, s2 = bp.singles_rate(final, 1), bp.singles_rate(final, 2)
                 cc = bp.coincidence_rate(final)
                 assert bp.total_norm(final) == pytest.approx(1.0, abs=1e-12)
                 assert s1 + s2 == pytest.approx(2.0, abs=1e-12)
-                assert bp.singles_rate(dense, "c") == pytest.approx(s1, abs=1e-12)
-                assert bp.singles_rate(dense, "d") == pytest.approx(s2, abs=1e-12)
+                assert bp.singles_rate(dense, 1) == pytest.approx(s1, abs=1e-12)
+                assert bp.singles_rate(dense, 2) == pytest.approx(s2, abs=1e-12)
                 assert bp.coincidence_rate(dense) == pytest.approx(cc, abs=1e-12)
                 rates[convention] = (s1, s2, cc)
             assert np.allclose(rates[SYMMETRIC], rates[CONJUGATE], rtol=0.0, atol=1e-12)
@@ -563,13 +544,14 @@ class TestBatchedOracleScan:
             cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
             for convention in (SYMMETRIC, CONJUGATE):
                 for start, stop in ((-half, half), (17e-15, 17e-15)):
-                    gram = bp.oracle_scan(state, cfg, start, stop, self.STEP,
-                                          frequency_grid=fgrid,
-                                          convention=convention)
+                    with oracle_convention(convention):
+                        gram = bp.oracle_scan(state, cfg, start, stop, self.STEP,
+                                              frequency_grid=fgrid)
                     assert gram.tau.size == (241 if start < stop else 1)
-                    expected = np.array([
-                        _rates(bp.apply_pipeline(built, bp.build_pipeline(cfg, t, convention)))
-                        for t in gram.tau]).T
+                    finals = [bp.apply_pipeline(built, arm_pipeline(cfg, t, convention))
+                              for t in gram.tau]
+                    expected = np.array([[bp.singles_rate(final, 1), bp.singles_rate(final, 2),
+                                          bp.coincidence_rate(final)] for final in finals]).T
                     got = np.stack([gram.singles_port1, gram.singles_port2, gram.coincidences])
                     assert float(np.max(np.abs(got - expected))) <= 1e-12
 
@@ -618,10 +600,11 @@ def _assert_tables_bit_equal(state, fgrid):
     """Every instrument, arm assignment and beam-splitter convention."""
     built = bp.build_initial_state(state, fgrid)
     for kind in (bp.MZI, bp.MZIM):
+        cfg = bp.InterferometerConfig(kind, OMEGA_P)
         for delay_arm, flip_arm in ARM_ASSIGNMENTS:
             for convention in (SYMMETRIC, CONJUGATE):
                 final = bp.apply_pipeline(
-                    built, arm_pipeline(kind, 0.0, convention, delay_arm, flip_arm))
+                    built, arm_pipeline(cfg, 0.0, convention, delay_arm, flip_arm))
                 got, reference = modesim._delay_table(final), _every_pair_table(final)
                 assert list(got) == list(reference)
                 for key, row in reference.items():
