@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -77,9 +77,6 @@ MAX_GRID_POINTS = 65_537
 # edge would silently become another pump.
 MIN_PUMP_ON_GRID = 0.999
 
-_PROFILE_KEYS = {"gaussian": ("waist_mm",), "hg1": ("waist_mm",),  # each besides "kind"
-                 "shifted_gaussian": ("waist_mm", "shift_mm"), "tabulated_file": ("path",)}
-_WAIST_KINDS = tuple(kind for kind, keys in _PROFILE_KEYS.items() if "waist_mm" in keys)
 _FILTER_SHAPES = ("rectangular", "gaussian")
 _ENGINES = ("closed", "oracle", "both")
 _GAUSS_FWHM = float(2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -129,11 +126,7 @@ def _require(mapping: dict, key: str, kind, path: str):
     value = mapping[key]
     if kind is float:
         return _finite(value, f"{path}.{key}")
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is dict and isinstance(value, dict):
+    if isinstance(value, kind) and not isinstance(value, bool):  # int, str or dict
         return value
     raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
 
@@ -182,21 +175,12 @@ def load_config(path) -> RunConfig:
                           "is not a finite number")
     profile = _require(pump, "spatial_profile", dict, "pump")
     kind = _require(profile, "kind", str, "pump.spatial_profile")
-    if kind not in _PROFILE_KEYS:
+    if kind not in _PROFILES:
         raise ConfigError(
-            f"pump.spatial_profile.kind: must be one of {tuple(_PROFILE_KEYS)}, got {kind!r}")
-    _only(profile, ("kind",) + _PROFILE_KEYS[kind], "pump.spatial_profile")
-    params = {k: v for k, v in profile.items() if k != "kind"}
-    if kind in _WAIST_KINDS:
-        waist = _finite(params.get("waist_mm", 1.0), "pump.spatial_profile.waist_mm")
-        if waist * units.MM <= 0.0:
-            raise ConfigError("pump.spatial_profile.waist_mm: must be positive")
-        params["waist_mm"] = waist
-    if kind == "shifted_gaussian":
-        params["shift_mm"] = _require(params, "shift_mm", float, "pump.spatial_profile")
-    if kind == "tabulated_file":
-        params["table"] = _read_pump_table(
-            _require(params, "path", str, "pump.spatial_profile"))
+            f"pump.spatial_profile.kind: must be one of {tuple(_PROFILES)}, got {kind!r}")
+    entry = _PROFILES[kind]
+    _only(profile, ("kind",) + entry.keys, "pump.spatial_profile")
+    params = entry.parse(profile)
 
     filt = _require(raw, "filter", dict, "")
     _only(filt, ("center_nm", "bandwidth_nm", "shape"), "filter")
@@ -278,12 +262,17 @@ def load_config(path) -> RunConfig:
     except UnderSampled as exc:
         raise ConfigError(f"scan.tau_start_fs/tau_stop_fs: {exc}; raise grids.spectral_points")
     spacing_mm = 2.0 * halfwidth_mm / (spatial_points - 1)
-    if kind in _WAIST_KINDS and not params["waist_mm"] >= spacing_mm:
+    if "waist_mm" in entry.keys and not params["waist_mm"] >= spacing_mm:
         raise ConfigError(
             f"pump.spatial_profile.waist_mm: {params['waist_mm']:g} is below one spatial grid "
             f"spacing, 2 grids.spatial_halfwidth_mm / (grids.spatial_points - 1) = "
             f"{spacing_mm:g} mm")
-    _check_pump_on_grid(kind, params, halfwidth_mm)
+    for field, kept in entry.on_grid(params, halfwidth_mm):
+        if not kept >= MIN_PUMP_ON_GRID:
+            raise ConfigError(
+                f"pump.spatial_profile.{field}: the spatial grid, |x| <= "
+                f"grids.spatial_halfwidth_mm = {halfwidth_mm:g} mm, keeps {kept:.3%} of "
+                f"|pump|^2; at least {MIN_PUMP_ON_GRID:.1%} must lie on it")
 
     output = _require(raw, "output", dict, "")
     _only(output, ("path", "format"), "output")
@@ -308,8 +297,21 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _read_pump_table(path: str) -> np.ndarray:
-    """The rows x_mm, re[, im] of a tabulated pump, checked."""
+def _waist(profile: dict) -> dict:
+    waist = _finite(profile.get("waist_mm", 1.0), "pump.spatial_profile.waist_mm")
+    if waist * units.MM <= 0.0:
+        raise ConfigError("pump.spatial_profile.waist_mm: must be positive")
+    return {"waist_mm": waist}
+
+
+def _waist_and_shift(profile: dict) -> dict:
+    return {**_waist(profile),
+            "shift_mm": _require(profile, "shift_mm", float, "pump.spatial_profile")}
+
+
+def _pump_table(profile: dict) -> dict:
+    """The rows x_mm, re[, im] of a tabulated pump, checked, as {"table": rows}."""
+    path = _require(profile, "path", str, "pump.spatial_profile")
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
@@ -321,23 +323,26 @@ def _read_pump_table(path: str) -> np.ndarray:
         raise ConfigError("pump.spatial_profile.path: the table holds a non-finite number")
     if not np.all(np.diff(table[:, 0]) > 0.0):  # np.interp needs increasing x
         raise ConfigError("pump.spatial_profile.path: x_mm must increase from row to row")
-    return table
+    return {"table": table}
 
 
-def _gaussian_on_grid(waist: float, shift: float, half: float) -> float:
-    """Share of |exp(-(x - shift)^2 / waist^2)|^2 on [-half, half]."""
-    r = math.sqrt(2.0) / waist
-    return 0.5 * (math.erf(r * (half - shift)) + math.erf(r * (half + shift)))
+def _gaussian_on_grid(params: dict, half: float):
+    """Shares of |exp(-(x - s)^2 / waist^2)|^2 on [-half, half], centred, then shifted."""
+    r = math.sqrt(2.0) / params["waist_mm"]
+    return [(field, 0.5 * (math.erf(r * (half - s)) + math.erf(r * (half + s))))
+            for field, s in (("waist_mm", 0.0), ("shift_mm", params.get("shift_mm", 0.0)))]
 
 
-def _hg1_on_grid(waist: float, half: float) -> float:
+def _hg1_on_grid(params: dict, half: float):
     """Share of |x exp(-x^2 / waist^2)|^2 on [-half, half]."""
-    a = 2.0 * half / waist
-    return math.erf(a / math.sqrt(2.0)) - math.sqrt(2.0 / math.pi) * a * math.exp(-0.5 * a * a)
+    a = 2.0 * half / params["waist_mm"]
+    return [("waist_mm", math.erf(a / math.sqrt(2.0))
+             - math.sqrt(2.0 / math.pi) * a * math.exp(-0.5 * a * a))]
 
 
-def _table_on_grid(table: np.ndarray, half: float) -> float:
+def _table_on_grid(params: dict, half: float):
     """Share of the table's own trapezoid norm held by its rows with |x_mm| <= half."""
+    table = params["table"]
     x = table[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked through the total
         values = table[:, 1:] / np.max(np.abs(table[:, 1:]))
@@ -348,56 +353,61 @@ def _table_on_grid(table: np.ndarray, half: float) -> float:
     if not 0.0 < total < math.inf:
         raise ConfigError("pump.spatial_profile.path: the table's norm sum |re + i im|^2 dx "
                           "is not a finite positive number")
-    return float(np.sum(power[np.abs(x) <= half])) / total
+    return [("path", float(np.sum(power[np.abs(x) <= half])) / total)]
 
 
-def _check_pump_on_grid(kind: str, params: dict, half: float) -> None:
-    """Raise ConfigError, naming the field, if the grid keeps too little of |pump|^2."""
-    if kind == "tabulated_file":
-        field, kept = "path", _table_on_grid(params["table"], half)
-    elif kind == "hg1":
-        field, kept = "waist_mm", _hg1_on_grid(params["waist_mm"], half)
-    else:
-        field, kept = "waist_mm", _gaussian_on_grid(params["waist_mm"], 0.0, half)
-        if kind == "shifted_gaussian" and kept >= MIN_PUMP_ON_GRID:  # the shift cuts it off
-            field, kept = "shift_mm", _gaussian_on_grid(params["waist_mm"],
-                                                        params["shift_mm"], half)
-    if not kept >= MIN_PUMP_ON_GRID:
-        raise ConfigError(
-            f"pump.spatial_profile.{field}: the spatial grid, |x| <= "
-            f"grids.spatial_halfwidth_mm = {half:g} mm, keeps {kept:.3%} of |pump|^2; "
-            f"at least {MIN_PUMP_ON_GRID:.1%} must lie on it")
+def _gaussian(params: dict, grid: SpatialGrid) -> SpatialAmplitude:
+    return gaussian_amplitude(grid, waist=params["waist_mm"] * units.MM,
+                              center=params.get("shift_mm", 0.0) * units.MM)
 
 
-def _pump_amplitude(kind: str, params: dict, grid: SpatialGrid) -> SpatialAmplitude:
-    """The pump sampled on the grid; ``params`` holds the config's millimetres."""
-    if kind == "gaussian":
-        return gaussian_amplitude(grid, waist=params["waist_mm"] * units.MM)
-    if kind == "hg1":
-        return hermite_gauss1_amplitude(grid, waist=params["waist_mm"] * units.MM)
-    if kind == "shifted_gaussian":
-        return gaussian_amplitude(
-            grid,
-            waist=params["waist_mm"] * units.MM,
-            center=params["shift_mm"] * units.MM)
+def _tabulated(params: dict, grid: SpatialGrid) -> SpatialAmplitude:
     table = params["table"]
     x = grid.positions() / units.MM
     real = np.interp(x, table[:, 0], table[:, 1], left=0.0, right=0.0)
     imag = (np.interp(x, table[:, 0], table[:, 2], left=0.0, right=0.0)
             if table.shape[1] == 3 else 0.0)
+    samples = real + 1j * imag
+    nodes = np.count_nonzero(samples)
+    if 0 < nodes < 3:  # as for a waist below one spacing; a waist of one holds 3 nodes
+        raise ConfigError(
+            f"pump.spatial_profile.path: the table is nonzero at {nodes} of the spatial grid's "
+            f"nodes, 2 grids.spatial_halfwidth_mm / (grids.spatial_points - 1) = "
+            f"{grid.spacing / units.MM:g} mm apart; at least 3 must carry it")
     try:
-        return SpatialAmplitude.from_samples(grid, real + 1j * imag)
+        return SpatialAmplitude.from_samples(grid, samples)
     except ValueError as exc:  # the table is zero on the grid
         raise ConfigError(f"pump.spatial_profile.path: {exc} on the spatial grid") from None
 
 
-def build_problem(cfg: RunConfig):
-    """(state, interferometer config, spatial grid, frequency grid) of a loaded run.
+class _Profile(NamedTuple):
+    """A pump-profile kind: one entry of _PROFILES."""
 
-    An accessor: load_config built all four and raised every config error.
-    The CLI reads the fields itself; the benchmark (perfbench/checks.py,
-    perfbench/cold_start.py) still calls this.
-    """
+    keys: Tuple[str, ...]  # the section's keys besides "kind"
+    parse: Callable[[dict], dict]  # the section's parse and range checks: params in mm
+    on_grid: Callable[[dict, float], list]  # (field, share of |pump|^2 kept), checked in order
+    sample: Callable[[dict, SpatialGrid], SpatialAmplitude]  # the pump on the grid
+
+
+_PROFILES = {
+    "gaussian": _Profile(("waist_mm",), _waist, _gaussian_on_grid, _gaussian),
+    "hg1": _Profile(("waist_mm",), _waist, _hg1_on_grid, lambda params, grid:
+                    hermite_gauss1_amplitude(grid, waist=params["waist_mm"] * units.MM)),
+    "shifted_gaussian": _Profile(("waist_mm", "shift_mm"), _waist_and_shift,
+                                 _gaussian_on_grid, _gaussian),
+    "tabulated_file": _Profile(("path",), _pump_table, _table_on_grid, _tabulated),
+}
+
+
+def _pump_amplitude(kind: str, params: dict, grid: SpatialGrid) -> SpatialAmplitude:
+    """The pump sampled on the grid; ``params`` holds the config's millimetres."""
+    return _PROFILES[kind].sample(params, grid)
+
+
+def build_problem(cfg: RunConfig):
+    """(state, interferometer config, spatial grid, frequency grid) of a loaded
+    run.  An accessor for the benchmark (perfbench/checks.py, cold_start.py):
+    load_config built all four; the CLI reads the fields itself."""
     return cfg.state, cfg.instrument, cfg.state.spatial.grid, cfg.frequency_grid
 
 
@@ -443,10 +453,7 @@ def _write_output(path: str, fmt: str, grams: List[Interferogram]) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    if args.engine:
-        cfg = replace(cfg, engine=args.engine)
-    if args.out:
-        cfg = replace(cfg, output_path=args.out)
+    cfg = replace(cfg, engine=args.engine or cfg.engine, output_path=args.out or cfg.output_path)
 
     engines = ["closed", "oracle"] if cfg.engine == "both" else [cfg.engine]
     grams = [_run_engine(cfg, cfg.instrument, e) for e in engines]

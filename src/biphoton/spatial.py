@@ -65,7 +65,11 @@ def default_spatial_grid(point_count: int = 257, half_width: float = 3e-3) -> Sp
 def _unit_norm_samples(samples, cell: float) -> np.ndarray:
     """``samples`` as complex, scaled to sum |a|^2 cell = 1 (cell dx, or dx^2 for a pair)."""
     a = np.asarray(samples, dtype=complex)
-    norm = math.sqrt(float(np.sum(np.abs(a) ** 2)) * cell)
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(np.sum(np.abs(a) ** 2)) * cell)
+    if norm == math.inf:  # |a|^2 passes the float range: divide by the largest part first
+        a = a / np.max(np.maximum(np.abs(a.real), np.abs(a.imag)))
+        norm = math.sqrt(float(np.sum(np.abs(a) ** 2)) * cell)
     if norm < 1e-150:
         raise ValueError("cannot normalize a zero amplitude")
     return a / norm

@@ -2,10 +2,15 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import biphoton as bp
 from biphoton import modesim, units
 from biphoton.modesim import SYMMETRIC
+
+# A deeper fuzz for one CI cell: ``pytest --hypothesis-profile=deep``.  Tests
+# that set max_examples themselves keep their count under it.
+settings.register_profile("deep", max_examples=3000)
 
 # Experiment-scale constants derived from the default apparatus values
 # (405 nm pump, 810 nm / 10 nm filters), computed from first principles so

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import biphoton as bp
 from biphoton import cli
@@ -621,6 +621,122 @@ class TestConfigFuzz:
         assert "Traceback" not in err
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def _odd(lo, hi):
+    return _log_uniform(lo, hi).map(lambda n: 2 * int(n // 2) + 1)
+
+
+@st.composite
+def pump_tables(draw, half_mm, spacing_mm):
+    """CSV text of a pump table of 1 to 60 rows: from a third of a grid
+    spacing wide to nearly the grid's width, placed across the grid edge
+    sometimes, with samples of any magnitude, some zero, and an imaginary
+    column or not."""
+    rows = draw(st.integers(1, 60))
+    width = spacing_mm * draw(_log_uniform(0.3, max(0.9 * half_mm / spacing_mm, 0.3)))
+    x = (half_mm - width) * draw(st.floats(-1.1, 1.1)) + width * np.linspace(-1.0, 1.0, rows)
+    scale = draw(st.sampled_from([1.0]) | _log_uniform(1e-300, 1e300))
+    columns = draw(st.integers(1, 2))
+    values = draw(st.lists(st.sampled_from([0.0, 0.1, -0.5, 1.0]) | st.floats(-1.0, 1.0),
+                           min_size=rows * columns, max_size=rows * columns))
+    samples = scale * np.array(values).reshape(rows, columns)
+    return "".join(",".join(repr(float(v)) for v in (xi, *row)) + "\n"
+                   for xi, row in zip(x, samples))
+
+
+@st.composite
+def runnable_configs(draw):
+    """(config, pump table text or None) near the edges of what load_config
+    accepts.  Scales are log-uniform over decades; each ratio that a check
+    bounds is drawn a little past the bound too.  The grids stay small, at
+    most 257 x 1025 points and 2001 delays, so a draw runs in milliseconds."""
+    wavelength_nm = draw(_log_uniform(1.0, 1e5))
+    relative_bandwidth = draw(_log_uniform(1e-7, 0.9))
+    bandwidth_nm = 2.0 * wavelength_nm * relative_bandwidth
+    # the passband must hold 2 wavelength_nm
+    center_nm = 2.0 * wavelength_nm + draw(st.floats(-1.05, 1.05)) * bandwidth_nm / 2.0
+    spatial_points, spectral_points = draw(_odd(3, 257)), draw(_odd(3, 1025))
+    half_mm = draw(_log_uniform(0.01, 100.0))
+    spacing_mm = 2.0 * half_mm / (spatial_points - 1)
+    # from just below one grid spacing to a pump wider than the grid
+    waist_mm = spacing_mm * draw(_log_uniform(0.8, max(0.7 * half_mm / spacing_mm, 0.8)))
+    kind = draw(st.sampled_from(sorted(cli._PROFILES)))
+    profile = {"kind": kind, "waist_mm": waist_mm, "path": "pump.csv",
+               "shift_mm": (half_mm - 1.5 * waist_mm) * draw(st.floats(-1.1, 1.1))}
+    profile = {key: profile[key] for key in ("kind",) + cli._PROFILES[kind].keys}
+    table = draw(pump_tables(half_mm, spacing_mm)) if kind == "tabulated_file" else None
+    # the step up to past MAX_STEP_FRACTION (0.2) of the pump period
+    pump_period_fs = wavelength_nm * NM / bp.units.SPEED_OF_LIGHT / FS
+    step = pump_period_fs * draw(_log_uniform(0.005, 0.25))
+    delays = int(draw(_log_uniform(1.0, 2001.0)))
+    start = -0.5 * (delays - 1) * step
+    if draw(st.booleans()):  # out to past the reach pi / (2 h), exact for a rectangle
+        width = 2.0 * math.pi * bp.units.SPEED_OF_LIGHT * bandwidth_nm / NM / (center_nm * NM)**2
+        reach_fs = math.pi * (spectral_points - 1) / (8.0 * width) / FS
+        start = draw(st.sampled_from([-1.0, 1.0])) * reach_fs * draw(_log_uniform(0.01, 1.2))
+    cfg = {
+        "pump": {"wavelength_nm": wavelength_nm, "spatial_profile": profile},
+        "filter": {"center_nm": center_nm, "bandwidth_nm": bandwidth_nm,
+                   "shape": draw(st.sampled_from(["rectangular", "gaussian"]))},
+        "interferometer": {"kind": draw(st.sampled_from(["mzi", "mzim"]))},
+        "scan": {"tau_start_fs": start, "tau_stop_fs": start + (delays - 1) * step,
+                 "tau_step_fs": step},
+        "engine": "both",
+        "grids": {"spatial_points": spatial_points, "spectral_points": spectral_points,
+                  "spatial_halfwidth_mm": half_mm},
+        "output": {"path": "scan.csv", "format": "csv"},
+    }
+    return cfg, table
+
+
+class TestRunnableConfigFuzz:
+    """``simulate --engine both`` on configs that load_config may accept: each
+    exits 0 with the engines agreeing and the port sum rule holding, or exits
+    1 naming a field; never 2, never a traceback.  numpy's RuntimeWarning is
+    an error here (pyproject's filterwarnings).  The example count comes from
+    the hypothesis profile, so CI's ``deep`` profile can raise it."""
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=runnable_configs())
+    def test_simulate_both_runs_or_names_a_field(self, drawn):
+        cfg, table = drawn
+        grams = []
+        run_engine = cli._run_engine
+
+        def recording(*args):
+            grams.append(run_engine(*args))
+            return grams[-1]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            if table is not None:
+                cfg["pump"]["spatial_profile"]["path"] = str(Path(tmp) / "pump.csv")
+                Path(tmp, "pump.csv").write_text(table)
+            cfg["output"]["path"] = str(Path(tmp) / "scan.csv")
+            path = write_config(Path(tmp), cfg)
+            with mock.patch.object(cli, "_run_engine", side_effect=recording):
+                rc, err = run_main_quietly(["simulate", "--config", str(path)])
+            written = Path(cfg["output"]["path"]).exists()
+        assert "Traceback" not in err
+        if rc == 1:
+            assert err.startswith("config error: ")
+            field = err[len("config error: "):].split(":")[0].split("/")[0]
+            assert field in {".".join(key) for key in _dict_paths(cfg)}, err
+            assert not written
+            event(f"exit 1 naming {field}")
+            return
+        assert rc == 0, err
+        event(f"exit 0, {cfg['pump']['spatial_profile']['kind']}")
+        closed, oracle = grams
+        for column in ("singles_port1", "singles_port2", "coincidences"):
+            assert np.max(np.abs(getattr(closed, column) - getattr(oracle, column))) <= 1e-12
+        for gram in grams:
+            assert np.max(np.abs(gram.singles_port1 + gram.singles_port2 - 2.0)) <= 1e-12
+        assert written
+
+
 class TestPumpsOfNoDefiniteParity:
     """Shifted and tabulated pumps are neither even nor odd; the closed
     engine covers them and agrees with the oracle."""
@@ -1071,6 +1187,56 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="^pump.spatial_profile.path: "):
             load_config(write_config(tmp_path, cfg))
 
+    @pytest.mark.parametrize("table, message", [
+        ("-0.001,0\n0,1\n0.001,0\n", "the table is nonzero at 1 of the spatial grid's nodes"),
+        ("-0.03,0\n-0.0234375,1\n0,1\n0.001,0\n",
+         "the table is nonzero at 2 of the spatial grid's nodes"),
+        ("0.001,0.0\n0.002,1.0\n0.003,0.0\n",
+         "cannot normalize a zero amplitude on the spatial grid"),
+    ], ids=["one_node", "two_nodes", "no_node"])
+    def test_pump_table_narrower_than_the_grid_exits_one(self, tmp_path, capsys, table,
+                                                         message):
+        # On one node the pump is a delta: alpha = |phi(0)|^2 dx = 1, and compare
+        # printed an MZIM singles visibility of 1, not the vanishing fringe.
+        table_path = tmp_path / "pump.csv"
+        table_path.write_text(table)
+        cfg = load_bundled("default_mzim")
+        cfg["pump"]["spatial_profile"] = {"kind": "tabulated_file", "path": str(table_path)}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["compare", "--config", str(path)]) == 1
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 2 and errors[0] == errors[1]
+        assert errors[0].startswith(f"config error: pump.spatial_profile.path: {message}")
+        if "nonzero" in message:
+            assert "grids.spatial_halfwidth_mm" in errors[0] and "grids.spatial_points" in errors[0]
+        assert not out.exists()
+
+    def test_pump_table_on_three_grid_nodes_accepted(self, tmp_path):
+        # as a Gaussian of waist one spacing, whose waist holds 3 nodes
+        table_path = tmp_path / "pump.csv"
+        table_path.write_text("-0.03,0\n-0.0234375,1\n0,1\n0.0234375,1\n0.03,0\n")
+        cfg = load_bundled("default_mzim")
+        cfg["pump"]["spatial_profile"] = {"kind": "tabulated_file", "path": str(table_path)}
+        run = load_config(write_config(tmp_path, cfg))
+        assert np.count_nonzero(run.state.spatial.pump.values) == 3
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e160, 1e300])
+    def test_pump_table_of_any_magnitude_gives_one_pump(self, tmp_path, scale):
+        # |samples|^2 overflowed past 1e154, and exited 1 with a RuntimeWarning
+        pumps = []
+        for factor in (1.0, scale):
+            table_path = tmp_path / f"pump-{factor}.csv"
+            table_path.write_text("".join(f"{x / 10!r},{factor * math.exp(-x * x / 100)!r}\n"
+                                          for x in range(-40, 41)))
+            cfg = load_bundled("default_mzim")
+            cfg["pump"]["spatial_profile"] = {"kind": "tabulated_file", "path": str(table_path)}
+            pumps.append(load_config(write_config(tmp_path, cfg)).state.spatial.pump.values)
+        np.testing.assert_allclose(pumps[1], pumps[0], rtol=1e-14, atol=0.0)
+
     def test_unparseable_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -1117,6 +1283,70 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="^interferometer.delay_arm, "
                            "interferometer.flip_arm: unknown key; expected kind$"):
             load_config(write_config(tmp_path, cfg))
+
+
+class TestProfileTable:
+    """cli._PROFILES defines each pump-profile kind once: its keys, its parse,
+    its on-grid shares and its sampler.  What load_config makes of each entry
+    is pinned here."""
+
+    KEYS = {"gaussian": ("waist_mm",), "hg1": ("waist_mm",),
+            "shifted_gaussian": ("waist_mm", "shift_mm"), "tabulated_file": ("path",)}
+
+    @staticmethod
+    def pumps(tmp_path):
+        """{kind: (profile, the library's pump on the bundled grid)}."""
+        x = np.arange(-40, 41) / 10
+        re, im = np.exp(-(x - 0.5) ** 2), 0.3 * np.exp(-(x + 0.4) ** 2)
+        table = tmp_path / "pump.csv"
+        table.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                                 for row in zip(x, re, im)))
+        nodes = BUNDLED_GRID.positions() / MM
+        tabulated = bp.SpatialAmplitude.from_samples(
+            BUNDLED_GRID, np.interp(nodes, x, re, left=0.0, right=0.0)
+            + 1j * np.interp(nodes, x, im, left=0.0, right=0.0))
+        return {
+            "gaussian": ({"kind": "gaussian", "waist_mm": 0.8},
+                         bp.gaussian_amplitude(BUNDLED_GRID, waist=0.8 * MM)),
+            "hg1": ({"kind": "hg1", "waist_mm": 0.8},
+                    bp.hermite_gauss1_amplitude(BUNDLED_GRID, waist=0.8 * MM)),
+            "shifted_gaussian": (
+                {"kind": "shifted_gaussian", "waist_mm": 0.8, "shift_mm": -0.4},
+                bp.gaussian_amplitude(BUNDLED_GRID, waist=0.8 * MM, center=-0.4 * MM)),
+            "tabulated_file": ({"kind": "tabulated_file", "path": str(table)}, tabulated),
+        }
+
+    def test_every_kind_is_pinned(self):
+        assert sorted(cli._PROFILES) == sorted(self.KEYS)
+
+    @pytest.mark.parametrize("kind", sorted(KEYS))
+    def test_loaded_pump_is_the_library_pump(self, tmp_path, kind):
+        profile, amplitude = self.pumps(tmp_path)[kind]
+        cfg = load_bundled("default_mzim")
+        cfg["pump"]["spatial_profile"] = profile
+        assert_pump(load_config(write_config(tmp_path, cfg)), amplitude)
+
+    @pytest.mark.parametrize("kind", sorted(KEYS))
+    def test_unknown_key_lists_the_entry_keys(self, tmp_path, kind):
+        cfg = load_bundled("default_mzi")
+        cfg["pump"]["spatial_profile"] = {"kind": kind, "colour": "blue"}
+        assert cli._PROFILES[kind].keys == self.KEYS[kind]
+        expected = ", ".join(("kind",) + self.KEYS[kind])
+        with pytest.raises(cli.ConfigError) as info:
+            load_config(write_config(tmp_path, cfg))
+        assert str(info.value) == f"pump.spatial_profile.colour: unknown key; expected {expected}"
+
+    @pytest.mark.parametrize("shift_mm", [0.0, -0.0, 0])
+    def test_unshifted_gaussian_is_the_gaussian(self, tmp_path, shift_mm):
+        # both kinds share one sampler; x - 0.0 is x
+        pumps = []
+        for profile in ({"kind": "gaussian", "waist_mm": 0.7},
+                        {"kind": "shifted_gaussian", "waist_mm": 0.7, "shift_mm": shift_mm}):
+            cfg = load_bundled("default_mzim")
+            cfg["pump"]["spatial_profile"] = profile
+            pumps.append(load_config(write_config(tmp_path, cfg)).state.spatial.pump)
+        assert pumps[0].grid == pumps[1].grid
+        assert np.array_equal(pumps[0].values, pumps[1].values)
 
 
 class TestFileErrors:

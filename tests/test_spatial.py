@@ -40,6 +40,14 @@ class TestGridAndAmplitudes:
             norm = float(np.sum(np.abs(phi.values) ** 2)) * grid.spacing
             assert norm == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1.5e308])
+    def test_samples_past_the_float_range_normalised(self, grid, gauss, scale):
+        # |phi|^2 overflows; the samples are scaled down before the sum
+        raw = scale * np.exp(-(grid.positions() / 1e-3) ** 2) * (1.0 + 1.0j)
+        phi = bp.SpatialAmplitude.from_samples(grid, raw)
+        np.testing.assert_allclose(phi.values, gauss.values * (1.0 + 1.0j) / math.sqrt(2.0),
+                                   rtol=1e-14, atol=0.0)
+
     def test_unnormalized_values_rejected(self, grid):
         with pytest.raises(ValueError):
             bp.SpatialAmplitude(grid, np.ones(grid.point_count))

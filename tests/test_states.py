@@ -276,6 +276,12 @@ class TestJointAmplitudeChecks:
         assert float(np.sum(np.abs(a.amplitude) ** 2)) * grid.spacing**2 == pytest.approx(1.0)
         assert not a.amplitude.flags.writeable
 
+    def test_samples_past_the_float_range_normalised(self, cls, grid):
+        # |a|^2 of 1e300 overflows; the samples are scaled down before the sum
+        raw = np.arange(25.0).reshape(5, 5) + 1j
+        np.testing.assert_allclose(cls.from_samples(grid, 1e300 * raw).amplitude,
+                                   cls.from_samples(grid, raw).amplitude, rtol=1e-14, atol=0.0)
+
     def test_wrong_shape_rejected(self, cls, grid):
         with pytest.raises(ValueError, match="one row and one column"):
             cls(grid, np.full((4, 4), 0.25 / grid.spacing))
