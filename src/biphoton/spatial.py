@@ -67,11 +67,13 @@ def _unit_norm_samples(samples, cell: float) -> np.ndarray:
     a = np.asarray(samples, dtype=complex)
     with np.errstate(over="ignore"):
         norm = math.sqrt(float(np.sum(np.abs(a) ** 2)) * cell)
-    if norm == math.inf:  # |a|^2 passes the float range: divide by the largest part first
-        a = a / np.max(np.maximum(np.abs(a.real), np.abs(a.imag)))
+    if norm == math.inf or norm < 1e-150:
+        # |a|^2 overflows or loses its digits to underflow: divide by the largest part first
+        peak = np.max(np.maximum(np.abs(a.real), np.abs(a.imag)))
+        if peak == 0.0:
+            raise ValueError("cannot normalize a zero amplitude")
+        a = a / peak
         norm = math.sqrt(float(np.sum(np.abs(a) ** 2)) * cell)
-    if norm < 1e-150:
-        raise ValueError("cannot normalize a zero amplitude")
     return a / norm
 
 

@@ -266,8 +266,9 @@ class TestGoldenOutput:
     # MZIM on a 4097-point spectral grid, JSON, --engine both, +-5 fs at
     # 0.05 fs: the oracle's delay table has 8193-point rows, padded to an
     # FFT length of 16384 (the bundled configs reach 8192).  Both pumps give
-    # 12 rows; only the distinct ones are transformed, 5 for hg1 and 7 for
-    # the Gaussian.
+    # 12 keys, which share 5 rows for hg1 and 8 for the Gaussian; only the
+    # rows nonzero somewhere are transformed, 4 for hg1 and 6 for the
+    # Gaussian.
     FINE_GRID_JSON_DIGESTS = {
         "gaussian": "a04eed88b14e6f157b718b1005711520b6a5803e20317164c996f7320ff8d72a",
         "hg1": "5ee861c51c35450e3c494aeacae27c0ee048e5d3b6f58213c2bb5906624bed07",
@@ -1224,9 +1225,10 @@ class TestConfigValidation:
         run = load_config(write_config(tmp_path, cfg))
         assert np.count_nonzero(run.state.spatial.pump.values) == 3
 
-    @pytest.mark.parametrize("scale", [1e-100, 1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e160, 1e300])
     def test_pump_table_of_any_magnitude_gives_one_pump(self, tmp_path, scale):
-        # |samples|^2 overflowed past 1e154, and exited 1 with a RuntimeWarning
+        # |samples|^2 overflowed past 1e154, and exited 1 with a RuntimeWarning;
+        # below 1e-150 it underflowed, and exited 1 calling the table zero
         pumps = []
         for factor in (1.0, scale):
             table_path = tmp_path / f"pump-{factor}.csv"

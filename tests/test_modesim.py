@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import biphoton as bp
 from biphoton import modesim
 from biphoton.cli import build_problem, bundled_config_path, load_config
 from biphoton.errors import BudgetExceeded, GridAsymmetry, UnderSampled, UnknownElement
-from biphoton.modesim import CONJUGATE, SYMMETRIC, _distinct_rows, _photon_map, exchange_asymmetry
+from biphoton.modesim import CONJUGATE, SYMMETRIC, _photon_map, exchange_asymmetry
 from biphoton.spectral import chirp_z
 
 from conftest import DELTA_OMEGA, OMEGA_P, arm_pipeline, oracle_convention
@@ -630,14 +631,19 @@ class TestDelayTableBits:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_pumps_and_densities(self, small_grids, seed):
         sgrid, _ = small_grids
-        fgrid = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=33)
-        rng = np.random.default_rng(seed)
-        pump = bp.SpatialAmplitude.from_samples(
-            sgrid, rng.normal(size=sgrid.point_count) + 1j * rng.normal(size=sgrid.point_count))
-        density = bp.SpectralDensity(bp.Tabulated(
-            tuple(fgrid.omegas()), tuple(rng.uniform(0.1, 1.0, size=fgrid.point_count))))
-        state = bp.TwoPhotonState(bp.CorrelatedPump(pump), bp.AntiCorrelated(density), OMEGA_P)
-        _assert_tables_bit_equal(state, fgrid)
+        _assert_tables_bit_equal(*_random_state(sgrid, seed))
+
+
+def _random_state(sgrid, seed):
+    """A random complex pump and a random tabulated density, on a 33-point
+    frequency grid: (state, frequency grid)."""
+    fgrid = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=33)
+    rng = np.random.default_rng(seed)
+    pump = bp.SpatialAmplitude.from_samples(
+        sgrid, rng.normal(size=sgrid.point_count) + 1j * rng.normal(size=sgrid.point_count))
+    density = bp.SpectralDensity(bp.Tabulated(
+        tuple(fgrid.omegas()), tuple(rng.uniform(0.1, 1.0, size=fgrid.point_count))))
+    return bp.TwoPhotonState(bp.CorrelatedPump(pump), bp.AntiCorrelated(density), OMEGA_P), fgrid
 
 
 def _bundled_scan_args(name):
@@ -646,85 +652,206 @@ def _bundled_scan_args(name):
     return (state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step), fgrid
 
 
-def _every_row(rows):
-    return list(rows), list(range(len(rows)))
+def _distinct_rows(rows):
+    """The rows that differ from each other in some bit, in order of first
+    appearance, and for each row the index of its bit-equal row among them.
+    Rows are compared as integers, so -0.0 and 0.0 stay apart.
+    """
+    distinct, which = [], []
+    for row in rows:
+        bits = row.view(np.int64)
+        k = next((k for k, d in enumerate(distinct) if np.array_equal(bits, d.view(np.int64))),
+                 None)
+        if k is None:
+            k = len(distinct)
+            distinct.append(row)
+        which.append(k)
+    return distinct, which
+
+
+def _reference_scan(state, cfg, tau_start, tau_stop, tau_step, fgrid):
+    """The oracle's rates by the earlier route, the bit-exact reference:
+    every (path pair, m) key's row built on its own (``_every_pair_table``),
+    rows merged only on equal bits, every distinct row transformed, zero
+    rows too, and each key's term added to its pair's norm.
+    """
+    tau = modesim._scan_axis(state, cfg, tau_start, tau_stop, tau_step, fgrid)
+    final = bp.apply_pipeline(bp.build_initial_state(state, fgrid), bp.build_pipeline(cfg, 0.0))
+    table = _every_pair_table(final)
+    distinct, which = _distinct_rows(list(table.values()))
+    sums = chirp_z(np.array(distinct), fgrid.spacing, tau[0], tau_step, tau.size)
+    norms = {}
+    for (pair, m), k in zip(table, which):
+        pump = np.exp(-0.5j * m * cfg.pump_frequency * tau)
+        norms[pair] = norms.get(pair, 0.0) + (pump * sums[k]).real
+    return (tau,) + modesim._port_rule(norms)
+
+
+def _assert_scan_matches_reference(args, fgrid):
+    gram = bp.oracle_scan(*args, frequency_grid=fgrid)
+    got = (gram.tau, gram.singles_port1, gram.singles_port2, gram.coincidences)
+    for column, reference in zip(got, _reference_scan(*args, fgrid)):
+        assert np.array_equal(column.view(np.int64), reference.view(np.int64))
+    return gram
+
+
+def _fine_grid_scan_args(tmp_path, profile):
+    """MZIM on 257 x 4097-point grids, 201 delays, as the fine-grid survey runs it."""
+    cfg = json.loads(bundled_config_path("default_mzim").read_text())
+    cfg["scan"] = {"tau_start_fs": -5.0, "tau_stop_fs": 5.0, "tau_step_fs": 0.05}
+    cfg["grids"] = {"spatial_points": 257, "spectral_points": 4097, "spatial_halfwidth_mm": 3.0}
+    cfg["pump"]["spatial_profile"] = profile
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    run_cfg = load_config(path)
+    state, icfg, _, fgrid = build_problem(run_cfg)
+    return (state, icfg, run_cfg.tau_start, run_cfg.tau_stop, run_cfg.tau_step), fgrid
+
+
+def _shared_rows(args, fgrid):
+    """The delay table's keys and the row objects they share."""
+    state, icfg = args[:2]
+    final = bp.apply_pipeline(bp.build_initial_state(state, fgrid), bp.build_pipeline(icfg, 0.0))
+    table = modesim._delay_table(final)
+    return table, list({id(row): row for row in table.values()}.values())
+
+
+def _recording_chirp_z(monkeypatch):
+    transformed = []
+
+    def recording(u, *rest):
+        transformed.append(u.shape[0])
+        return chirp_z(u, *rest)
+
+    monkeypatch.setattr(modesim, "chirp_z", recording)
+    return transformed
+
+
+_SPECTRAL = modesim.Factor.antidiagonal(
+    np.array([1.0, -2.0, 3.0, 0.5, 1.5]) + 1j * np.array([0.5, 1.0, -2.0, 0.25, 1.5]))
+_S1 = modesim.Factor.diagonal([1.0, 0.5, 0.25])
+_S2 = modesim.Factor.diagonal([0.5, -1.0, 0.0])  # orthogonal to _S1
+
+
+def _hand_built_state(weights, spatial, spectral=((_SPECTRAL,) * 2,) * 2):
+    """Two branches in each of the path pairs (a, b) and (b, a), the second
+    delayed on photon 2; each argument holds the two pairs' two branches'
+    weights, spatial factors or spectral factors.
+    """
+    branches = tuple(
+        modesim.Branch(*pair, w, s, f, delays)
+        for pair, ws, ss, fs in zip((("a", "b"), ("b", "a")), weights, spatial, spectral)
+        for w, s, f, delays in zip(ws, ss, fs, ((0, 0), (0, 1))))
+    return bp.BranchSumState(bp.SpatialGrid(half_width=1e-3, point_count=3),
+                             bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=5),
+                             branches)
+
+
+def _cross_coefficients(state):
+    """Each path pair's coefficient for its two branches' cross pair."""
+    return [next(coef for x, y, coef in modesim._branch_pairs(group) if x is not y)
+            for group in modesim._by_path_pair(state.branches).values()]
+
+
+def _assert_rows_match_every_pair_table(table, state):
+    reference = _every_pair_table(state)
+    assert list(table) == list(reference)
+    for key, row in reference.items():
+        assert table[key].tobytes() == row.tobytes()
 
 
 class TestDistinctRows:
-    """The scan transforms each distinct delay-table row once."""
-
-    def _assert_matches_every_row(self, monkeypatch, args, fgrid):
-        got = bp.oracle_scan(*args, frequency_grid=fgrid)
-        with monkeypatch.context() as patch:
-            patch.setattr(modesim, "_distinct_rows", _every_row)
-            reference = bp.oracle_scan(*args, frequency_grid=fgrid)
-        for column in ("singles_port1", "singles_port2", "coincidences"):
-            assert np.array_equal(getattr(got, column), getattr(reference, column))
+    """The scan transforms each shared delay-table row that is nonzero somewhere once."""
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
-    def test_bundled_scan_equals_every_row_reference(self, monkeypatch, name):
-        self._assert_matches_every_row(monkeypatch, *_bundled_scan_args(name))
+    def test_bundled_scan_equals_every_row_reference(self, name):
+        _assert_scan_matches_reference(*_bundled_scan_args(name))
 
     @pytest.mark.parametrize("name", ["shifted", "hg1", "general_spatial", "both_general"])
-    def test_small_grid_scan_equals_every_row_reference(self, monkeypatch, small_state,
-                                                        small_grids, name):
+    def test_small_grid_scan_equals_every_row_reference(self, small_state, small_grids, name):
         _, fgrid = small_grids
         spatial, spectral = _batch_states(small_state, small_grids)[name]
         state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
         for kind in ("mzi", "mzim"):
             cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
-            self._assert_matches_every_row(monkeypatch, (state, cfg, -30e-15, 30e-15, 0.25e-15),
-                                           fgrid)
+            _assert_scan_matches_reference((state, cfg, -30e-15, 30e-15, 0.25e-15), fgrid)
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "hg1", "waist_mm": 0.9},
+        {"kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": 0.4},
+        {"kind": "tabulated_file"},
+    ], ids=["hg1", "shifted_gaussian", "tabulated_file"])
+    def test_fine_grid_scan_equals_every_row_reference(self, tmp_path, profile):
+        if profile["kind"] == "tabulated_file":
+            table_path = tmp_path / "pump.csv"
+            table_path.write_text("".join(
+                f"{x / 20!r},{(1.0 + 0.3 * x / 20) * math.exp(-(x / 20 - 0.3) ** 2)!r}\n"
+                for x in range(-60, 61)))
+            profile = dict(profile, path=str(table_path))
+        args, fgrid = _fine_grid_scan_args(tmp_path, profile)
+        assert fgrid.point_count == 4097
+        assert _assert_scan_matches_reference(args, fgrid).tau.size >= 201
+
+    @settings(deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_pumps_and_densities_scan_bits(self, small_grids, seed):
+        # leaves max_examples to the profile: CI's deep step draws 3000
+        sgrid, _ = small_grids
+        state, fgrid = _random_state(sgrid, seed)
+        for kind in ("mzi", "mzim"):
+            cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
+            _assert_scan_matches_reference((state, cfg, -10e-15, 10e-15, 0.25e-15), fgrid)
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
-    def test_bundled_configs_transform_seven_of_twelve_rows(self, monkeypatch, name):
+    def test_bundled_configs_transform_six_of_twelve_rows(self, monkeypatch, name):
         args, fgrid = _bundled_scan_args(name)
-        state, icfg = args[:2]
-        final = bp.apply_pipeline(bp.build_initial_state(state, fgrid),
-                                  bp.build_pipeline(icfg, 0.0))
-        assert len(modesim._delay_table(final)) == 12
-        transformed = []
-
-        def recording(u, *rest):
-            transformed.append(u.shape[0])
-            return chirp_z(u, *rest)
-
-        monkeypatch.setattr(modesim, "chirp_z", recording)
+        table, rows = _shared_rows(args, fgrid)
+        assert (len(table), len(rows), sum(row.any() for row in rows)) == (12, 8, 6)
+        transformed = _recording_chirp_z(monkeypatch)
         bp.oracle_scan(*args, frequency_grid=fgrid)
-        assert transformed == [7]
+        assert transformed == [6]
 
-    def test_rows_merge_only_on_equal_bits(self):
-        rng = np.random.default_rng(3)
-        row = rng.normal(size=9) + 1j * rng.normal(size=9)
-        row[4] = 0.0
-        signed_zero = row.copy()
-        signed_zero[4] = complex(-0.0, 0.0)
-        with_nan = row.copy()
-        with_nan[2] = complex(np.nan, 1.0)
-        other_nan = with_nan.copy()
-        other_nan.view(np.int64)[4] ^= 1  # another NaN payload
-        rows = [row, signed_zero, with_nan, with_nan.copy(), other_nan, row.copy()]
-        distinct, which = _distinct_rows(rows)
-        assert which == [0, 1, 2, 2, 3, 0]
-        assert all(d is r for d, r in zip(distinct, (row, signed_zero, with_nan, other_nan)))
-        # a merged row reads its representative's transform: equal input bits
-        # give equal output bits
-        args = (1.1e11, -1e-15, 0.25e-15, 7)
-        every = chirp_z(np.array(rows), *args)
-        once = chirp_z(np.array(distinct), *args)
-        for j, k in enumerate(which):
-            assert np.array_equal(every[j].view(np.int64), once[k].view(np.int64))
+    def test_hg1_pump_transforms_four_of_twelve_rows(self, monkeypatch):
+        (state, *rest), fgrid = _bundled_scan_args("default_mzim")
+        pump = bp.hermite_gauss1_amplitude(state.spatial.grid, waist=1e-3)
+        args = (bp.TwoPhotonState(bp.CorrelatedPump(pump), state.spectral, OMEGA_P), *rest)
+        table, rows = _shared_rows(args, fgrid)
+        assert (len(table), len(rows), sum(row.any() for row in rows)) == (12, 5, 4)
+        transformed = _recording_chirp_z(monkeypatch)
+        bp.oracle_scan(*args, frequency_grid=fgrid)
+        assert transformed == [4]
 
-    def test_rows_equal_on_every_sampled_bit_stay_apart(self):
-        # 8193-point rows, the oracle's on a 4097-point grid: the bucket key
-        # samples a stride of their bits, and the rest still decides
-        row = np.random.default_rng(4).normal(size=8193) + 0j
-        rows = [row]
-        for entry in (1, 4096, 8192):
-            other = row.copy()
-            other[entry] = complex(other[entry].real, 1.0)
-            assert modesim._row_key(other.view(np.int64)) == modesim._row_key(row.view(np.int64))
-            rows.append(other)
-        distinct, which = _distinct_rows(rows + [row.copy()])
-        assert which == [0, 1, 2, 3, 0]
-        assert all(d is r for d, r in zip(distinct, rows))
+    @pytest.mark.parametrize("weights, spatial", [
+        # orthogonal spatial factors: the cross coefficients are 0.0 and -0.0
+        (((1.0, 1.0), (1.0, -1.0)), ((_S1, _S2),) * 2),
+        # a nonzero coefficient whose imaginary part is 0.0 in one pair and -0.0
+        # in the other, as (a, b) and (b, a) at m = 2 on the bundled configs
+        (((1.0, -1.0), (1.0, complex(-1.0, -0.0))), ((_S1, _S1),) * 2),
+    ], ids=["zero", "zero_imaginary_part"])
+    def test_recipes_apart_only_in_a_zero_sign_share_a_row(self, weights, spatial):
+        state = _hand_built_state(weights, spatial)
+        ab, ba = _cross_coefficients(state)
+        assert ab == ba and ab.tobytes() != ba.tobytes()
+        table = modesim._delay_table(state)
+        assert table[("a", "b"), 1] is table[("b", "a"), 1]
+        assert table[("a", "b"), 0] is table[("b", "a"), 0]
+        _assert_rows_match_every_pair_table(table, state)
+
+    def test_recipes_one_coefficient_bit_apart_stay_apart(self):
+        state = _hand_built_state(((1.0, 1.0), (1.0, np.nextafter(1.0, 2.0))), ((_S1, _S1),) * 2)
+        ab, ba = _cross_coefficients(state)
+        assert ab != ba
+        table = modesim._delay_table(state)
+        assert table[("a", "b"), 1] is not table[("b", "a"), 1]
+        _assert_rows_match_every_pair_table(table, state)
+
+    def test_recipes_compare_spectral_factors_by_object(self):
+        # equal data in another factor object: the recipes differ, the rows' bits do not
+        twin = modesim.Factor.antidiagonal(_SPECTRAL.data.copy())
+        state = _hand_built_state(((1.0, 1.0),) * 2, ((_S1, _S1),) * 2,
+                                  ((_SPECTRAL, _SPECTRAL), (_SPECTRAL, twin)))
+        table = modesim._delay_table(state)
+        for m in (0, 1):
+            assert table[("a", "b"), m] is not table[("b", "a"), m]
+            assert table[("a", "b"), m].tobytes() == table[("b", "a"), m].tobytes()
+        _assert_rows_match_every_pair_table(table, state)

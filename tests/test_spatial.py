@@ -48,6 +48,18 @@ class TestGridAndAmplitudes:
         np.testing.assert_allclose(phi.values, gauss.values * (1.0 + 1.0j) / math.sqrt(2.0),
                                    rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300])
+    def test_samples_below_the_float_range_normalised(self, grid, gauss, scale):
+        # |phi|^2 underflows; nonzero samples are scaled up, not reported as zero
+        raw = scale * np.exp(-(grid.positions() / 1e-3) ** 2) * (1.0 + 1.0j)
+        phi = bp.SpatialAmplitude.from_samples(grid, raw)
+        np.testing.assert_allclose(phi.values, gauss.values * (1.0 + 1.0j) / math.sqrt(2.0),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_zero_samples_rejected(self, grid):
+        with pytest.raises(ValueError, match="cannot normalize a zero amplitude"):
+            bp.SpatialAmplitude.from_samples(grid, np.zeros(grid.point_count))
+
     def test_unnormalized_values_rejected(self, grid):
         with pytest.raises(ValueError):
             bp.SpatialAmplitude(grid, np.ones(grid.point_count))
