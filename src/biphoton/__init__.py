@@ -12,7 +12,6 @@ dip widths from the scans.
 from .errors import (
     AsymmetricSpectrum,
     BiphotonError,
-    BudgetExceeded,
     EmptyOrNegative,
     GridAsymmetry,
     GridMismatch,
@@ -76,7 +75,6 @@ from .modesim import (
     Branch,
     BranchSumState,
     Delay,
-    DenseTensorState,
     SpatialFlip,
     apply_element,
     apply_pipeline,
@@ -85,7 +83,6 @@ from .modesim import (
     coincidence_rate,
     oracle_scan,
     singles_rate,
-    to_dense,
     total_norm,
 )
 from .analysis import (

@@ -53,8 +53,11 @@ def _uniform_step(tau: np.ndarray) -> float:
         raise UnderResolved("need at least two samples")
     steps = np.diff(tau)
     step = float(steps[0])
-    # written so that a NaN delay fails it
-    if not (step > 0.0 and np.all(np.abs(steps - step) <= 1e-6 * abs(step))):
+    # A delay printed at 9 significant digits (as the CLI's CSV holds it)
+    # moves by up to 5e-9 |tau|, so a step read back may move by up to
+    # 1e-8 max|tau|.  Written so that a NaN or infinite delay fails it.
+    slack = 1e-6 * abs(step) + 1e-8 * float(np.max(np.abs(tau)))
+    if not (step > 0.0 and slack < math.inf and np.all(np.abs(steps - step) <= slack)):
         raise ValueError("delay grid must be uniform and increasing")
     return step
 

@@ -43,10 +43,6 @@ class UnknownElement(BiphotonError):
     """Pipeline element type is not recognised."""
 
 
-class BudgetExceeded(BiphotonError):
-    """Dense tensor expansion would exceed the configured memory budget."""
-
-
 # -- analysis ------------------------------------------------------------------
 
 class EmptyOrNegative(BiphotonError):

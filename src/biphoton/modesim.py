@@ -11,25 +11,20 @@ The elements are the optics of the two instruments: the 50:50 beam
 splitter, the delay and, for the mirror-unbalanced one, the transverse
 flip.  Each is defined once, as a single-photon map: every input path goes
 to one or more outcomes (output path, amplitude, position flip or not,
-spectral phases or none).  One code path serves the two two-photon
-representations: ``apply_element`` builds an element's map and hands it to
-the state, which defines how a photon map acts on each of its photon slots
-and holds no element-specific logic of its own; ``apply_pipeline`` folds
-that over the elements.  The representations are
+spectral phases or none).  ``apply_element`` builds an element's map and
+hands it to the state, which defines how a photon map acts on each of its
+photon slots and holds no element-specific logic of its own;
+``apply_pipeline`` folds that over the elements.
 
-* a branch-sum form, a short list of product terms (path pair, spatial
-  factor, spectral factor).  Factors stay diagonal / anti-diagonal for
-  correlated inputs, so memory is O(N + M) per branch and default grids run
-  at interactive speed.  Branches are never merged: each beam splitter
-  multiplies their count by at most four, so the two-splitter pipeline ends
-  with at most 16 per initial branch;
-* a dense tensor over all (2 N M)^2 ordered two-photon amplitudes, feasible
-  only for small grids, used to cross-check the branch-sum bookkeeping.
-
-Both give a table of path-pair norms, and everything else reads that table:
-the port rule (the rates), ``total_norm`` and ``exchange_asymmetry`` (the
-norm of the state minus its exchange swap).  The branch sum's norms come
-from one walk over the unordered pairs of a path pair's branches.
+The state is a branch sum, a short list of product terms (path pair,
+spatial factor, spectral factor).  Factors stay diagonal / anti-diagonal
+for correlated inputs, so memory is O(N + M) per branch and default grids
+run at interactive speed.  Branches are never merged: each beam splitter
+multiplies their count by at most four, so the two-splitter pipeline ends
+with at most 16 per initial branch.  The state gives a table of path-pair
+norms, from one walk over the unordered pairs of a path pair's branches,
+and everything else reads that table: the port rule (the rates) and
+``total_norm``.
 
 A delay scan runs the branch sum once, at zero delay: the branches do not
 depend on the delay, and each records how many delay phases each of its
@@ -38,18 +33,15 @@ g exp(-i m w_p tau / 2) exp(i n h tau) with small integers m and n, and one
 chirp-z call (``spectral.chirp_z``) evaluates all of them on the whole delay
 axis, once per distinct row; its rows come from the same branch-pair walk as
 the norms, and the same port rule reads the rates out, elementwise.  So a
-rate has three routes: the scan (the production path), the per-delay
-branch sum (its reference) and the dense tensor (the branch sum's).
+rate has two routes: the scan (the production path) and the per-delay
+branch sum (its reference).
 
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
-b -> (i a + b)/sqrt(2) ("symmetric").  ``BeamSplitter`` also takes the
-"conjugate" convention, with -i on the cross terms; the rates do not
-depend on it, and that is a property the tests check on every route, not
-a run option.  A delay tau in one arm multiplies each photon amplitude in
-that arm by exp(-i (w_p/2 + W_k) tau); a spatial flip reverses the
-position index.  After the last splitter path a is output port 1 and path
-b port 2, the ports the closed engine and ``Interferogram`` name.  Rates
-are normalized so the incoherent background equals one.
+b -> (i a + b)/sqrt(2).  A delay tau in one arm multiplies each photon
+amplitude in that arm by exp(-i (w_p/2 + W_k) tau); a spatial flip reverses
+the position index.  After the last splitter path a is output port 1 and
+path b port 2, the ports the closed engine and ``Interferogram`` name.
+Rates are normalized so the incoherent background equals one.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .errors import BudgetExceeded, GridAsymmetry, UnknownElement
+from .errors import GridAsymmetry, UnknownElement
 from .interferometer import Interferogram, InterferometerConfig, MZIM, _scan_axis
 from .spatial import SpatialGrid
 from .spectral import FrequencyGrid, chirp_z, normalize
@@ -81,27 +73,16 @@ __all__ = [
     "Factor",
     "Branch",
     "BranchSumState",
-    "DenseTensorState",
     "build_initial_state",
     "apply_element",
     "apply_pipeline",
     "coincidence_rate",
     "singles_rate",
     "total_norm",
-    "exchange_asymmetry",
-    "to_dense",
     "oracle_scan",
-    "SYMMETRIC",
-    "CONJUGATE",
 ]
 
-SYMMETRIC = "symmetric"
-CONJUGATE = "conjugate"
-
-DEFAULT_DENSE_BUDGET = 1 << 30  # bytes
-
 _PATHS = ("a", "b")  # after the last splitter, a is port 1 and b port 2
-_SWAP = (3, 4, 5, 0, 1, 2)  # exchange the photon slots of a dense tensor
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +91,8 @@ _SWAP = (3, 4, 5, 0, 1, 2)  # exchange the photon slots of a dense tensor
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    convention: str = SYMMETRIC
-
     def matrix(self) -> np.ndarray:
-        cross = 1j if self.convention == SYMMETRIC else -1j
-        if self.convention not in (SYMMETRIC, CONJUGATE):
-            raise ValueError(f"unknown beam-splitter convention {self.convention!r}")
-        return np.array([[1.0, cross], [cross, 1.0]], dtype=complex) / math.sqrt(2.0)
+        return np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -151,7 +127,6 @@ class _Outcome(NamedTuple):
 
 
 _PhotonMap = Dict[str, List[_Outcome]]
-_State = Union["BranchSumState", "DenseTensorState"]
 
 
 def _photon_map(element: Element, frequency_grid: FrequencyGrid) -> _PhotonMap:
@@ -349,11 +324,6 @@ class BranchSumState:
                                       spatial, spectral, delays))
         return replace(self, branches=tuple(out))
 
-    def _minus_swap(self) -> "BranchSumState":
-        """The state minus its exchange swap: the branches, then the swapped ones negated."""
-        return replace(self, branches=self.branches + tuple(
-            replace(b, weight=-b.weight) for b in _swapped_branches(self.branches)))
-
 
 def _by_path_pair(branches: Iterable[Branch]) -> Dict[Tuple[str, str], List[Branch]]:
     """Branches grouped by (photon 1 path, photon 2 path), in order of appearance."""
@@ -446,22 +416,17 @@ def _group_norm(branches: Sequence[Branch]) -> float:
     return total
 
 
-def total_norm(state: _State) -> float:
+def total_norm(state: BranchSumState) -> float:
     """Squared amplitude norm of the ordered two-photon tensor."""
     return float(sum(state.path_pair_norms().values()))
 
 
-def exchange_asymmetry(state: _State) -> float:
-    """Norm of (A - A_swapped); zero for a bosonic (symmetric) state."""
-    return math.sqrt(max(0.0, total_norm(state._minus_swap())))
-
-
-def apply_element(state: _State, element: Element) -> _State:
-    """Apply one optical element; returns a new state of the same representation."""
+def apply_element(state: BranchSumState, element: Element) -> BranchSumState:
+    """Apply one optical element; returns a new state."""
     return state._mapped(_photon_map(element, state.frequency_grid))
 
 
-def apply_pipeline(state: _State, elements: Iterable[Element]) -> _State:
+def apply_pipeline(state: BranchSumState, elements: Iterable[Element]) -> BranchSumState:
     for element in elements:
         state = apply_element(state, element)
     return state
@@ -486,71 +451,16 @@ def _port_rule(t: Dict[Tuple[str, str], _Rate]) -> Tuple[_Rate, _Rate, _Rate]:
             2.0 * (t.get(("a", "b"), 0.0) + t.get(("b", "a"), 0.0)))
 
 
-def coincidence_rate(state: _State) -> float:
+def coincidence_rate(state: BranchSumState) -> float:
     """Probability of one photon in each output port, background-1 scaled."""
     return _port_rule(state.path_pair_norms())[2]
 
 
-def singles_rate(state: _State, port: int) -> float:
+def singles_rate(state: BranchSumState, port: int) -> float:
     """Expected photon number at output port 1 or 2, background-1 scaled."""
     if port not in (1, 2):
         raise ValueError(f"port must be 1 or 2, got {port!r}")
     return _port_rule(state.path_pair_norms())[port - 1]
-
-
-# ---------------------------------------------------------------------------
-# dense cross-check representation
-
-
-@dataclass(frozen=True)
-class DenseTensorState:
-    """Full ordered amplitude tensor over (path, position, frequency)^2."""
-
-    spatial_grid: SpatialGrid
-    frequency_grid: FrequencyGrid
-    tensor: np.ndarray  # shape (2, N, M, 2, N, M)
-
-    def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
-        """Squared amplitude norm per (photon 1 path, photon 2 path)."""
-        return {(p, q): float(np.sum(np.abs(self.tensor[i, :, :, j]) ** 2))
-                for i, p in enumerate(_PATHS) for j, q in enumerate(_PATHS)}
-
-    def _mapped(self, photon: _PhotonMap) -> "DenseTensorState":
-        """Apply the map to the first photon slot, then (by swapping) the second."""
-        once = _dense_first_photon(photon, self.tensor).transpose(_SWAP)
-        tensor = _dense_first_photon(photon, once).transpose(_SWAP)
-        return replace(self, tensor=tensor)
-
-    def _minus_swap(self) -> "DenseTensorState":
-        return replace(self, tensor=self.tensor - self.tensor.transpose(_SWAP))
-
-
-def to_dense(state: BranchSumState) -> DenseTensorState:
-    """Expand the branch sum into the dense tensor, if it fits DEFAULT_DENSE_BUDGET."""
-    n = state.spatial_grid.point_count
-    m = state.frequency_grid.point_count
-    amplitudes = (2 * n * m) ** 2
-    required = amplitudes * 16  # complex128
-    if required > DEFAULT_DENSE_BUDGET:
-        raise BudgetExceeded(
-            f"dense tensor needs {required} bytes > budget {DEFAULT_DENSE_BUDGET}")
-    tensor = np.zeros((2, n, m, 2, n, m), dtype=complex)
-    for b in state.branches:
-        p1, p2 = _PATHS.index(b.path1), _PATHS.index(b.path2)
-        tensor[p1, :, :, p2, :, :] += b.weight * np.einsum(
-            "ij,kl->ikjl", b.spatial.to_full(), b.spectral.to_full())
-    return DenseTensorState(state.spatial_grid, state.frequency_grid, tensor)
-
-
-def _dense_first_photon(photon: _PhotonMap, tensor: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(tensor)
-    for col, path in enumerate(_PATHS):
-        for o in photon[path]:
-            amplitude = tensor[col, ::-1] if o.flip else tensor[col]
-            if o.phases is not None:
-                amplitude = amplitude * o.phases[None, :, None, None, None]
-            out[_PATHS.index(o.path)] += o.amplitude * amplitude
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import settings
 
 import biphoton as bp
 from biphoton import modesim, units
-from biphoton.modesim import SYMMETRIC
 
 # A deeper fuzz for one CI cell: ``pytest --hypothesis-profile=deep``.  Tests
 # that set max_examples themselves keep their count under it.
@@ -67,21 +66,21 @@ def odd_state(default_state, sgrid):
                              default_state.pump_frequency)
 
 
-def arm_pipeline(cfg, tau, convention, delay_arm="b", flip_arm="b"):
-    """The instrument's elements with splitters of the given convention and the
+def arm_pipeline(cfg, tau, splitter=bp.BeamSplitter, delay_arm="b", flip_arm="b"):
+    """The instrument's elements with splitters of class ``splitter`` and the
     delay and the MZIM's flip on the given arms."""
-    elements = [bp.BeamSplitter(convention), bp.Delay(delay_arm, tau, cfg.pump_frequency)]
+    elements = [splitter(), bp.Delay(delay_arm, tau, cfg.pump_frequency)]
     if cfg.kind == bp.MZIM:
         elements.append(bp.SpatialFlip(flip_arm))
-    return elements + [bp.BeamSplitter(convention)]
+    return elements + [splitter()]
 
 
 @contextlib.contextmanager
-def oracle_convention(convention):
-    """Run ``oracle_scan`` with splitters of ``convention``, by patching
-    ``modesim.build_pipeline``; the symmetric convention is its own."""
+def oracle_convention(splitter):
+    """Run ``oracle_scan`` with splitters of class ``splitter``, by patching
+    ``modesim.build_pipeline``; ``bp.BeamSplitter`` is its own."""
     with pytest.MonkeyPatch.context() as patch:
-        if convention != SYMMETRIC:
+        if splitter is not bp.BeamSplitter:
             patch.setattr(modesim, "build_pipeline",
-                          lambda cfg, tau: arm_pipeline(cfg, tau, convention))
+                          lambda cfg, tau: arm_pipeline(cfg, tau, splitter))
         yield

@@ -13,6 +13,7 @@ import pytest
 import biphoton as bp
 
 from conftest import COINCIDENCE_PERIOD, DELTA_OMEGA, OMEGA_P, SINGLES_PERIOD
+from dense_reference import to_dense
 
 STEP = 0.2e-15
 HALF = 200e-15
@@ -144,7 +145,7 @@ def test_criterion_05_oracle_equivalence(default_state, fgrid,
         for tau in (0.0, 27e-15, 140e-15):
             elements = bp.build_pipeline(cfg, tau)
             branch = bp.apply_pipeline(built, elements)
-            dense = bp.apply_pipeline(bp.to_dense(built), elements)
+            dense = bp.apply_pipeline(to_dense(built), elements)
             dense_worst = max(
                 dense_worst,
                 abs(bp.coincidence_rate(branch) - bp.coincidence_rate(dense)),

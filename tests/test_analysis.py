@@ -284,6 +284,14 @@ class TestNanDelay:
         with pytest.raises(ValueError, match="uniform and increasing"):
             bp.report(tau, s, s)
 
+    @pytest.mark.parametrize("index", [1000, -1], ids=["middle", "last"])
+    def test_infinite_delay_raises(self, scan_mzi_fine, index):
+        # the slack for printed delays grows with max|tau|; an infinite one fails
+        tau = scan_mzi_fine.tau.copy()
+        tau[index] = math.inf
+        with pytest.raises(ValueError, match="uniform and increasing"):
+            bp.fringe_period(scan_mzi_fine.singles_port1, tau)
+
 
 class TestNonFiniteSpectrum:
     """Rates near the float limit would overflow the windowed FFT: every

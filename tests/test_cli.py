@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -100,6 +101,24 @@ class TestSimulateAndAnalyze:
         assert rep["v1"] <= 0.02
         assert rep["v12"] >= 0.99
         assert rep["fringe_period_singles"] is None
+
+    def test_delays_off_their_printed_digits_round_trip(self, tmp_path, capsys):
+        # The CSV holds each delay at 9 significant digits, which moves it by
+        # up to 5e-9 |tau| (1e-6 fs at 200 fs): 1.2e-5 of this step.
+        cfg = load_bundled("default_mzi")
+        cfg["scan"] = {"tau_start_fs": -200.01234567, "tau_stop_fs": 199.9,
+                       "tau_step_fs": 0.0812345678}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(out.read_text().splitlines()) == 1 + 4923
+        rep = run_analyze(capsys, out)
+        assert main(["compare", "--config", str(path)]) == 0
+        exact = json.loads(capsys.readouterr().out)["mzi_report"]
+        # the step read back is off by at most 1e-8 max|tau|, 2.5e-5 of it
+        assert rep["fringe_period_singles"] == pytest.approx(
+            exact["fringe_period_singles"], rel=2.5e-5)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = small_scan_config("default_mzi")
@@ -1460,6 +1479,30 @@ class TestEnergyCheck:
         assert err.startswith("engine error: port intensities violate the lossless-model "
                               "sum rule by 1.000e-01")
         assert not out.exists()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``| head`` does, ends a command
+    with exit 1 and no traceback."""
+
+    @pytest.mark.parametrize("command", ["compare", "analyze"])
+    def test_closed_pipe_exits_one_quietly(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, small_scan_config("default_mzi"))
+        argv = ["compare", "--config", str(path)]
+        if command == "analyze":
+            out = tmp_path / "scan.csv"
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            capsys.readouterr()
+            argv = ["analyze", "--in", str(out)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run([sys.executable, "-m", "biphoton.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestConsoleScript:

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import biphoton as bp
 from biphoton.errors import AsymmetricSpectrum, UnderSampled
 from biphoton.interferometer import MAX_REACH_FRACTION, tau_axis
-from biphoton.modesim import CONJUGATE, SYMMETRIC
 
 from conftest import DELTA_OMEGA, OMEGA_P, oracle_convention
+from dense_reference import SPLITTERS
 
 SKEWED = bp.SpectralDensity(bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)))
 
@@ -46,8 +46,8 @@ def assert_matches_oracle(state, cfg, fgrid, singles=None, coincidences=None):
         got = [singles(state, cfg, closed.tau, fgrid, port=1),
                singles(state, cfg, closed.tau, fgrid, port=2),
                coincidences(state, cfg, closed.tau, fgrid)]
-    for convention in (SYMMETRIC, CONJUGATE):
-        with oracle_convention(convention):
+    for splitter in SPLITTERS.values():
+        with oracle_convention(splitter):
             oracle = bp.oracle_scan(state, cfg, tau_start, tau_stop, tau_step,
                                     frequency_grid=fgrid)
         expected = [oracle.singles_port1, oracle.singles_port2, oracle.coincidences]

@@ -9,11 +9,18 @@ from hypothesis import given, settings, strategies as st
 import biphoton as bp
 from biphoton import modesim
 from biphoton.cli import build_problem, bundled_config_path, load_config
-from biphoton.errors import BudgetExceeded, GridAsymmetry, UnderSampled, UnknownElement
-from biphoton.modesim import CONJUGATE, SYMMETRIC, _photon_map, exchange_asymmetry
+from biphoton.errors import GridAsymmetry, UnderSampled, UnknownElement
+from biphoton.modesim import _photon_map
 from biphoton.spectral import chirp_z
 
 from conftest import DELTA_OMEGA, OMEGA_P, arm_pipeline, oracle_convention
+from dense_reference import (
+    SPLITTERS,
+    BudgetExceeded,
+    ConjugateBeamSplitter,
+    exchange_asymmetry,
+    to_dense,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +55,7 @@ def interpreters(small_state, small_grids):
     built = bp.build_initial_state(small_state, fgrid)
     return (
         lambda elements: bp.apply_pipeline(built, elements),
-        lambda elements: bp.apply_pipeline(bp.to_dense(built), elements),
+        lambda elements: bp.apply_pipeline(to_dense(built), elements),
     )
 
 
@@ -121,7 +128,7 @@ class TestBuildInitialState:
 
     def test_matches_explicit_dense_construction(self, small_state, small_grids):
         sgrid, fgrid = small_grids
-        built = bp.to_dense(bp.build_initial_state(small_state, fgrid))
+        built = to_dense(bp.build_initial_state(small_state, fgrid))
 
         # independent dense construction straight from the discretization
         n, m = sgrid.point_count, fgrid.point_count
@@ -148,9 +155,9 @@ class TestPhotonMap:
         (o,) = outcomes
         return (o.path, o.amplitude, o.flip, o.phases) == (path, 1.0, False, None)
 
-    @pytest.mark.parametrize("convention, cross", [(SYMMETRIC, 1j), (CONJUGATE, -1j)])
+    @pytest.mark.parametrize("convention, cross", [("symmetric", 1j), ("conjugate", -1j)])
     def test_beam_splitter_amplitudes(self, fgrid, convention, cross):
-        photon = _photon_map(bp.BeamSplitter(convention), fgrid)
+        photon = _photon_map(SPLITTERS[convention](), fgrid)
         r = 1.0 / math.sqrt(2.0)
         expected = {"a": [("a", r), ("b", cross * r)], "b": [("a", cross * r), ("b", r)]}
         assert sorted(photon) == ["a", "b"]
@@ -232,7 +239,7 @@ class TestElementSemantics:
         # The dense representation supports a direct, cancellation-free
         # asymmetry check at the 1e-12 scale, element by element.
         _, fgrid = small_grids
-        state = bp.to_dense(bp.build_initial_state(small_state, fgrid))
+        state = to_dense(bp.build_initial_state(small_state, fgrid))
         assert exchange_asymmetry(state) < 1e-12
         for element in bp.build_pipeline(cfg_mzim, 33e-15):
             state = bp.apply_element(state, element)
@@ -361,7 +368,7 @@ class TestInvariances:
             rates = []
             for tau in taus:
                 final = bp.apply_pipeline(
-                    initial, arm_pipeline(cfg_mzim, tau, SYMMETRIC, delay_arm, flip_arm))
+                    initial, arm_pipeline(cfg_mzim, tau, bp.BeamSplitter, delay_arm, flip_arm))
                 rates.append((bp.coincidence_rate(final),
                               bp.singles_rate(final, 1),
                               bp.singles_rate(final, 2)))
@@ -371,21 +378,22 @@ class TestInvariances:
                 for got, ref in zip(rates, reference):
                     assert np.allclose(got, ref, atol=1e-9)
 
-    @pytest.mark.parametrize("convention", [SYMMETRIC, CONJUGATE])
+    @pytest.mark.parametrize("convention", list(SPLITTERS))
     @pytest.mark.parametrize("kind", [bp.MZI, bp.MZIM])
     def test_pipeline_puts_delay_and_flip_in_arm_b(self, kind, convention):
         # The variant the tests build for a convention differs from
-        # build_pipeline in the splitters' convention only.
+        # build_pipeline in the splitters' class only.
         cfg = bp.InterferometerConfig(kind, OMEGA_P)
-        elements = [bp.BeamSplitter(convention) if isinstance(e, bp.BeamSplitter) else e
+        splitter = SPLITTERS[convention]
+        elements = [splitter() if isinstance(e, bp.BeamSplitter) else e
                     for e in bp.build_pipeline(cfg, 13e-15)]
-        assert elements == arm_pipeline(cfg, 13e-15, convention, "b", "b")
+        assert elements == arm_pipeline(cfg, 13e-15, splitter, "b", "b")
 
     def test_beam_splitter_convention_independence(self, initial, cfg_mzi, cfg_mzim):
         for cfg in (cfg_mzi, cfg_mzim):
             for tau in (0.0, 17e-15, 123e-15):
                 a = run(initial, cfg, tau)
-                b = bp.apply_pipeline(initial, arm_pipeline(cfg, tau, CONJUGATE))
+                b = bp.apply_pipeline(initial, arm_pipeline(cfg, tau, ConjugateBeamSplitter))
                 assert bp.coincidence_rate(a) == pytest.approx(
                     bp.coincidence_rate(b), abs=1e-9)
                 for port in (1, 2):
@@ -421,7 +429,7 @@ class TestDenseRepresentation:
             for tau in (0.0, 35e-15, 180e-15):
                 elements = bp.build_pipeline(cfg, tau)
                 branch_final = bp.apply_pipeline(built, elements)
-                dense_final = bp.apply_pipeline(bp.to_dense(built), elements)
+                dense_final = bp.apply_pipeline(to_dense(built), elements)
                 assert bp.total_norm(dense_final) == pytest.approx(1.0, abs=1e-12)
                 assert bp.coincidence_rate(dense_final) == pytest.approx(
                     bp.coincidence_rate(branch_final), abs=1e-12)
@@ -434,8 +442,8 @@ class TestDenseRepresentation:
         built = bp.build_initial_state(small_state, fgrid)
         elements = bp.build_pipeline(cfg_mzim, 42e-15)
         branch_final = bp.apply_pipeline(built, elements)
-        expanded = bp.to_dense(branch_final)
-        direct = bp.apply_pipeline(bp.to_dense(built), elements)
+        expanded = to_dense(branch_final)
+        direct = bp.apply_pipeline(to_dense(built), elements)
         assert float(np.max(np.abs(expanded.tensor - direct.tensor))) < 1e-12
 
     def test_budget_guard(self, fgrid):
@@ -444,7 +452,7 @@ class TestDenseRepresentation:
         state = bp.default_spdc_state(spatial_grid=sgrid)
         built = bp.build_initial_state(state, fgrid_big)
         with pytest.raises(BudgetExceeded):
-            bp.to_dense(built)  # (2*65*129)^2 amplitudes ~ 4.5 GiB
+            to_dense(built)  # (2*65*129)^2 amplitudes ~ 4.5 GiB
 
 
 class TestOracleScan:
@@ -490,10 +498,10 @@ class TestOracleProperties:
         built = bp.build_initial_state(state, fgrid)
         for tau in (0.0, tau_fs * 1e-15):
             rates = {}
-            for convention in (SYMMETRIC, CONJUGATE):
-                elements = arm_pipeline(cfg, tau, convention)
+            for convention, splitter in SPLITTERS.items():
+                elements = arm_pipeline(cfg, tau, splitter)
                 final = bp.apply_pipeline(built, elements)
-                dense = bp.apply_pipeline(bp.to_dense(built), elements)
+                dense = bp.apply_pipeline(to_dense(built), elements)
                 s1, s2 = bp.singles_rate(final, 1), bp.singles_rate(final, 2)
                 cc = bp.coincidence_rate(final)
                 assert bp.total_norm(final) == pytest.approx(1.0, abs=1e-12)
@@ -502,7 +510,61 @@ class TestOracleProperties:
                 assert bp.singles_rate(dense, 2) == pytest.approx(s2, abs=1e-12)
                 assert bp.coincidence_rate(dense) == pytest.approx(cc, abs=1e-12)
                 rates[convention] = (s1, s2, cc)
-            assert np.allclose(rates[SYMMETRIC], rates[CONJUGATE], rtol=0.0, atol=1e-12)
+            assert np.allclose(rates["symmetric"], rates["conjugate"], rtol=0.0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           sectors=st.sampled_from([(spatial, spectral)
+                                    for spatial in ("pump", "symmetrised", "general")
+                                    for spectral in ("density", "symmetrised", "general")
+                                    if (spatial, spectral) != ("pump", "density")]),
+           tau_fs=st.floats(min_value=-150.0, max_value=150.0),
+           kind=st.sampled_from([bp.MZI, bp.MZIM]),
+           convention=st.sampled_from(list(SPLITTERS)))
+    def test_general_sectors_dense_agreement(self, small_grids, seed, sectors, tau_fs,
+                                             kind, convention):
+        # leaves max_examples to the profile: CI's deep step draws 3000.  A
+        # "general" sector is a random complex matrix, exchange asymmetric.
+        sgrid, fgrid = small_grids
+        state = bp.TwoPhotonState(*_random_sectors(sgrid, fgrid, *sectors, seed), OMEGA_P)
+        built = bp.build_initial_state(state, fgrid)
+        elements = arm_pipeline(bp.InterferometerConfig(kind, OMEGA_P), tau_fs * 1e-15,
+                                SPLITTERS[convention])
+        final = bp.apply_pipeline(built, elements)
+        dense = bp.apply_pipeline(to_dense(built), elements)
+        assert bp.total_norm(final) == pytest.approx(1.0, abs=1e-12)
+        assert bp.total_norm(dense) == pytest.approx(1.0, abs=1e-12)
+        for port in (1, 2):
+            assert bp.singles_rate(dense, port) == pytest.approx(
+                bp.singles_rate(final, port), abs=1e-12)
+        assert bp.coincidence_rate(dense) == pytest.approx(bp.coincidence_rate(final), abs=1e-12)
+
+
+def _random_sectors(sgrid, fgrid, spatial_kind, spectral_kind, seed):
+    """A random spatial and spectral sector on the given grids.
+
+    ``pump`` is a correlated random complex pump, ``density`` an
+    anti-correlated random tabulated density, ``general`` a random complex
+    joint amplitude and ``symmetrised`` that amplitude plus its transpose.
+    """
+    rng = np.random.default_rng(seed)
+
+    def joint(kind, n):
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return raw if kind == "general" else raw + raw.T
+
+    n, m = sgrid.point_count, fgrid.point_count
+    if spatial_kind == "pump":
+        spatial = bp.CorrelatedPump(bp.SpatialAmplitude.from_samples(
+            sgrid, rng.normal(size=n) + 1j * rng.normal(size=n)))
+    else:
+        spatial = bp.GeneralSpatial.from_samples(sgrid, joint(spatial_kind, n))
+    if spectral_kind == "density":
+        spectral = bp.AntiCorrelated(bp.SpectralDensity(bp.Tabulated(
+            tuple(fgrid.omegas()), tuple(rng.uniform(0.1, 1.0, size=m)))))
+    else:
+        spectral = bp.GeneralSpectral.from_samples(fgrid, joint(spectral_kind, m))
+    return spatial, spectral
 
 
 def _batch_states(small_state, small_grids):
@@ -543,13 +605,13 @@ class TestBatchedOracleScan:
         half = 120 * self.STEP  # 241 delays, tau = 0 exactly at the centre
         for kind in ("mzi", "mzim"):
             cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
-            for convention in (SYMMETRIC, CONJUGATE):
+            for splitter in SPLITTERS.values():
                 for start, stop in ((-half, half), (17e-15, 17e-15)):
-                    with oracle_convention(convention):
+                    with oracle_convention(splitter):
                         gram = bp.oracle_scan(state, cfg, start, stop, self.STEP,
                                               frequency_grid=fgrid)
                     assert gram.tau.size == (241 if start < stop else 1)
-                    finals = [bp.apply_pipeline(built, arm_pipeline(cfg, t, convention))
+                    finals = [bp.apply_pipeline(built, arm_pipeline(cfg, t, splitter))
                               for t in gram.tau]
                     expected = np.array([[bp.singles_rate(final, 1), bp.singles_rate(final, 2),
                                           bp.coincidence_rate(final)] for final in finals]).T
@@ -603,9 +665,9 @@ def _assert_tables_bit_equal(state, fgrid):
     for kind in (bp.MZI, bp.MZIM):
         cfg = bp.InterferometerConfig(kind, OMEGA_P)
         for delay_arm, flip_arm in ARM_ASSIGNMENTS:
-            for convention in (SYMMETRIC, CONJUGATE):
+            for splitter in SPLITTERS.values():
                 final = bp.apply_pipeline(
-                    built, arm_pipeline(cfg, 0.0, convention, delay_arm, flip_arm))
+                    built, arm_pipeline(cfg, 0.0, splitter, delay_arm, flip_arm))
                 got, reference = modesim._delay_table(final), _every_pair_table(final)
                 assert list(got) == list(reference)
                 for key, row in reference.items():
