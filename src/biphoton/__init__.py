@@ -19,7 +19,6 @@ from .errors import (
     NoDip,
     NoFringe,
     NonFiniteSpectrum,
-    NotPositive,
     UnderResolved,
     UnderSampled,
     UnknownElement,
@@ -33,14 +32,11 @@ from .spectral import (
     SpectralDensity,
     Tabulated,
     default_frequency_grid,
-    envelope_first_order,
-    envelope_second_order,
     normalize,
 )
 from .spatial import (
     ParityOverlap,
     SpatialAmplitude,
-    SpatialDensityOperator,
     SpatialGrid,
     default_spatial_grid,
     flip_overlap,

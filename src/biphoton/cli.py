@@ -20,7 +20,8 @@ Input: ``analyze`` parses a scan CSV with one np.loadtxt call; a file it
 refuses is read again line by line, so an error names the file line
 (blank lines counted) and the column.
 
-Exit codes: 0 success, 1 invalid config or input schema, 2 engine failure.
+Exit codes: 0 success, 1 invalid command line, config or input schema,
+2 engine failure.
 """
 
 from __future__ import annotations
@@ -495,10 +496,10 @@ def _read_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.
             rows = None
         if rows is not None and np.isfinite(rows["numbers"]).all():
             return (*rows["numbers"].T, rows["engine"])
-    return _read_csv_lines(lines)
+    return _read_csv_lines(lines, path)
 
 
-def _read_csv_lines(lines: List[str]):
+def _read_csv_lines(lines: List[str], path):
     """The line-by-line reader: raise ConfigError naming the first bad line
     and field, or read what the fast parse refused (e.g. a whitespace-only line)."""
     # (line number in the file, text) of every non-blank line
@@ -507,6 +508,8 @@ def _read_csv_lines(lines: List[str]):
         where, got = numbered[0] if numbered else (1, "<empty file>")
         raise ConfigError(
             f"line {where}: unexpected CSV header: got {got!r}, expected {CSV_HEADER!r}")
+    if len(numbered) == 1:
+        raise ConfigError(f"the input file {path} has no data rows after the CSV header")
     rows, engines = [], []
     for ln_no, ln in numbered[1:]:
         *cells, engine = ln.split(",")
@@ -593,8 +596,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subcommand parsers, that exit 1 on a bad
+    command line: exit 2 is kept for engine failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biphoton",
         description="Simulate and analyse two-photon Mach-Zehnder interferograms")
     sub = parser.add_subparsers(dest="command", required=True)

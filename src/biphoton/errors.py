@@ -12,12 +12,6 @@ class ZeroDensity(BiphotonError):
     value, on the working grid."""
 
 
-# -- spatial engine ----------------------------------------------------------
-
-class NotPositive(BiphotonError):
-    """Density operator has an eigenvalue below the positivity tolerance."""
-
-
 # -- closed-form interferometer ----------------------------------------------
 
 class AsymmetricSpectrum(BiphotonError):

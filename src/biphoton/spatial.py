@@ -1,10 +1,10 @@
-"""Transverse spatial amplitudes, density operators and parity functionals.
+"""Transverse spatial amplitudes and parity functionals.
 
 Two functionals of the transverse degree of freedom describe the
 mirror-unbalanced interferometer:
 
 * the flip overlap  alpha = integral dx rho(-x, x)  of the one-photon
-  density operator, which weights the singles fringe amplitude, and
+  density matrix, which weights the singles fringe amplitude, and
 * the pump parity overlap  beta = integral dx phi*(x) phi(-x)  of the pump
   amplitude, which weights the coincidence fringes.
 
@@ -30,13 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotPositive
 from .spectral import _SymmetricGrid
 
 __all__ = [
     "SpatialGrid",
     "SpatialAmplitude",
-    "SpatialDensityOperator",
     "ParityOverlap",
     "default_spatial_grid",
     "gaussian_amplitude",
@@ -47,7 +45,6 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-9  # on a unit norm, trace or weight sum
-EIGENVALUE_FLOOR = -1e-10
 
 
 class SpatialGrid(_SymmetricGrid):
@@ -128,43 +125,6 @@ def hermite_gauss1_amplitude(grid: SpatialGrid, waist: float) -> SpatialAmplitud
 
 
 @dataclass(frozen=True)
-class SpatialDensityOperator:
-    """One-photon transverse density operator in unit-trace discretization."""
-
-    grid: SpatialGrid
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        n = self.grid.point_count
-        if m.shape != (n, n):
-            raise ValueError("matrix must have one row and one column per grid node")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if not float(np.max(np.abs(m - m.conj().T))) <= HERMITICITY_TOL * scale:
-            raise ValueError("matrix must be finite and Hermitian")
-        tr = float(np.real(np.trace(m)))
-        if not abs(tr - 1.0) <= NORM_TOL:
-            raise ValueError(f"trace must be 1, got {tr!r}")
-        m = 0.5 * (m + m.conj().T)
-        low = float(np.min(np.linalg.eigvalsh(m)))
-        if low < EIGENVALUE_FLOOR:
-            raise NotPositive(f"eigenvalue {low!r} below tolerance {EIGENVALUE_FLOOR}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def coherent(cls, phi: SpatialAmplitude) -> "SpatialDensityOperator":
-        """Pure state: rho = |phi><phi|, matrix = outer(phi, phi*) dx."""
-        v = phi.values
-        return cls(phi.grid, np.outer(v, v.conj()) * phi.grid.spacing)
-
-    @classmethod
-    def incoherent(cls, phi: SpatialAmplitude) -> "SpatialDensityOperator":
-        """Position-diagonal mixture with weights |phi(x_i)|^2 dx."""
-        return cls(phi.grid, np.diag(phi.position_weights().astype(complex)))
-
-
-@dataclass(frozen=True)
 class ParityOverlap:
     """Polar form of a parity functional: magnitude in [0, 1], phase in rad."""
 
@@ -183,15 +143,26 @@ class ParityOverlap:
         return self.magnitude * cmath.exp(1j * self.phase)
 
 
-def flip_overlap(rho: SpatialDensityOperator) -> ParityOverlap:
+def flip_overlap(matrix) -> ParityOverlap:
     """Overlap of a one-photon state with its spatially flipped copy.
 
-    Discretized anti-diagonal sum: alpha = sum_i matrix[N-1-i, i], which is
-    the unit-trace rendering of integral dx rho(-x, x).  For an incoherent
-    (position-diagonal) operator only the x = 0 node survives, so the
-    magnitude is |phi(0)|^2 dx and vanishes linearly with the spacing.
+    ``matrix`` is a unit-trace density matrix on a symmetric grid, such as
+    ``states.reduced_spatial_operator`` returns; it must be a square 2-d
+    array, finite, Hermitian and of trace 1.  Discretized anti-diagonal sum:
+    alpha = sum_i matrix[N-1-i, i], which is the unit-trace rendering of
+    integral dx rho(-x, x).  For an incoherent (position-diagonal) operator
+    only the x = 0 node survives, so the magnitude is |phi(0)|^2 dx and
+    vanishes linearly with the spacing.
     """
-    m = rho.matrix
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"matrix must be a square 2-d array, got shape {m.shape}")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if not float(np.max(np.abs(m - m.conj().T))) <= HERMITICITY_TOL * scale:
+        raise ValueError("matrix must be finite and Hermitian")
+    tr = float(np.real(np.trace(m)))
+    if not abs(tr - 1.0) <= NORM_TOL:
+        raise ValueError(f"trace must be 1, got {tr!r}")
     alpha = complex(np.sum(m[::-1, :].diagonal()))
     return ParityOverlap.from_complex(alpha)
 

@@ -38,8 +38,6 @@ __all__ = [
     "SpectralDensity",
     "default_frequency_grid",
     "normalize",
-    "envelope_first_order",
-    "envelope_second_order",
     "EnvelopeEvaluator",
     "chirp_z",
 ]
@@ -245,8 +243,9 @@ class EnvelopeEvaluator:
     """Precomputed trapezoid weights for fast envelope evaluation.
 
     Samples the density once and exposes vectorised E1/E2;
-    :meth:`from_weights` takes the weights q_k = d_k w_k directly.  A delay
-    array that is uniform up to round-off (at least two points) goes
+    :meth:`from_weights` takes the weights q_k = d_k w_k directly.  An
+    array of delays of any shape is evaluated raveled and returned in its
+    shape.  Raveled delays uniform up to round-off (at least two points) go
     through the chirp-z transform; its result differs from the direct sum
     by round-off only, below 1e-12 for unit-integral densities on the
     bundled grids.  Scalars and non-uniform arrays use the direct sum,
@@ -267,13 +266,14 @@ class EnvelopeEvaluator:
 
     def first_order(self, tau):
         """E1(tau) = sum_k w_k d_k cos(W_k tau); scalar in, scalar out."""
-        if np.ndim(tau) == 0:
-            return float(self._direct(np.atleast_1d(np.asarray(tau, dtype=float)))[0])
         tau_arr = np.asarray(tau, dtype=float)
-        step = _uniform_step(tau_arr)
+        flat = tau_arr.ravel()
+        step = _uniform_step(flat)
         if step is None:
-            return self._direct(tau_arr)
-        return chirp_z(self._weights, self.grid.spacing, tau_arr[0], step, tau_arr.size).real
+            values = self._direct(flat)
+        else:
+            values = chirp_z(self._weights, self.grid.spacing, flat[0], step, flat.size).real
+        return float(values[0]) if tau_arr.ndim == 0 else values.reshape(tau_arr.shape)
 
     def second_order(self, tau):
         """E2(tau) = E1(2 tau), same weights, hence the identity is exact."""
@@ -355,17 +355,3 @@ def _uniform_step(tau: np.ndarray) -> Optional[float]:
     step = (tau[-1] - tau[0]) / (tau.size - 1)
     tol = 8.0 * np.finfo(float).eps * float(np.max(np.abs(tau)))
     return float(step) if np.all(np.abs(np.diff(tau) - step) <= tol) else None
-
-
-def envelope_first_order(sd: SpectralDensity, grid: FrequencyGrid, tau) -> float:
-    """Singles envelope E1(tau) for a normalized density.
-
-    Pure function: E1(0) = 1 for a unit-integral density and |E1| <= 1
-    always (the weights are nonnegative and sum to the integral).
-    """
-    return EnvelopeEvaluator(sd, grid).first_order(tau)
-
-
-def envelope_second_order(sd: SpectralDensity, grid: FrequencyGrid, tau) -> float:
-    """Coincidence-dip envelope E2(tau) = E1(2 tau) under the same rule."""
-    return EnvelopeEvaluator(sd, grid).second_order(tau)

@@ -28,7 +28,6 @@ from . import units
 from .errors import AsymmetricSpectrum
 from .spatial import (
     SpatialAmplitude,
-    SpatialDensityOperator,
     SpatialGrid,
     _require_unit_norm,
     _unit_norm_samples,
@@ -246,21 +245,27 @@ def exchange_overlaps(
     return ExchangeOverlaps(alpha, b, grid, weights)
 
 
-def reduced_spatial_operator(state: TwoPhotonState) -> SpatialDensityOperator:
-    """Spatial sector of the reduced one-photon state.
+def reduced_spatial_operator(state: TwoPhotonState) -> np.ndarray:
+    """Spatial sector of the reduced one-photon state, as a read-only
+    unit-trace matrix ``rho(x_i, x_j) dx`` on the state's spatial grid.
 
-    A correlated pump reduces to the position-diagonal mixture; a general
-    amplitude reduces by the slot partial trace rho = A A^dagger of its
-    exchange-symmetrised form (A + A^T, renormalised, when A != A^T), the
-    state both photons carry once they share a port.
+    A correlated pump reduces to the position-diagonal mixture with weights
+    |phi(x_i)|^2 dx; a general amplitude reduces by the slot partial trace
+    rho = A A^dagger of its exchange-symmetrised form (A + A^T, renormalised,
+    when A != A^T), the state both photons carry once they share a port.
+    The result is made exactly Hermitian, (m + m^dagger) / 2.
     """
     if isinstance(state.spatial, CorrelatedPump):
-        return SpatialDensityOperator.incoherent(state.spatial.pump)
-    a, symmetric = _exchange_symmetric(state.spatial.amplitude)
-    a = a * state.spatial.grid.spacing
-    if not symmetric:
-        a = a / np.linalg.norm(a)
-    return SpatialDensityOperator(state.spatial.grid, a @ a.conj().T)
+        m = np.diag(state.spatial.pump.position_weights().astype(complex))
+    else:
+        a, symmetric = _exchange_symmetric(state.spatial.amplitude)
+        a = a * state.spatial.grid.spacing
+        if not symmetric:
+            a = a / np.linalg.norm(a)
+        m = a @ a.conj().T
+    m = 0.5 * (m + m.conj().T)
+    m.setflags(write=False)
+    return m
 
 
 def default_spdc_state(

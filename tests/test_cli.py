@@ -413,6 +413,14 @@ class TestAnalyzeSchemaErrors:
     def test_missing_file(self, capsys):
         assert main(["analyze", "--in", "/nonexistent.csv"]) == 1
 
+    @pytest.mark.parametrize("tail", ["\n", "", "\n\n  \n"], ids=["header", "no_newline", "blanks"])
+    def test_header_without_data_rows_exit_one(self, tmp_path, capsys, tail):
+        path = tmp_path / "empty.csv"
+        path.write_text(CSV_HEADER + tail)
+        assert main(["analyze", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: the input file {path} has no data rows after the CSV header\n"
+
     @pytest.mark.parametrize("column", range(4))
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cell_exit_one(self, tmp_path, capsys, column, value):
@@ -1503,6 +1511,35 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
+
+
+class TestUsageErrors:
+    """A bad command line exits 1, the code of every input error; 2 stays
+    the engine-failure code.  --help exits 0."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        ([], "required: command"),
+        (["simulate"], "required: --config"),
+        (["analyze"], "required: --in"),
+        (["simulate", "--config", "cfg.json", "--engine", "quantum"], "invalid choice: 'quantum'"),
+        (["analyze", "--in", "scan.csv", "--engine", "both"], "invalid choice: 'both'"),
+        (["transmogrify"], "invalid choice: 'transmogrify'"),
+        (["compare", "--config", "cfg.json", "--out", "x.csv"], "unrecognized arguments"),
+    ], ids=["no_command", "simulate_without_config", "analyze_without_in",
+            "unknown_engine", "analyze_engine_both", "unknown_command", "unknown_option"])
+    def test_exits_one(self, capsys, argv, needle):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: biphoton") and needle in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["analyze", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: biphoton")
 
 
 class TestConsoleScript:

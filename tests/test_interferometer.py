@@ -9,7 +9,7 @@ import biphoton as bp
 from biphoton.errors import AsymmetricSpectrum, UnderSampled
 from biphoton.interferometer import MAX_REACH_FRACTION, tau_axis
 
-from conftest import DELTA_OMEGA, OMEGA_P, oracle_convention
+from conftest import DELTA_OMEGA, FS, OMEGA_P, oracle_convention
 from dense_reference import SPLITTERS
 
 SKEWED = bp.SpectralDensity(bp.Tabulated((-2e13, 0.0, 1e13), (0.5, 1.0, 0.2)))
@@ -94,6 +94,21 @@ class TestRateArguments:
         with pytest.raises(ValueError, match="port must be 1 or 2"):
             rate(default_state, cfg, 0.0, fgrid, port=port)
 
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("tau_fs", [
+        [[-30.0, -10.0, 5.0], [20.0, 40.0, 75.0]],
+        np.linspace(-50.0, 50.0, 6).reshape(2, 3),
+    ], ids=["non_uniform", "uniform"])
+    def test_two_dimensional_delays(self, shifted_state, fgrid, route, tau_fs):
+        # raveled and reshaped: the direct sum and the chirp-z route alike
+        rate, kind = ROUTES[route]
+        cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
+        tau = np.asarray(tau_fs) * FS
+        values = rate(shifted_state, cfg, tau, fgrid)
+        assert values.shape == (2, 3)
+        flat = rate(shifted_state, cfg, tau.ravel(), fgrid)
+        np.testing.assert_allclose(values, flat.reshape(2, 3), rtol=0.0, atol=1e-15)
+
 
 class TestCoincidenceMzi:
     def test_zero_delay_is_full_dip(self, default_state, cfg_mzi, fgrid):
@@ -119,7 +134,7 @@ class TestCoincidenceMzi:
         tau = 50e-15
         value = bp.g2_mzi(default_state, cfg_mzi, tau, fgrid)
         density = bp.normalize(default_state.spectral.density, fgrid)
-        e2 = bp.envelope_second_order(density, fgrid, tau)
+        e2 = bp.EnvelopeEvaluator(density, fgrid).second_order(tau)
         assert value == pytest.approx(
             1.0 - 0.5 * math.cos(OMEGA_P * tau) - 0.5 * e2, abs=1e-12)
         # continuum sinc form, up to the O((h tau)^2) quadrature bias
@@ -148,7 +163,7 @@ class TestSinglesMzi:
     def test_negative_envelope_lobe_past_first_zero(self, default_state, cfg_mzi, fgrid):
         tau = 300e-15
         density = bp.normalize(default_state.spectral.density, fgrid)
-        e1 = bp.envelope_first_order(density, fgrid, tau)
+        e1 = bp.EnvelopeEvaluator(density, fgrid).first_order(tau)
         x = DELTA_OMEGA * tau / 2.0
         assert e1 == pytest.approx(math.sin(x) / x, abs=1e-4)
         assert e1 < 0.0

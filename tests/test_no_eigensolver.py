@@ -1,0 +1,42 @@
+"""No package module calls a numpy eigensolver.
+
+Every quantity the engines read is a sum over amplitudes or weights, and a
+partially coherent source is to be built from its analytic modes, so an
+O(N^3) eigendecomposition has no place in the package.  Each module under
+``src/biphoton`` is parsed with ``ast``; a reference to ``eig``, ``eigh``,
+``eigvals`` or ``eigvalsh``, as an attribute (``np.linalg.eigh``), an
+imported name or a bare name, fails.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "biphoton"
+
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def _eigensolver_uses(tree: ast.Module) -> list:
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS:
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in EIGENSOLVERS:
+            uses.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            uses.extend((node.lineno, a.name) for a in node.names if a.name in EIGENSOLVERS)
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_eigensolver_call(path):
+    assert _eigensolver_uses(ast.parse((PACKAGE / path).read_text())) == []
+
+
+def test_detects_each_form():
+    source = ("import numpy as np\nfrom numpy.linalg import eigh\n"
+              "np.linalg.eigvalsh(m)\neigh(m)\nnp.linalg.eig(m)\n")
+    assert _eigensolver_uses(ast.parse(source)) == [
+        (2, "eigh"), (3, "eigvalsh"), (4, "eigh"), (5, "eig")]

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 import biphoton as bp
-from biphoton.errors import NotPositive
 
 WAIST = 1e-3
+
+
+def coherent(phi):
+    """Pure state |phi><phi| as a unit-trace matrix, outer(phi, phi*) dx."""
+    return np.outer(phi.values, phi.values.conj()) * phi.grid.spacing
+
+
+def incoherent(phi):
+    """Position-diagonal mixture with weights |phi(x_i)|^2 dx."""
+    return np.diag(phi.position_weights().astype(complex))
 
 
 @pytest.fixture
@@ -71,12 +80,12 @@ class TestGridAndAmplitudes:
 
 class TestFlipOverlap:
     def test_coherent_even_gaussian(self, gauss):
-        alpha = bp.flip_overlap(bp.SpatialDensityOperator.coherent(gauss))
+        alpha = bp.flip_overlap(coherent(gauss))
         assert alpha.magnitude == pytest.approx(1.0, abs=1e-9)
         assert alpha.phase == pytest.approx(0.0, abs=1e-9)
 
     def test_incoherent_vanishes_with_spacing(self, grid, gauss):
-        alpha = bp.flip_overlap(bp.SpatialDensityOperator.incoherent(gauss))
+        alpha = bp.flip_overlap(incoherent(gauss))
         assert alpha.magnitude <= 0.02
         # single surviving anti-diagonal entry at x = 0
         expected = abs(gauss.values[grid.center_index]) ** 2 * grid.spacing
@@ -84,18 +93,18 @@ class TestFlipOverlap:
 
         fine_grid = bp.default_spatial_grid(point_count=513)
         fine = bp.gaussian_amplitude(fine_grid, waist=WAIST)
-        alpha_fine = bp.flip_overlap(bp.SpatialDensityOperator.incoherent(fine))
+        alpha_fine = bp.flip_overlap(incoherent(fine))
         assert alpha_fine.magnitude / alpha.magnitude == pytest.approx(0.5, abs=1e-6)
 
     def test_coherent_odd_mode(self, hg1):
-        alpha = bp.flip_overlap(bp.SpatialDensityOperator.coherent(hg1))
+        alpha = bp.flip_overlap(coherent(hg1))
         assert alpha.magnitude == pytest.approx(1.0, abs=1e-9)
         assert abs(alpha.phase) == pytest.approx(math.pi, abs=1e-9)
 
     def test_global_phase_invariance(self, grid, gauss):
         rotated = bp.SpatialAmplitude(grid, gauss.values * np.exp(0.7j))
-        a = bp.flip_overlap(bp.SpatialDensityOperator.coherent(gauss))
-        b = bp.flip_overlap(bp.SpatialDensityOperator.coherent(rotated))
+        a = bp.flip_overlap(coherent(gauss))
+        b = bp.flip_overlap(coherent(rotated))
         assert b.magnitude == pytest.approx(a.magnitude, abs=1e-12)
         assert b.phase == pytest.approx(a.phase, abs=1e-9)
 
@@ -104,7 +113,7 @@ class TestFlipOverlap:
         for _ in range(5):
             raw = rng.normal(size=grid.point_count) + 1j * rng.normal(size=grid.point_count)
             phi = bp.SpatialAmplitude.from_samples(grid, raw)
-            alpha = bp.flip_overlap(bp.SpatialDensityOperator.coherent(phi))
+            alpha = bp.flip_overlap(coherent(phi))
             beta = bp.pump_parity_overlap(phi)
             assert alpha.magnitude == pytest.approx(beta.magnitude, abs=1e-12)
 
@@ -138,29 +147,24 @@ class TestPumpParity:
 
 
 class TestDensityOperatorValidation:
-    def test_negative_operator_rejected(self, grid, gauss, hg1):
-        dx = grid.spacing
-        rho = (1.2 * np.outer(gauss.values, gauss.values.conj())
-               - 0.2 * np.outer(hg1.values, hg1.values.conj())) * dx
-        with pytest.raises(NotPositive):
-            bp.SpatialDensityOperator(grid, rho)
+    """Invalid amplitudes, and invalid density matrices given to flip_overlap, are rejected."""
 
     def test_non_hermitian_rejected(self, grid):
         m = np.zeros((grid.point_count, grid.point_count), dtype=complex)
         m[0, 1] = 1.0
         m[0, 0] = 1.0
         with pytest.raises(ValueError):
-            bp.SpatialDensityOperator(grid, m)
+            bp.flip_overlap(m)
 
     def test_wrong_trace_rejected(self, grid, gauss):
         m = 2.0 * np.outer(gauss.values, gauss.values.conj()) * grid.spacing
         with pytest.raises(ValueError):
-            bp.SpatialDensityOperator(grid, m)
+            bp.flip_overlap(m)
 
     @pytest.mark.parametrize("build, needle", [
         (lambda g: bp.SpatialAmplitude(g, [math.nan] * 5), "amplitude norm"),
         (lambda g: bp.GeneralSpatial(g, np.full((5, 5), math.nan)), "joint spatial norm"),
-        (lambda g: bp.SpatialDensityOperator(g, np.diag([math.nan, 1.0, 0.0, 0.0, 0.0])),
+        (lambda g: bp.flip_overlap(np.diag([math.nan, 1.0, 0.0, 0.0, 0.0])),
          "finite and Hermitian"),
     ], ids=["amplitude", "general_spatial", "density_operator"])
     def test_nan_rejected(self, build, needle):

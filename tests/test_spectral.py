@@ -128,15 +128,16 @@ class TestUnrepresentableSpectralInputs:
 class TestEnvelopes:
     def test_unit_value_at_zero_delay(self, fgrid, default_state):
         sd = bp.normalize(default_state.spectral.density, fgrid)
-        assert bp.envelope_first_order(sd, fgrid, 0.0) == pytest.approx(1.0, abs=1e-9)
-        assert bp.envelope_second_order(sd, fgrid, 0.0) == pytest.approx(1.0, abs=1e-9)
+        env = bp.EnvelopeEvaluator(sd, fgrid)
+        assert env.first_order(0.0) == pytest.approx(1.0, abs=1e-9)
+        assert env.second_order(0.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_rectangle_first_zero(self):
         sd = rect_density()
         grid = bp.default_frequency_grid(sd)
         sd = bp.normalize(sd, grid)
         tau_zero = 2.0 * math.pi / DELTA_OMEGA
-        assert abs(bp.envelope_first_order(sd, grid, tau_zero)) <= 1e-6
+        assert abs(bp.EnvelopeEvaluator(sd, grid).first_order(tau_zero)) <= 1e-6
 
     def test_rectangle_against_discrete_and_continuum_sinc(self):
         # The trapezoid sum over the band with on-grid edges has the exact
@@ -148,7 +149,7 @@ class TestEnvelopes:
         grid = bp.default_frequency_grid(sd)
         sd = bp.normalize(sd, grid)
         tau = 100e-15
-        value = bp.envelope_first_order(sd, grid, tau)
+        value = bp.EnvelopeEvaluator(sd, grid).first_order(tau)
         x = DELTA_OMEGA * tau / 2.0
         continuum = math.sin(x) / x
         theta = grid.spacing * tau / 2.0
@@ -166,17 +167,18 @@ class TestEnvelopes:
         sd = rect_density()
         grid = bp.default_frequency_grid(sd)
         sd = bp.normalize(sd, grid)
-        assert abs(bp.envelope_second_order(sd, grid, math.pi / DELTA_OMEGA)) <= 1e-6
+        assert abs(bp.EnvelopeEvaluator(sd, grid).second_order(math.pi / DELTA_OMEGA)) <= 1e-6
 
     def test_gaussian_matches_fourier_pair(self):
         sigma = 1.2e13
         sd = gauss_density(sigma)
         grid = bp.default_frequency_grid(sd)
         sd = bp.normalize(sd, grid)
+        env = bp.EnvelopeEvaluator(sd, grid)
         for tau in (0.0, 23e-15, 60e-15, 140e-15):
             expected = math.exp(-2.0 * sigma**2 * tau**2)
-            assert bp.envelope_second_order(sd, grid, tau) == pytest.approx(expected, abs=1e-8)
-            assert bp.envelope_first_order(sd, grid, tau) == pytest.approx(
+            assert env.second_order(tau) == pytest.approx(expected, abs=1e-8)
+            assert env.first_order(tau) == pytest.approx(
                 math.exp(-0.5 * sigma**2 * tau**2), abs=1e-8)
 
     @settings(max_examples=40, deadline=None)

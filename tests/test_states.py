@@ -31,7 +31,7 @@ class TestReduction:
     def test_correlated_pump_reduces_to_incoherent(self, grid, gauss, default_state):
         state = bp.TwoPhotonState(bp.CorrelatedPump(gauss),
                                   default_state.spectral, OMEGA_P)
-        rho = bp.reduced_spatial_operator(state).matrix
+        rho = bp.reduced_spatial_operator(state)
         expected = np.abs(gauss.values) ** 2 * grid.spacing
         assert np.allclose(np.diag(rho), expected, atol=1e-15)
         off = rho - np.diag(np.diag(rho))
@@ -41,7 +41,7 @@ class TestReduction:
         def reduce(phi1, phi2):
             state = bp.TwoPhotonState(
                 bp.GeneralSpatial.product(phi1, phi2), default_state.spectral, OMEGA_P)
-            return bp.reduced_spatial_operator(state).matrix
+            return bp.reduced_spatial_operator(state)
 
         def projector(phi):
             return np.outer(phi.values, phi.values.conj()) * grid.spacing
@@ -69,7 +69,7 @@ class TestReduction:
                + np.outer(hg1.values, gauss.values)) / math.sqrt(2.0)
         spatial = bp.GeneralSpatial.from_samples(grid, amp)
         state = bp.TwoPhotonState(spatial, default_state.spectral, OMEGA_P)
-        rho = bp.reduced_spatial_operator(state).matrix
+        rho = bp.reduced_spatial_operator(state)
 
         # explicit partial-trace oracle: rho(x, x') = sum_u A(x, u) A*(x', u) dx
         n = grid.point_count
@@ -91,9 +91,10 @@ class TestReduction:
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         state = bp.TwoPhotonState(
             bp.GeneralSpatial.from_samples(grid, raw), default_state.spectral, OMEGA_P)
-        rho = bp.reduced_spatial_operator(state).matrix
+        rho = bp.reduced_spatial_operator(state)
         assert float(np.real(np.trace(rho))) == pytest.approx(1.0, abs=1e-9)
         assert float(np.min(np.linalg.eigvalsh(rho))) > -1e-10
+        assert np.array_equal(rho, rho.conj().T) and not rho.flags.writeable
 
     def test_anticorrelated_reduces_to_diagonal_density(self, default_state, fgrid):
         weights = bp.exchange_overlaps(default_state, fgrid).weights
@@ -235,32 +236,32 @@ class TestSharedGrid:
             cls(half_width, count)
 
 
-@pytest.mark.parametrize("cls, grid", [
-    (bp.SpatialDensityOperator, bp.SpatialGrid(1e-3, 5)),
-], ids=["spatial"])
+@pytest.mark.parametrize("check", [bp.flip_overlap], ids=["spatial"])
 class TestDensityMatrixChecks:
-    """The one density-matrix type checks shape, Hermiticity and unit trace."""
+    """flip_overlap checks the spatial density matrix it reads: a square
+    2-d array, finite, Hermitian and of unit trace."""
 
-    def test_valid_matrix_accepted(self, cls, grid):
+    def test_valid_matrix_accepted(self, check):
         m = np.eye(5, dtype=complex) / 5
         m[0, 1], m[1, 0] = 0.05j, -0.05j
-        assert np.array_equal(cls(grid, m).matrix, m)
+        m[0, 4], m[4, 0] = 0.1, 0.1
+        assert check(m) == bp.ParityOverlap(0.4, 0.0)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (5, 4), (5,), (5, 5, 1)])
-    def test_wrong_shape_rejected(self, cls, grid, shape):
-        with pytest.raises(ValueError, match="one row and one column"):
-            cls(grid, np.full(shape, 0.2))
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (5,), (5, 5, 1)])
+    def test_wrong_shape_rejected(self, check, shape):
+        with pytest.raises(ValueError, match="square 2-d array"):
+            check(np.full(shape, 0.2))
 
-    def test_non_hermitian_rejected(self, cls, grid):
+    def test_non_hermitian_rejected(self, check):
         m = np.eye(5, dtype=complex) / 5
         m[0, 1] = 0.05j  # m[1, 0] stays 0
         with pytest.raises(ValueError, match="Hermitian"):
-            cls(grid, m)
+            check(m)
 
     @pytest.mark.parametrize("trace", [0.0, 0.999, 1.25, -1.0])
-    def test_trace_not_one_rejected(self, cls, grid, trace):
+    def test_trace_not_one_rejected(self, check, trace):
         with pytest.raises(ValueError, match="trace must be 1"):
-            cls(grid, np.eye(5) * trace / 5)
+            check(np.eye(5) * trace / 5)
 
 
 @pytest.mark.parametrize("cls, grid", [
