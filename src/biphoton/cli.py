@@ -632,6 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        build_parser().error(f"argument {argv[0].split('=')[0]}: goes after the subcommand")
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)

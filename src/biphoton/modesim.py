@@ -17,9 +17,10 @@ photon slots and holds no element-specific logic of its own;
 ``apply_pipeline`` folds that over the elements.
 
 The state is a branch sum, a short list of product terms (path pair,
-spatial factor, spectral factor).  Factors stay diagonal / anti-diagonal
-for correlated inputs, so memory is O(N + M) per branch and default grids
-run at interactive speed.  Branches are never merged: each beam splitter
+spatial factor, spectral factor).  Each sector kind's factor is its
+``_FACTORS`` entry, which stays diagonal / anti-diagonal for correlated
+inputs, so memory is O(N + M) per branch and default grids run at
+interactive speed.  Branches are never merged: each beam splitter
 multiplies their count by at most four, so the two-splitter pipeline ends
 with at most 16 per initial branch.  The state gives a table of path-pair
 norms, from one walk over the unordered pairs of a path pair's branches,
@@ -333,39 +334,32 @@ def _by_path_pair(branches: Iterable[Branch]) -> Dict[Tuple[str, str], List[Bran
     return groups
 
 
-def build_initial_state(
-    state: TwoPhotonState,
-    frequency_grid: FrequencyGrid,
-) -> BranchSumState:
+def _general_spectral_factor(spectral: GeneralSpectral, frequency_grid: FrequencyGrid) -> Factor:
+    if spectral.grid != frequency_grid:
+        raise GridAsymmetry("state's frequency grid differs from the requested grid")
+    return Factor.full(spectral.amplitude * frequency_grid.spacing)
+
+
+# The simulator's sector table, keyed by exact type: correlated sectors
+# become structured factors carrying sqrt(quadrature weight) amplitudes,
+# general sectors full matrices.
+_FACTORS = {
+    CorrelatedPump: lambda s, _: Factor.diagonal(s.pump.values * math.sqrt(s.grid.spacing)),
+    GeneralSpatial: lambda s, _: Factor.full(s.amplitude * s.grid.spacing),
+    AntiCorrelated: lambda s, grid: Factor.antidiagonal(np.sqrt(
+        normalize(s.density, grid).sample(grid) * grid.trapezoid_weights()).astype(complex)),
+    GeneralSpectral: _general_spectral_factor,
+}
+
+
+def build_initial_state(state: TwoPhotonState, frequency_grid: FrequencyGrid) -> BranchSumState:
     """Both photons in path a, on the state's spatial grid and ``frequency_grid``.
 
-    Correlated sectors become structured factors carrying sqrt(quadrature
-    weight) amplitudes; general sectors become full matrices.  The state is
-    exchange-symmetrized and normalized to unit total amplitude norm.
-    """
-    spatial_grid = state.spatial.grid
-    if isinstance(state.spatial, CorrelatedPump):
-        s_factor = Factor.diagonal(
-            state.spatial.pump.values * math.sqrt(spatial_grid.spacing))
-    elif isinstance(state.spatial, GeneralSpatial):
-        s_factor = Factor.full(state.spatial.amplitude * spatial_grid.spacing)
-    else:
-        raise UnknownElement(f"unsupported spatial sector {type(state.spatial)!r}")
-
-    if isinstance(state.spectral, AntiCorrelated):
-        density = normalize(state.spectral.density, frequency_grid)
-        d = density.sample(frequency_grid)
-        w = frequency_grid.trapezoid_weights()
-        f_factor = Factor.antidiagonal(np.sqrt(d * w).astype(complex))
-    elif isinstance(state.spectral, GeneralSpectral):
-        if state.spectral.grid != frequency_grid:
-            raise GridAsymmetry("state's frequency grid differs from the requested grid")
-        f_factor = Factor.full(state.spectral.amplitude * frequency_grid.spacing)
-    else:
-        raise UnknownElement(f"unsupported spectral sector {type(state.spectral)!r}")
-
-    branch = Branch("a", "a", 1.0 + 0.0j, s_factor, f_factor)
-    out = _symmetrized(BranchSumState(spatial_grid, frequency_grid, (branch,)))
+    Each sector becomes its ``_FACTORS`` entry; the state is
+    exchange-symmetrized and normalized to unit total amplitude norm."""
+    branch = Branch("a", "a", 1.0 + 0.0j, *(_FACTORS[type(sector)](sector, frequency_grid)
+                                            for sector in (state.spatial, state.spectral)))
+    out = _symmetrized(BranchSumState(state.spatial.grid, frequency_grid, (branch,)))
     norm = math.sqrt(total_norm(out))
     if norm <= 0.0:
         raise ValueError("state has zero norm on these grids")

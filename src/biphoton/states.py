@@ -10,17 +10,19 @@ Both photons enter one port, so every one-photon quantity belongs to the
 exchange-symmetrised pair.  :func:`exchange_overlaps` gives what the
 closed forms read: the flip overlap alpha, the parity overlap b and the
 envelope weights q, which for an anti-correlated spectrum are also the
-frequency-diagonal one-photon spectral sector.  The spatial sector of the
-one-photon state is :func:`reduced_spatial_operator`, the partial trace
-over the second photon slot.  For a correlated pump it is
-position-diagonal (fully incoherent) whatever the pump profile: the
-photons are jointly coherent but individually not.
+frequency-diagonal one-photon spectral sector.  Each sector kind is one
+entry of ``_SECTORS`` here and one of the simulator's table, and
+:class:`TwoPhotonState` accepts no other type.  The one-photon spatial
+sector is :func:`reduced_spatial_operator`, the partial trace over the
+second photon slot.  For a correlated pump it is position-diagonal (fully
+incoherent) whatever the pump profile: the photons are jointly coherent
+but individually not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union, get_args
 
 import numpy as np
 
@@ -153,6 +155,11 @@ class TwoPhotonState:
     pump_frequency: float
 
     def __post_init__(self):
+        for field, union in (("spatial", SpatialSector), ("spectral", SpectralSector)):
+            kinds, given = get_args(union), type(getattr(self, field))
+            if given not in kinds:  # by exact type: each engine's table has an entry
+                names = ", ".join(kind.__name__ for kind in kinds)
+                raise TypeError(f"{field} must be one of {names}, got {given.__name__}")
         if not self.pump_frequency > 0.0:
             raise ValueError("pump_frequency must be positive")
 
@@ -189,16 +196,42 @@ def _exchange_symmetric(a: np.ndarray) -> Tuple[np.ndarray, bool]:
     return a, False
 
 
+def _joint_overlaps(spatial: GeneralSpatial) -> Tuple[float, float, bool]:
+    a, symmetric = _exchange_symmetric(spatial.amplitude)
+    return _overlap_ratio(a, a[::-1, :]), _overlap_ratio(a, a[::-1, ::-1]), symmetric
+
+
+def _anticorrelated_weights(spectral: AntiCorrelated, grid: FrequencyGrid):
+    d = normalize(spectral.density, grid).sample(grid)
+    if spectral.density.is_even_on(grid):
+        return d * grid.trapezoid_weights(), True
+    weights = (np.sqrt(d) + np.sqrt(d[::-1])) ** 2 * grid.trapezoid_weights()
+    return weights / np.sum(weights), False
+
+
+def _no_closed_form(spectral: GeneralSpectral, grid: FrequencyGrid):
+    raise ValueError("closed forms require an anti-correlated spectral sector; "
+                     "use the discrete-mode engine for general spectra")
+
+
+# The closed engine's sector table, keyed by exact type: a spatial kind gives
+# (alpha, b, symmetric), a spectral kind its working grid and (weights, symmetric).
+_SECTORS = {
+    CorrelatedPump: lambda s: (float(s.pump.position_weights()[s.grid.center_index]),
+                               _overlap_ratio(s.pump.values, s.pump.flipped()), True),
+    GeneralSpatial: _joint_overlaps,
+    AntiCorrelated: (lambda s: default_frequency_grid(s.density), _anticorrelated_weights),
+    GeneralSpectral: (lambda s: s.grid, _no_closed_form),
+}
+
+
 def _working_frequency_grid(
     state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid]
 ) -> FrequencyGrid:
-    """The grid given, else the density's default grid, else the general
-    spectral sector's own grid."""
+    """The grid given, else the spectral sector's default working grid."""
     if frequency_grid is not None:
         return frequency_grid
-    if isinstance(state.spectral, AntiCorrelated):
-        return default_frequency_grid(state.spectral.density)
-    return state.spectral.grid
+    return _SECTORS[type(state.spectral)][0](state.spectral)
 
 
 def exchange_overlaps(
@@ -215,33 +248,13 @@ def exchange_overlaps(
     weights.  A general spectral sector raises ValueError, and a state
     asymmetric in both sectors AsymmetricSpectrum: neither has a closed form.
     """
-    if not isinstance(state.spectral, AntiCorrelated):
-        raise ValueError(
-            "closed forms require an anti-correlated spectral sector; "
-            "use the discrete-mode engine for general spectra")
-    spatial = state.spatial
-    if isinstance(spatial, CorrelatedPump):
-        pump = spatial.pump
-        alpha = float(pump.position_weights()[pump.grid.center_index])
-        b = _overlap_ratio(pump.values, pump.flipped())
-        spatial_symmetric = True
-    else:
-        a, spatial_symmetric = _exchange_symmetric(spatial.amplitude)
-        alpha = _overlap_ratio(a, a[::-1, :])
-        b = _overlap_ratio(a, a[::-1, ::-1])
-
-    density = state.spectral.density
     grid = _working_frequency_grid(state, frequency_grid)
-    d = normalize(density, grid).sample(grid)
-    if density.is_even_on(grid):
-        weights = d * grid.trapezoid_weights()
-    elif not spatial_symmetric:
+    alpha, b, spatial_symmetric = _SECTORS[type(state.spatial)](state.spatial)
+    weights, spectral_symmetric = _SECTORS[type(state.spectral)][1](state.spectral, grid)
+    if not (spatial_symmetric or spectral_symmetric):
         raise AsymmetricSpectrum(
             "both the spatial amplitude and the spectral density are exchange "
             "asymmetric; no closed form applies -- use the discrete-mode engine")
-    else:
-        weights = (np.sqrt(d) + np.sqrt(d[::-1])) ** 2 * grid.trapezoid_weights()
-        weights = weights / np.sum(weights)
     return ExchangeOverlaps(alpha, b, grid, weights)
 
 

@@ -1525,8 +1525,18 @@ class TestUsageErrors:
         (["analyze", "--in", "scan.csv", "--engine", "both"], "invalid choice: 'both'"),
         (["transmogrify"], "invalid choice: 'transmogrify'"),
         (["compare", "--config", "cfg.json", "--out", "x.csv"], "unrecognized arguments"),
+        # an option before the subcommand is named; argparse alone would take
+        # its value for the subcommand
+        (["--engine", "quantum"], "argument --engine: goes after the subcommand"),
+        (["--config", "x.json"], "argument --config: goes after the subcommand"),
+        (["--engine", "closed", "simulate", "--config", "x.json"],
+         "argument --engine: goes after the subcommand"),
+        (["--window", "1:2", "analyze", "--in", "x.csv"],
+         "argument --window: goes after the subcommand"),
     ], ids=["no_command", "simulate_without_config", "analyze_without_in",
-            "unknown_engine", "analyze_engine_both", "unknown_command", "unknown_option"])
+            "unknown_engine", "analyze_engine_both", "unknown_command", "unknown_option",
+            "engine_before_command", "config_before_command", "engine_before_simulate",
+            "window_before_analyze"])
     def test_exits_one(self, capsys, argv, needle):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)

@@ -917,3 +917,71 @@ class TestDistinctRows:
             assert table[("a", "b"), m] is not table[("b", "a"), m]
             assert table[("a", "b"), m].tobytes() == table[("b", "a"), m].tobytes()
         _assert_rows_match_every_pair_table(table, state)
+
+
+class TestCrossKindEquivalence:
+    """The two entries of each sector table describe one source.
+
+    A correlated pump phi is the joint amplitude diag(phi) / sqrt(dx), and an
+    anti-correlated density d the joint amplitude antidiag(sqrt(d / h)) when d
+    vanishes at both grid ends, where the trapezoid halves the weights.  On
+    65 spatial and 129 frequency points, with random complex pumps of no
+    parity and random densities, both entries of a table give the same alpha,
+    b and oracle rates.  The spectral case runs on fixed seeds: an oracle
+    scan of a full 129-point spectral factor takes about 0.3 s.
+    """
+
+    SGRID = bp.SpatialGrid(half_width=3e-3, point_count=65)
+    FGRID = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=129)
+    STEP = 0.25e-15
+
+    def sectors(self, seed, even=False):
+        """(random pump, random density that is 0 at both grid ends)."""
+        rng = np.random.default_rng(seed)
+        n, m = self.SGRID.point_count, self.FGRID.point_count
+        pump = bp.SpatialAmplitude.from_samples(
+            self.SGRID, rng.normal(size=n) + 1j * rng.normal(size=n))
+        samples = np.concatenate([[0.0], rng.uniform(0.1, 1.0, size=m - 2), [0.0]])
+        if even:
+            samples = samples + samples[::-1]
+        density = bp.SpectralDensity(bp.Tabulated(tuple(self.FGRID.omegas()), tuple(samples)))
+        return pump, density
+
+    def rates(self, spatial, spectral):
+        out = []
+        for kind in (bp.MZI, bp.MZIM):
+            gram = bp.oracle_scan(bp.TwoPhotonState(spatial, spectral, OMEGA_P),
+                                  bp.InterferometerConfig(kind, OMEGA_P), -30e-15, 30e-15,
+                                  self.STEP, frequency_grid=self.FGRID)
+            out.append(np.stack([gram.singles_port1, gram.singles_port2, gram.coincidences]))
+        return np.array(out)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_correlated_pump_is_the_diagonal_amplitude(self, seed):
+        pump, density = self.sectors(seed)
+        assert not np.allclose(np.abs(pump.flipped()), np.abs(pump.values))  # no parity
+        correlated = bp.CorrelatedPump(pump)
+        general = bp.GeneralSpatial(self.SGRID,
+                                    np.diag(pump.values) / math.sqrt(self.SGRID.spacing))
+        spectral = bp.AntiCorrelated(density)
+        ov_c, ov_g = (bp.exchange_overlaps(bp.TwoPhotonState(spatial, spectral, OMEGA_P),
+                                           self.FGRID) for spatial in (correlated, general))
+        assert abs(ov_c.alpha - ov_g.alpha) <= 1e-12
+        assert abs(ov_c.b - ov_g.b) <= 1e-12
+        gap = np.max(np.abs(self.rates(correlated, spectral) - self.rates(general, spectral)))
+        assert gap <= 1e-12
+
+    @pytest.mark.parametrize("even", [False, True], ids=["uneven", "even"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_anti_correlated_density_is_the_anti_diagonal_amplitude(self, seed, even):
+        pump, density = self.sectors(seed, even)
+        d = bp.normalize(density, self.FGRID).sample(self.FGRID)
+        assert d[0] == d[-1] == 0.0
+        assert np.array_equal(d, d[::-1]) == even
+        general = bp.GeneralSpectral.from_samples(
+            self.FGRID, np.fliplr(np.diag(np.sqrt(d / self.FGRID.spacing))))
+        spatial = bp.CorrelatedPump(pump)
+        gap = np.max(np.abs(self.rates(spatial, bp.AntiCorrelated(density))
+                            - self.rates(spatial, general)))
+        assert gap <= 1e-12

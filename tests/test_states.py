@@ -1,11 +1,12 @@
 import math
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
-from biphoton import units
+from biphoton import modesim, states, units
 from biphoton.errors import UnderSampled
 from biphoton.interferometer import check_step
 
@@ -206,6 +207,42 @@ class TestValidation:
         # NaN fails every comparison, so each check must be written to fail it
         with pytest.raises(error):
             build(default_state)
+
+
+class _Pump(bp.CorrelatedPump):
+    """A subclass of a sector kind: not a kind of its own."""
+
+
+class TestSectorTables:
+    """Each sector kind is one entry of the closed engine's table and one of
+    the simulator's; a state refuses any other type where it is built."""
+
+    KINDS = typing.get_args(states.SpatialSector) + typing.get_args(states.SpectralSector)
+
+    @pytest.mark.parametrize("module, name", [(states, "_SECTORS"), (modesim, "_FACTORS")],
+                             ids=["closed", "oracle"])
+    def test_every_kind_has_an_entry(self, module, name):
+        table = getattr(module, name)
+        assert [kind.__name__ for kind in self.KINDS if kind not in table] == []
+        assert [kind.__name__ for kind in table if kind not in self.KINDS] == []
+
+    @pytest.mark.parametrize("field, build, given", [
+        ("spatial", lambda state: "correlated_pump", "str"),
+        ("spectral", lambda state: state.spectral.density, "SpectralDensity"),
+        ("spatial", lambda state: bp.GeneralSpectral.from_samples(
+            bp.FrequencyGrid(1e13, 5), np.eye(5)), "GeneralSpectral"),
+        ("spectral", lambda state: state.spatial, "CorrelatedPump"),
+        ("spatial", lambda state: _Pump(state.spatial.pump), "_Pump"),
+    ], ids=["string", "bare_density", "spectral_as_spatial", "spatial_as_spectral",
+            "subclass"])
+    def test_other_types_rejected(self, default_state, field, build, given):
+        sectors = {"spatial": default_state.spatial, "spectral": default_state.spectral}
+        sectors[field] = build(default_state)
+        kinds = ("CorrelatedPump, GeneralSpatial" if field == "spatial"
+                 else "AntiCorrelated, GeneralSpectral")
+        with pytest.raises(TypeError) as info:
+            bp.TwoPhotonState(**sectors, pump_frequency=default_state.pump_frequency)
+        assert str(info.value) == f"{field} must be one of {kinds}, got {given}"
 
 
 class TestSharedGrid:
