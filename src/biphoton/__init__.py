@@ -59,10 +59,8 @@ from .interferometer import (
     InterferometerConfig,
     MZI,
     MZIM,
-    g2_mzi,
-    g2_mzim,
-    intensity_mzi,
     intensity_mzim,
+    rates,
     scan,
     scan_configs,
 )
@@ -72,7 +70,6 @@ from .modesim import (
     BranchSumState,
     Delay,
     SpatialFlip,
-    apply_element,
     apply_pipeline,
     build_initial_state,
     build_pipeline,

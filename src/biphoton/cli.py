@@ -250,13 +250,13 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"grids.{label}: must not exceed {MAX_GRID_POINTS}, got {n}")
     if halfwidth_mm * units.MM <= 0.0:
         raise ConfigError("grids.spatial_halfwidth_mm: must be positive")
-    try:  # a width whose square underflows: Gaussian rejects it here, Rectangular.sample later
+    try:  # a width whose square underflows: Gaussian rejects it here
         density = SpectralDensity(Rectangular(width) if shape == "rectangular"
                                   # the configured bandwidth is the FWHM of a Gaussian density
                                   else Gaussian(width / _GAUSS_FWHM))
         frequency_grid = default_frequency_grid(density, point_count=spectral_points)
-        if shape == "rectangular" and not 0.0 < frequency_grid.spacing * width < math.inf:
-            raise ValueError("the width times the grid spacing is not a finite positive number")
+        if shape == "rectangular":  # Rectangular.sample judges width times grid spacing
+            density.sample(frequency_grid)
     except ValueError as exc:
         raise ConfigError(f"filter.bandwidth_nm: {exc}") from None
     try:

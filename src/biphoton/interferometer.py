@@ -19,7 +19,11 @@ density is exchange symmetric.  A state asymmetric in both sectors raises
 AsymmetricSpectrum, and a general spectral sector has no closed form; the
 discrete-mode simulator covers both.
 
-The balanced interferometer reads neither alpha nor b, which is the
+There is one way to ask for the rates at given delays, ``rates``, and one
+to scan a uniform delay axis, ``scan`` (or ``scan_configs`` for several
+instruments at once).  Both weight the envelopes in ``_columns``, where the
+instrument kind is read as data, so the two agree bit for bit on a scan's
+axis.  The balanced interferometer reads neither alpha nor b, which is the
 computable face of its independence from spatial coherence.
 """
 
@@ -40,15 +44,23 @@ from .units import FS
 from .spatial import flip_overlap, pump_parity_overlap  # noqa: F401
 from .states import reduced_spatial_operator  # noqa: F401
 
+
+# Not called in the package: perfbench/checks.py reads its reference singles
+# through this name, until the benchmark reads them from ``rates``.
+def intensity_mzim(state: TwoPhotonState, cfg: InterferometerConfig, tau,
+                   frequency_grid: Optional[FrequencyGrid] = None, port: int = 1):
+    """Singles rate at output ``port``, 1 or 2: ``rates(...)[port - 1]``."""
+    if port not in (1, 2):
+        raise ValueError(f"port must be 1 or 2, got {port!r}")
+    return rates(state, cfg, tau, frequency_grid)[port - 1]
+
+
 __all__ = [
     "MZI",
     "MZIM",
     "InterferometerConfig",
     "Interferogram",
-    "g2_mzi",
-    "intensity_mzi",
-    "intensity_mzim",
-    "g2_mzim",
+    "rates",
     "scan",
     "scan_configs",
 ]
@@ -156,82 +168,38 @@ def _envelopes(state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid]):
     return ov, EnvelopeEvaluator.from_weights(ov.weights, ov.grid)
 
 
-def _fringe(ov, cfg: InterferometerConfig, tau, e1):
-    """Singles fringe f at ``tau`` from E1 there: port 1 carries 1 - f, port 2 1 + f."""
-    alpha = 1.0 if cfg.kind == MZI else ov.alpha
-    return alpha * np.cos(cfg.pump_frequency * tau / 2.0) * e1
+def _columns(ov, cfg: InterferometerConfig, tau, e1, e2):
+    """(singles at port 1, singles at port 2, coincidences) from E1 and E2 at ``tau``.
+
+    The only place the instrument enters.  The balanced one reads neither
+    alpha nor b, so its rates ignore the spatial sector.  The mirror-
+    unbalanced one weights the singles fringe f by alpha, ~0 for spatially
+    incoherent light and +1 (-1) for a pure even (odd) mode, and both
+    coincidence terms by b.  Port 1 carries 1 - f and port 2 1 + f: the ports
+    sum to 2 (lossless model).  An even pump (b = 1) gives the balanced
+    coincidences; an odd one (b = -1) shifts the sinusoid by pi and inverts
+    the dip into a peak, by the sign the flipped-arm amplitude acquires in
+    the exchange pathway (the discrete-mode simulator confirms it).
+    """
+    alpha, b = (1.0, 1.0) if cfg.kind == MZI else (ov.alpha, ov.b)
+    f = alpha * np.cos(cfg.pump_frequency * tau / 2.0) * e1
+    return 1.0 - f, 1.0 + f, 1.0 - 0.5 * b * np.cos(cfg.pump_frequency * tau) - 0.5 * b * e2
 
 
-def _coincidences(ov, cfg: InterferometerConfig, tau, e2):
-    """Coincidence rate at ``tau`` from E2 there."""
-    b = 1.0 if cfg.kind == MZI else ov.b
-    return 1.0 - 0.5 * b * np.cos(cfg.pump_frequency * tau) - 0.5 * b * e2
+def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau,
+          frequency_grid: Optional[FrequencyGrid] = None):
+    """(singles at port 1, singles at port 2, coincidences) at delays ``tau`` (s).
 
-
-def _port(fringe, port: int):
-    return 1.0 - fringe if port == 1 else 1.0 + fringe
-
-
-def _rate(state, cfg, kind, tau, frequency_grid, port=None):
-    """Singles at ``port``, or coincidences if it is None, of a ``kind`` instrument."""
-    if cfg.kind != kind:
-        raise ValueError(f"operation requires a '{kind}' configuration")
-    if port not in (None, 1, 2):
-        raise ValueError(f"port must be 1 or 2, got {port!r}")
+    ``tau`` may have any shape, and each rate has its shape; a scalar delay
+    gives three floats.  On a ``scan``'s delay axis the three equal its
+    columns bit for bit: both weight E1 and E2 there in ``_columns``.
+    """
     tau_arr = np.asarray(tau, dtype=float)
     if not np.isfinite(tau_arr).all():
         raise ValueError("tau must be finite at every delay")
     ov, env = _envelopes(state, frequency_grid)
-    if port is None:
-        out = _coincidences(ov, cfg, tau_arr, env.second_order(tau_arr))
-    else:
-        out = _port(_fringe(ov, cfg, tau_arr, env.first_order(tau_arr)), port)
-    return float(out) if np.ndim(tau) == 0 else out
-
-
-def g2_mzi(state: TwoPhotonState, cfg: InterferometerConfig, tau,
-           frequency_grid: Optional[FrequencyGrid] = None):
-    """Coincidence rate of the balanced interferometer."""
-    return _rate(state, cfg, MZI, tau, frequency_grid)
-
-
-def intensity_mzi(state: TwoPhotonState, cfg: InterferometerConfig, tau,
-                  frequency_grid: Optional[FrequencyGrid] = None, port: int = 1):
-    """Singles rate at one output port of the balanced interferometer.
-
-    Port 1 carries 1 - cos(w_p tau / 2) E1(tau), port 2 its mirror image;
-    the two sum to 2 (lossless model).  Independent of the spatial sector:
-    neither alpha nor b enters.
-    """
-    return _rate(state, cfg, MZI, tau, frequency_grid, port)
-
-
-def intensity_mzim(state: TwoPhotonState, cfg: InterferometerConfig, tau,
-                   frequency_grid: Optional[FrequencyGrid] = None, port: int = 1):
-    """Singles rate of the mirror-unbalanced variant.
-
-    The fringe term is weighted by the flip overlap alpha of one photon:
-    spatially incoherent light (the down-conversion default) gives
-    alpha ~ 0 and an essentially flat trace, while a pure even (odd)
-    transverse mode gives full fringes of sign +1 (-1).
-    """
-    return _rate(state, cfg, MZIM, tau, frequency_grid, port)
-
-
-def g2_mzim(state: TwoPhotonState, cfg: InterferometerConfig, tau,
-            frequency_grid: Optional[FrequencyGrid] = None):
-    """Coincidence rate of the mirror-unbalanced variant.
-
-    Both interference terms are weighted by the parity overlap b of the
-    pair, for any spatial sector.  An even pump (b = 1) reproduces the
-    balanced result exactly.  An odd pump (b = -1) flips the sign of both
-    terms: the sinusoid shifts by pi at unchanged amplitude and the dip
-    inverts into a peak.  A pump of no definite parity scales both terms
-    by |b| < 1.  (The flip of the dip term follows from the sign the
-    flipped-arm amplitude acquires in the exchange pathway; the
-    discrete-mode simulator confirms it independently.)
-    """
-    return _rate(state, cfg, MZIM, tau, frequency_grid)
+    columns = _columns(ov, cfg, tau_arr, env.first_order(tau_arr), env.second_order(tau_arr))
+    return tuple(float(c) for c in columns) if np.ndim(tau) == 0 else columns
 
 
 def _axis_count(tau_start: float, tau_stop: float, tau_step: float) -> int:
@@ -311,12 +279,12 @@ def scan_configs(
     e1, e2 = env.first_order(tau), env.second_order(tau)
     grams = []
     for cfg in cfgs:
-        f = _fringe(ov, cfg, tau, e1)
+        s1, s2, cc = _columns(ov, cfg, tau, e1, e2)
         grams.append(Interferogram(
             tau=tau,
-            singles_port1=_port(f, 1),
-            singles_port2=_port(f, 2),
-            coincidences=_coincidences(ov, cfg, tau, e2),
+            singles_port1=s1,
+            singles_port2=s2,
+            coincidences=cc,
             config=cfg.describe(),
             state=state.describe(),
             engine="closed",

@@ -11,10 +11,9 @@ The elements are the optics of the two instruments: the 50:50 beam
 splitter, the delay and, for the mirror-unbalanced one, the transverse
 flip.  Each is defined once, as a single-photon map: every input path goes
 to one or more outcomes (output path, amplitude, position flip or not,
-spectral phases or none).  ``apply_element`` builds an element's map and
-hands it to the state, which defines how a photon map acts on each of its
-photon slots and holds no element-specific logic of its own;
-``apply_pipeline`` folds that over the elements.
+spectral phases or none).  ``apply_pipeline`` builds each element's map in
+turn and hands it to the state, which defines how a photon map acts on each
+of its photon slots and holds no element-specific logic of its own.
 
 The state is a branch sum, a short list of product terms (path pair,
 spatial factor, spectral factor).  Each sector kind's factor is its
@@ -75,7 +74,6 @@ __all__ = [
     "Branch",
     "BranchSumState",
     "build_initial_state",
-    "apply_element",
     "apply_pipeline",
     "coincidence_rate",
     "singles_rate",
@@ -415,14 +413,10 @@ def total_norm(state: BranchSumState) -> float:
     return float(sum(state.path_pair_norms().values()))
 
 
-def apply_element(state: BranchSumState, element: Element) -> BranchSumState:
-    """Apply one optical element; returns a new state."""
-    return state._mapped(_photon_map(element, state.frequency_grid))
-
-
 def apply_pipeline(state: BranchSumState, elements: Iterable[Element]) -> BranchSumState:
+    """Apply optical elements in order, each by its photon map; returns a new state."""
     for element in elements:
-        state = apply_element(state, element)
+        state = state._mapped(_photon_map(element, state.frequency_grid))
     return state
 
 

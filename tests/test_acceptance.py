@@ -124,12 +124,7 @@ def test_criterion_05_oracle_equivalence(default_state, fgrid,
     worst = 0.0
     for cfg in (cfg_mzi, cfg_mzim):
         s_oracle, c_oracle = oracle_rates(default_state, cfg, oracle_taus, fgrid)
-        if cfg.kind == "mzi":
-            s_closed = bp.intensity_mzi(default_state, cfg, oracle_taus, fgrid, port=1)
-            c_closed = bp.g2_mzi(default_state, cfg, oracle_taus, fgrid)
-        else:
-            s_closed = bp.intensity_mzim(default_state, cfg, oracle_taus, fgrid, port=1)
-            c_closed = bp.g2_mzim(default_state, cfg, oracle_taus, fgrid)
+        s_closed, _, c_closed = bp.rates(default_state, cfg, oracle_taus, fgrid)
         worst = max(worst,
                     float(np.max(np.abs(s_oracle - s_closed))),
                     float(np.max(np.abs(c_oracle - c_closed))))
@@ -224,8 +219,8 @@ def test_criterion_07_bandwidth_reciprocity(default_state, sgrid):
 
 
 def test_criterion_08_hom_dip_zero(default_state, fgrid, cfg_mzi, cfg_mzim):
-    closed_mzi = bp.g2_mzi(default_state, cfg_mzi, 0.0, fgrid)
-    closed_mzim = bp.g2_mzim(default_state, cfg_mzim, 0.0, fgrid)
+    closed_mzi = bp.rates(default_state, cfg_mzi, 0.0, fgrid)[2]
+    closed_mzim = bp.rates(default_state, cfg_mzim, 0.0, fgrid)[2]
     initial = bp.build_initial_state(default_state, fgrid)
     oracle_mzi = bp.coincidence_rate(
         bp.apply_pipeline(initial, bp.build_pipeline(cfg_mzi, 0.0)))
@@ -244,12 +239,11 @@ def test_criterion_09_spatial_sector_independence(default_state, odd_state,
                                        default_state.spectral, OMEGA_P)
     taus = np.linspace(-150e-15, 150e-15, 151)
 
-    ref_singles = bp.intensity_mzi(default_state, cfg_mzi, taus, fgrid, port=1)
-    ref_coinc = bp.g2_mzi(default_state, cfg_mzi, taus, fgrid)
+    ref_singles, _, ref_coinc = bp.rates(default_state, cfg_mzi, taus, fgrid)
     for state in (coherent_state, odd_state):
-        assert np.array_equal(
-            bp.intensity_mzi(state, cfg_mzi, taus, fgrid, port=1), ref_singles)
-        assert np.array_equal(bp.g2_mzi(state, cfg_mzi, taus, fgrid), ref_coinc)
+        singles, _, coinc = bp.rates(state, cfg_mzi, taus, fgrid)
+        assert np.array_equal(singles, ref_singles)
+        assert np.array_equal(coinc, ref_coinc)
 
     oracle_worst = 0.0
     sample_taus = taus[::25]

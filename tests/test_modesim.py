@@ -209,14 +209,14 @@ class TestElementSemantics:
         assert bp.total_norm(final) == pytest.approx(1.0, abs=1e-12)
 
     def test_delay_on_unoccupied_arm_is_identity(self, initial):
-        delayed = bp.apply_element(initial, bp.Delay("b", 40e-15, OMEGA_P))
+        delayed = bp.apply_pipeline(initial, [bp.Delay("b", 40e-15, OMEGA_P)])
         assert len(delayed.branches) == 1
         b0, b1 = initial.branches[0], delayed.branches[0]
         assert np.array_equal(b0.spectral.data, b1.spectral.data)
         assert np.array_equal(b0.spatial.data, b1.spatial.data)
 
     def test_flip_of_even_correlated_branch_is_identity(self, initial):
-        flipped = bp.apply_element(initial, bp.SpatialFlip("a"))
+        flipped = bp.apply_pipeline(initial, [bp.SpatialFlip("a")])
         b0, b1 = initial.branches[0], flipped.branches[0]
         dense0 = b0.spatial.to_full()
         dense1 = b1.spatial.to_full()
@@ -225,14 +225,14 @@ class TestElementSemantics:
     def test_norm_preserved_after_each_element(self, initial, cfg_mzim):
         state = initial
         for element in bp.build_pipeline(cfg_mzim, 37e-15):
-            state = bp.apply_element(state, element)
+            state = bp.apply_pipeline(state, [element])
             assert bp.total_norm(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_branch_count_capped(self, initial, cfg_mzi, cfg_mzim):
         for cfg in (cfg_mzi, cfg_mzim):
             state = initial
             for element in bp.build_pipeline(cfg, 21e-15):
-                state = bp.apply_element(state, element)
+                state = bp.apply_pipeline(state, [element])
                 assert len(state.branches) <= 16
 
     def test_exchange_symmetry_preserved_dense(self, small_state, small_grids, cfg_mzim):
@@ -242,7 +242,7 @@ class TestElementSemantics:
         state = to_dense(bp.build_initial_state(small_state, fgrid))
         assert exchange_asymmetry(state) < 1e-12
         for element in bp.build_pipeline(cfg_mzim, 33e-15):
-            state = bp.apply_element(state, element)
+            state = bp.apply_pipeline(state, [element])
             assert exchange_asymmetry(state) < 1e-12
             assert bp.total_norm(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -277,8 +277,7 @@ class TestClosedFormEquivalence:
     TAUS = np.linspace(-300e-15, 300e-15, 200)
 
     def test_balanced_interferometer(self, default_state, cfg_mzi, initial, fgrid):
-        expected_cc = bp.g2_mzi(default_state, cfg_mzi, self.TAUS, fgrid)
-        expected_s1 = bp.intensity_mzi(default_state, cfg_mzi, self.TAUS, fgrid, port=1)
+        expected_s1, _, expected_cc = bp.rates(default_state, cfg_mzi, self.TAUS, fgrid)
         worst_cc = worst_s1 = 0.0
         for tau, cc_ref, s1_ref in zip(self.TAUS, expected_cc, expected_s1):
             final = run(initial, cfg_mzi, tau)
@@ -297,7 +296,7 @@ class TestClosedFormEquivalence:
 
     def test_unbalanced_singles_match_flip_weighted_form(
             self, default_state, cfg_mzim, initial, fgrid):
-        expected = bp.intensity_mzim(default_state, cfg_mzim, self.TAUS, fgrid, port=1)
+        expected = bp.rates(default_state, cfg_mzim, self.TAUS, fgrid)[0]
         worst = 0.0
         for tau, ref in zip(self.TAUS, expected):
             final = run(initial, cfg_mzim, tau)
@@ -310,7 +309,7 @@ class TestClosedFormEquivalence:
         state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, gauss),
                                   default_state.spectral, OMEGA_P)
         built = bp.build_initial_state(state, fgrid)
-        expected = bp.intensity_mzim(state, cfg_mzim, self.TAUS[::10], fgrid, port=1)
+        expected = bp.rates(state, cfg_mzim, self.TAUS[::10], fgrid)[0]
         for tau, ref in zip(self.TAUS[::10], expected):
             final = run(built, cfg_mzim, tau)
             assert bp.singles_rate(final, 1) == pytest.approx(ref, abs=1e-6)
@@ -324,7 +323,7 @@ class TestParityCases:
     def test_odd_pump_coincidences(self, odd_state, fgrid, cfg_mzim):
         built = bp.build_initial_state(odd_state, fgrid)
         taus = np.linspace(-150e-15, 150e-15, 40)
-        expected = bp.g2_mzim(odd_state, cfg_mzim, taus, fgrid)
+        expected = bp.rates(odd_state, cfg_mzim, taus, fgrid)[2]
         for tau, ref in zip(taus, expected):
             assert bp.coincidence_rate(run(built, cfg_mzim, tau)) == pytest.approx(
                 ref, abs=1e-9)
