@@ -186,6 +186,12 @@ def _columns(ov, cfg: InterferometerConfig, tau, e1, e2):
     return 1.0 - f, 1.0 + f, 1.0 - 0.5 * b * np.cos(cfg.pump_frequency * tau) - 0.5 * b * e2
 
 
+def _check_pump_frequency(state: TwoPhotonState, cfg: InterferometerConfig) -> None:
+    """Raise ValueError unless state and configuration agree on the pump frequency."""
+    if abs(cfg.pump_frequency - state.pump_frequency) > 1e-9 * cfg.pump_frequency:
+        raise ValueError("state and configuration disagree on the pump frequency")
+
+
 def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau,
           frequency_grid: Optional[FrequencyGrid] = None):
     """(singles at port 1, singles at port 2, coincidences) at delays ``tau`` (s).
@@ -193,7 +199,10 @@ def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau,
     ``tau`` may have any shape, and each rate has its shape; a scalar delay
     gives three floats.  On a ``scan``'s delay axis the three equal its
     columns bit for bit: both weight E1 and E2 there in ``_columns``.
+    Raises ValueError, as ``scan`` does, if state and configuration
+    disagree on the pump frequency.
     """
+    _check_pump_frequency(state, cfg)
     tau_arr = np.asarray(tau, dtype=float)
     if not np.isfinite(tau_arr).all():
         raise ValueError("tau must be finite at every delay")
@@ -231,8 +240,7 @@ def _scan_axis(state: TwoPhotonState, cfg: InterferometerConfig, tau_start: floa
     ``check_step`` or ``check_reach``; every check runs before the axis is
     allocated.
     """
-    if abs(cfg.pump_frequency - state.pump_frequency) > 1e-9 * cfg.pump_frequency:
-        raise ValueError("state and configuration disagree on the pump frequency")
+    _check_pump_frequency(state, cfg)
     check_step(tau_step, 2.0 * math.pi / cfg.pump_frequency)
     count = _axis_count(tau_start, tau_stop, tau_step)
     check_reach(tau_start, tau_stop, frequency_grid)

@@ -32,9 +32,11 @@ photons received.  Every path-pair norm is then a sum of terms
 g exp(-i m w_p tau / 2) exp(i n h tau) with small integers m and n, and one
 chirp-z call (``spectral.chirp_z``) evaluates all of them on the whole delay
 axis, once per distinct row; its rows come from the same branch-pair walk as
-the norms, and the same port rule reads the rates out, elementwise.  So a
-rate has two routes: the scan (the production path) and the per-delay
-branch sum (its reference).
+the norms, and the same port rule reads the rates out, elementwise.  A row
+that is another's negation, as the port sum rule s1 + s2 = 2 makes some, is
+read as that row with sign -1, neither built nor transformed.  So a rate
+has two routes: the scan (the production path) and the per-delay branch sum
+(its reference).
 
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
 b -> (i a + b)/sqrt(2).  A delay tau in one arm multiplies each photon
@@ -455,7 +457,13 @@ def singles_rate(state: BranchSumState, port: int) -> float:
 # scan driver
 
 
-def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.ndarray]:
+def _bits(coef: complex) -> bytes:
+    """The bit pattern of coef + 0, in which a zero part is always +0.0."""
+    return np.complex128(coef + 0.0j).tobytes()
+
+
+def _delay_table(
+        state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], Tuple[int, np.ndarray]]:
     """Delay dependence of the path-pair norms of a final state built at tau = 0.
 
     A delay multiplies a photon by exp(-i (w_p/2 + W_k) tau), W_k = n h
@@ -469,18 +477,30 @@ def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.
     ``_group_norm`` reads too: each unordered pair enters once, at double
     weight, so only the real part of the delay sum is the norm.
 
-    A key's recipe is its pairs in walk order, each as (the bit pattern of
-    coef + 0, spectral factor pair, d0, d1).  Each distinct recipe's row is
-    built once, and every key with that recipe holds the same row object.
-    Equal recipes are the same adds in the same order, up to the sign of a
-    zero, which the + 0 drops: every row entry is a running sum that
-    starts at +0.0, so under round-to-nearest it is never -0.0, and adding
-    +0.0 or -0.0 to it gives the same bits.  So the bits are those of
-    building every key's row pair by pair.  Recipes repeat because an
-    exchange-symmetrised state's (a, b) and (b, a) keys, and (a, a) and
-    (b, b) at m = 0 and 2, walk the same pairs; on the bundled configs the
-    12 keys hold 8 rows (5 for an hg1 pump), 2 (1) of them zero in every
-    entry.  Nothing here relies on that.
+    Each key maps to (sign, row): its g is sign * row.  A key's recipe is
+    its pairs in walk order, each as (the bit pattern of coef + 0, spectral
+    factor pair, d0, d1), and its negated recipe the same with -coef + 0.
+    A row is built only for a recipe not seen before, and its negated
+    recipe is then read as that row with sign -1; a later key of either
+    recipe builds nothing.  Equal recipes are the same adds in the same
+    order, up to the sign of a zero, which the + 0 drops: every row entry
+    is a running sum that starts at +0.0, so under round-to-nearest it is
+    never -0.0, and adding +0.0 or -0.0 to it gives the same bits.  A
+    negated recipe's adds are those of its twin with every operand
+    negated, and round-to-nearest is symmetric in sign, so its row is the
+    twin's negated, up to the sign of a zero: -row + 0.0 has the bits of
+    building the key's row pair by pair.  An all-zero recipe is its own
+    negation and keeps sign +1.
+
+    Recipes repeat because an exchange-symmetrised state's (a, b) and
+    (b, a) keys, and (a, a) and (b, b) at m = 0 and 2, walk the same pairs.
+    They come negated by the port sum rule s1 + s2 = 2: (b, b) at m = 1
+    walks (a, a)'s pairs at m = 1 with every coefficient negated, and
+    (a, b) and (b, a) at m = 2 walk (a, a)'s at m = 2 so; (b, a) at m = 1
+    walks (a, b)'s negated too, a row zero in every entry.  On the bundled
+    configs the 12 keys build 5 rows.  An hg1 pump's m = 1 coefficients are
+    all zero, so its keys build 4, the m = 1 row zero.  Nothing here relies
+    on that: twins are found from the recipes alone.
 
     Beam splitters and flips pass a branch's spectral factor on unchanged,
     so ``inner_terms`` runs once per pair of factor objects: 10 products
@@ -499,23 +519,57 @@ def _delay_table(state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], np.
             if factors not in products:
                 products[factors] = x.spectral.inner_terms(y.spectral)
             d0, d1 = y.delays[0] - x.delays[0], y.delays[1] - x.delays[1]
-            step = (np.complex128(coef + 0.0j).tobytes(), factors, d0, d1)
-            walks.setdefault((pair, d0 + d1), []).append((step, coef))
+            walks.setdefault((pair, d0 + d1), []).append((coef, (factors, d0, d1)))
     rows: dict = {}
     table = {}
     for key, walk in walks.items():
-        recipe = tuple(step for step, _ in walk)
+        recipe = tuple((_bits(coef), step) for coef, step in walk)
         if recipe not in rows:
-            rows[recipe] = row = np.zeros(4 * c + 1, dtype=complex)
-            for (_, factors, d0, d1), coef in walk:
+            row = np.zeros(4 * c + 1, dtype=complex)
+            for coef, (factors, d0, d1) in walk:
                 terms, n0, n1 = products[factors]
                 nodes = 2 * c - d0 * n0 - d1 * n1
                 if nodes.ndim == 1 and nodes.size > 1 and nodes[0] != nodes[1]:
                     row[nodes[0]::nodes[1] - nodes[0]][:nodes.size] += coef * terms
                 else:
                     np.add.at(row, nodes, coef * terms)
+            rows[tuple((_bits(-coef), step) for coef, step in walk)] = (-1, row)
+            rows[recipe] = (1, row)  # an all-zero recipe is its own negation
         table[key] = rows[recipe]
     return table
+
+
+def _delay_norms(final: BranchSumState, pump_frequency: float, tau: np.ndarray,
+                 tau_step: float) -> Dict[Tuple[str, str], np.ndarray]:
+    """Path-pair norms of ``final``, built at tau = 0, on the uniform axis ``tau``.
+
+    One chirp-z call transforms the rows of ``_delay_table``, which builds
+    each row and each spectral product once, lets (path pair, m) keys of
+    equal recipe share a row and reads a negated recipe as its twin's row
+    with sign -1.  Each built row that is nonzero somewhere is transformed
+    once: 4 of the 12 keys' rows on the bundled configs, 3 for an hg1 pump.
+    A key adds its row's term to its pair's norm, or subtracts it if its
+    sign is -1.  Round-to-nearest is symmetric in sign, so chirp_z(-u) is
+    -chirp_z(u) up to the sign of a zero, and a - x has the bits of
+    a + (-x).  A key whose row is zero adds nothing: its transform would be
+    +-0.  A pair's running sum starts at 0.0 + ..., so under round-to-nearest
+    it is never -0.0, and adding +-0 leaves its bits as they are.  So the
+    norms are those of transforming every key's row, built pair by pair, bit
+    for bit, whatever symmetry the state has or lacks.  The pump phase
+    exp(-i m w_p tau / 2) is computed once per m in use.
+    """
+    table = _delay_table(final)
+    live = {id(row): row for _, row in table.values() if row.any()}
+    sums = dict(zip(live, chirp_z(np.array(list(live.values())), final.frequency_grid.spacing,
+                                  tau[0], tau_step, tau.size)))
+    used = {m for (_, m), (_, row) in table.items() if id(row) in sums}
+    pumps = {m: np.exp(-0.5j * m * pump_frequency * tau) for m in used}
+    norms = {pair: np.zeros(tau.size) for pair, _ in table}
+    for (pair, m), (sign, row) in table.items():
+        if id(row) in sums:
+            term = (pumps[m] * sums[id(row)]).real
+            norms[pair] = norms[pair] - term if sign < 0 else norms[pair] + term
+    return norms
 
 
 def oracle_scan(
@@ -532,32 +586,13 @@ def oracle_scan(
     the density's (or a general spectral sector's own grid), and makes the
     same pump-frequency, step and reach checks as the closed ``scan``.  The
     branches do not depend on the delay, so the pipeline runs once, at
-    tau = 0, and every delay's path-pair norms come from one chirp-z call
-    on the rows of ``_delay_table``, which builds each row and each spectral
-    product once and lets (path pair, m) keys of equal recipe share a row.
-    Each shared row that is nonzero somewhere is transformed once, and
-    every key reads its row's transform: 6 of the 12 keys' rows on the
-    bundled configs, 4 for an hg1 pump.  A key whose row is zero adds
-    nothing.  Its transform would be +-0, and a pair's running sum starts
-    at 0.0 + ..., so under round-to-nearest it is never -0.0 and adding
-    +-0 leaves its bits as they are: the rates are those of transforming
-    every key's row, bit for bit, whatever symmetry the state has or lacks.
-    The pump phase exp(-i m w_p tau / 2) is computed once per m in use.
+    tau = 0, and ``_delay_norms`` reads every delay's path-pair norms off
+    the final state.
     """
     fgrid = _working_frequency_grid(state, frequency_grid)
     tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step, fgrid)
-    initial = build_initial_state(state, fgrid)
-    table = _delay_table(apply_pipeline(initial, build_pipeline(cfg, 0.0)))
-    live = {id(row): row for row in table.values() if row.any()}
-    sums = dict(zip(live, chirp_z(np.array(list(live.values())), fgrid.spacing, tau[0],
-                                  tau_step, tau.size)))
-    used = {m for (_, m), row in table.items() if id(row) in sums}
-    pumps = {m: np.exp(-0.5j * m * cfg.pump_frequency * tau) for m in used}
-    norms = {pair: np.zeros(tau.size) for pair, _ in table}
-    for (pair, m), row in table.items():
-        if id(row) in sums:
-            norms[pair] = norms[pair] + (pumps[m] * sums[id(row)]).real
-    s1, s2, cc = _port_rule(norms)
+    final = apply_pipeline(build_initial_state(state, fgrid), build_pipeline(cfg, 0.0))
+    s1, s2, cc = _port_rule(_delay_norms(final, cfg.pump_frequency, tau, tau_step))
     return Interferogram(
         tau=tau,
         singles_port1=s1,

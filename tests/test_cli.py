@@ -284,13 +284,21 @@ class TestGoldenOutput:
 
     # MZIM on a 4097-point spectral grid, JSON, --engine both, +-5 fs at
     # 0.05 fs: the oracle's delay table has 8193-point rows, padded to an
-    # FFT length of 16384 (the bundled configs reach 8192).  Both pumps give
-    # 12 keys, which share 5 rows for hg1 and 8 for the Gaussian; only the
-    # rows nonzero somewhere are transformed, 4 for hg1 and 6 for the
-    # Gaussian.
+    # FFT length of 16384 (the bundled configs reach 8192).  Every pump gives
+    # 12 keys.  A key whose pairs are another key's negated reads that row
+    # with sign -1, so hg1 builds 4 rows and the other pumps 5; only the rows
+    # nonzero somewhere are transformed, 3 for hg1 and 4 for the others.
+    # The shifted and tabulated pumps, which the benchmark's fine-grid survey
+    # runs on the oracle alone, read the m = 1 twin that hg1 lacks.  Their
+    # digests were recorded while every twin row was still built and
+    # transformed on its own.
     FINE_GRID_JSON_DIGESTS = {
         "gaussian": "a04eed88b14e6f157b718b1005711520b6a5803e20317164c996f7320ff8d72a",
         "hg1": "5ee861c51c35450e3c494aeacae27c0ee048e5d3b6f58213c2bb5906624bed07",
+        "shifted_gaussian":
+            "ea6151c3dc3ae50a5af3e6c80008eb35a0ba3c27d64f833b526d37387977ee27",
+        "tabulated_file":
+            "4e89f73a34adff7cb9e5ea9663ab09b28d6322039c8cc6c12a7db964ca0d33da",
     }
 
     @staticmethod
@@ -360,13 +368,26 @@ class TestGoldenOutput:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.SMALL_GRID_DIGESTS[case, engine]
 
+    @staticmethod
+    def fine_grid_profile(tmp_path, kind):
+        if kind == "shifted_gaussian":
+            return {"kind": kind, "waist_mm": 1.0, "shift_mm": 0.4}
+        if kind == "tabulated_file":
+            # complex and of no definite parity, as the survey's tables
+            table = tmp_path / "pump.csv"
+            table.write_text("".join(
+                f"{x:.2f},{(1.0 + 0.3 * x) * math.exp(-(x - 0.3) ** 2):.9f},"
+                f"{0.2 * x * math.exp(-x ** 2):.9f}\n" for x in np.arange(-60, 61) / 20))
+            return {"kind": kind, "path": str(table)}
+        return {"kind": kind, "waist_mm": 0.9 if kind == "hg1" else 1.0}
+
     @pytest.mark.parametrize("kind", sorted(FINE_GRID_JSON_DIGESTS))
     def test_fine_grid_json_bytes(self, tmp_path, capsys, kind):
         cfg = load_bundled("default_mzim")
         cfg["scan"] = {"tau_start_fs": -5.0, "tau_stop_fs": 5.0, "tau_step_fs": 0.05}
         cfg["grids"] = {"spatial_points": 257, "spectral_points": 4097,
                         "spatial_halfwidth_mm": 3.0}
-        cfg["pump"]["spatial_profile"] = {"kind": kind, "waist_mm": 0.9 if kind == "hg1" else 1.0}
+        cfg["pump"]["spatial_profile"] = self.fine_grid_profile(tmp_path, kind)
         cfg["output"]["format"] = "json"
         out = tmp_path / "scan.json"
         assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),

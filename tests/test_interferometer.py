@@ -70,8 +70,21 @@ COLUMNS = [pytest.param(kind, column, id=f"{quantity}_{kind}")
 
 
 class TestRateArguments:
-    """``rates`` rejects a delay it cannot evaluate, and the singles wrapper
-    a port, by name."""
+    """``rates`` rejects a delay it cannot evaluate, and a configuration whose
+    pump frequency is not the state's, by name; the singles wrapper rejects a
+    port."""
+
+    @pytest.mark.parametrize("kind", [bp.MZI, bp.MZIM])
+    def test_pump_frequency_mismatch_rejected_as_scan_rejects_it(self, default_state, fgrid,
+                                                                 kind):
+        cfg = bp.InterferometerConfig(kind, 2.0 * OMEGA_P)
+        messages = []
+        for route in (lambda: bp.rates(default_state, cfg, 1e-15, fgrid),
+                      lambda: bp.scan(default_state, cfg, -10e-15, 10e-15, 0.1e-15, fgrid)):
+            with pytest.raises(ValueError) as raised:
+                route()
+            messages.append(str(raised.value))
+        assert messages == ["state and configuration disagree on the pump frequency"] * 2
 
     @pytest.mark.parametrize("kind, column", COLUMNS)
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import biphoton as bp
 from biphoton import modesim
@@ -658,6 +658,17 @@ def _every_pair_table(state):
     return table
 
 
+def _read(entry):
+    """A delay-table entry's row: a key of sign -1 reads its twin's row as -row + 0.0."""
+    sign, row = entry
+    return row if sign > 0 else -row + 0.0
+
+
+def _reads(entry, sign, row):
+    """Whether a delay-table entry reads ``row`` (the object) with ``sign``."""
+    return entry[0] == sign and entry[1] is row
+
+
 def _assert_tables_bit_equal(state, fgrid):
     """Every instrument, arm assignment and beam-splitter convention."""
     built = bp.build_initial_state(state, fgrid)
@@ -670,12 +681,13 @@ def _assert_tables_bit_equal(state, fgrid):
                 got, reference = modesim._delay_table(final), _every_pair_table(final)
                 assert list(got) == list(reference)
                 for key, row in reference.items():
-                    assert got[key].tobytes() == row.tobytes()
+                    assert _read(got[key]).tobytes() == row.tobytes()
 
 
 class TestDelayTableBits:
-    """Each row built once, each product once, runs placed by slice: the
-    table's bits are those of the pair-by-pair reference."""
+    """Each row built once, each product once, runs placed by slice, a
+    negated recipe read as its twin's row negated: the table's bits are those
+    of the pair-by-pair reference."""
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
     def test_bundled_configs(self, name):
@@ -730,22 +742,27 @@ def _distinct_rows(rows):
     return distinct, which
 
 
-def _reference_scan(state, cfg, tau_start, tau_stop, tau_step, fgrid):
-    """The oracle's rates by the earlier route, the bit-exact reference:
-    every (path pair, m) key's row built on its own (``_every_pair_table``),
-    rows merged only on equal bits, every distinct row transformed, zero
-    rows too, and each key's term added to its pair's norm.
+def _reference_norms(final, pump_frequency, tau, tau_step):
+    """``_delay_norms`` by the earlier route, the bit-exact reference: every
+    (path pair, m) key's row built on its own (``_every_pair_table``), rows
+    merged only on equal bits, every distinct row transformed, zero rows
+    too, and each key's term added to its pair's norm.
     """
-    tau = modesim._scan_axis(state, cfg, tau_start, tau_stop, tau_step, fgrid)
-    final = bp.apply_pipeline(bp.build_initial_state(state, fgrid), bp.build_pipeline(cfg, 0.0))
     table = _every_pair_table(final)
     distinct, which = _distinct_rows(list(table.values()))
-    sums = chirp_z(np.array(distinct), fgrid.spacing, tau[0], tau_step, tau.size)
+    sums = chirp_z(np.array(distinct), final.frequency_grid.spacing, tau[0], tau_step, tau.size)
     norms = {}
     for (pair, m), k in zip(table, which):
-        pump = np.exp(-0.5j * m * cfg.pump_frequency * tau)
+        pump = np.exp(-0.5j * m * pump_frequency * tau)
         norms[pair] = norms.get(pair, 0.0) + (pump * sums[k]).real
-    return (tau,) + modesim._port_rule(norms)
+    return norms
+
+
+def _reference_scan(state, cfg, tau_start, tau_stop, tau_step, fgrid):
+    """The oracle's rates by the earlier route (``_reference_norms``)."""
+    tau = modesim._scan_axis(state, cfg, tau_start, tau_stop, tau_step, fgrid)
+    final = bp.apply_pipeline(bp.build_initial_state(state, fgrid), bp.build_pipeline(cfg, 0.0))
+    return (tau,) + modesim._port_rule(_reference_norms(final, cfg.pump_frequency, tau, tau_step))
 
 
 def _assert_scan_matches_reference(args, fgrid):
@@ -774,7 +791,7 @@ def _shared_rows(args, fgrid):
     state, icfg = args[:2]
     final = bp.apply_pipeline(bp.build_initial_state(state, fgrid), bp.build_pipeline(icfg, 0.0))
     table = modesim._delay_table(final)
-    return table, list({id(row): row for row in table.values()}.values())
+    return table, list({id(row): row for _, row in table.values()}.values())
 
 
 def _recording_chirp_z(monkeypatch):
@@ -818,11 +835,71 @@ def _assert_rows_match_every_pair_table(table, state):
     reference = _every_pair_table(state)
     assert list(table) == list(reference)
     for key, row in reference.items():
-        assert table[key].tobytes() == row.tobytes()
+        assert _read(table[key]).tobytes() == row.tobytes()
+
+
+_PART = st.sampled_from([0.0, 0.5, 1.0])
+_SIGN = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def _signed_weights(draw):
+    """The second branch's weight in each path pair of ``_hand_built_state``:
+    +-c for one drawn c whose parts are 0.0, 0.5 or 1.0, every zero part of
+    either sign.  The pairs' cross coefficients are then equal, negated or
+    zero, each up to the sign of a zero.
+    """
+    parts = draw(st.tuples(_PART, _PART))
+
+    def signed():
+        sign = draw(_SIGN)
+        return complex(*(sign * part if part else draw(_SIGN) * 0.0 for part in parts))
+
+    return signed(), signed()
+
+
+def _expected_entries(state):
+    """For each delay-table key, in walk order: the index of the first key
+    whose row it reads (its own if it builds one) and its sign.  A key reads
+    the row of the first earlier key whose pairs have equal coefficients,
+    or else of the first whose pairs have negated ones, with that key's sign
+    negated; equality is of values, so a zero's sign is ignored.
+    """
+    walks = {}
+    for pair, group in modesim._by_path_pair(state.branches).items():
+        for x, y, coef in modesim._branch_pairs(group):
+            d = (y.delays[0] - x.delays[0], y.delays[1] - x.delays[1])
+            walks.setdefault((pair, sum(d)), []).append((coef, x.spectral, y.spectral, d))
+
+    def related(walk, other, sign):
+        return len(walk) == len(other) and all(
+            c == sign * c_other and f is f_other and g is g_other and d == d_other
+            for (c, f, g, d), (c_other, f_other, g_other, d_other) in zip(walk, other))
+
+    walks = list(walks.items())
+    expected = []
+    for k, (_, walk) in enumerate(walks):
+        for sign in (1, -1):
+            j = next((j for j, (_, other) in enumerate(walks[:k]) if related(walk, other, sign)),
+                     None)
+            if j is not None:
+                expected.append((expected[j][0], sign * expected[j][1]))
+                break
+        else:
+            expected.append((k, 1))
+    return [key for key, _ in walks], expected
+
+
+def _m1_relation(table):
+    """How the hand-built state's two m = 1 keys read their rows."""
+    (sign, row), (other_sign, other_row) = table[("a", "b"), 1], table[("b", "a"), 1]
+    if row is not other_row:
+        return "apart"
+    return ("zero, " if not row.any() else "") + ("twins" if sign != other_sign else "shared")
 
 
 class TestDistinctRows:
-    """The scan transforms each shared delay-table row that is nonzero somewhere once."""
+    """The scan transforms each built delay-table row that is nonzero somewhere once."""
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
     def test_bundled_scan_equals_every_row_reference(self, name):
@@ -864,23 +941,57 @@ class TestDistinctRows:
             _assert_scan_matches_reference((state, cfg, -10e-15, 10e-15, 0.25e-15), fgrid)
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
-    def test_bundled_configs_transform_six_of_twelve_rows(self, monkeypatch, name):
+    def test_bundled_configs_transform_four_of_twelve_rows(self, monkeypatch, name):
         args, fgrid = _bundled_scan_args(name)
-        table, rows = _shared_rows(args, fgrid)
-        assert (len(table), len(rows), sum(row.any() for row in rows)) == (12, 8, 6)
-        transformed = _recording_chirp_z(monkeypatch)
-        bp.oracle_scan(*args, frequency_grid=fgrid)
-        assert transformed == [6]
-
-    def test_hg1_pump_transforms_four_of_twelve_rows(self, monkeypatch):
-        (state, *rest), fgrid = _bundled_scan_args("default_mzim")
-        pump = bp.hermite_gauss1_amplitude(state.spatial.grid, waist=1e-3)
-        args = (bp.TwoPhotonState(bp.CorrelatedPump(pump), state.spectral, OMEGA_P), *rest)
         table, rows = _shared_rows(args, fgrid)
         assert (len(table), len(rows), sum(row.any() for row in rows)) == (12, 5, 4)
         transformed = _recording_chirp_z(monkeypatch)
         bp.oracle_scan(*args, frequency_grid=fgrid)
         assert transformed == [4]
+
+    def test_hg1_pump_transforms_three_of_twelve_rows(self, monkeypatch):
+        (state, *rest), fgrid = _bundled_scan_args("default_mzim")
+        pump = bp.hermite_gauss1_amplitude(state.spatial.grid, waist=1e-3)
+        args = (bp.TwoPhotonState(bp.CorrelatedPump(pump), state.spectral, OMEGA_P), *rest)
+        table, rows = _shared_rows(args, fgrid)
+        assert (len(table), len(rows), sum(row.any() for row in rows)) == (12, 4, 3)
+        transformed = _recording_chirp_z(monkeypatch)
+        bp.oracle_scan(*args, frequency_grid=fgrid)
+        assert transformed == [3]
+
+    @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
+    def test_twin_rows_are_the_port_sum_rule(self, name):
+        # s1 + s2 = 2: the (b, b) singles fringe is (a, a)'s negated, and the
+        # cross pairs' m = 2 term cancels the like pairs'
+        args, fgrid = _bundled_scan_args(name)
+        table, _ = _shared_rows(args, fgrid)
+        (sign1, aa1), (sign2, aa2) = table[("a", "a"), 1], table[("a", "a"), 2]
+        assert sign1 == sign2 == 1 and aa1.any() and aa2.any()
+        assert _reads(table[("b", "b"), 1], -1, aa1)
+        assert _reads(table[("b", "b"), 2], 1, aa2)
+        for pair in (("a", "b"), ("b", "a")):
+            assert _reads(table[pair, 2], -1, aa2)
+
+    @settings(deadline=None)
+    @given(weights=_signed_weights(),
+           spatial=st.tuples(st.sampled_from([_S1, _S2]), st.sampled_from([_S1, _S2])))
+    def test_twin_exactly_when_a_recipe_is_negated(self, weights, spatial):
+        # leaves max_examples to the profile: CI's deep step draws 3000
+        state = _hand_built_state(tuple((1.0, w) for w in weights),
+                                  tuple((_S1, s) for s in spatial))
+        table = modesim._delay_table(state)
+        keys, expected = _expected_entries(state)
+        assert list(table) == keys
+        for key, (j, sign) in zip(keys, expected):
+            assert _reads(table[key], sign, table[keys[j]][1])
+        event(f"m = 1 rows: {_m1_relation(table)}")
+        _assert_rows_match_every_pair_table(table, state)
+        tau = -1e-15 + 0.25e-15 * np.arange(9)
+        got = modesim._delay_norms(state, OMEGA_P, tau, 0.25e-15)
+        reference = _reference_norms(state, OMEGA_P, tau, 0.25e-15)
+        assert list(got) == list(reference)
+        for pair, norm in reference.items():
+            assert np.array_equal(got[pair].view(np.int64), norm.view(np.int64))
 
     @pytest.mark.parametrize("weights, spatial", [
         # orthogonal spatial factors: the cross coefficients are 0.0 and -0.0
@@ -903,7 +1014,7 @@ class TestDistinctRows:
         ab, ba = _cross_coefficients(state)
         assert ab != ba
         table = modesim._delay_table(state)
-        assert table[("a", "b"), 1] is not table[("b", "a"), 1]
+        assert table[("a", "b"), 1][1] is not table[("b", "a"), 1][1]
         _assert_rows_match_every_pair_table(table, state)
 
     def test_recipes_compare_spectral_factors_by_object(self):
@@ -913,8 +1024,8 @@ class TestDistinctRows:
                                   ((_SPECTRAL, _SPECTRAL), (_SPECTRAL, twin)))
         table = modesim._delay_table(state)
         for m in (0, 1):
-            assert table[("a", "b"), m] is not table[("b", "a"), m]
-            assert table[("a", "b"), m].tobytes() == table[("b", "a"), m].tobytes()
+            assert table[("a", "b"), m][1] is not table[("b", "a"), m][1]
+            assert table[("a", "b"), m][1].tobytes() == table[("b", "a"), m][1].tobytes()
         _assert_rows_match_every_pair_table(table, state)
 
 
