@@ -13,7 +13,6 @@ from .errors import (
     AsymmetricSpectrum,
     BiphotonError,
     EmptyOrNegative,
-    GridAsymmetry,
     GridMismatch,
     InvalidRates,
     NoDip,

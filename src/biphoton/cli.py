@@ -55,7 +55,6 @@ from .spatial import (
     hermite_gauss1_amplitude,
 )
 from .spectral import (
-    FrequencyGrid,
     Gaussian,
     Rectangular,
     SpectralDensity,
@@ -96,11 +95,12 @@ def bundled_config_path(name: str) -> Path:
 @dataclass(frozen=True)
 class RunConfig:
     """A validated run in SI units: the engines' inputs, which load_config
-    builds while it checks them, then the scan, engine and output settings."""
+    builds while it checks them, then the scan, engine and output settings.
+    The state carries both grids, ``state.spatial.grid`` and
+    ``state.spectral.grid``."""
 
     state: TwoPhotonState
     instrument: InterferometerConfig
-    frequency_grid: FrequencyGrid
     tau_start: float
     tau_stop: float
     tau_step: float
@@ -285,11 +285,11 @@ def load_config(path) -> RunConfig:
 
     sgrid = SpatialGrid(half_width=halfwidth_mm * units.MM, point_count=spatial_points)
     state = TwoPhotonState(spatial=CorrelatedPump(_pump_amplitude(kind, params, sgrid)),
-                           spectral=AntiCorrelated(density), pump_frequency=pump_frequency)
+                           spectral=AntiCorrelated(density, frequency_grid),
+                           pump_frequency=pump_frequency)
     return RunConfig(
         state=state,
         instrument=InterferometerConfig(ikind, pump_frequency),
-        frequency_grid=frequency_grid,
         tau_start=tau_start_fs * units.FS,
         tau_stop=tau_stop_fs * units.FS,
         tau_step=tau_step_fs * units.FS,
@@ -409,14 +409,14 @@ def _pump_amplitude(kind: str, params: dict, grid: SpatialGrid) -> SpatialAmplit
 def build_problem(cfg: RunConfig):
     """(state, interferometer config, spatial grid, frequency grid) of a loaded
     run.  An accessor for the benchmark (perfbench/checks.py, cold_start.py):
-    load_config built all four; the CLI reads the fields itself."""
-    return cfg.state, cfg.instrument, cfg.state.spatial.grid, cfg.frequency_grid
+    load_config built all four, and the two grids are the ones the state's
+    sectors carry; the CLI reads the fields itself."""
+    return cfg.state, cfg.instrument, cfg.state.spatial.grid, cfg.state.spectral.grid
 
 
 def _run_engine(cfg: RunConfig, icfg: InterferometerConfig, engine: str) -> Interferogram:
     run = scan if engine == "closed" else modesim.oracle_scan
-    return run(cfg.state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
-               frequency_grid=cfg.frequency_grid)
+    return run(cfg.state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step)
 
 
 def _check_energy(gram: Interferogram):
@@ -581,8 +581,7 @@ def cmd_compare(args) -> int:
     kinds = ("mzi", "mzim")
     icfgs = [replace(cfg.instrument, kind=kind) for kind in kinds]
     if cfg.engine == "closed":  # one envelope pair serves both instruments
-        grams = scan_configs(cfg.state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step,
-                             frequency_grid=cfg.frequency_grid)
+        grams = scan_configs(cfg.state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step)
     else:
         grams = [_run_engine(cfg, icfg, cfg.engine) for icfg in icfgs]
     results = {}

@@ -29,10 +29,6 @@ class InvalidRates(BiphotonError):
 
 # -- discrete-mode simulator ---------------------------------------------------
 
-class GridAsymmetry(BiphotonError):
-    """A general spectral sector is simulated on a frequency grid not its own."""
-
-
 class UnknownElement(BiphotonError):
     """Pipeline element type is not recognised."""
 

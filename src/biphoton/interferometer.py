@@ -23,21 +23,23 @@ There is one way to ask for the rates at given delays, ``rates``, and one
 to scan a uniform delay axis, ``scan`` (or ``scan_configs`` for several
 instruments at once).  Both weight the envelopes in ``_columns``, where the
 instrument kind is read as data, so the two agree bit for bit on a scan's
-axis.  The balanced interferometer reads neither alpha nor b, which is the
-computable face of its independence from spatial coherence.
+axis.  No call takes a frequency grid: both read the one the spectral
+sector carries, ``state.spectral.grid``.  The balanced interferometer
+reads neither alpha nor b, which is the computable face of its
+independence from spatial coherence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .errors import InvalidRates, UnderSampled
 from .spectral import EnvelopeEvaluator, FrequencyGrid
-from .states import TwoPhotonState, _working_frequency_grid, exchange_overlaps
+from .states import TwoPhotonState, exchange_overlaps
 from .units import FS
 
 # Not called here: perfbench/spans.py traces these names on this module.
@@ -46,13 +48,17 @@ from .states import reduced_spatial_operator  # noqa: F401
 
 
 # Not called in the package: perfbench/checks.py reads its reference singles
-# through this name, until the benchmark reads them from ``rates``.
+# through this name, until the benchmark reads them from ``rates``.  checks.py
+# passes the state's own frequency grid fourth, so the argument stays; the
+# state says where it is sampled, so any other grid is refused.
 def intensity_mzim(state: TwoPhotonState, cfg: InterferometerConfig, tau,
-                   frequency_grid: Optional[FrequencyGrid] = None, port: int = 1):
+                   frequency_grid=None, port: int = 1):
     """Singles rate at output ``port``, 1 or 2: ``rates(...)[port - 1]``."""
+    if frequency_grid is not None and frequency_grid != state.spectral.grid:
+        raise ValueError("frequency_grid must be None or the state's own spectral grid")
     if port not in (1, 2):
         raise ValueError(f"port must be 1 or 2, got {port!r}")
-    return rates(state, cfg, tau, frequency_grid)[port - 1]
+    return rates(state, cfg, tau)[port - 1]
 
 
 __all__ = [
@@ -112,8 +118,9 @@ class InterferometerConfig:
     def __post_init__(self):
         if self.kind not in (MZI, MZIM):
             raise ValueError(f"kind must be '{MZI}' or '{MZIM}'")
-        if not self.pump_frequency > 0.0:
-            raise ValueError("pump_frequency must be positive")
+        if not 0.0 < self.pump_frequency < math.inf:
+            raise ValueError(
+                f"pump_frequency must be finite and positive, got {self.pump_frequency!r}")
 
     @classmethod
     def mzi(cls, pump_frequency: float) -> "InterferometerConfig":
@@ -158,14 +165,14 @@ class Interferogram:
             object.__setattr__(self, name, arr)
 
 
-def _envelopes(state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid]):
+def _envelopes(state: TwoPhotonState):
     """(overlaps, envelope evaluator) of the exchange-symmetrised state.
 
     Both belong to the source: an instrument only weights the envelopes,
     by one (balanced) or by alpha and b (mirror-unbalanced).
     """
-    ov = exchange_overlaps(state, frequency_grid)
-    return ov, EnvelopeEvaluator.from_weights(ov.weights, ov.grid)
+    ov = exchange_overlaps(state)
+    return ov, EnvelopeEvaluator.from_weights(ov.weights, state.spectral.grid)
 
 
 def _columns(ov, cfg: InterferometerConfig, tau, e1, e2):
@@ -192,8 +199,7 @@ def _check_pump_frequency(state: TwoPhotonState, cfg: InterferometerConfig) -> N
         raise ValueError("state and configuration disagree on the pump frequency")
 
 
-def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau,
-          frequency_grid: Optional[FrequencyGrid] = None):
+def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau):
     """(singles at port 1, singles at port 2, coincidences) at delays ``tau`` (s).
 
     ``tau`` may have any shape, and each rate has its shape; a scalar delay
@@ -206,7 +212,7 @@ def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau,
     tau_arr = np.asarray(tau, dtype=float)
     if not np.isfinite(tau_arr).all():
         raise ValueError("tau must be finite at every delay")
-    ov, env = _envelopes(state, frequency_grid)
+    ov, env = _envelopes(state)
     columns = _columns(ov, cfg, tau_arr, env.first_order(tau_arr), env.second_order(tau_arr))
     return tuple(float(c) for c in columns) if np.ndim(tau) == 0 else columns
 
@@ -232,18 +238,18 @@ def tau_axis(tau_start: float, tau_stop: float, tau_step: float) -> np.ndarray:
 
 
 def _scan_axis(state: TwoPhotonState, cfg: InterferometerConfig, tau_start: float,
-               tau_stop: float, tau_step: float, frequency_grid: FrequencyGrid) -> np.ndarray:
+               tau_stop: float, tau_step: float) -> np.ndarray:
     """Delay axis of a scan by either engine, after the checks both make.
 
     Raises ValueError if state and configuration disagree on the pump
     frequency or ``tau_axis`` rejects an argument, and UnderSampled from
-    ``check_step`` or ``check_reach``; every check runs before the axis is
-    allocated.
+    ``check_step`` or ``check_reach`` on the state's spectral grid; every
+    check runs before the axis is allocated.
     """
     _check_pump_frequency(state, cfg)
     check_step(tau_step, 2.0 * math.pi / cfg.pump_frequency)
     count = _axis_count(tau_start, tau_stop, tau_step)
-    check_reach(tau_start, tau_stop, frequency_grid)
+    check_reach(tau_start, tau_stop, state.spectral.grid)
     return tau_start + tau_step * np.arange(count)
 
 
@@ -253,7 +259,6 @@ def scan(
     tau_start: float,
     tau_stop: float,
     tau_step: float,
-    frequency_grid: Optional[FrequencyGrid] = None,
 ) -> Interferogram:
     """Closed-form delay scan producing both singles ports and coincidences.
 
@@ -261,7 +266,7 @@ def scan(
     past ``check_reach``'s bound.  alpha, b, E1 and E2 are each
     computed once per scan; both singles ports come from one fringe array.
     """
-    return scan_configs(state, [cfg], tau_start, tau_stop, tau_step, frequency_grid)[0]
+    return scan_configs(state, [cfg], tau_start, tau_stop, tau_step)[0]
 
 
 def scan_configs(
@@ -270,7 +275,6 @@ def scan_configs(
     tau_start: float,
     tau_stop: float,
     tau_step: float,
-    frequency_grid: Optional[FrequencyGrid] = None,
 ) -> List[Interferogram]:
     """Closed-form delay scans of one state through each of ``cfgs``.
 
@@ -280,10 +284,9 @@ def scan_configs(
     """
     if not cfgs:
         raise ValueError("need at least one interferometer configuration")
-    grid = _working_frequency_grid(state, frequency_grid)
     for cfg in cfgs:
-        tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step, grid)
-    ov, env = _envelopes(state, grid)
+        tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
+    ov, env = _envelopes(state)
     e1, e2 = env.first_order(tau), env.second_order(tau)
     grams = []
     for cfg in cfgs:

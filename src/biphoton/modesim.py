@@ -16,15 +16,15 @@ turn and hands it to the state, which defines how a photon map acts on each
 of its photon slots and holds no element-specific logic of its own.
 
 The state is a branch sum, a short list of product terms (path pair,
-spatial factor, spectral factor).  Each sector kind's factor is its
-``_FACTORS`` entry, which stays diagonal / anti-diagonal for correlated
-inputs, so memory is O(N + M) per branch and default grids run at
-interactive speed.  Branches are never merged: each beam splitter
-multiplies their count by at most four, so the two-splitter pipeline ends
-with at most 16 per initial branch.  The state gives a table of path-pair
-norms, from one walk over the unordered pairs of a path pair's branches,
-and everything else reads that table: the port rule (the rates) and
-``total_norm``.
+spatial factor, spectral factor), on the grids the state's sectors carry.
+Each sector kind's factor is its ``_FACTORS`` entry, which stays diagonal
+/ anti-diagonal for correlated inputs, so memory is O(N + M) per branch
+and default grids run at interactive speed.  Branches are never merged:
+each beam splitter multiplies their count by at most four, so the
+two-splitter pipeline ends with at most 16 per initial branch.  The state
+gives a table of path-pair norms, from one walk over the unordered pairs
+of a path pair's branches, and everything else reads that table: the port
+rule (the rates) and ``total_norm``.
 
 A delay scan runs the branch sum once, at zero delay: the branches do not
 depend on the delay, and each records how many delay phases each of its
@@ -54,18 +54,11 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .errors import GridAsymmetry, UnknownElement
+from .errors import UnknownElement
 from .interferometer import Interferogram, InterferometerConfig, MZIM, _scan_axis
 from .spatial import SpatialGrid
 from .spectral import FrequencyGrid, chirp_z, normalize
-from .states import (
-    AntiCorrelated,
-    CorrelatedPump,
-    GeneralSpatial,
-    GeneralSpectral,
-    TwoPhotonState,
-    _working_frequency_grid,
-)
+from .states import AntiCorrelated, CorrelatedPump, GeneralSpatial, GeneralSpectral, TwoPhotonState
 
 __all__ = [
     "BeamSplitter",
@@ -334,32 +327,27 @@ def _by_path_pair(branches: Iterable[Branch]) -> Dict[Tuple[str, str], List[Bran
     return groups
 
 
-def _general_spectral_factor(spectral: GeneralSpectral, frequency_grid: FrequencyGrid) -> Factor:
-    if spectral.grid != frequency_grid:
-        raise GridAsymmetry("state's frequency grid differs from the requested grid")
-    return Factor.full(spectral.amplitude * frequency_grid.spacing)
-
-
-# The simulator's sector table, keyed by exact type: correlated sectors
-# become structured factors carrying sqrt(quadrature weight) amplitudes,
-# general sectors full matrices.
+# The simulator's sector table, keyed by exact type: each sector on its own
+# grid, correlated sectors as structured factors carrying sqrt(quadrature
+# weight) amplitudes, general sectors as full matrices.
 _FACTORS = {
-    CorrelatedPump: lambda s, _: Factor.diagonal(s.pump.values * math.sqrt(s.grid.spacing)),
-    GeneralSpatial: lambda s, _: Factor.full(s.amplitude * s.grid.spacing),
-    AntiCorrelated: lambda s, grid: Factor.antidiagonal(np.sqrt(
-        normalize(s.density, grid).sample(grid) * grid.trapezoid_weights()).astype(complex)),
-    GeneralSpectral: _general_spectral_factor,
+    CorrelatedPump: lambda s: Factor.diagonal(s.pump.values * math.sqrt(s.grid.spacing)),
+    GeneralSpatial: lambda s: Factor.full(s.amplitude * s.grid.spacing),
+    AntiCorrelated: lambda s: Factor.antidiagonal(np.sqrt(
+        normalize(s.density, s.grid).sample(s.grid) * s.grid.trapezoid_weights()
+    ).astype(complex)),
+    GeneralSpectral: lambda s: Factor.full(s.amplitude * s.grid.spacing),
 }
 
 
-def build_initial_state(state: TwoPhotonState, frequency_grid: FrequencyGrid) -> BranchSumState:
-    """Both photons in path a, on the state's spatial grid and ``frequency_grid``.
+def build_initial_state(state: TwoPhotonState) -> BranchSumState:
+    """Both photons in path a, on the grids the state's sectors carry.
 
     Each sector becomes its ``_FACTORS`` entry; the state is
     exchange-symmetrized and normalized to unit total amplitude norm."""
-    branch = Branch("a", "a", 1.0 + 0.0j, *(_FACTORS[type(sector)](sector, frequency_grid)
+    branch = Branch("a", "a", 1.0 + 0.0j, *(_FACTORS[type(sector)](sector)
                                             for sector in (state.spatial, state.spectral)))
-    out = _symmetrized(BranchSumState(state.spatial.grid, frequency_grid, (branch,)))
+    out = _symmetrized(BranchSumState(state.spatial.grid, state.spectral.grid, (branch,)))
     norm = math.sqrt(total_norm(out))
     if norm <= 0.0:
         raise ValueError("state has zero norm on these grids")
@@ -578,20 +566,17 @@ def oracle_scan(
     tau_start: float,
     tau_stop: float,
     tau_step: float,
-    frequency_grid: Optional[FrequencyGrid] = None,
 ) -> Interferogram:
     """Delay scan evaluated entirely by the discrete-mode simulator.
 
-    Runs on the state's spatial grid and on ``frequency_grid``, by default
-    the density's (or a general spectral sector's own grid), and makes the
+    Runs on the state's own spatial and frequency grids, and makes the
     same pump-frequency, step and reach checks as the closed ``scan``.  The
     branches do not depend on the delay, so the pipeline runs once, at
     tau = 0, and ``_delay_norms`` reads every delay's path-pair norms off
     the final state.
     """
-    fgrid = _working_frequency_grid(state, frequency_grid)
-    tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step, fgrid)
-    final = apply_pipeline(build_initial_state(state, fgrid), build_pipeline(cfg, 0.0))
+    tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
+    final = apply_pipeline(build_initial_state(state), build_pipeline(cfg, 0.0))
     s1, s2, cc = _port_rule(_delay_norms(final, cfg.pump_frequency, tau, tau_step))
     return Interferogram(
         tau=tau,

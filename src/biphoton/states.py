@@ -10,9 +10,10 @@ Both photons enter one port, so every one-photon quantity belongs to the
 exchange-symmetrised pair.  :func:`exchange_overlaps` gives what the
 closed forms read: the flip overlap alpha, the parity overlap b and the
 envelope weights q, which for an anti-correlated spectrum are also the
-frequency-diagonal one-photon spectral sector.  Each sector kind is one
-entry of ``_SECTORS`` here and one of the simulator's table, and
-:class:`TwoPhotonState` accepts no other type.  The one-photon spatial
+frequency-diagonal one-photon spectral sector.  Every sector carries its
+grid, so a state says once where both engines sample it.  Each sector
+kind is one entry of ``_SECTORS`` here and one of the simulator's table,
+and :class:`TwoPhotonState` accepts no other type.  The one-photon spatial
 sector is :func:`reduced_spatial_operator`, the partial trace over the
 second photon slot.  For a correlated pump it is position-diagonal (fully
 incoherent) whatever the pump profile: the photons are jointly coherent
@@ -21,8 +22,9 @@ but individually not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union, get_args
+from typing import NamedTuple, Tuple, Union, get_args
 
 import numpy as np
 
@@ -127,10 +129,12 @@ class AntiCorrelated:
 
     ``density`` is |psi(W)|^2; the amplitude used by the simulator is its
     square root.  Signal and idler detunings are exactly opposite, as for
-    down-conversion with a monochromatic pump.
+    down-conversion with a monochromatic pump.  ``grid`` is where both
+    engines sample the density, e.g. ``default_frequency_grid(density)``.
     """
 
     density: SpectralDensity
+    grid: FrequencyGrid
 
     def describe(self) -> str:
         return f"anti_correlated({self.density.describe()})"
@@ -160,8 +164,9 @@ class TwoPhotonState:
             if given not in kinds:  # by exact type: each engine's table has an entry
                 names = ", ".join(kind.__name__ for kind in kinds)
                 raise TypeError(f"{field} must be one of {names}, got {given.__name__}")
-        if not self.pump_frequency > 0.0:
-            raise ValueError("pump_frequency must be positive")
+        if not 0.0 < self.pump_frequency < math.inf:
+            raise ValueError(
+                f"pump_frequency must be finite and positive, got {self.pump_frequency!r}")
 
     def describe(self) -> dict:
         return {
@@ -176,8 +181,7 @@ class ExchangeOverlaps(NamedTuple):
 
     alpha: float  # flip overlap of one photon: weights the unbalanced singles fringe
     b: float  # parity overlap of the pair: weights the unbalanced coincidence fringes
-    grid: FrequencyGrid
-    weights: np.ndarray  # envelope weights q_k on ``grid``
+    weights: np.ndarray  # envelope weights q_k on the spectral sector's grid
 
 
 def _overlap_ratio(a: np.ndarray, moved: np.ndarray) -> float:
@@ -201,7 +205,8 @@ def _joint_overlaps(spatial: GeneralSpatial) -> Tuple[float, float, bool]:
     return _overlap_ratio(a, a[::-1, :]), _overlap_ratio(a, a[::-1, ::-1]), symmetric
 
 
-def _anticorrelated_weights(spectral: AntiCorrelated, grid: FrequencyGrid):
+def _anticorrelated_weights(spectral: AntiCorrelated):
+    grid = spectral.grid
     d = normalize(spectral.density, grid).sample(grid)
     if spectral.density.is_even_on(grid):
         return d * grid.trapezoid_weights(), True
@@ -209,34 +214,23 @@ def _anticorrelated_weights(spectral: AntiCorrelated, grid: FrequencyGrid):
     return weights / np.sum(weights), False
 
 
-def _no_closed_form(spectral: GeneralSpectral, grid: FrequencyGrid):
+def _no_closed_form(spectral: GeneralSpectral):
     raise ValueError("closed forms require an anti-correlated spectral sector; "
                      "use the discrete-mode engine for general spectra")
 
 
 # The closed engine's sector table, keyed by exact type: a spatial kind gives
-# (alpha, b, symmetric), a spectral kind its working grid and (weights, symmetric).
+# (alpha, b, symmetric), a spectral kind (weights on its grid, symmetric).
 _SECTORS = {
     CorrelatedPump: lambda s: (float(s.pump.position_weights()[s.grid.center_index]),
                                _overlap_ratio(s.pump.values, s.pump.flipped()), True),
     GeneralSpatial: _joint_overlaps,
-    AntiCorrelated: (lambda s: default_frequency_grid(s.density), _anticorrelated_weights),
-    GeneralSpectral: (lambda s: s.grid, _no_closed_form),
+    AntiCorrelated: _anticorrelated_weights,
+    GeneralSpectral: _no_closed_form,
 }
 
 
-def _working_frequency_grid(
-    state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid]
-) -> FrequencyGrid:
-    """The grid given, else the spectral sector's default working grid."""
-    if frequency_grid is not None:
-        return frequency_grid
-    return _SECTORS[type(state.spectral)][0](state.spectral)
-
-
-def exchange_overlaps(
-    state: TwoPhotonState, frequency_grid: Optional[FrequencyGrid] = None
-) -> ExchangeOverlaps:
+def exchange_overlaps(state: TwoPhotonState) -> ExchangeOverlaps:
     """alpha, b and the envelope weights q of the exchange-symmetrised state.
 
     Both photons enter one port, so the rates see (A F + A^T F^T) / 2 for
@@ -245,17 +239,17 @@ def exchange_overlaps(
     becomes A + A^T, or sqrt(d(W)) becomes the even sqrt(d(W)) + sqrt(d(-W)).
     Then alpha = <A, A(-x1, x2)> / <A, A> (|phi(0)|^2 dx for a correlated
     pump), b = <A, A(-x1, -x2)> / <A, A> and q = d times the trapezoid
-    weights.  A general spectral sector raises ValueError, and a state
-    asymmetric in both sectors AsymmetricSpectrum: neither has a closed form.
+    weights of the spectral sector's grid.  A general spectral sector
+    raises ValueError, and a state asymmetric in both sectors
+    AsymmetricSpectrum: neither has a closed form.
     """
-    grid = _working_frequency_grid(state, frequency_grid)
     alpha, b, spatial_symmetric = _SECTORS[type(state.spatial)](state.spatial)
-    weights, spectral_symmetric = _SECTORS[type(state.spectral)][1](state.spectral, grid)
+    weights, spectral_symmetric = _SECTORS[type(state.spectral)](state.spectral)
     if not (spatial_symmetric or spectral_symmetric):
         raise AsymmetricSpectrum(
             "both the spatial amplitude and the spectral density are exchange "
             "asymmetric; no closed form applies -- use the discrete-mode engine")
-    return ExchangeOverlaps(alpha, b, grid, weights)
+    return ExchangeOverlaps(alpha, b, weights)
 
 
 def reduced_spatial_operator(state: TwoPhotonState) -> np.ndarray:
@@ -291,13 +285,14 @@ def default_spdc_state(
     10 nm rectangular bandpass filters centered at 810 nm.  The filter
     passband is taken as the effective one-photon spectral density (the
     intrinsic down-conversion bandwidth is broader than the filters and is
-    not modelled).
+    not modelled), sampled on its ``default_frequency_grid``.
     """
     grid = spatial_grid or default_spatial_grid()
     pump = gaussian_amplitude(grid, waist=pump_waist)
     width = units.bandwidth_to_angular(DEFAULT_FILTER_CENTER, DEFAULT_FILTER_BANDWIDTH)
+    density = SpectralDensity(Rectangular(width))
     return TwoPhotonState(
         spatial=CorrelatedPump(pump),
-        spectral=AntiCorrelated(SpectralDensity(Rectangular(width))),
+        spectral=AntiCorrelated(density, default_frequency_grid(density)),
         pump_frequency=units.omega_from_wavelength(DEFAULT_PUMP_WAVELENGTH),
     )

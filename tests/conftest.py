@@ -1,4 +1,5 @@
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def default_state():
 
 @pytest.fixture(scope="session")
 def fgrid(default_state):
-    return bp.default_frequency_grid(default_state.spectral.density)
+    return default_state.spectral.grid
 
 
 @pytest.fixture(scope="session")
@@ -47,16 +48,14 @@ def cfg_mzim(default_state):
 
 
 @pytest.fixture(scope="session")
-def scan_mzi_fine(default_state, cfg_mzi, fgrid):
+def scan_mzi_fine(default_state, cfg_mzi):
     """Closed-form scan at the bundled-config resolution (0.08 fs)."""
-    return bp.scan(default_state, cfg_mzi, -200e-15, 200e-15, 0.08e-15,
-                   frequency_grid=fgrid)
+    return bp.scan(default_state, cfg_mzi, -200e-15, 200e-15, 0.08e-15)
 
 
 @pytest.fixture(scope="session")
-def scan_mzim_fine(default_state, cfg_mzim, fgrid):
-    return bp.scan(default_state, cfg_mzim, -200e-15, 200e-15, 0.08e-15,
-                   frequency_grid=fgrid)
+def scan_mzim_fine(default_state, cfg_mzim):
+    return bp.scan(default_state, cfg_mzim, -200e-15, 200e-15, 0.08e-15)
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +63,11 @@ def odd_state(default_state, sgrid):
     pump = bp.hermite_gauss1_amplitude(sgrid, waist=1e-3)
     return bp.TwoPhotonState(bp.CorrelatedPump(pump), default_state.spectral,
                              default_state.pump_frequency)
+
+
+def on_frequency_grid(state, grid):
+    """``state`` with its anti-correlated spectral sector sampled on ``grid``."""
+    return replace(state, spectral=replace(state.spectral, grid=grid))
 
 
 def arm_pipeline(cfg, tau, splitter=bp.BeamSplitter, delay_arm="b", flip_arm="b"):

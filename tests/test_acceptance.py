@@ -12,7 +12,7 @@ import pytest
 
 import biphoton as bp
 
-from conftest import COINCIDENCE_PERIOD, DELTA_OMEGA, OMEGA_P, SINGLES_PERIOD
+from conftest import COINCIDENCE_PERIOD, DELTA_OMEGA, OMEGA_P, SINGLES_PERIOD, on_frequency_grid
 from dense_reference import to_dense
 
 STEP = 0.2e-15
@@ -24,10 +24,10 @@ def announce(number, message):
 
 
 @pytest.fixture(scope="module")
-def coarse_scans(default_state, cfg_mzi, cfg_mzim, fgrid):
+def coarse_scans(default_state, cfg_mzi, cfg_mzim):
     """The criterion-1/2/3 scan: +-200 fs at 0.2 fs, closed form."""
-    mzi = bp.scan(default_state, cfg_mzi, -HALF, HALF, STEP, frequency_grid=fgrid)
-    mzim = bp.scan(default_state, cfg_mzim, -HALF, HALF, STEP, frequency_grid=fgrid)
+    mzi = bp.scan(default_state, cfg_mzi, -HALF, HALF, STEP)
+    mzim = bp.scan(default_state, cfg_mzim, -HALF, HALF, STEP)
     return mzi, mzim
 
 
@@ -36,8 +36,8 @@ def oracle_taus():
     return np.linspace(-300e-15, 300e-15, 200)
 
 
-def oracle_rates(state, cfg, taus, fgrid):
-    initial = bp.build_initial_state(state, fgrid)
+def oracle_rates(state, cfg, taus):
+    initial = bp.build_initial_state(state)
     singles, coincidences = [], []
     for tau in taus:
         final = bp.apply_pipeline(initial, bp.build_pipeline(cfg, tau))
@@ -57,9 +57,9 @@ def pump_line(trace, taus):
     return spectrum[k]
 
 
-def test_criterion_01_mzi_singles_visibility(default_state, cfg_mzi, fgrid):
+def test_criterion_01_mzi_singles_visibility(default_state, cfg_mzi):
     start = time.perf_counter()
-    gram = bp.scan(default_state, cfg_mzi, -HALF, HALF, STEP, frequency_grid=fgrid)
+    gram = bp.scan(default_state, cfg_mzi, -HALF, HALF, STEP)
     elapsed = time.perf_counter() - start
     v1 = bp.visibility(gram.singles_port1)
     assert v1 >= 0.99
@@ -68,14 +68,14 @@ def test_criterion_01_mzi_singles_visibility(default_state, cfg_mzi, fgrid):
                 f"(closed form, {elapsed:.2f} s < 5 s)")
 
 
-def test_criterion_02_mzim_singles_flatness(default_state, cfg_mzim, fgrid, coarse_scans):
+def test_criterion_02_mzim_singles_flatness(default_state, cfg_mzim, coarse_scans):
     _, mzim = coarse_scans
     v1 = bp.visibility(mzim.singles_port1)
     assert v1 <= 0.02
 
     fine_grid = bp.default_spatial_grid(point_count=513)
     fine_state = bp.default_spdc_state(spatial_grid=fine_grid)
-    fine_scan = bp.scan(fine_state, cfg_mzim, -HALF, HALF, STEP, frequency_grid=fgrid)
+    fine_scan = bp.scan(fine_state, cfg_mzim, -HALF, HALF, STEP)
     v1_fine = bp.visibility(fine_scan.singles_port1)
     ratio = v1_fine / v1
     assert ratio == pytest.approx(0.5, abs=0.05)
@@ -84,13 +84,13 @@ def test_criterion_02_mzim_singles_flatness(default_state, cfg_mzim, fgrid, coar
 
 
 def test_criterion_03_coincidence_invariance(coarse_scans, default_state,
-                                             fgrid, cfg_mzi, cfg_mzim, oracle_taus):
+                                             cfg_mzi, cfg_mzim, oracle_taus):
     mzi, mzim = coarse_scans
     closed_delta = float(np.max(np.abs(mzi.coincidences - mzim.coincidences)))
     assert closed_delta <= 1e-9
 
-    _, cc_mzi = oracle_rates(default_state, cfg_mzi, oracle_taus, fgrid)
-    _, cc_mzim = oracle_rates(default_state, cfg_mzim, oracle_taus, fgrid)
+    _, cc_mzi = oracle_rates(default_state, cfg_mzi, oracle_taus)
+    _, cc_mzim = oracle_rates(default_state, cfg_mzim, oracle_taus)
     oracle_delta = float(np.max(np.abs(cc_mzi - cc_mzim)))
     assert oracle_delta <= 1e-6
 
@@ -103,9 +103,8 @@ def test_criterion_03_coincidence_invariance(coarse_scans, default_state,
                 f"V12=({v12_mzi:.4f}, {v12_mzim:.4f}) >= 0.99")
 
 
-def test_criterion_04_fringe_frequency_doubling(default_state, cfg_mzi, fgrid):
-    gram = bp.scan(default_state, cfg_mzi, -50e-15, 50e-15, 0.05e-15,
-                   frequency_grid=fgrid)
+def test_criterion_04_fringe_frequency_doubling(default_state, cfg_mzi):
+    gram = bp.scan(default_state, cfg_mzi, -50e-15, 50e-15, 0.05e-15)
     period_singles = bp.fringe_period(gram.singles_port1, gram.tau)
     period_coinc = bp.fringe_period(gram.coincidences, gram.tau)
     ratio = period_coinc / period_singles
@@ -118,13 +117,12 @@ def test_criterion_04_fringe_frequency_doubling(default_state, cfg_mzi, fgrid):
                 f"{period_coinc * 1e15:.4f} fs (coincidence), ratio {ratio:.4f}")
 
 
-def test_criterion_05_oracle_equivalence(default_state, fgrid,
-                                         cfg_mzi, cfg_mzim, oracle_taus):
+def test_criterion_05_oracle_equivalence(default_state, cfg_mzi, cfg_mzim, oracle_taus):
     start = time.perf_counter()
     worst = 0.0
     for cfg in (cfg_mzi, cfg_mzim):
-        s_oracle, c_oracle = oracle_rates(default_state, cfg, oracle_taus, fgrid)
-        s_closed, _, c_closed = bp.rates(default_state, cfg, oracle_taus, fgrid)
+        s_oracle, c_oracle = oracle_rates(default_state, cfg, oracle_taus)
+        s_closed, _, c_closed = bp.rates(default_state, cfg, oracle_taus)
         worst = max(worst,
                     float(np.max(np.abs(s_oracle - s_closed))),
                     float(np.max(np.abs(c_oracle - c_closed))))
@@ -133,8 +131,8 @@ def test_criterion_05_oracle_equivalence(default_state, fgrid,
     # branch-sum vs dense representation on the small cross-check grids
     small_sgrid = bp.SpatialGrid(half_width=3e-3, point_count=9)
     small_fgrid = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=17)
-    small_state = bp.default_spdc_state(spatial_grid=small_sgrid)
-    built = bp.build_initial_state(small_state, small_fgrid)
+    small_state = on_frequency_grid(bp.default_spdc_state(spatial_grid=small_sgrid), small_fgrid)
+    built = bp.build_initial_state(small_state)
     dense_worst = 0.0
     for cfg in (cfg_mzi, cfg_mzim):
         for tau in (0.0, 27e-15, 140e-15):
@@ -153,7 +151,7 @@ def test_criterion_05_oracle_equivalence(default_state, fgrid,
                 f"({elapsed:.1f} s < 60 s)")
 
 
-def test_criterion_06_odd_pump_parity(odd_state, fgrid):
+def test_criterion_06_odd_pump_parity(odd_state):
     cfg_mzi = bp.InterferometerConfig.mzi(odd_state.pump_frequency)
     cfg_mzim = bp.InterferometerConfig.mzim(odd_state.pump_frequency)
 
@@ -166,14 +164,13 @@ def test_criterion_06_odd_pump_parity(odd_state, fgrid):
         assert shift == pytest.approx(math.pi, abs=1e-3), tag
         return ratio, shift
 
-    closed_mzi = bp.scan(odd_state, cfg_mzi, -HALF, HALF, 0.08e-15, frequency_grid=fgrid)
-    closed_mzim = bp.scan(odd_state, cfg_mzim, -HALF, HALF, 0.08e-15, frequency_grid=fgrid)
+    closed_mzi = bp.scan(odd_state, cfg_mzi, -HALF, HALF, 0.08e-15)
+    closed_mzim = bp.scan(odd_state, cfg_mzim, -HALF, HALF, 0.08e-15)
     ratio_c, shift_c = check("closed", closed_mzi.tau,
                              closed_mzi.coincidences, closed_mzim.coincidences)
 
-    oracle_mzi = bp.oracle_scan(odd_state, cfg_mzi, -60e-15, 60e-15, 0.2e-15, frequency_grid=fgrid)
-    oracle_mzim = bp.oracle_scan(odd_state, cfg_mzim, -60e-15, 60e-15, 0.2e-15,
-                                 frequency_grid=fgrid)
+    oracle_mzi = bp.oracle_scan(odd_state, cfg_mzi, -60e-15, 60e-15, 0.2e-15)
+    oracle_mzim = bp.oracle_scan(odd_state, cfg_mzim, -60e-15, 60e-15, 0.2e-15)
     ratio_o, shift_o = check("oracle", oracle_mzi.tau,
                              oracle_mzi.coincidences, oracle_mzim.coincidences)
     announce(6, f"odd pump: sinusoid amplitude ratio {ratio_c:.5f} (closed) / "
@@ -184,10 +181,10 @@ def test_criterion_07_bandwidth_reciprocity(default_state, sgrid):
     def dip_fwhm(width_scale):
         density = bp.SpectralDensity(bp.Rectangular(width_scale * DELTA_OMEGA))
         state = bp.TwoPhotonState(default_state.spatial,
-                                  bp.AntiCorrelated(density), OMEGA_P)
-        grid = bp.default_frequency_grid(density)
+                                  bp.AntiCorrelated(density, bp.default_frequency_grid(density)),
+                                  OMEGA_P)
         cfg = bp.InterferometerConfig.mzi(OMEGA_P)
-        gram = bp.scan(state, cfg, -250e-15, 250e-15, 0.08e-15, frequency_grid=grid)
+        gram = bp.scan(state, cfg, -250e-15, 250e-15, 0.08e-15)
         return bp.hom_dip_fwhm(gram.coincidences, gram.tau, OMEGA_P)
 
     def first_zero(width_scale):
@@ -218,10 +215,10 @@ def test_criterion_07_bandwidth_reciprocity(default_state, sgrid):
                 f"and the envelope first zero (ratio {zero_ratio:.4f})")
 
 
-def test_criterion_08_hom_dip_zero(default_state, fgrid, cfg_mzi, cfg_mzim):
-    closed_mzi = bp.rates(default_state, cfg_mzi, 0.0, fgrid)[2]
-    closed_mzim = bp.rates(default_state, cfg_mzim, 0.0, fgrid)[2]
-    initial = bp.build_initial_state(default_state, fgrid)
+def test_criterion_08_hom_dip_zero(default_state, cfg_mzi, cfg_mzim):
+    closed_mzi = bp.rates(default_state, cfg_mzi, 0.0)[2]
+    closed_mzim = bp.rates(default_state, cfg_mzim, 0.0)[2]
+    initial = bp.build_initial_state(default_state)
     oracle_mzi = bp.coincidence_rate(
         bp.apply_pipeline(initial, bp.build_pipeline(cfg_mzi, 0.0)))
     oracle_mzim = bp.coincidence_rate(
@@ -233,15 +230,15 @@ def test_criterion_08_hom_dip_zero(default_state, fgrid, cfg_mzi, cfg_mzim):
 
 
 def test_criterion_09_spatial_sector_independence(default_state, odd_state,
-                                                  sgrid, fgrid, cfg_mzi):
+                                                  sgrid, cfg_mzi):
     gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
     coherent_state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, gauss),
                                        default_state.spectral, OMEGA_P)
     taus = np.linspace(-150e-15, 150e-15, 151)
 
-    ref_singles, _, ref_coinc = bp.rates(default_state, cfg_mzi, taus, fgrid)
+    ref_singles, _, ref_coinc = bp.rates(default_state, cfg_mzi, taus)
     for state in (coherent_state, odd_state):
-        singles, _, coinc = bp.rates(state, cfg_mzi, taus, fgrid)
+        singles, _, coinc = bp.rates(state, cfg_mzi, taus)
         assert np.array_equal(singles, ref_singles)
         assert np.array_equal(coinc, ref_coinc)
 
@@ -249,7 +246,7 @@ def test_criterion_09_spatial_sector_independence(default_state, odd_state,
     sample_taus = taus[::25]
     reference = None
     for state in (default_state, coherent_state, odd_state):
-        initial = bp.build_initial_state(state, fgrid)
+        initial = bp.build_initial_state(state)
         rates = []
         for tau in sample_taus:
             final = bp.apply_pipeline(initial, bp.build_pipeline(cfg_mzi, tau))

@@ -46,7 +46,7 @@ def test_reference_matches_the_oracle(perfbench, tmp_path, case):
     tau, reference = checks._reference(path)
     run = cli.load_config(path)
     gram = modesim.oracle_scan(run.state, run.instrument, run.tau_start, run.tau_stop,
-                               run.tau_step, frequency_grid=run.frequency_grid)
+                               run.tau_step)
     assert np.array_equal(gram.tau, tau)
     oracle = np.vstack([gram.singles_port1, gram.singles_port2, gram.coincidences])
     assert reference.shape == oracle.shape

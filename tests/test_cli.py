@@ -885,8 +885,7 @@ class TestCompare:
             cfg["interferometer"]["kind"] = kind
             run = load_config(write_config(tmp_path, cfg, f"{kind}.json"))
             icfg = run.instrument
-            alone = bp.scan(run.state, icfg, run.tau_start, run.tau_stop, run.tau_step,
-                            frequency_grid=run.frequency_grid)
+            alone = bp.scan(run.state, icfg, run.tau_start, run.tau_stop, run.tau_step)
             assert icfg.kind == kind
             for got, want in ((tau, alone.tau), (singles, alone.singles_port1),
                               (coincidences, alone.coincidences)):
@@ -1047,7 +1046,7 @@ class TestConfigValidation:
     def test_scan_reach_bound_is_sharp(self, tmp_path):
         cfg = load_bundled("default_mzi")
         cfg["grids"]["spectral_points"] = 65
-        spacing = load_config(write_config(tmp_path, cfg)).frequency_grid.spacing
+        spacing = load_config(write_config(tmp_path, cfg)).state.spectral.grid.spacing
         bound_fs = bp.interferometer.MAX_REACH_FRACTION * math.pi / spacing / FS
         cfg["scan"] = {"tau_start_fs": -10.0, "tau_stop_fs": bound_fs * (1.0 - 1e-9),
                        "tau_step_fs": 0.2}
@@ -1163,7 +1162,7 @@ class TestConfigValidation:
         width = bp.units.bandwidth_to_angular(center_nm * NM, 10.0 * NM)
         density = bp.SpectralDensity(bp.Rectangular(width))
         assert run.state.spectral.density == density
-        assert run.frequency_grid == bp.default_frequency_grid(density, point_count=1025)
+        assert run.state.spectral.grid == bp.default_frequency_grid(density, point_count=1025)
 
     def test_sizes_at_the_ceilings_accepted(self, tmp_path):
         cfg = load_bundled("default_mzi")
@@ -1173,7 +1172,7 @@ class TestConfigValidation:
         run = load_config(write_config(tmp_path, cfg))
         tau = bp.interferometer.tau_axis(run.tau_start, run.tau_stop, run.tau_step)
         assert tau.size == cli.MAX_DELAYS
-        assert run.frequency_grid.point_count == cli.MAX_GRID_POINTS
+        assert run.state.spectral.grid.point_count == cli.MAX_GRID_POINTS
         assert run.state.spatial.grid.point_count == cli.MAX_GRID_POINTS
 
     @pytest.mark.parametrize("value", [None, [1], True, "x"],
@@ -1450,7 +1449,7 @@ class TestSpectralRefinement:
             cfg["grids"]["spectral_points"] = points
             run = load_config(write_config(tmp_path, cfg))
             grams.append(bp.scan(run.state, run.instrument, run.tau_start, run.tau_stop,
-                                 run.tau_step, frequency_grid=run.frequency_grid))
+                                 run.tau_step))
         coarse, fine = grams
         for column in ("singles_port1", "singles_port2", "coincidences"):
             change = float(np.max(np.abs(getattr(coarse, column) - getattr(fine, column))))
@@ -1478,7 +1477,7 @@ class TestInputsBuiltOnce:
     def test_build_problem_returns_the_loaded_inputs(self, tmp_path):
         run = load_config(write_config(tmp_path, load_bundled("default_mzim")))
         state, icfg, sgrid, fgrid = cli.build_problem(run)
-        assert (state, icfg, fgrid) == (run.state, run.instrument, run.frequency_grid)
+        assert (state, icfg, fgrid) == (run.state, run.instrument, run.state.spectral.grid)
         assert sgrid == BUNDLED_GRID
         assert icfg == bp.InterferometerConfig.mzim(state.pump_frequency)
 

@@ -9,11 +9,11 @@ from hypothesis import event, given, settings, strategies as st
 import biphoton as bp
 from biphoton import modesim
 from biphoton.cli import build_problem, bundled_config_path, load_config
-from biphoton.errors import GridAsymmetry, UnderSampled, UnknownElement
+from biphoton.errors import UnderSampled, UnknownElement
 from biphoton.modesim import _photon_map
 from biphoton.spectral import chirp_z
 
-from conftest import DELTA_OMEGA, OMEGA_P, arm_pipeline, oracle_convention
+from conftest import DELTA_OMEGA, OMEGA_P, arm_pipeline, on_frequency_grid, oracle_convention
 from dense_reference import (
     SPLITTERS,
     BudgetExceeded,
@@ -32,13 +32,13 @@ def small_grids():
 
 @pytest.fixture(scope="module")
 def small_state(small_grids):
-    sgrid, _ = small_grids
-    return bp.default_spdc_state(spatial_grid=sgrid)
+    sgrid, fgrid = small_grids
+    return on_frequency_grid(bp.default_spdc_state(spatial_grid=sgrid), fgrid)
 
 
 @pytest.fixture(scope="session")
-def initial(default_state, fgrid):
-    return bp.build_initial_state(default_state, fgrid)
+def initial(default_state):
+    return bp.build_initial_state(default_state)
 
 
 def run(initial_state, cfg, tau):
@@ -51,8 +51,7 @@ ARM_ASSIGNMENTS = [(delay_arm, flip_arm) for delay_arm in "ab" for flip_arm in "
 @pytest.fixture(scope="module")
 def interpreters(small_state, small_grids):
     """Each interpreter of an element list: branch sum and dense tensor."""
-    _, fgrid = small_grids
-    built = bp.build_initial_state(small_state, fgrid)
+    built = bp.build_initial_state(small_state)
     return (
         lambda elements: bp.apply_pipeline(built, elements),
         lambda elements: bp.apply_pipeline(to_dense(built), elements),
@@ -118,17 +117,17 @@ class TestBuildInitialState:
         assert branch.spatial.kind == "diag"
         assert branch.spectral.kind == "antidiag"
 
-    def test_general_spatial_becomes_full_factor(self, default_state, sgrid, fgrid):
+    def test_general_spatial_becomes_full_factor(self, default_state, sgrid):
         gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
         state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, gauss),
                                   default_state.spectral, OMEGA_P)
-        built = bp.build_initial_state(state, fgrid)
+        built = bp.build_initial_state(state)
         assert built.branches[0].spatial.kind == "full"
         assert bp.total_norm(built) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_explicit_dense_construction(self, small_state, small_grids):
         sgrid, fgrid = small_grids
-        built = to_dense(bp.build_initial_state(small_state, fgrid))
+        built = to_dense(bp.build_initial_state(small_state))
 
         # independent dense construction straight from the discretization
         n, m = sgrid.point_count, fgrid.point_count
@@ -198,7 +197,7 @@ class TestPhotonMap:
 
 
 class TestElementSemantics:
-    def test_double_beam_splitter_routes_to_one_port(self, initial, fgrid):
+    def test_double_beam_splitter_routes_to_one_port(self, initial):
         # BS followed immediately by BS sends path a to i b: everything
         # exits port 2, coincidences vanish.
         elements = [bp.BeamSplitter(), bp.BeamSplitter()]
@@ -238,8 +237,7 @@ class TestElementSemantics:
     def test_exchange_symmetry_preserved_dense(self, small_state, small_grids, cfg_mzim):
         # The dense representation supports a direct, cancellation-free
         # asymmetry check at the 1e-12 scale, element by element.
-        _, fgrid = small_grids
-        state = to_dense(bp.build_initial_state(small_state, fgrid))
+        state = to_dense(bp.build_initial_state(small_state))
         assert exchange_asymmetry(state) < 1e-12
         for element in bp.build_pipeline(cfg_mzim, 33e-15):
             state = bp.apply_pipeline(state, [element])
@@ -276,8 +274,8 @@ class TestElementSemantics:
 class TestClosedFormEquivalence:
     TAUS = np.linspace(-300e-15, 300e-15, 200)
 
-    def test_balanced_interferometer(self, default_state, cfg_mzi, initial, fgrid):
-        expected_s1, _, expected_cc = bp.rates(default_state, cfg_mzi, self.TAUS, fgrid)
+    def test_balanced_interferometer(self, default_state, cfg_mzi, initial):
+        expected_s1, _, expected_cc = bp.rates(default_state, cfg_mzi, self.TAUS)
         worst_cc = worst_s1 = 0.0
         for tau, cc_ref, s1_ref in zip(self.TAUS, expected_cc, expected_s1):
             final = run(initial, cfg_mzi, tau)
@@ -295,8 +293,8 @@ class TestClosedFormEquivalence:
         assert worst <= 1e-9
 
     def test_unbalanced_singles_match_flip_weighted_form(
-            self, default_state, cfg_mzim, initial, fgrid):
-        expected = bp.rates(default_state, cfg_mzim, self.TAUS, fgrid)[0]
+            self, default_state, cfg_mzim, initial):
+        expected = bp.rates(default_state, cfg_mzim, self.TAUS)[0]
         worst = 0.0
         for tau, ref in zip(self.TAUS, expected):
             final = run(initial, cfg_mzim, tau)
@@ -304,12 +302,12 @@ class TestClosedFormEquivalence:
         assert worst <= 1e-6
 
     def test_coherent_even_sector_gives_full_fringes(
-            self, default_state, sgrid, fgrid, cfg_mzim):
+            self, default_state, sgrid, cfg_mzim):
         gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
         state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, gauss),
                                   default_state.spectral, OMEGA_P)
-        built = bp.build_initial_state(state, fgrid)
-        expected = bp.rates(state, cfg_mzim, self.TAUS[::10], fgrid)[0]
+        built = bp.build_initial_state(state)
+        expected = bp.rates(state, cfg_mzim, self.TAUS[::10])[0]
         for tau, ref in zip(self.TAUS[::10], expected):
             final = run(built, cfg_mzim, tau)
             assert bp.singles_rate(final, 1) == pytest.approx(ref, abs=1e-6)
@@ -320,10 +318,10 @@ class TestClosedFormEquivalence:
 
 
 class TestParityCases:
-    def test_odd_pump_coincidences(self, odd_state, fgrid, cfg_mzim):
-        built = bp.build_initial_state(odd_state, fgrid)
+    def test_odd_pump_coincidences(self, odd_state, cfg_mzim):
+        built = bp.build_initial_state(odd_state)
         taus = np.linspace(-150e-15, 150e-15, 40)
-        expected = bp.rates(odd_state, cfg_mzim, taus, fgrid)[2]
+        expected = bp.rates(odd_state, cfg_mzim, taus)[2]
         for tau, ref in zip(taus, expected):
             assert bp.coincidence_rate(run(built, cfg_mzim, tau)) == pytest.approx(
                 ref, abs=1e-9)
@@ -337,7 +335,7 @@ class TestParityCases:
         beta = bp.pump_parity_overlap(pump).as_complex().real
         assert 0.0 < beta < 1.0
         state = bp.TwoPhotonState(bp.CorrelatedPump(pump), default_state.spectral, OMEGA_P)
-        built = bp.build_initial_state(state, fgrid)
+        built = bp.build_initial_state(state)
         cfg = bp.InterferometerConfig.mzim(OMEGA_P)
         density = bp.normalize(default_state.spectral.density, fgrid)
         env = bp.EnvelopeEvaluator(density, fgrid)
@@ -351,8 +349,8 @@ class TestParityCases:
             if abs(interference) > 1e-12:
                 assert lo < value < hi
 
-    def test_even_pump_fringe_versus_odd_pump_fringe(self, initial, odd_state, fgrid, cfg_mzim):
-        built_odd = bp.build_initial_state(odd_state, fgrid)
+    def test_even_pump_fringe_versus_odd_pump_fringe(self, initial, odd_state, cfg_mzim):
+        built_odd = bp.build_initial_state(odd_state)
         tau = 0.25 * 2.0 * math.pi / OMEGA_P
         even = bp.coincidence_rate(run(initial, cfg_mzim, tau))
         odd = bp.coincidence_rate(run(built_odd, cfg_mzim, tau))
@@ -360,7 +358,7 @@ class TestParityCases:
 
 
 class TestInvariances:
-    def test_arm_assignment_independence(self, default_state, sgrid, fgrid, initial, cfg_mzim):
+    def test_arm_assignment_independence(self, default_state, sgrid, initial, cfg_mzim):
         taus = (11e-15, 60e-15)
         reference = None
         for delay_arm, flip_arm in ARM_ASSIGNMENTS:
@@ -400,14 +398,14 @@ class TestInvariances:
                         bp.singles_rate(b, port), abs=1e-9)
 
     def test_spatial_sector_independence_in_balanced_instrument(
-            self, default_state, odd_state, sgrid, fgrid, cfg_mzi):
+            self, default_state, odd_state, sgrid, cfg_mzi):
         gauss = bp.gaussian_amplitude(sgrid, waist=1e-3)
         coherent = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, gauss),
                                      default_state.spectral, OMEGA_P)
         taus = (7e-15, 42e-15, 155e-15)
         reference = None
         for state in (default_state, coherent, odd_state):
-            built = bp.build_initial_state(state, fgrid)
+            built = bp.build_initial_state(state)
             rates = []
             for tau in taus:
                 final = run(built, cfg_mzi, tau)
@@ -422,8 +420,7 @@ class TestInvariances:
 
 class TestDenseRepresentation:
     def test_observables_match_branch_sum(self, small_state, small_grids, cfg_mzi, cfg_mzim):
-        _, fgrid = small_grids
-        built = bp.build_initial_state(small_state, fgrid)
+        built = bp.build_initial_state(small_state)
         for cfg in (cfg_mzi, cfg_mzim):
             for tau in (0.0, 35e-15, 180e-15):
                 elements = bp.build_pipeline(cfg, tau)
@@ -437,27 +434,25 @@ class TestDenseRepresentation:
                         bp.singles_rate(branch_final, port), abs=1e-12)
 
     def test_post_pipeline_expansion_matches(self, small_state, small_grids, cfg_mzim):
-        _, fgrid = small_grids
-        built = bp.build_initial_state(small_state, fgrid)
+        built = bp.build_initial_state(small_state)
         elements = bp.build_pipeline(cfg_mzim, 42e-15)
         branch_final = bp.apply_pipeline(built, elements)
         expanded = to_dense(branch_final)
         direct = bp.apply_pipeline(to_dense(built), elements)
         assert float(np.max(np.abs(expanded.tensor - direct.tensor))) < 1e-12
 
-    def test_budget_guard(self, fgrid):
+    def test_budget_guard(self):
         sgrid = bp.SpatialGrid(half_width=3e-3, point_count=65)
         fgrid_big = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=129)
-        state = bp.default_spdc_state(spatial_grid=sgrid)
-        built = bp.build_initial_state(state, fgrid_big)
+        state = on_frequency_grid(bp.default_spdc_state(spatial_grid=sgrid), fgrid_big)
+        built = bp.build_initial_state(state)
         with pytest.raises(BudgetExceeded):
             to_dense(built)  # (2*65*129)^2 amplitudes ~ 4.5 GiB
 
 
 class TestOracleScan:
-    def test_scan_matches_pointwise_evaluation(self, default_state, cfg_mzi, fgrid, initial):
-        gram = bp.oracle_scan(default_state, cfg_mzi, -20e-15, 20e-15, 0.25e-15,
-                              frequency_grid=fgrid)
+    def test_scan_matches_pointwise_evaluation(self, default_state, cfg_mzi, initial):
+        gram = bp.oracle_scan(default_state, cfg_mzi, -20e-15, 20e-15, 0.25e-15)
         assert gram.engine == "oracle"
         i = 17
         final = run(initial, cfg_mzi, gram.tau[i])
@@ -466,14 +461,14 @@ class TestOracleScan:
         total = gram.singles_port1 + gram.singles_port2
         assert float(np.max(np.abs(total - 2.0))) < 1e-9
 
-    def test_undersampled_step_rejected(self, default_state, cfg_mzi, fgrid):
+    def test_undersampled_step_rejected(self, default_state, cfg_mzi):
         with pytest.raises(UnderSampled):
-            bp.oracle_scan(default_state, cfg_mzi, -1e-15, 1e-15, 0.5e-15, frequency_grid=fgrid)
+            bp.oracle_scan(default_state, cfg_mzi, -1e-15, 1e-15, 0.5e-15)
 
-    def test_pump_frequency_mismatch_rejected(self, default_state, fgrid):
+    def test_pump_frequency_mismatch_rejected(self, default_state):
         cfg = bp.InterferometerConfig.mzi(OMEGA_P * 1.01)
         with pytest.raises(ValueError, match="pump frequency"):
-            bp.oracle_scan(default_state, cfg, -1e-15, 1e-15, 0.1e-15, frequency_grid=fgrid)
+            bp.oracle_scan(default_state, cfg, -1e-15, 1e-15, 0.1e-15)
 
 
 class TestOracleProperties:
@@ -490,11 +485,11 @@ class TestOracleProperties:
            balanced=st.booleans())
     def test_invariants_and_dense_agreement(self, small_state, small_grids,
                                             tau_fs, waist_mm, shift_mm, balanced):
-        sgrid, fgrid = small_grids
+        sgrid, _ = small_grids
         pump = bp.gaussian_amplitude(sgrid, waist=waist_mm * 1e-3, center=shift_mm * 1e-3)
         state = bp.TwoPhotonState(bp.CorrelatedPump(pump), small_state.spectral, OMEGA_P)
         cfg = (bp.InterferometerConfig.mzi if balanced else bp.InterferometerConfig.mzim)(OMEGA_P)
-        built = bp.build_initial_state(state, fgrid)
+        built = bp.build_initial_state(state)
         for tau in (0.0, tau_fs * 1e-15):
             rates = {}
             for convention, splitter in SPLITTERS.items():
@@ -526,7 +521,7 @@ class TestOracleProperties:
         # "general" sector is a random complex matrix, exchange asymmetric.
         sgrid, fgrid = small_grids
         state = bp.TwoPhotonState(*_random_sectors(sgrid, fgrid, *sectors, seed), OMEGA_P)
-        built = bp.build_initial_state(state, fgrid)
+        built = bp.build_initial_state(state)
         elements = arm_pipeline(bp.InterferometerConfig(kind, OMEGA_P), tau_fs * 1e-15,
                                 SPLITTERS[convention])
         final = bp.apply_pipeline(built, elements)
@@ -560,7 +555,7 @@ def _random_sectors(sgrid, fgrid, spatial_kind, spectral_kind, seed):
         spatial = bp.GeneralSpatial.from_samples(sgrid, joint(spatial_kind, n))
     if spectral_kind == "density":
         spectral = bp.AntiCorrelated(bp.SpectralDensity(bp.Tabulated(
-            tuple(fgrid.omegas()), tuple(rng.uniform(0.1, 1.0, size=m)))))
+            tuple(fgrid.omegas()), tuple(rng.uniform(0.1, 1.0, size=m)))), fgrid)
     else:
         spectral = bp.GeneralSpectral.from_samples(fgrid, joint(spectral_kind, m))
     return spatial, spectral
@@ -595,10 +590,9 @@ class TestBatchedOracleScan:
     @pytest.mark.parametrize("name", ["gaussian", "shifted", "hg1", "general_spatial",
                                       "general_spectral", "both_general"])
     def test_matches_per_delay_branch_sum(self, small_state, small_grids, name):
-        _, fgrid = small_grids
         spatial, spectral = _batch_states(small_state, small_grids)[name]
         state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
-        built = bp.build_initial_state(state, fgrid)
+        built = bp.build_initial_state(state)
         # Only the exchange-symmetric inputs stay one branch after symmetrisation.
         assert len(built.branches) == (1 if name in ("gaussian", "shifted", "hg1") else 2)
         half = 120 * self.STEP  # 241 delays, tau = 0 exactly at the centre
@@ -607,8 +601,7 @@ class TestBatchedOracleScan:
             for splitter in SPLITTERS.values():
                 for start, stop in ((-half, half), (17e-15, 17e-15)):
                     with oracle_convention(splitter):
-                        gram = bp.oracle_scan(state, cfg, start, stop, self.STEP,
-                                              frequency_grid=fgrid)
+                        gram = bp.oracle_scan(state, cfg, start, stop, self.STEP)
                     assert gram.tau.size == (241 if start < stop else 1)
                     finals = [bp.apply_pipeline(built, arm_pipeline(cfg, t, splitter))
                               for t in gram.tau]
@@ -617,23 +610,16 @@ class TestBatchedOracleScan:
                     got = np.stack([gram.singles_port1, gram.singles_port2, gram.coincidences])
                     assert float(np.max(np.abs(got - expected))) <= 1e-12
 
-    def test_general_spectral_on_a_foreign_grid_rejected(self, small_state, small_grids,
-                                                          cfg_mzim):
-        spatial, spectral = _batch_states(small_state, small_grids)["general_spectral"]
-        state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
-        foreign = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=19)
-        with pytest.raises(GridAsymmetry, match="frequency grid differs"):
-            bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP, frequency_grid=foreign)
-
     def test_general_spectral_scans_on_its_own_grid(self, small_state, small_grids, cfg_mzim):
-        # without a frequency grid the scan takes the general sector's grid
+        # the branch sum runs on the grid the general sector carries
         _, fgrid = small_grids
         spatial, spectral = _batch_states(small_state, small_grids)["general_spectral"]
         state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
-        own = bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP)
-        given = bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP, frequency_grid=fgrid)
-        for column in ("singles_port1", "singles_port2", "coincidences"):
-            assert np.array_equal(getattr(own, column), getattr(given, column))
+        built = bp.build_initial_state(state)
+        assert built.frequency_grid == spectral.grid == fgrid
+        gram = bp.oracle_scan(state, cfg_mzim, -5e-15, 5e-15, self.STEP)
+        final = run(built, cfg_mzim, gram.tau[3])
+        assert gram.coincidences[3] == pytest.approx(bp.coincidence_rate(final), abs=1e-12)
 
     def test_final_branches_record_delays(self, initial, cfg_mzi, cfg_mzim):
         for cfg in (cfg_mzi, cfg_mzim):
@@ -669,9 +655,9 @@ def _reads(entry, sign, row):
     return entry[0] == sign and entry[1] is row
 
 
-def _assert_tables_bit_equal(state, fgrid):
+def _assert_tables_bit_equal(state):
     """Every instrument, arm assignment and beam-splitter convention."""
-    built = bp.build_initial_state(state, fgrid)
+    built = bp.build_initial_state(state)
     for kind in (bp.MZI, bp.MZIM):
         cfg = bp.InterferometerConfig(kind, OMEGA_P)
         for delay_arm, flip_arm in ARM_ASSIGNMENTS:
@@ -691,38 +677,37 @@ class TestDelayTableBits:
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
     def test_bundled_configs(self, name):
-        (state, *_), fgrid = _bundled_scan_args(name)
-        _assert_tables_bit_equal(state, fgrid)
+        state, *_ = _bundled_scan_args(name)
+        _assert_tables_bit_equal(state)
 
     @pytest.mark.parametrize("name", ["shifted", "hg1", "general_spatial", "both_general"])
     def test_small_grid_states(self, small_state, small_grids, name):
-        _, fgrid = small_grids
         spatial, spectral = _batch_states(small_state, small_grids)[name]
-        _assert_tables_bit_equal(bp.TwoPhotonState(spatial, spectral, OMEGA_P), fgrid)
+        _assert_tables_bit_equal(bp.TwoPhotonState(spatial, spectral, OMEGA_P))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_pumps_and_densities(self, small_grids, seed):
         sgrid, _ = small_grids
-        _assert_tables_bit_equal(*_random_state(sgrid, seed))
+        _assert_tables_bit_equal(_random_state(sgrid, seed))
 
 
 def _random_state(sgrid, seed):
     """A random complex pump and a random tabulated density, on a 33-point
-    frequency grid: (state, frequency grid)."""
+    frequency grid."""
     fgrid = bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=33)
     rng = np.random.default_rng(seed)
     pump = bp.SpatialAmplitude.from_samples(
         sgrid, rng.normal(size=sgrid.point_count) + 1j * rng.normal(size=sgrid.point_count))
     density = bp.SpectralDensity(bp.Tabulated(
         tuple(fgrid.omegas()), tuple(rng.uniform(0.1, 1.0, size=fgrid.point_count))))
-    return bp.TwoPhotonState(bp.CorrelatedPump(pump), bp.AntiCorrelated(density), OMEGA_P), fgrid
+    return bp.TwoPhotonState(bp.CorrelatedPump(pump), bp.AntiCorrelated(density, fgrid), OMEGA_P)
 
 
 def _bundled_scan_args(name):
     cfg = load_config(bundled_config_path(name))
-    state, icfg, _, fgrid = build_problem(cfg)
-    return (state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step), fgrid
+    state, icfg, _, _ = build_problem(cfg)
+    return state, icfg, cfg.tau_start, cfg.tau_stop, cfg.tau_step
 
 
 def _distinct_rows(rows):
@@ -758,17 +743,17 @@ def _reference_norms(final, pump_frequency, tau, tau_step):
     return norms
 
 
-def _reference_scan(state, cfg, tau_start, tau_stop, tau_step, fgrid):
+def _reference_scan(state, cfg, tau_start, tau_stop, tau_step):
     """The oracle's rates by the earlier route (``_reference_norms``)."""
-    tau = modesim._scan_axis(state, cfg, tau_start, tau_stop, tau_step, fgrid)
-    final = bp.apply_pipeline(bp.build_initial_state(state, fgrid), bp.build_pipeline(cfg, 0.0))
+    tau = modesim._scan_axis(state, cfg, tau_start, tau_stop, tau_step)
+    final = bp.apply_pipeline(bp.build_initial_state(state), bp.build_pipeline(cfg, 0.0))
     return (tau,) + modesim._port_rule(_reference_norms(final, cfg.pump_frequency, tau, tau_step))
 
 
-def _assert_scan_matches_reference(args, fgrid):
-    gram = bp.oracle_scan(*args, frequency_grid=fgrid)
+def _assert_scan_matches_reference(args):
+    gram = bp.oracle_scan(*args)
     got = (gram.tau, gram.singles_port1, gram.singles_port2, gram.coincidences)
-    for column, reference in zip(got, _reference_scan(*args, fgrid)):
+    for column, reference in zip(got, _reference_scan(*args)):
         assert np.array_equal(column.view(np.int64), reference.view(np.int64))
     return gram
 
@@ -782,14 +767,14 @@ def _fine_grid_scan_args(tmp_path, profile):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     run_cfg = load_config(path)
-    state, icfg, _, fgrid = build_problem(run_cfg)
-    return (state, icfg, run_cfg.tau_start, run_cfg.tau_stop, run_cfg.tau_step), fgrid
+    state, icfg, _, _ = build_problem(run_cfg)
+    return state, icfg, run_cfg.tau_start, run_cfg.tau_stop, run_cfg.tau_step
 
 
-def _shared_rows(args, fgrid):
+def _shared_rows(args):
     """The delay table's keys and the row objects they share."""
     state, icfg = args[:2]
-    final = bp.apply_pipeline(bp.build_initial_state(state, fgrid), bp.build_pipeline(icfg, 0.0))
+    final = bp.apply_pipeline(bp.build_initial_state(state), bp.build_pipeline(icfg, 0.0))
     table = modesim._delay_table(final)
     return table, list({id(row): row for _, row in table.values()}.values())
 
@@ -903,16 +888,15 @@ class TestDistinctRows:
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
     def test_bundled_scan_equals_every_row_reference(self, name):
-        _assert_scan_matches_reference(*_bundled_scan_args(name))
+        _assert_scan_matches_reference(_bundled_scan_args(name))
 
     @pytest.mark.parametrize("name", ["shifted", "hg1", "general_spatial", "both_general"])
     def test_small_grid_scan_equals_every_row_reference(self, small_state, small_grids, name):
-        _, fgrid = small_grids
         spatial, spectral = _batch_states(small_state, small_grids)[name]
         state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
         for kind in ("mzi", "mzim"):
             cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
-            _assert_scan_matches_reference((state, cfg, -30e-15, 30e-15, 0.25e-15), fgrid)
+            _assert_scan_matches_reference((state, cfg, -30e-15, 30e-15, 0.25e-15))
 
     @pytest.mark.parametrize("profile", [
         {"kind": "hg1", "waist_mm": 0.9},
@@ -926,45 +910,44 @@ class TestDistinctRows:
                 f"{x / 20!r},{(1.0 + 0.3 * x / 20) * math.exp(-(x / 20 - 0.3) ** 2)!r}\n"
                 for x in range(-60, 61)))
             profile = dict(profile, path=str(table_path))
-        args, fgrid = _fine_grid_scan_args(tmp_path, profile)
-        assert fgrid.point_count == 4097
-        assert _assert_scan_matches_reference(args, fgrid).tau.size >= 201
+        args = _fine_grid_scan_args(tmp_path, profile)
+        assert args[0].spectral.grid.point_count == 4097
+        assert _assert_scan_matches_reference(args).tau.size >= 201
 
     @settings(deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_random_pumps_and_densities_scan_bits(self, small_grids, seed):
         # leaves max_examples to the profile: CI's deep step draws 3000
         sgrid, _ = small_grids
-        state, fgrid = _random_state(sgrid, seed)
+        state = _random_state(sgrid, seed)
         for kind in ("mzi", "mzim"):
             cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
-            _assert_scan_matches_reference((state, cfg, -10e-15, 10e-15, 0.25e-15), fgrid)
+            _assert_scan_matches_reference((state, cfg, -10e-15, 10e-15, 0.25e-15))
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
     def test_bundled_configs_transform_four_of_twelve_rows(self, monkeypatch, name):
-        args, fgrid = _bundled_scan_args(name)
-        table, rows = _shared_rows(args, fgrid)
+        args = _bundled_scan_args(name)
+        table, rows = _shared_rows(args)
         assert (len(table), len(rows), sum(row.any() for row in rows)) == (12, 5, 4)
         transformed = _recording_chirp_z(monkeypatch)
-        bp.oracle_scan(*args, frequency_grid=fgrid)
+        bp.oracle_scan(*args)
         assert transformed == [4]
 
     def test_hg1_pump_transforms_three_of_twelve_rows(self, monkeypatch):
-        (state, *rest), fgrid = _bundled_scan_args("default_mzim")
+        state, *rest = _bundled_scan_args("default_mzim")
         pump = bp.hermite_gauss1_amplitude(state.spatial.grid, waist=1e-3)
         args = (bp.TwoPhotonState(bp.CorrelatedPump(pump), state.spectral, OMEGA_P), *rest)
-        table, rows = _shared_rows(args, fgrid)
+        table, rows = _shared_rows(args)
         assert (len(table), len(rows), sum(row.any() for row in rows)) == (12, 4, 3)
         transformed = _recording_chirp_z(monkeypatch)
-        bp.oracle_scan(*args, frequency_grid=fgrid)
+        bp.oracle_scan(*args)
         assert transformed == [3]
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
     def test_twin_rows_are_the_port_sum_rule(self, name):
         # s1 + s2 = 2: the (b, b) singles fringe is (a, a)'s negated, and the
         # cross pairs' m = 2 term cancels the like pairs'
-        args, fgrid = _bundled_scan_args(name)
-        table, _ = _shared_rows(args, fgrid)
+        table, _ = _shared_rows(_bundled_scan_args(name))
         (sign1, aa1), (sign2, aa2) = table[("a", "a"), 1], table[("a", "a"), 2]
         assert sign1 == sign2 == 1 and aa1.any() and aa2.any()
         assert _reads(table[("b", "b"), 1], -1, aa1)
@@ -1062,7 +1045,7 @@ class TestCrossKindEquivalence:
         for kind in (bp.MZI, bp.MZIM):
             gram = bp.oracle_scan(bp.TwoPhotonState(spatial, spectral, OMEGA_P),
                                   bp.InterferometerConfig(kind, OMEGA_P), -30e-15, 30e-15,
-                                  self.STEP, frequency_grid=self.FGRID)
+                                  self.STEP)
             out.append(np.stack([gram.singles_port1, gram.singles_port2, gram.coincidences]))
         return np.array(out)
 
@@ -1074,9 +1057,9 @@ class TestCrossKindEquivalence:
         correlated = bp.CorrelatedPump(pump)
         general = bp.GeneralSpatial(self.SGRID,
                                     np.diag(pump.values) / math.sqrt(self.SGRID.spacing))
-        spectral = bp.AntiCorrelated(density)
-        ov_c, ov_g = (bp.exchange_overlaps(bp.TwoPhotonState(spatial, spectral, OMEGA_P),
-                                           self.FGRID) for spatial in (correlated, general))
+        spectral = bp.AntiCorrelated(density, self.FGRID)
+        ov_c, ov_g = (bp.exchange_overlaps(bp.TwoPhotonState(spatial, spectral, OMEGA_P))
+                      for spatial in (correlated, general))
         assert abs(ov_c.alpha - ov_g.alpha) <= 1e-12
         assert abs(ov_c.b - ov_g.b) <= 1e-12
         gap = np.max(np.abs(self.rates(correlated, spectral) - self.rates(general, spectral)))
@@ -1092,6 +1075,6 @@ class TestCrossKindEquivalence:
         general = bp.GeneralSpectral.from_samples(
             self.FGRID, np.fliplr(np.diag(np.sqrt(d / self.FGRID.spacing))))
         spatial = bp.CorrelatedPump(pump)
-        gap = np.max(np.abs(self.rates(spatial, bp.AntiCorrelated(density))
+        gap = np.max(np.abs(self.rates(spatial, bp.AntiCorrelated(density, self.FGRID))
                             - self.rates(spatial, general)))
         assert gap <= 1e-12

@@ -8,6 +8,7 @@ rejects keys it does not read, so a stale README config fails here too.
 
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import pkgutil
@@ -33,6 +34,13 @@ def test_modules_declare_exports():
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"biphoton.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", ["rates", "scan", "scan_configs", "oracle_scan",
+                                  "exchange_overlaps", "build_initial_state"])
+def test_no_engine_call_takes_a_frequency_grid(name):
+    # the spectral sector carries its grid, as the spatial one does
+    assert "frequency_grid" not in inspect.signature(getattr(biphoton, name)).parameters
 
 
 def test_readme_example_prints_documented_visibility():

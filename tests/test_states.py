@@ -10,7 +10,7 @@ from biphoton import modesim, states, units
 from biphoton.errors import UnderSampled
 from biphoton.interferometer import check_step
 
-from conftest import COINCIDENCE_PERIOD, DELTA_OMEGA, OMEGA_P, SINGLES_PERIOD
+from conftest import COINCIDENCE_PERIOD, DELTA_OMEGA, OMEGA_P, SINGLES_PERIOD, on_frequency_grid
 
 
 @pytest.fixture
@@ -98,12 +98,19 @@ class TestReduction:
         assert np.array_equal(rho, rho.conj().T) and not rho.flags.writeable
 
     def test_anticorrelated_reduces_to_diagonal_density(self, default_state, fgrid):
-        weights = bp.exchange_overlaps(default_state, fgrid).weights
+        weights = bp.exchange_overlaps(default_state).weights
         assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-12)
         density = bp.normalize(default_state.spectral.density, fgrid).sample(fgrid)
         interior = slice(1, -1)
         assert np.allclose(
             weights[interior], density[interior] * fgrid.spacing, rtol=1e-12)
+
+    def test_weights_lie_on_the_sectors_grid(self, default_state):
+        density = default_state.spectral.density
+        grid = bp.default_frequency_grid(density, point_count=65)
+        weights = bp.exchange_overlaps(on_frequency_grid(default_state, grid)).weights
+        expected = bp.normalize(density, grid).sample(grid) * grid.trapezoid_weights()
+        assert np.array_equal(weights, expected)
 
 
 class TestFlipOverlapLink:
@@ -153,6 +160,10 @@ class TestDefaultState:
         assert default_state.pump_frequency == pytest.approx(expected, rel=1e-12)
         assert default_state.pump_frequency == pytest.approx(4.651e15, rel=1e-3)
 
+    def test_spectral_sector_carries_the_default_grid(self, default_state):
+        density = default_state.spectral.density
+        assert default_state.spectral.grid == bp.default_frequency_grid(density)
+
     def test_filter_bandwidth_conversion(self, default_state):
         width = default_state.spectral.density.shape.full_width
         assert width == pytest.approx(DELTA_OMEGA, rel=1e-12)
@@ -191,6 +202,12 @@ class TestValidation:
     def test_positive_pump_frequency_required(self, gauss, default_state):
         with pytest.raises(ValueError):
             bp.TwoPhotonState(bp.CorrelatedPump(gauss), default_state.spectral, -1.0)
+
+    @pytest.mark.parametrize("pump_frequency", [math.inf, math.nan])
+    def test_pump_frequency_must_be_finite(self, default_state, pump_frequency):
+        # an infinite one used to pass and give NaN rates
+        with pytest.raises(ValueError, match="finite and positive"):
+            bp.TwoPhotonState(default_state.spatial, default_state.spectral, pump_frequency)
 
     @pytest.mark.parametrize("build, error", [
         (lambda state: bp.Rectangular(math.nan), ValueError),
