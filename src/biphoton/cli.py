@@ -630,11 +630,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _window_joined(argv: List[str]) -> List[str]:
+    """argv with ``--window -lo:hi`` written as ``--window=-lo:hi``.
+
+    argparse reads a word that starts with '-' and is not a plain negative
+    number as an option, so a window with lo < 0 would have no value.  A
+    word that starts with one '-' and holds a ':' is a window value: no
+    option name has a ':', and an option's '=' value comes after '--'."""
+    out: List[str] = []
+    for word in argv:
+        if (out and out[-1] == "--window" and word.startswith("-")
+                and not word.startswith("--") and ":" in word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
         build_parser().error(f"argument {argv[0].split('=')[0]}: goes after the subcommand")
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_window_joined(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit

@@ -27,8 +27,10 @@ of a path pair's branches, and everything else reads that table: the port
 rule (the rates) and ``total_norm``.
 
 A delay scan runs the branch sum once, at zero delay: the branches do not
-depend on the delay, and each records how many delay phases each of its
-photons received.  Every path-pair norm is then a sum of terms
+depend on the delay, and each records how many delays each of its photons
+passed.  A zero delay carries no phases (each would be exactly 1), so every
+final branch keeps its initial spectral factor object, and the 16 branches
+of a symmetric state share one.  Every path-pair norm is then a sum of terms
 g exp(-i m w_p tau / 2) exp(i n h tau) with small integers m and n, and one
 chirp-z call (``spectral.chirp_z``) evaluates all of them on the whole delay
 axis, once per distinct row; its rows come from the same branch-pair walk as
@@ -117,7 +119,8 @@ class _Outcome(NamedTuple):
     path: str
     amplitude: complex
     flip: bool  # reverse the position index
-    phases: Optional[np.ndarray]  # per-frequency phase factors, or None
+    phases: Optional[np.ndarray]  # per-frequency phase factors, or None if all are 1
+    delay: bool  # a Delay element's outcome, phases or none
 
 
 _PhotonMap = Dict[str, List[_Outcome]]
@@ -132,20 +135,21 @@ def _photon_map(element: Element, frequency_grid: FrequencyGrid) -> _PhotonMap:
     """
     if isinstance(element, BeamSplitter):
         u = element.matrix()
-        return {p: [_Outcome(q, u[row, col], False, None)
+        return {p: [_Outcome(q, u[row, col], False, None, False)
                     for row, q in enumerate(_PATHS) if u[row, col] != 0.0]
                 for col, p in enumerate(_PATHS)}
     if isinstance(element, Delay):
-        phases = np.exp(
+        # at tau = 0 every phase is exactly 1: the outcome carries none
+        phases = None if element.tau == 0.0 else np.exp(
             -1j * (element.pump_frequency / 2.0 + frequency_grid.omegas()) * element.tau)
-        in_arm = _Outcome(element.arm, 1.0, False, phases)
+        in_arm = _Outcome(element.arm, 1.0, False, phases, True)
     elif isinstance(element, SpatialFlip):
-        in_arm = _Outcome(element.arm, 1.0, True, None)
+        in_arm = _Outcome(element.arm, 1.0, True, None, False)
     else:
         raise UnknownElement(f"unknown element {element!r}")
     if element.arm not in _PATHS:
         raise ValueError(f"arms are labelled 'a' and 'b', got {element.arm!r}")
-    return {p: [in_arm if p == element.arm else _Outcome(p, 1.0, False, None)]
+    return {p: [in_arm if p == element.arm else _Outcome(p, 1.0, False, None, False)]
             for p in _PATHS}
 
 
@@ -272,7 +276,7 @@ class Branch:
     weight: complex
     spatial: Factor
     spectral: Factor
-    delays: Tuple[int, int] = (0, 0)  # Delay phases each photon has received
+    delays: Tuple[int, int] = (0, 0)  # Delay elements each photon has passed, zero ones too
 
 
 @dataclass(frozen=True)
@@ -299,8 +303,10 @@ class BranchSumState:
         by at most four; every other element maps branches one to one.
         Branches are never merged: a ``build_pipeline`` sequence holds two
         splitters, so it ends with at most 16 times the initial count (1, or
-        2 after symmetrization).  Each branch counts the delay phases each
-        of its photons has received.
+        2 after symmetrization).  Each branch counts the delays each of its
+        photons has passed, by the outcomes' ``delay`` flag: a zero delay
+        counts though it carries no phases, so a pipeline built at tau = 0
+        passes every spectral factor on unchanged.
         """
         out: List[Branch] = []
         for b in self.branches:
@@ -312,8 +318,7 @@ class BranchSumState:
                             spatial = spatial.flip_slot(slot)
                         if o.phases is not None:
                             spectral = spectral.scale_slot(slot, o.phases)
-                    delays = (b.delays[0] + (o1.phases is not None),
-                              b.delays[1] + (o2.phases is not None))
+                    delays = (b.delays[0] + o1.delay, b.delays[1] + o2.delay)
                     out.append(Branch(o1.path, o2.path, b.weight * o1.amplitude * o2.amplitude,
                                       spatial, spectral, delays))
         return replace(self, branches=tuple(out))
@@ -490,16 +495,20 @@ def _delay_table(
     all zero, so its keys build 4, the m = 1 row zero.  Nothing here relies
     on that: twins are found from the recipes alone.
 
-    Beam splitters and flips pass a branch's spectral factor on unchanged,
-    so ``inner_terms`` runs once per pair of factor objects: 10 products
-    serve the 40 pairs of a 16-branch state.  A pair whose terms land on a
-    run of distinct, equally spaced nodes (the 1-d pairs with d0 != d1 for
-    anti-diagonal factors) is added through a strided slice; a pair whose
-    terms all land on one node, and a full factor's terms, go through
-    ``np.add.at``, which sums repeated nodes in order.
+    The state is built at tau = 0, where a delay carries no phases, so
+    every branch keeps its initial spectral factor: the 16 branches of a
+    symmetric state share one factor object, and ``inner_terms`` runs once
+    per pair of factor objects, 1 product for the 40 pairs (3 for an
+    exchange-asymmetric spectrum's two factors).  Each step (factor pair,
+    d0, d1) places its terms once: a run of distinct, equally spaced nodes
+    (the 1-d steps with d0 != d1 for anti-diagonal factors) as a strided
+    slice, added in place; terms that all land on one node, and a full
+    factor's terms, as a node array for ``np.add.at``, which sums repeated
+    nodes in order.
     """
     c = state.frequency_grid.point_count // 2
     products: dict = {}
+    places: dict = {}
     walks: dict = {}
     for pair, group in _by_path_pair(state.branches).items():
         for x, y, coef in _branch_pairs(group):
@@ -507,24 +516,37 @@ def _delay_table(
             if factors not in products:
                 products[factors] = x.spectral.inner_terms(y.spectral)
             d0, d1 = y.delays[0] - x.delays[0], y.delays[1] - x.delays[1]
-            walks.setdefault((pair, d0 + d1), []).append((coef, (factors, d0, d1)))
+            step = (factors, d0, d1)
+            if step not in places:
+                terms, n0, n1 = products[factors]
+                places[step] = (terms, _placement(2 * c - d0 * n0 - d1 * n1))
+            walks.setdefault((pair, d0 + d1), []).append((coef, step))
     rows: dict = {}
     table = {}
     for key, walk in walks.items():
         recipe = tuple((_bits(coef), step) for coef, step in walk)
         if recipe not in rows:
             row = np.zeros(4 * c + 1, dtype=complex)
-            for coef, (factors, d0, d1) in walk:
-                terms, n0, n1 = products[factors]
-                nodes = 2 * c - d0 * n0 - d1 * n1
-                if nodes.ndim == 1 and nodes.size > 1 and nodes[0] != nodes[1]:
-                    row[nodes[0]::nodes[1] - nodes[0]][:nodes.size] += coef * terms
+            for coef, step in walk:
+                terms, nodes = places[step]
+                if isinstance(nodes, slice):
+                    row[nodes] += coef * terms
                 else:
                     np.add.at(row, nodes, coef * terms)
             rows[tuple((_bits(-coef), step) for coef, step in walk)] = (-1, row)
             rows[recipe] = (1, row)  # an all-zero recipe is its own negation
         table[key] = rows[recipe]
     return table
+
+
+def _placement(nodes: np.ndarray) -> Union[slice, np.ndarray]:
+    """Where a step's terms land in a row: a slice if ``nodes`` is a run of
+    distinct, equally spaced nodes, else the node array itself."""
+    if nodes.ndim != 1 or nodes.size < 2 or nodes[0] == nodes[1]:
+        return nodes
+    stride = int(nodes[1] - nodes[0])
+    stop = int(nodes[-1]) + stride
+    return slice(int(nodes[0]), stop if stop >= 0 else None, stride)
 
 
 def _delay_norms(final: BranchSumState, pump_frequency: float, tau: np.ndarray,

@@ -318,8 +318,10 @@ def chirp_z(u: np.ndarray, h: float, tau0: float, step: float, count: int) -> np
     lags = np.arange(1 - size, count)  # j - k over every pair
     diff = lags + ((size - 1) // 2 - (count - 1) / 2.0)  # m - n at that lag
     length = 1 << (size + count - 2).bit_length()  # power of two >= T + M - 1
-    kernel = np.zeros(length, dtype=complex)
-    kernel[lags % length] = _mirrored_exp(-0.5j * theta, diff)
+    values = _mirrored_exp(-0.5j * theta, diff)
+    kernel = np.zeros(length, dtype=complex)  # lag l at index l mod length
+    kernel[:count] = values[size - 1:]
+    kernel[length - size + 1:] = values[:size - 1]
     np.fft.fft(kernel, out=kernel)
     out = np.empty(u.shape[:-1] + (count,), dtype=complex)
     buf = np.empty(length, dtype=complex)

@@ -159,11 +159,16 @@ class TwoPhotonState:
     pump_frequency: float
 
     def __post_init__(self):
-        for field, union in (("spatial", SpatialSector), ("spectral", SpectralSector)):
-            kinds, given = get_args(union), type(getattr(self, field))
+        for field, union, grid_kind in (("spatial", SpatialSector, SpatialGrid),
+                                        ("spectral", SpectralSector, FrequencyGrid)):
+            sector = getattr(self, field)
+            kinds, given = get_args(union), type(sector)
             if given not in kinds:  # by exact type: each engine's table has an entry
                 names = ", ".join(kind.__name__ for kind in kinds)
                 raise TypeError(f"{field} must be one of {names}, got {given.__name__}")
+            if type(sector.grid) is not grid_kind:  # the engines read its kind's nodes
+                raise TypeError(f"{field}.grid must be a {grid_kind.__name__}, "
+                                f"got {type(sector.grid).__name__}")
         if not 0.0 < self.pump_frequency < math.inf:
             raise ValueError(
                 f"pump_frequency must be finite and positive, got {self.pump_frequency!r}")

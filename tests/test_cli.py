@@ -200,9 +200,15 @@ class TestSimulateAndAnalyze:
         out = tmp_path / "mzi.csv"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         capsys.readouterr()
-        # leading '-' needs the '=' form, as usual for argparse options
-        rep = run_analyze(capsys, out, "--window=-10:10")
-        assert rep["window"] == [-10.0, 10.0]
+        assert main(["analyze", "--in", str(out), "--window=-10:10"]) == 0
+        joined = capsys.readouterr().out
+        assert json.loads(joined)["window"] == [-10.0, 10.0]
+        # a window with lo < 0 after a space prints the same bytes, before
+        # --engine or after it
+        for argv in (["--window", "-10:10"], ["--window", "-10:10", "--engine", "closed"],
+                     ["--engine", "closed", "--window", "-10:10"]):
+            assert main(["analyze", "--in", str(out), *argv]) == 0
+            assert capsys.readouterr().out == joined
 
     @pytest.mark.parametrize("window", ["10:5", "nan:5", "5:5", "-inf:5", "1:2:3", "x:5"])
     def test_malformed_window_exits_one(self, tmp_path, capsys, window):
@@ -211,6 +217,15 @@ class TestSimulateAndAnalyze:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["analyze", "--in", str(out), f"--window={window}"]) == 1
+        assert capsys.readouterr().err.startswith("config error: --window ")
+
+    @pytest.mark.parametrize("window", ["-inf:5", "-5:-10", "-1:x", "-:", "-1:2:3", "-10"])
+    def test_malformed_window_after_a_space_exits_one(self, tmp_path, capsys, window):
+        path = write_config(tmp_path, small_scan_config("default_mzi"))
+        out = tmp_path / "mzi.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out), "--window", window]) == 1
         assert capsys.readouterr().err.startswith("config error: --window ")
 
     def test_window_outside_scan_exits_two(self, tmp_path, capsys):
@@ -1553,10 +1568,18 @@ class TestUsageErrors:
          "argument --engine: goes after the subcommand"),
         (["--window", "1:2", "analyze", "--in", "x.csv"],
          "argument --window: goes after the subcommand"),
+        # a missing window value stays a usage error; the next option is not
+        # taken for the value
+        (["analyze", "--in", "x.csv", "--window"], "argument --window: expected one argument"),
+        (["analyze", "--in", "x.csv", "--window", "--engine", "closed"],
+         "argument --window: expected one argument"),
+        (["analyze", "--in", "x.csv", "--window", "--engine=closed"],
+         "argument --window: expected one argument"),
     ], ids=["no_command", "simulate_without_config", "analyze_without_in",
             "unknown_engine", "analyze_engine_both", "unknown_command", "unknown_option",
             "engine_before_command", "config_before_command", "engine_before_simulate",
-            "window_before_analyze"])
+            "window_before_analyze", "window_last", "window_before_engine",
+            "window_before_engine_equals"])
     def test_exits_one(self, capsys, argv, needle):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)

@@ -150,9 +150,10 @@ class TestPhotonMap:
 
     @staticmethod
     def plain_move(outcomes, path):
-        """One outcome: to ``path``, amplitude one, no flip, no phases."""
+        """One outcome: to ``path``, amplitude one, no flip, no phases, no delay."""
         (o,) = outcomes
-        return (o.path, o.amplitude, o.flip, o.phases) == (path, 1.0, False, None)
+        return ((o.path, o.amplitude, o.flip, o.phases, o.delay)
+                == (path, 1.0, False, None, False))
 
     @pytest.mark.parametrize("convention, cross", [("symmetric", 1j), ("conjugate", -1j)])
     def test_beam_splitter_amplitudes(self, fgrid, convention, cross):
@@ -164,7 +165,7 @@ class TestPhotonMap:
             assert [o.path for o in outcomes] == [q for q, _ in expected[path]]
             for o, (_, amplitude) in zip(outcomes, expected[path]):
                 assert o.amplitude == pytest.approx(amplitude, abs=1e-15)
-                assert not o.flip and o.phases is None
+                assert not o.flip and o.phases is None and not o.delay
 
     @pytest.mark.parametrize("arm, other", [("a", "b"), ("b", "a")])
     def test_delay_phase_on_delay_arm_only(self, fgrid, arm, other):
@@ -172,16 +173,30 @@ class TestPhotonMap:
         photon = _photon_map(bp.Delay(arm, tau, OMEGA_P), fgrid)
         assert self.plain_move(photon[other], other)
         (o,) = photon[arm]
-        assert (o.path, o.amplitude, o.flip) == (arm, 1.0, False)
+        assert (o.path, o.amplitude, o.flip, o.delay) == (arm, 1.0, False, True)
         expected = [cmath.exp(-1j * (OMEGA_P / 2.0 + w) * tau) for w in fgrid.omegas()]
         assert np.allclose(o.phases, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.0])
+    @pytest.mark.parametrize("arm, other", [("a", "b"), ("b", "a")])
+    def test_zero_delay_counts_but_carries_no_phases(self, monkeypatch, fgrid, arm, other, tau):
+        # every phase would be exactly 1: no exponential is evaluated
+        def no_exp(*args, **kwargs):
+            raise AssertionError("a zero delay evaluated an exponential")
+
+        monkeypatch.setattr(np, "exp", no_exp)
+        photon = _photon_map(bp.Delay(arm, tau, OMEGA_P), fgrid)
+        monkeypatch.undo()
+        assert self.plain_move(photon[other], other)
+        (o,) = photon[arm]
+        assert (o.path, o.amplitude, o.flip, o.phases, o.delay) == (arm, 1.0, False, None, True)
 
     @pytest.mark.parametrize("arm, other", [("a", "b"), ("b", "a")])
     def test_flip_on_flip_arm_only(self, fgrid, arm, other):
         photon = _photon_map(bp.SpatialFlip(arm), fgrid)
         assert self.plain_move(photon[other], other)
         (o,) = photon[arm]
-        assert (o.path, o.amplitude, o.flip, o.phases) == (arm, 1.0, True, None)
+        assert (o.path, o.amplitude, o.flip, o.phases, o.delay) == (arm, 1.0, True, None, False)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_delay_rejects_a_non_finite_tau(self, cfg_mzi, tau):
@@ -1010,6 +1025,79 @@ class TestDistinctRows:
             assert table[("a", "b"), m][1] is not table[("b", "a"), m][1]
             assert table[("a", "b"), m][1].tobytes() == table[("b", "a"), m][1].tobytes()
         _assert_rows_match_every_pair_table(table, state)
+
+
+def _recording_products(monkeypatch):
+    """The factor pairs whose ``inner_terms`` run, in order, as object ids."""
+    products = []
+    inner_terms = modesim.Factor.inner_terms
+
+    def recording(self, other):
+        products.append((id(self), id(other)))
+        return inner_terms(self, other)
+
+    monkeypatch.setattr(modesim.Factor, "inner_terms", recording)
+    return products
+
+
+def _final_states(state):
+    """The initial branch sum and the MZI and MZIM final states built at tau = 0."""
+    built = bp.build_initial_state(state)
+    return built, [bp.apply_pipeline(built, bp.build_pipeline(
+        bp.InterferometerConfig(kind, OMEGA_P), 0.0)) for kind in (bp.MZI, bp.MZIM)]
+
+
+class TestOneSpectralProduct:
+    """A scan builds its final state at tau = 0, where a delay carries no
+    phases: every branch keeps its initial spectral factor object, and the
+    delay table forms one spectral product per pair of initial factors."""
+
+    @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
+    def test_bundled_scan_forms_one_product(self, monkeypatch, name):
+        args = _bundled_scan_args(name)
+        built = bp.build_initial_state(args[0])
+        final = bp.apply_pipeline(built, bp.build_pipeline(args[1], 0.0))
+        assert len(final.branches) == 16
+        assert {id(b.spectral) for b in final.branches} == {id(built.branches[0].spectral)}
+        products = _recording_products(monkeypatch)
+        bp.oracle_scan(*args)
+        assert len(products) == 1
+
+    def test_asymmetric_density_forms_three_products(self, monkeypatch, small_grids):
+        sgrid, _ = small_grids
+        state = _random_state(sgrid, 0)
+        built, finals = _final_states(state)
+        f, g = (b.spectral for b in built.branches)  # the density and its mirror image
+        assert not np.array_equal(f.data, g.data)
+        for final in finals:
+            assert {id(b.spectral) for b in final.branches} == {id(f), id(g)}
+            products = _recording_products(monkeypatch)
+            modesim._delay_table(final)
+            monkeypatch.undo()
+            assert products == [(id(f), id(f)), (id(f), id(g)), (id(g), id(g))]
+
+    def test_nonzero_delay_scales_the_delayed_photons_factors(self, initial, cfg_mzi):
+        # the per-delay route away from tau = 0 keeps its phases
+        final = run(initial, cfg_mzi, 37e-15)
+        factors = {b.delays: b.spectral for b in final.branches}
+        assert factors[0, 0] is initial.branches[0].spectral
+        assert len({id(f) for f in factors.values()}) == 4
+
+    @settings(deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_pumps_and_densities_share_the_initial_factors(self, small_grids, seed):
+        # leaves max_examples to the profile: CI's deep step draws 3000
+        sgrid, _ = small_grids
+        built, finals = _final_states(_random_state(sgrid, seed))
+        initial = {id(b.spectral) for b in built.branches}
+        n = len(initial)
+        for final in finals:
+            assert len(final.branches) == 16 * len(built.branches)
+            assert {id(b.spectral) for b in final.branches} == initial
+            with pytest.MonkeyPatch.context() as patch:
+                products = _recording_products(patch)
+                modesim._delay_table(final)
+            assert len(products) == len(set(products)) == n * (n + 1) // 2
 
 
 class TestCrossKindEquivalence:

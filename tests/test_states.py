@@ -261,6 +261,28 @@ class TestSectorTables:
             bp.TwoPhotonState(**sectors, pump_frequency=default_state.pump_frequency)
         assert str(info.value) == f"{field} must be one of {kinds}, got {given}"
 
+    SGRID = bp.SpatialGrid(3e-3, 257)
+    FGRID = bp.FrequencyGrid(1e13, 9)
+
+    @pytest.mark.parametrize("field, build, given", [
+        # each built, and some scanned, before the state checked its grids
+        ("spectral", lambda state: bp.AntiCorrelated(state.spectral.density,
+                                                     TestSectorTables.SGRID), "SpatialGrid"),
+        ("spectral", lambda state: bp.GeneralSpectral.from_samples(
+            TestSectorTables.SGRID, np.eye(257)), "SpatialGrid"),
+        ("spatial", lambda state: bp.GeneralSpatial.from_samples(
+            TestSectorTables.FGRID, np.eye(9)), "FrequencyGrid"),
+        ("spatial", lambda state: bp.CorrelatedPump(bp.SpatialAmplitude.from_samples(
+            TestSectorTables.FGRID, np.ones(9))), "FrequencyGrid"),
+    ], ids=["anti_correlated", "general_spectral", "general_spatial", "correlated_pump"])
+    def test_grids_of_the_other_kind_rejected(self, default_state, field, build, given):
+        sectors = {"spatial": default_state.spatial, "spectral": default_state.spectral}
+        sectors[field] = build(default_state)
+        kind = "SpatialGrid" if field == "spatial" else "FrequencyGrid"
+        with pytest.raises(TypeError) as info:
+            bp.TwoPhotonState(**sectors, pump_frequency=default_state.pump_frequency)
+        assert str(info.value) == f"{field}.grid must be a {kind}, got {given}"
+
 
 class TestSharedGrid:
     """SpatialGrid and FrequencyGrid are one symmetric-grid definition."""
