@@ -257,11 +257,13 @@ def report(
     """Aggregate visibilities, periods and dip width for a scan pair.
 
     Both scans are sampled on the one delay grid ``tau``.  Visibilities
-    are taken from global extrema inside the window, which defaults to the
-    central three fringe periods on either side of zero delay (where the
-    envelope is close to one).  FLATNESS_FRINGE_FLOOR is the relative peak threshold
-    for a fringe: a residual oscillation below one percent of DC counts as
-    flat, consistent with the package-wide 0.02 flatness bound.
+    are taken from global extrema inside the window, which defaults to
+    three fringe periods on either side of the scanned delay nearest zero:
+    zero itself for a scan that holds it, where the envelope is close to
+    one, else the scan's end nearer zero.  FLATNESS_FRINGE_FLOOR is the
+    relative peak threshold for a fringe: a residual oscillation below one
+    percent of DC counts as flat, consistent with the package-wide 0.02
+    flatness bound.
     """
     singles_arr, tau_arr, step = _trace(singles, tau, "singles")
     coinc_arr, _, _ = _trace(coincidences, tau_arr, "coincidence")
@@ -284,7 +286,8 @@ def report(
             half = 6.0 * period_coinc
         else:
             half = float(np.max(np.abs(tau_arr)))
-        window = (-half, half)
+        centre = min(max(0.0, float(tau_arr[0])), float(tau_arr[-1]))
+        window = (centre - half, centre + half)
     mask = (tau_arr >= window[0]) & (tau_arr <= window[1])
     if not np.any(mask):
         raise GridMismatch("window contains no samples")

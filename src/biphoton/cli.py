@@ -109,35 +109,42 @@ class RunConfig:
     output_format: str
 
 
-def _finite(value, field: str) -> float:
-    """A JSON number as a finite float; bools and other types are rejected."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{field}: expected float, got {type(value).__name__}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{field}: must be a finite number")
-    return number
+def _fields(section: dict, path: str, /, **declared) -> dict:
+    """The keys of a config section, checked, as {key: value}.
 
+    ``declared`` gives each key its kind (float, int, str or dict), or
+    ``(kind, default)`` when the key may be absent.  Raises ConfigError
+    naming every key the section holds but does not declare, else the
+    first declared key that is missing or not of its kind.  A float is a
+    JSON number that is finite as a float; a bool is no number.
+    """
+    def field(key):
+        return f"{path}.{key}" if path else key
 
-def _require(mapping: dict, key: str, kind, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    value = mapping[key]
-    if kind is float:
-        return _finite(value, f"{path}.{key}")
-    if isinstance(value, kind) and not isinstance(value, bool):  # int, str or dict
-        return value
-    raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-
-
-def _only(mapping: dict, keys, path: str) -> None:
-    """Raise ConfigError naming each key of a config section that load_config does not read."""
-    unknown = [f"{path}.{key}" if path else key for key in mapping if key not in keys]
+    unknown = [field(key) for key in section if key not in declared]
     if unknown:
-        raise ConfigError(f"{', '.join(unknown)}: unknown key; expected {', '.join(keys)}")
+        raise ConfigError(f"{', '.join(unknown)}: unknown key; expected {', '.join(declared)}")
+    values = {}
+    for key, declaration in declared.items():
+        kind, *default = declaration if isinstance(declaration, tuple) else (declaration,)
+        if key not in section:
+            if not default:
+                raise ConfigError(f"{field(key)}: missing required field")
+            values[key] = default[0]
+            continue
+        value = section[key]
+        number = kind is float and isinstance(value, (int, float))
+        if isinstance(value, bool) or not (number or isinstance(value, kind)):
+            raise ConfigError(f"{field(key)}: expected {kind.__name__}, got {type(value).__name__}")
+        if number:
+            try:
+                value = float(value)
+            except OverflowError:  # an integer literal beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{field(key)}: must be a finite number")
+        values[key] = value
+    return values
 
 
 def _read_text(path, what: str) -> str:
@@ -155,8 +162,10 @@ def _read_text(path, what: str) -> str:
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration into the engines' inputs.
 
-    The checks that need no array run first, then the pump is sampled.
-    Raises ConfigError naming the field.
+    Each section's keys are declared once, in the _fields call that reads
+    it (a pump profile's in its _PROFILES entry); the top level is read
+    first.  The checks that need no array run next, then the pump is
+    sampled.  Raises ConfigError naming the field.
     """
     try:
         raw = json.loads(_read_text(path, "config file"))
@@ -164,31 +173,29 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-    _only(raw, ("pump", "filter", "interferometer", "scan", "engine", "grids", "output"), "")
+    top = _fields(raw, "", pump=dict, filter=dict, interferometer=dict, scan=dict,
+                  engine=(str, "closed"), grids=dict, output=dict)
 
-    pump = _require(raw, "pump", dict, "")
-    _only(pump, ("wavelength_nm", "spatial_profile"), "pump")
-    wavelength_nm = _require(pump, "wavelength_nm", float, "pump")
+    pump = _fields(top["pump"], "pump", wavelength_nm=float, spatial_profile=dict)
+    wavelength_nm = pump["wavelength_nm"]
     if wavelength_nm * units.NM <= 0.0:  # also a positive value that underflows
         raise ConfigError("pump.wavelength_nm: must be positive")
     pump_frequency = units.omega_from_wavelength(wavelength_nm * units.NM)
     if not math.isfinite(pump_frequency):
         raise ConfigError("pump.wavelength_nm: the pump frequency 2 pi c / wavelength "
                           "is not a finite number")
-    profile = _require(pump, "spatial_profile", dict, "pump")
-    kind = _require(profile, "kind", str, "pump.spatial_profile")
+    profile = pump["spatial_profile"]
+    # the kind alone first: it picks the entry that declares the other keys
+    kind = _fields({key: profile[key] for key in _PROFILE_KIND if key in profile},
+                   "pump.spatial_profile", **_PROFILE_KIND)["kind"]
     if kind not in _PROFILES:
         raise ConfigError(
             f"pump.spatial_profile.kind: must be one of {tuple(_PROFILES)}, got {kind!r}")
     entry = _PROFILES[kind]
-    _only(profile, ("kind",) + entry.keys, "pump.spatial_profile")
-    params = entry.parse(profile)
+    params = entry.parse(_fields(profile, "pump.spatial_profile", **_PROFILE_KIND, **entry.keys))
 
-    filt = _require(raw, "filter", dict, "")
-    _only(filt, ("center_nm", "bandwidth_nm", "shape"), "filter")
-    center_nm = _require(filt, "center_nm", float, "filter")
-    bandwidth_nm = _require(filt, "bandwidth_nm", float, "filter")
-    shape = _require(filt, "shape", str, "filter")
+    filt = _fields(top["filter"], "filter", center_nm=float, bandwidth_nm=float, shape=str)
+    center_nm, bandwidth_nm, shape = filt["center_nm"], filt["bandwidth_nm"], filt["shape"]
     if center_nm * units.NM <= 0.0:
         raise ConfigError("filter.center_nm: must be positive")
     if not (0.0 < bandwidth_nm * units.NM and bandwidth_nm < center_nm):
@@ -208,17 +215,14 @@ def load_config(path) -> RunConfig:
             f"filter.center_nm: the passband {center_nm:g} +- {bandwidth_nm / 2.0:g} nm must "
             f"hold the degenerate wavelength 2 pump.wavelength_nm = {2.0 * wavelength_nm:g} nm")
 
-    itf = _require(raw, "interferometer", dict, "")
-    ikind = _require(itf, "kind", str, "interferometer")
+    ikind = _fields(top["interferometer"], "interferometer", kind=str)["kind"]
     if ikind not in ("mzi", "mzim"):
         raise ConfigError(f"interferometer.kind: must be 'mzi' or 'mzim', got {ikind!r}")
-    _only(itf, ("kind",), "interferometer")
 
-    scan_cfg = _require(raw, "scan", dict, "")
-    _only(scan_cfg, ("tau_start_fs", "tau_stop_fs", "tau_step_fs"), "scan")
-    tau_start_fs = _require(scan_cfg, "tau_start_fs", float, "scan")
-    tau_stop_fs = _require(scan_cfg, "tau_stop_fs", float, "scan")
-    tau_step_fs = _require(scan_cfg, "tau_step_fs", float, "scan")
+    scan_cfg = _fields(top["scan"], "scan", tau_start_fs=float, tau_stop_fs=float,
+                       tau_step_fs=float)
+    tau_start_fs, tau_stop_fs = scan_cfg["tau_start_fs"], scan_cfg["tau_stop_fs"]
+    tau_step_fs = scan_cfg["tau_step_fs"]
     if tau_step_fs * units.FS <= 0.0:
         raise ConfigError("scan.tau_step_fs: must be positive")
     if tau_stop_fs < tau_start_fs:
@@ -234,15 +238,14 @@ def load_config(path) -> RunConfig:
     except UnderSampled as exc:
         raise ConfigError(f"scan.tau_step_fs: {exc}") from None
 
-    engine = str(raw.get("engine", "closed"))
+    engine = top["engine"]
     if engine not in _ENGINES:
         raise ConfigError(f"engine: must be one of {_ENGINES}, got {engine!r}")
 
-    grids = _require(raw, "grids", dict, "")
-    _only(grids, ("spatial_points", "spectral_points", "spatial_halfwidth_mm"), "grids")
-    spatial_points = _require(grids, "spatial_points", int, "grids")
-    spectral_points = _require(grids, "spectral_points", int, "grids")
-    halfwidth_mm = _require(grids, "spatial_halfwidth_mm", float, "grids")
+    grids = _fields(top["grids"], "grids", spatial_points=int, spectral_points=int,
+                    spatial_halfwidth_mm=float)
+    spatial_points, spectral_points = grids["spatial_points"], grids["spectral_points"]
+    halfwidth_mm = grids["spatial_halfwidth_mm"]
     for label, n in (("spatial_points", spatial_points), ("spectral_points", spectral_points)):
         if n < 3 or n % 2 == 0:
             raise ConfigError(f"grids.{label}: must be an odd integer >= 3, got {n}")
@@ -276,10 +279,8 @@ def load_config(path) -> RunConfig:
                 f"grids.spatial_halfwidth_mm = {halfwidth_mm:g} mm, keeps {kept:.3%} of "
                 f"|pump|^2; at least {MIN_PUMP_ON_GRID:.1%} must lie on it")
 
-    output = _require(raw, "output", dict, "")
-    _only(output, ("path", "format"), "output")
-    out_path = _require(output, "path", str, "output")
-    out_format = _require(output, "format", str, "output")
+    output = _fields(top["output"], "output", path=str, format=str)
+    out_path, out_format = output["path"], output["format"]
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format: must be 'csv' or 'json', got {out_format!r}")
 
@@ -299,23 +300,16 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _waist(profile: dict) -> dict:
-    waist = _finite(profile.get("waist_mm", 1.0), "pump.spatial_profile.waist_mm")
-    if waist * units.MM <= 0.0:
+def _waist(params: dict) -> dict:
+    if params["waist_mm"] * units.MM <= 0.0:
         raise ConfigError("pump.spatial_profile.waist_mm: must be positive")
-    return {"waist_mm": waist}
+    return params
 
 
-def _waist_and_shift(profile: dict) -> dict:
-    return {**_waist(profile),
-            "shift_mm": _require(profile, "shift_mm", float, "pump.spatial_profile")}
-
-
-def _pump_table(profile: dict) -> dict:
+def _pump_table(params: dict) -> dict:
     """The rows x_mm, re[, im] of a tabulated pump, checked, as {"table": rows}."""
-    path = _require(profile, "path", str, "pump.spatial_profile")
     try:
-        table = np.loadtxt(path, delimiter=",", ndmin=2)
+        table = np.loadtxt(params["path"], delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"pump.spatial_profile.path: cannot read the table: {exc}") from None
     if table.shape[1] not in (2, 3):
@@ -385,19 +379,22 @@ def _tabulated(params: dict, grid: SpatialGrid) -> SpatialAmplitude:
 class _Profile(NamedTuple):
     """A pump-profile kind: one entry of _PROFILES."""
 
-    keys: Tuple[str, ...]  # the section's keys besides "kind"
-    parse: Callable[[dict], dict]  # the section's parse and range checks: params in mm
+    keys: dict  # the section's keys besides "kind", declared as _fields takes them
+    parse: Callable[[dict], dict]  # range checks of the read keys, to params in mm
     on_grid: Callable[[dict, float], list]  # (field, share of |pump|^2 kept), checked in order
     sample: Callable[[dict, SpatialGrid], SpatialAmplitude]  # the pump on the grid
 
 
+_PROFILE_KIND = {"kind": str}  # the profile key that picks its _PROFILES entry
+_WAIST = (float, 1.0)  # waist_mm defaults to 1 mm
+
 _PROFILES = {
-    "gaussian": _Profile(("waist_mm",), _waist, _gaussian_on_grid, _gaussian),
-    "hg1": _Profile(("waist_mm",), _waist, _hg1_on_grid, lambda params, grid:
+    "gaussian": _Profile({"waist_mm": _WAIST}, _waist, _gaussian_on_grid, _gaussian),
+    "hg1": _Profile({"waist_mm": _WAIST}, _waist, _hg1_on_grid, lambda params, grid:
                     hermite_gauss1_amplitude(grid, waist=params["waist_mm"] * units.MM)),
-    "shifted_gaussian": _Profile(("waist_mm", "shift_mm"), _waist_and_shift,
+    "shifted_gaussian": _Profile({"waist_mm": _WAIST, "shift_mm": float}, _waist,
                                  _gaussian_on_grid, _gaussian),
-    "tabulated_file": _Profile(("path",), _pump_table, _table_on_grid, _tabulated),
+    "tabulated_file": _Profile({"path": str}, _pump_table, _table_on_grid, _tabulated),
 }
 
 

@@ -244,6 +244,20 @@ class TestReport:
         assert rep.window == (-20e-15, 20e-15)
         assert rep.v1 >= 0.99
 
+    @pytest.mark.parametrize("start, stop, centre", [
+        (100e-15, 300e-15, 100e-15), (-300e-15, -100e-15, -100e-15)], ids=["after", "before"])
+    @pytest.mark.parametrize("kind", ["mzi", "mzim"])
+    def test_default_window_on_a_scan_without_zero(self, default_state, kind, start, stop,
+                                                   centre):
+        # centred on the scan's end nearer zero; a window centred on zero held
+        # no sample and raised GridMismatch
+        cfg = getattr(bp.InterferometerConfig, kind)(default_state.pump_frequency)
+        gram = bp.scan(default_state, cfg, start, stop, 0.08e-15)
+        rep = bp.report(gram.tau, gram.singles_port1, gram.coincidences)
+        lo, hi = rep.window
+        assert (lo + hi) / 2.0 == pytest.approx(centre, rel=1e-12)
+        assert np.any((gram.tau >= lo) & (gram.tau <= hi))
+
     def test_zero_signal_propagates(self):
         taus = np.arange(0.0, 10e-15, 0.1e-15)
         zeros = np.zeros_like(taus)

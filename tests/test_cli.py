@@ -237,6 +237,24 @@ class TestSimulateAndAnalyze:
         assert main(["analyze", "--in", str(out), "--window=500:600"]) == 2
         assert capsys.readouterr().err == "engine error: window contains no samples\n"
 
+    def test_scan_without_zero_delay_is_analysed(self, tmp_path, capsys):
+        # the default window sits at the scanned delay nearest zero, here 100 fs;
+        # centred on zero it held no sample and both commands exited 2
+        cfg = load_bundled("default_mzim")
+        cfg["scan"] = {"tau_start_fs": 100.0, "tau_stop_fs": 300.0, "tau_step_fs": 0.08}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "mzim.csv"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        lo, hi = run_analyze(capsys, out)["window"]
+        assert lo < 100.0 < hi < 300.0
+        assert (lo + hi) / 2.0 == pytest.approx(100.0, rel=1e-12)
+        assert main(["compare", "--config", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        for kind in ("mzi", "mzim"):
+            lo, hi = result[f"{kind}_report"]["window"]
+            assert (lo + hi) / 2.0 == pytest.approx(100.0, rel=1e-12)
+
     def test_json_output_format(self, tmp_path, capsys):
         cfg = small_scan_config("default_mzi")
         cfg["output"]["format"] = "json"
@@ -711,12 +729,19 @@ def pump_tables(draw, half_mm, spacing_mm):
                    for xi, row in zip(x, samples))
 
 
+_SECTIONS = ("pump", "filter", "interferometer", "scan", "grids", "output")
+_TAKEN_OUT = object()
+
+
 @st.composite
 def runnable_configs(draw):
-    """(config, pump table text or None) near the edges of what load_config
-    accepts.  Scales are log-uniform over decades; each ratio that a check
-    bounds is drawn a little past the bound too.  The grids stay small, at
-    most 257 x 1025 points and 2001 delays, so a draw runs in milliseconds."""
+    """(config, pump table text or None, damage) near the edges of what
+    load_config accepts.  Scales are log-uniform over decades; each ratio
+    that a check bounds is drawn a little past the bound too.  The grids
+    stay small, at most 257 x 1025 points and 2001 delays, so a draw runs in
+    milliseconds.  Some configs leave out ``engine`` or ``waist_mm`` for
+    their defaults; in some, ``damage`` takes out a section or makes it a
+    non-object."""
     wavelength_nm = draw(_log_uniform(1.0, 1e5))
     relative_bandwidth = draw(_log_uniform(1e-7, 0.9))
     bandwidth_nm = 2.0 * wavelength_nm * relative_bandwidth
@@ -730,7 +755,9 @@ def runnable_configs(draw):
     kind = draw(st.sampled_from(sorted(cli._PROFILES)))
     profile = {"kind": kind, "waist_mm": waist_mm, "path": "pump.csv",
                "shift_mm": (half_mm - 1.5 * waist_mm) * draw(st.floats(-1.1, 1.1))}
-    profile = {key: profile[key] for key in ("kind",) + cli._PROFILES[kind].keys}
+    profile = {key: profile[key] for key in ("kind",) + tuple(cli._PROFILES[kind].keys)}
+    if "waist_mm" in profile and draw(st.integers(0, 3)) == 0:
+        del profile["waist_mm"]  # 1 mm
     table = draw(pump_tables(half_mm, spacing_mm)) if kind == "tabulated_file" else None
     # the step up to past MAX_STEP_FRACTION (0.2) of the pump period
     pump_period_fs = wavelength_nm * NM / bp.units.SPEED_OF_LIGHT / FS
@@ -753,20 +780,35 @@ def runnable_configs(draw):
                   "spatial_halfwidth_mm": half_mm},
         "output": {"path": "scan.csv", "format": "csv"},
     }
-    return cfg, table
+    if draw(st.integers(0, 3)) == 0:
+        del cfg["engine"]  # closed
+    # (section, what replaces it) once the test has placed its files, or None;
+    # one draw in eight (0, the shrink target, comes up more often than that)
+    damage = None
+    if draw(st.integers(0, 7)) == 3:
+        damage = (draw(st.sampled_from(_SECTIONS)),
+                  draw(st.sampled_from([_TAKEN_OUT, None, 5, 2.5, "x", [], True])))
+    return cfg, table, damage
 
 
 class TestRunnableConfigFuzz:
-    """``simulate --engine both`` on configs that load_config may accept: each
-    exits 0 with the engines agreeing and the port sum rule holding, or exits
-    1 naming a field; never 2, never a traceback.  numpy's RuntimeWarning is
+    """``simulate`` on configs that load_config may accept, with engine
+    ``both`` or, left out, ``closed``: each exits 0 with the engines agreeing
+    and the port sum rule holding, or exits 1 naming a field (the damaged
+    section, if any); never 2, never a traceback.  numpy's RuntimeWarning is
     an error here (pyproject's filterwarnings).  The example count comes from
     the hypothesis profile, so CI's ``deep`` profile can raise it."""
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(drawn=runnable_configs())
     def test_simulate_both_runs_or_names_a_field(self, drawn):
-        cfg, table = drawn
+        cfg, table, damage = drawn
+        # the fields an exit 1 may name: the config's own, and the keys its
+        # profile kind declares, one of which may have been left out for its default
+        kind = cfg["pump"]["spatial_profile"]["kind"]
+        names = {".".join(key) for key in _dict_paths(cfg)}
+        names.update(f"pump.spatial_profile.{key}" for key in cli._PROFILES[kind].keys)
+        engines = ["closed", "oracle"] if "engine" in cfg else ["closed"]
         grams = []
         run_engine = cli._run_engine
 
@@ -778,24 +820,34 @@ class TestRunnableConfigFuzz:
             if table is not None:
                 cfg["pump"]["spatial_profile"]["path"] = str(Path(tmp) / "pump.csv")
                 Path(tmp, "pump.csv").write_text(table)
-            cfg["output"]["path"] = str(Path(tmp) / "scan.csv")
+            out = Path(tmp) / "scan.csv"
+            cfg["output"]["path"] = str(out)
+            if damage is not None:
+                section, value = damage
+                names = {section}
+                if value is _TAKEN_OUT:
+                    del cfg[section]
+                else:
+                    cfg[section] = value
             path = write_config(Path(tmp), cfg)
             with mock.patch.object(cli, "_run_engine", side_effect=recording):
                 rc, err = run_main_quietly(["simulate", "--config", str(path)])
-            written = Path(cfg["output"]["path"]).exists()
+            written = out.exists()
         assert "Traceback" not in err
         if rc == 1:
             assert err.startswith("config error: ")
             field = err[len("config error: "):].split(":")[0].split("/")[0]
-            assert field in {".".join(key) for key in _dict_paths(cfg)}, err
+            assert field in names, err
             assert not written
             event(f"exit 1 naming {field}")
             return
-        assert rc == 0, err
-        event(f"exit 0, {cfg['pump']['spatial_profile']['kind']}")
-        closed, oracle = grams
-        for column in ("singles_port1", "singles_port2", "coincidences"):
-            assert np.max(np.abs(getattr(closed, column) - getattr(oracle, column))) <= 1e-12
+        assert rc == 0 and damage is None, err
+        event(f"exit 0, {kind}, {' and '.join(engines)}")
+        assert [gram.engine for gram in grams] == engines
+        if len(grams) == 2:
+            closed, oracle = grams
+            for column in ("singles_port1", "singles_port2", "coincidences"):
+                assert np.max(np.abs(getattr(closed, column) - getattr(oracle, column))) <= 1e-12
         for gram in grams:
             assert np.max(np.abs(gram.singles_port1 + gram.singles_port2 - 2.0)) <= 1e-12
         assert written
@@ -1206,9 +1258,51 @@ class TestConfigValidation:
 
     def test_absent_waist_defaults_to_one_mm(self, tmp_path):
         cfg = load_bundled("default_mzi")
-        cfg["pump"]["spatial_profile"] = {"kind": "hg1"}
-        run = load_config(write_config(tmp_path, cfg))
-        assert_pump(run, bp.hermite_gauss1_amplitude(BUNDLED_GRID, waist=1.0 * MM))
+        for profile, pump in [
+                ({"kind": "gaussian"}, bp.gaussian_amplitude(BUNDLED_GRID, waist=1.0 * MM)),
+                ({"kind": "hg1"}, bp.hermite_gauss1_amplitude(BUNDLED_GRID, waist=1.0 * MM)),
+                ({"kind": "shifted_gaussian", "shift_mm": 0.3},
+                 bp.gaussian_amplitude(BUNDLED_GRID, waist=1.0 * MM, center=0.3 * MM))]:
+            cfg["pump"]["spatial_profile"] = profile
+            assert_pump(load_config(write_config(tmp_path, cfg)), pump)
+
+    @pytest.mark.parametrize("section", ["pump", "filter", "interferometer", "scan", "grids",
+                                         "output"])
+    @pytest.mark.parametrize("value, message", [
+        (None, "missing required field"), (5, "expected dict, got int"),
+        ([], "expected dict, got list")], ids=["missing", "int", "list"])
+    def test_top_level_section_named_without_a_dot(self, tmp_path, capsys, section, value,
+                                                   message):
+        cfg = load_bundled("default_mzi")
+        if value is None:
+            del cfg[section]
+        else:
+            cfg[section] = value
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {section}: {message}\n"
+        assert not out.exists()
+
+    def test_absent_engine_runs_closed(self, tmp_path, capsys, recorded_grams):
+        outputs = []
+        for engine in ("closed", None):
+            cfg = small_scan_config("default_mzim", engine=engine)
+            if engine is None:
+                del cfg["engine"]
+            outputs.append(tmp_path / f"{engine}.csv")
+            assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(outputs[-1])]) == 0
+        capsys.readouterr()
+        assert [g.engine for g in recorded_grams] == ["closed", "closed"]
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    @pytest.mark.parametrize("value, kind", [(5, "int"), (None, "NoneType"), (True, "bool")])
+    def test_non_string_engine_exits_one(self, tmp_path, capsys, value, kind):
+        cfg = load_bundled("default_mzi")
+        cfg["engine"] = value
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg))]) == 1
+        assert capsys.readouterr().err == f"config error: engine: expected str, got {kind}\n"
 
     @pytest.mark.parametrize("table", [
         None, "x_mm,re\nzero,one\n", "0.0,1.0\n0.5,1.0,0.0\n", "-1.0,1.0\n0.0,nan\n1.0,1.0\n",
@@ -1349,6 +1443,44 @@ class TestConfigValidation:
             load_config(write_config(tmp_path, cfg))
 
 
+class TestFields:
+    """cli._fields, the one reader of a config section's keys."""
+
+    def test_values_and_defaults(self):
+        got = cli._fields({"a": 2, "b": "x", "d": {}}, "s", a=float, b=str, c=(int, 7), d=dict)
+        assert got == {"a": 2.0, "b": "x", "c": 7, "d": {}}
+        assert type(got["a"]) is float
+        assert cli._fields({"c": 3}, "s", c=(int, 7)) == {"c": 3}
+
+    def test_every_unknown_key_is_named(self):
+        with pytest.raises(cli.ConfigError,
+                           match=r"^s\.x, s\.y: unknown key; expected a, c$"):
+            cli._fields({"x": 1, "a": 1.0, "y": 2}, "s", a=float, c=(int, 7))
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(cli.ConfigError, match=r"^s\.b: missing required field$"):
+            cli._fields({"a": 1.0}, "s", a=float, b=str)
+
+    def test_top_level_field_has_no_dot(self):
+        with pytest.raises(cli.ConfigError, match=r"^b: missing required field$"):
+            cli._fields({}, "", b=dict)
+        with pytest.raises(cli.ConfigError, match=r"^x: unknown key; expected b$"):
+            cli._fields({"x": 1}, "", b=dict)
+
+    @pytest.mark.parametrize("value, kind, got", [
+        (True, int, "bool"), (True, float, "bool"), (3.0, int, "float"), ("3", float, "str"),
+        ("3", (int, 7), "str")])
+    def test_mistyped_value_rejected(self, value, kind, got):
+        name = (kind[0] if isinstance(kind, tuple) else kind).__name__
+        with pytest.raises(cli.ConfigError, match=rf"^s\.n: expected {name}, got {got}$"):
+            cli._fields({"n": value}, "s", n=kind)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(cli.ConfigError, match=r"^s\.x: must be a finite number$"):
+            cli._fields({"x": value}, "s", x=float)
+
+
 class TestProfileTable:
     """cli._PROFILES defines each pump-profile kind once: its keys, its parse,
     its on-grid shares and its sampler.  What load_config makes of each entry
@@ -1394,7 +1526,7 @@ class TestProfileTable:
     def test_unknown_key_lists_the_entry_keys(self, tmp_path, kind):
         cfg = load_bundled("default_mzi")
         cfg["pump"]["spatial_profile"] = {"kind": kind, "colour": "blue"}
-        assert cli._PROFILES[kind].keys == self.KEYS[kind]
+        assert tuple(cli._PROFILES[kind].keys) == self.KEYS[kind]
         expected = ", ".join(("kind",) + self.KEYS[kind])
         with pytest.raises(cli.ConfigError) as info:
             load_config(write_config(tmp_path, cfg))
