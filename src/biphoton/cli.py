@@ -13,8 +13,10 @@ Output contract: one record per engine per delay, engines paired at each
 delay (closed before oracle).  CSV has the fixed header CSV_HEADER and
 every number as ``%.9g``.  JSON is ``{"records": [...]}`` in the layout of
 ``json.dumps(..., indent=1)``, every number as its shortest repr.  Identical
-configs produce byte-identical files.  Both are written column-wise: one
-%-template, repeated per delay, formats the whole table in one operation.
+configs produce byte-identical files.  Both are written as bytes, with
+``\n`` line ends on every platform: one bytes %-template, the header or
+framing and then a row per engine repeated per delay, formats the whole
+file in one operation.  Files are read as UTF-8.
 
 Input: ``analyze`` parses a scan CSV with one np.loadtxt call; a file it
 refuses is read again line by line, so an error names the file line
@@ -309,8 +311,12 @@ def _waist(params: dict) -> dict:
 def _pump_table(params: dict) -> dict:
     """The rows x_mm, re[, im] of a tabulated pump, checked, as {"table": rows}."""
     try:
-        table = np.loadtxt(params["path"], delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
+        lines = _read_text(params["path"], "pump table").split("\n")
+    except ConfigError as exc:
+        raise ConfigError(f"pump.spatial_profile.path: {exc}") from None
+    try:
+        table = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
         raise ConfigError(f"pump.spatial_profile.path: cannot read the table: {exc}") from None
     if table.shape[1] not in (2, 3):
         raise ConfigError(
@@ -433,21 +439,22 @@ def _row_values(grams: List[Interferogram]) -> list:
 
 
 def _write_output(path: str, fmt: str, grams: List[Interferogram]) -> None:
-    """Write every row through one %-template: a row per engine, repeated per delay."""
-    values = _row_values(grams)
+    """Write the file through one bytes %-template: the header or JSON
+    framing, then a row per engine, repeated per delay.  Each number's
+    digits go straight into the file's bytes, with no str to encode."""
     n = grams[0].tau.size
     if fmt == "csv":
-        row = "".join(f"%.9g,%.9g,%.9g,%.9g,{g.engine}\n" for g in grams)
-        Path(path).write_text(CSV_HEADER + "\n" + (row * n) % tuple(values), newline="")
-        return
-    # the layout of json.dumps({"records": [...]}, indent=1); %r of a float
-    # is the shortest repr json writes for it
-    record = ",\n".join(
-        '  {\n   "tau_fs": %r,\n   "singles_port1": %r,\n   "singles_port2": %r,\n'
-        f'   "coincidence": %r,\n   "engine": {json.dumps(g.engine)}\n  }}'
-        for g in grams)
-    body = ",\n".join([record] * n) % tuple(values)
-    Path(path).write_text('{\n "records": [\n' + body + "\n ]\n}\n")
+        row = b"".join(b"%%.9g,%%.9g,%%.9g,%%.9g,%s\n" % g.engine.encode() for g in grams)
+        template = CSV_HEADER.encode() + b"\n" + row * n
+    else:
+        # the layout of json.dumps({"records": [...]}, indent=1); %a of a
+        # float is its repr, the shortest text json writes for it
+        record = b",\n".join(
+            b'  {\n   "tau_fs": %%a,\n   "singles_port1": %%a,\n   "singles_port2": %%a,\n'
+            b'   "coincidence": %%a,\n   "engine": %s\n  }' % json.dumps(g.engine).encode()
+            for g in grams)
+        template = b'{\n "records": [\n' + b",\n".join([record] * n) + b"\n ]\n}\n"
+    Path(path).write_bytes(template % tuple(_row_values(grams)))
 
 
 def cmd_simulate(args) -> int:

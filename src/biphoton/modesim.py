@@ -294,7 +294,8 @@ class BranchSumState:
 
     def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
         """Squared amplitude norm per (photon 1 path, photon 2 path); absent pairs are zero."""
-        return {pair: _group_norm(g) for pair, g in _by_path_pair(self.branches).items()}
+        spatial: dict = {}
+        return {pair: _group_norm(g, spatial) for pair, g in _by_path_pair(self.branches).items()}
 
     def _mapped(self, photon: _PhotonMap) -> "BranchSumState":
         """Each branch goes to every pairing of its two photons' outcomes.
@@ -383,22 +384,30 @@ def _symmetrized(state: BranchSumState) -> BranchSumState:
     return replace(state, branches=halved + _swapped_branches(halved))
 
 
-def _branch_pairs(branches: Sequence[Branch]) -> Iterable[Tuple[Branch, Branch, complex]]:
+def _branch_pairs(branches: Sequence[Branch],
+                  spatial: dict) -> Iterable[Tuple[Branch, Branch, complex]]:
     """Each unordered pair (x, y) of one path pair's branches, x first, with
     coef = (1 if y is x else 2) conj(w_x) w_y <S_x, S_y>.
 
     A pair's share of the norm is Re(coef <F_x, F_y>); the doubling counts
-    the (y, x) term, the complex conjugate of this one.
+    the (y, x) term, the complex conjugate of this one.  ``spatial`` holds
+    <S_x, S_y> keyed by the pair of spatial factor objects, so the groups
+    that share it compute each product once: 1 for the 40 pairs of an MZI
+    scan's final state, whose branches share one spatial factor, and 10 for
+    an MZIM's, whose flips make four.
     """
     for i, x in enumerate(branches):
         for y in branches[i:]:
+            factors = (id(x.spatial), id(y.spatial))
+            if factors not in spatial:
+                spatial[factors] = x.spatial.inner(y.spatial)
             yield x, y, ((1.0 if y is x else 2.0) * np.conj(x.weight) * y.weight
-                         * x.spatial.inner(y.spatial))
+                         * spatial[factors])
 
 
-def _group_norm(branches: Sequence[Branch]) -> float:
+def _group_norm(branches: Sequence[Branch], spatial: dict) -> float:
     total = 0.0
-    for x, y, coef in _branch_pairs(branches):
+    for x, y, coef in _branch_pairs(branches, spatial):
         total += (coef * x.spectral.inner(y.spectral)).real
     return total
 
@@ -507,11 +516,12 @@ def _delay_table(
     nodes in order.
     """
     c = state.frequency_grid.point_count // 2
+    spatial: dict = {}
     products: dict = {}
     places: dict = {}
     walks: dict = {}
     for pair, group in _by_path_pair(state.branches).items():
-        for x, y, coef in _branch_pairs(group):
+        for x, y, coef in _branch_pairs(group, spatial):
             factors = (id(x.spectral), id(y.spectral))
             if factors not in products:
                 products[factors] = x.spectral.inner_terms(y.spectral)

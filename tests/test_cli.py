@@ -450,6 +450,69 @@ class TestGoldenOutput:
         assert text == json.dumps({"records": expected}, indent=1) + "\n"
 
 
+def _str_template_output(fmt, grams):
+    """The file the writer made through a str %-template and ``encode``, as
+    bytes with \\n line ends: the reference for the bytes template."""
+    values = cli._row_values(grams)
+    n = grams[0].tau.size
+    if fmt == "csv":
+        row = "".join(f"%.9g,%.9g,%.9g,%.9g,{g.engine}\n" for g in grams)
+        return (CSV_HEADER + "\n" + (row * n) % tuple(values)).encode()
+    record = ",\n".join(
+        '  {\n   "tau_fs": %r,\n   "singles_port1": %r,\n   "singles_port2": %r,\n'
+        f'   "coincidence": %r,\n   "engine": {json.dumps(g.engine)}\n  }}'
+        for g in grams)
+    body = ",\n".join([record] * n) % tuple(values)
+    return ('{\n "records": [\n' + body + "\n ]\n}\n").encode()
+
+
+def _near(*values):
+    """Each value and its two float neighbours."""
+    return [x for v in values for x in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf))]
+
+
+# Where the text of a float changes form or rounds: signed zero, the least
+# subnormal, %.9g's switch to an exponent below 1e-4 (and the rounding of
+# 9.999999995e-05 up to it) and at 1e9, repr's switch at 1e16, and 10-digit
+# integers ending in 5, 9-digit ties that %.9g rounds half to even.
+_EDGES = [float(v) for v in (
+    [0.0, -0.0, 5e-324, 1.0]
+    + _near(1e-4, 9.99999999e-05, 9.999999995e-05, 1e9, 1e16)
+    + [1234567885.0, 1000000005.0, 9999999995.0])]
+_RATE = st.one_of(st.sampled_from([v for v in _EDGES if v >= 0.0]),  # -0.0 too
+                  st.floats(min_value=0.0, max_value=1e300))
+_DELAY_FS = st.one_of(st.sampled_from(_EDGES + [-v for v in _EDGES]),
+                      st.floats(min_value=-1e300, max_value=1e300))
+
+
+class TestWriterBytes:
+    """``_write_output`` gives the bytes of the str template it replaced, on
+    drawn columns beyond the bundled digests."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), fmt=st.sampled_from(["csv", "json"]),
+           engines=st.sampled_from([["closed"], ["oracle"], ["closed", "oracle"]]),
+           n=st.integers(min_value=1, max_value=6))
+    def test_bytes_of_the_str_template(self, tmp_path, data, fmt, engines, n):
+        grams = []
+        for engine in engines:
+            columns = [data.draw(st.lists(_DELAY_FS, min_size=n, max_size=n))] + [
+                data.draw(st.lists(_RATE, min_size=n, max_size=n)) for _ in range(3)]
+            grams.append(bp.Interferogram(np.array(columns[0]) * FS, *columns[1:],
+                                          engine=engine))
+        out = tmp_path / f"scan.{fmt}"
+        cli._write_output(str(out), fmt, grams)
+        written = out.read_bytes()
+        assert written == _str_template_output(fmt, grams)
+        if fmt == "json":
+            records = [{"tau_fs": g.tau[i] / FS, "singles_port1": float(g.singles_port1[i]),
+                        "singles_port2": float(g.singles_port2[i]),
+                        "coincidence": float(g.coincidences[i]), "engine": g.engine}
+                       for i in range(n) for g in grams]
+            assert written == (json.dumps({"records": records}, indent=1) + "\n").encode()
+
+
 class TestAnalyzeSchemaErrors:
     def test_wrong_header(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -1561,14 +1624,21 @@ class TestFileErrors:
     def test_analyze_input_is_a_directory(self, tmp_path, capsys):
         self.assert_exit_one(capsys, ["analyze", "--in", str(tmp_path)], str(tmp_path))
 
-    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "pump_table"])
     def test_input_that_is_not_utf8_text(self, tmp_path, capsys, command):
         path = tmp_path / "utf16.txt"
         path.write_bytes(b"\xff\xfe{}")
-        flag = {"simulate": "--config", "analyze": "--in"}[command]
-        self.assert_exit_one(capsys, [command, flag, str(path)],
-                             f"cannot read the {'config' if command == 'simulate' else 'input'} "
-                             f"file {path}: not UTF-8 text")
+        if command == "pump_table":
+            cfg = small_scan_config("default_mzi")
+            cfg["pump"]["spatial_profile"] = {"kind": "tabulated_file", "path": str(path)}
+            argv = ["simulate", "--config", str(write_config(tmp_path, cfg))]
+            needle = f"config error: pump.spatial_profile.path: cannot read the pump table {path}"
+        else:
+            flag = {"simulate": "--config", "analyze": "--in"}[command]
+            argv = [command, flag, str(path)]
+            needle = (f"cannot read the {'config' if command == 'simulate' else 'input'} "
+                      f"file {path}")
+        self.assert_exit_one(capsys, argv, needle + ": not UTF-8 text")
 
     @pytest.mark.parametrize("where", ["missing_directory", "directory"])
     def test_output_path_cannot_be_written(self, tmp_path, capsys, where):
@@ -1738,3 +1808,28 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_no_file_is_opened_in_the_locale_encoding(self, tmp_path):
+        # every file the commands read or write names UTF-8 or is bytes; with
+        # these flags an open that leaves the encoding to the locale raises
+        table = tmp_path / "pump.csv"
+        table.write_text("".join(f"{i / 10:.1f},{math.exp(-(i / 10) ** 2):.9f}\n"
+                                 for i in range(-40, 41)))
+        cfg = small_scan_config("default_mzim")
+        configs = {}
+        for name, fmt, profile in (("csv", "csv", None), ("json", "json", None),
+                                   ("table", "csv", {"kind": "tabulated_file",
+                                                     "path": str(table)})):
+            cfg["output"] = {"path": str(tmp_path / f"{name}.{fmt}"), "format": fmt}
+            if profile:
+                cfg["pump"]["spatial_profile"] = profile
+            configs[name] = str(write_config(tmp_path, cfg, f"{name}-run.json"))
+        commands = [["simulate", "--config", configs[name]] for name in configs]
+        commands += [["analyze", "--in", str(tmp_path / "csv.csv")],
+                     ["compare", "--config", configs["csv"]]]
+        script = ("from biphoton.cli import main\n"
+                  f"for argv in {commands!r}:\n    assert main(argv) == 0, argv\n")
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", script], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 
@@ -651,7 +652,7 @@ def _every_pair_table(state):
     c = state.frequency_grid.point_count // 2
     table = {}
     for pair, group in modesim._by_path_pair(state.branches).items():
-        for x, y, coef in modesim._branch_pairs(group):
+        for x, y, coef in modesim._branch_pairs(group, {}):
             d0, d1 = y.delays[0] - x.delays[0], y.delays[1] - x.delays[1]
             terms, n0, n1 = x.spectral.inner_terms(y.spectral)
             row = table.setdefault((pair, d0 + d1), np.zeros(4 * c + 1, dtype=complex))
@@ -827,7 +828,7 @@ def _hand_built_state(weights, spatial, spectral=((_SPECTRAL,) * 2,) * 2):
 
 def _cross_coefficients(state):
     """Each path pair's coefficient for its two branches' cross pair."""
-    return [next(coef for x, y, coef in modesim._branch_pairs(group) if x is not y)
+    return [next(coef for x, y, coef in modesim._branch_pairs(group, {}) if x is not y)
             for group in modesim._by_path_pair(state.branches).values()]
 
 
@@ -867,7 +868,7 @@ def _expected_entries(state):
     """
     walks = {}
     for pair, group in modesim._by_path_pair(state.branches).items():
-        for x, y, coef in modesim._branch_pairs(group):
+        for x, y, coef in modesim._branch_pairs(group, {}):
             d = (y.delays[0] - x.delays[0], y.delays[1] - x.delays[1])
             walks.setdefault((pair, sum(d)), []).append((coef, x.spectral, y.spectral, d))
 
@@ -1098,6 +1099,47 @@ class TestOneSpectralProduct:
                 products = _recording_products(patch)
                 modesim._delay_table(final)
             assert len(products) == len(set(products)) == n * (n + 1) // 2
+
+
+def _recording_inner(monkeypatch):
+    """The factor pairs whose ``inner`` runs, in order, as object ids."""
+    calls = []
+    inner = modesim.Factor.inner
+
+    def recording(self, other):
+        calls.append((id(self), id(other)))
+        return inner(self, other)
+
+    monkeypatch.setattr(modesim.Factor, "inner", recording)
+    return calls
+
+
+class TestOneSpatialProduct:
+    """The delay table computes each spatial inner product once per pair of
+    spatial factor objects, across all path pairs: the 16 final branches of
+    an MZI scan share one spatial factor, and the MZIM's flips make four."""
+
+    @pytest.mark.parametrize("name, count", [("default_mzi", 1), ("default_mzim", 10)])
+    def test_bundled_scan_forms_each_product_once(self, monkeypatch, name, count):
+        state, icfg, *_ = _bundled_scan_args(name)
+        final = bp.apply_pipeline(bp.build_initial_state(state), bp.build_pipeline(icfg, 0.0))
+        # every branch with a spatial factor object of its own, on the same
+        # array (a copy could change its strides, and so np.vdot's order of
+        # adds): each of the 40 branch pairs then computes its product
+        unshared = dataclasses.replace(final, branches=tuple(
+            dataclasses.replace(b, spatial=modesim.Factor(b.spatial.kind, b.spatial.data))
+            for b in final.branches))
+        tables = []
+        for branches, expected in ((final, count), (unshared, 40)):
+            with pytest.MonkeyPatch.context() as patch:
+                calls = _recording_inner(patch)
+                tables.append(modesim._delay_table(branches))
+            assert len(calls) == len(set(calls)) == expected
+        shared, reference = tables
+        assert list(shared) == list(reference)
+        for key, (sign, row) in reference.items():
+            assert shared[key][0] == sign
+            assert _read(shared[key]).tobytes() == _read((sign, row)).tobytes()
 
 
 class TestCrossKindEquivalence:
