@@ -9,20 +9,7 @@ discrete-mode simulator -- and extracts visibilities, fringe periods and
 dip widths from the scans.
 """
 
-from .errors import (
-    AsymmetricSpectrum,
-    BiphotonError,
-    EmptyOrNegative,
-    GridMismatch,
-    InvalidRates,
-    NoDip,
-    NoFringe,
-    NonFiniteSpectrum,
-    UnderResolved,
-    UnderSampled,
-    UnknownElement,
-    ZeroDensity,
-)
+from .errors import BiphotonError, NoDip, NoFringe, UnderSampled
 from .spectral import (
     EnvelopeEvaluator,
     FrequencyGrid,

@@ -15,14 +15,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    EmptyOrNegative,
-    GridMismatch,
-    NoDip,
-    NoFringe,
-    NonFiniteSpectrum,
-    UnderResolved,
-)
+from .errors import BiphotonError, NoDip, NoFringe
+from .spectral import _uniform_step
 
 __all__ = [
     "VisibilityReport",
@@ -39,45 +33,35 @@ NOTCH_FRACTION = 0.25        # notch cutoff as a fraction of the fringe frequenc
 # n |sample| must stay below this: spectra are bounded by sum |sample| (twice
 # that for a mean-free row), and the peak interpolation takes second differences
 SPECTRUM_CEILING = np.finfo(float).max / 8.0
+# A delay printed at 9 significant digits (as the CLI's CSV holds it) moves
+# by up to 5e-9 |tau|, so a spacing read back moves by up to 1e-8 max|tau|
+# from the true step, and the mean step by that over n - 1.
+PRINTED_DELAY_RTOL = 2e-8
 
 
 def _as_samples(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
-        raise EmptyOrNegative("samples must be a nonempty 1-d sequence")
+        raise BiphotonError("samples must be a nonempty 1-d sequence")
     return arr
-
-
-def _uniform_step(tau: np.ndarray) -> float:
-    if tau.size < 2:
-        raise UnderResolved("need at least two samples")
-    steps = np.diff(tau)
-    step = float(steps[0])
-    # A delay printed at 9 significant digits (as the CLI's CSV holds it)
-    # moves by up to 5e-9 |tau|, so a step read back may move by up to
-    # 1e-8 max|tau|.  Written so that a NaN or infinite delay fails it.
-    slack = 1e-6 * abs(step) + 1e-8 * float(np.max(np.abs(tau)))
-    if not (step > 0.0 and slack < math.inf and np.all(np.abs(steps - step) <= slack)):
-        raise ValueError("delay grid must be uniform and increasing")
-    return step
 
 
 def visibility(samples) -> float:
     """(max - min) / (max + min), clamped to [0, 1].
 
-    Raises NonFiniteSpectrum when a rate is NaN or infinite, and
-    EmptyOrNegative for empty input, rates below -1e-9, or a nonpositive
-    maximum.  Invariant under positive rescaling.
+    Raises BiphotonError for empty input, a NaN or infinite rate, rates
+    below -1e-9, or a nonpositive maximum.  Invariant under positive
+    rescaling.
     """
     arr = _as_samples(samples)
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteSpectrum("rates must be finite")
+        raise BiphotonError("rates must be finite")
     if np.any(arr < -1e-9):
-        raise EmptyOrNegative("rates must be nonnegative")
+        raise BiphotonError("rates must be nonnegative")
     hi = float(arr.max())
     lo = max(float(arr.min()), 0.0)
     if hi <= 0.0:
-        raise EmptyOrNegative("maximum rate must be positive")
+        raise BiphotonError("maximum rate must be positive")
     if not math.isfinite(hi + lo):  # rates near float max: halving is exact
         hi, lo = 0.5 * hi, 0.5 * lo
     return min(max((hi - lo) / (hi + lo), 0.0), 1.0)
@@ -86,18 +70,24 @@ def visibility(samples) -> float:
 def _trace(samples, tau, what: str) -> Tuple[np.ndarray, np.ndarray, float]:
     """(samples, delays, step) of one uniformly sampled trace.
 
-    Raises NonFiniteSpectrum unless every |sample| stays below
-    SPECTRUM_CEILING / n: the trace's spectra, and their sums and second
-    differences, are then finite.
+    The step is the mean step.  Raises ValueError unless it is positive
+    and every spacing is within PRINTED_DELAY_RTOL max|tau| of it (a NaN or
+    infinite delay fails), and BiphotonError unless every |sample| stays
+    below SPECTRUM_CEILING / n: the trace's spectra, and their sums and
+    second differences, are then finite.
     """
     arr = _as_samples(samples)
     tau_arr = np.asarray(tau, dtype=float)
     if tau_arr.shape != arr.shape:
-        raise GridMismatch("samples and delay grid differ in length")
-    step = _uniform_step(tau_arr)
+        raise BiphotonError("samples and delay grid differ in length")
+    if tau_arr.size < 2:
+        raise BiphotonError("need at least two samples")
+    step = _uniform_step(tau_arr, PRINTED_DELAY_RTOL)
+    if step is None or step <= 0.0:
+        raise ValueError("delay grid must be uniform and increasing")
     peak, bound = float(np.max(np.abs(arr))), SPECTRUM_CEILING / arr.size
     if not peak < bound:
-        raise NonFiniteSpectrum(
+        raise BiphotonError(
             f"the {what} rates must be finite and below {bound:.3g} for a spectrum "
             f"over {arr.size} samples not to overflow; got {peak:.3g}")
     return arr, tau_arr, step
@@ -119,7 +109,7 @@ def _period(spectrum: np.ndarray, dc: float, n: int, step: float,
     ``dc`` is ``_dc`` of the samples.  Raises as :func:`fringe_period`.
     """
     if spectrum.size < 3:
-        raise UnderResolved("trace too short for spectral analysis")
+        raise BiphotonError("trace too short for spectral analysis")
     k = int(np.argmax(spectrum[1:]) + 1)
     if dc <= 0.0 or spectrum[k] < min_relative_peak * dc:
         raise NoFringe(
@@ -135,7 +125,7 @@ def _period(spectrum: np.ndarray, dc: float, n: int, step: float,
     frequency = (k + delta) / (n * step)  # cycles per second
     period = 1.0 / frequency
     if period < min_samples_per_period * step:
-        raise UnderResolved(
+        raise BiphotonError(
             f"period {period:.3e} s spans fewer than {min_samples_per_period} "
             f"samples at step {step:.3e} s")
     return period
@@ -152,9 +142,9 @@ def fringe_period(
     The mean is removed, a Hann window applied, and the largest non-DC
     line of the magnitude spectrum refined by quadratic interpolation
     around the peak bin.  Raises NoFringe when that line is below
-    ``min_relative_peak`` of the DC level, UnderResolved when the
-    detected period spans fewer than ``min_samples_per_period`` samples,
-    and NonFiniteSpectrum when the samples are too large to transform.
+    ``min_relative_peak`` of the DC level, and BiphotonError when the
+    detected period spans fewer than ``min_samples_per_period`` samples or
+    the samples are too large to transform.
     """
     arr, _, step = _trace(samples, tau, "samples")
     window = np.hanning(arr.size)
@@ -206,8 +196,8 @@ def hom_dip_fwhm(samples, tau, fringe_frequency: float) -> float:
     all Fourier components above one quarter of it; the dip is then
     measured on the remaining slow trace against a baseline taken as the
     median of the outermost fifth of the samples.  Raises NoDip when the
-    dip depth is below 1e-3, and NonFiniteSpectrum when the samples are
-    too large to transform.
+    dip depth is below 1e-3, and BiphotonError when the samples are too
+    large to transform.
     """
     arr, tau_arr, step = _trace(samples, tau, "samples")
     return _dip_width(np.fft.rfft(arr), tau_arr, step, fringe_frequency)
@@ -290,7 +280,7 @@ def report(
         window = (centre - half, centre + half)
     mask = (tau_arr >= window[0]) & (tau_arr <= window[1])
     if not np.any(mask):
-        raise GridMismatch("window contains no samples")
+        raise BiphotonError("window contains no samples")
 
     v1 = visibility(singles_arr[mask])
     v12 = visibility(coinc_arr[mask])

@@ -314,6 +314,9 @@ def _pump_table(params: dict) -> dict:
         lines = _read_text(params["path"], "pump table").split("\n")
     except ConfigError as exc:
         raise ConfigError(f"pump.spatial_profile.path: {exc}") from None
+    if not any(line.split("#")[0].strip() for line in lines):  # np.loadtxt would warn
+        raise ConfigError(
+            f"pump.spatial_profile.path: the table {params['path']} has no data rows")
     try:
         table = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
@@ -423,7 +426,7 @@ def _run_engine(cfg: RunConfig, icfg: InterferometerConfig, engine: str) -> Inte
 
 
 def _check_energy(gram: Interferogram):
-    # Interferogram itself rejects non-finite rates (InvalidRates)
+    # Interferogram itself rejects negative or non-finite rates (BiphotonError)
     total = gram.singles_port1 + gram.singles_port2
     worst = float(np.max(np.abs(total - 2.0)))
     if worst > ENERGY_TOL:

@@ -16,7 +16,7 @@ and E1/E2 are taken over the envelope weights q; all three come from the
 exchange-symmetrised state (``states.exchange_overlaps``) and alpha and b
 are real.  The forms hold whenever the spatial amplitude or the spectral
 density is exchange symmetric.  A state asymmetric in both sectors raises
-AsymmetricSpectrum, and a general spectral sector has no closed form; the
+BiphotonError, and a general spectral sector has no closed form; the
 discrete-mode simulator covers both.
 
 There is one way to ask for the rates at given delays, ``rates``, and one
@@ -37,7 +37,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .errors import InvalidRates, UnderSampled
+from .errors import BiphotonError, UnderSampled
 from .spectral import EnvelopeEvaluator, FrequencyGrid
 from .states import TwoPhotonState, exchange_overlaps
 from .units import FS
@@ -160,7 +160,7 @@ class Interferogram:
         for name in ("singles_port1", "singles_port2", "coincidences"):
             arr = arrays[name]
             if not np.all(np.isfinite(arr) & (arr >= -1e-9)):
-                raise InvalidRates(f"{name} contains negative or non-finite rates")
+                raise BiphotonError(f"{name} contains negative or non-finite rates")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 

@@ -56,7 +56,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 import numpy as np
 
-from .errors import UnknownElement
+from .errors import BiphotonError
 from .interferometer import Interferogram, InterferometerConfig, MZIM, _scan_axis
 from .spatial import SpatialGrid
 from .spectral import FrequencyGrid, chirp_z, normalize
@@ -146,7 +146,7 @@ def _photon_map(element: Element, frequency_grid: FrequencyGrid) -> _PhotonMap:
     elif isinstance(element, SpatialFlip):
         in_arm = _Outcome(element.arm, 1.0, True, None, False)
     else:
-        raise UnknownElement(f"unknown element {element!r}")
+        raise BiphotonError(f"unknown element {element!r}")
     if element.arm not in _PATHS:
         raise ValueError(f"arms are labelled 'a' and 'b', got {element.arm!r}")
     return {p: [in_arm if p == element.arm else _Outcome(p, 1.0, False, None, False)]

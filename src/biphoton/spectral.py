@@ -28,7 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ZeroDensity
+from .errors import BiphotonError
 
 __all__ = [
     "FrequencyGrid",
@@ -41,6 +41,10 @@ __all__ = [
     "EnvelopeEvaluator",
     "chirp_z",
 ]
+
+# tau0 + j step carries a rounding error of a few ulps of the largest |tau|
+# per point, so the spacings may differ from the mean step by that much.
+ROUNDOFF_RTOL = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -227,13 +231,13 @@ def default_frequency_grid(sd: SpectralDensity, point_count: int = 1025) -> Freq
 def normalize(sd: SpectralDensity, grid: FrequencyGrid) -> SpectralDensity:
     """Rescale so the trapezoid integral over ``grid`` equals one.
 
-    Raises ZeroDensity unless the integral is finite and at least 1e-300:
+    Raises BiphotonError unless the integral is finite and at least 1e-300:
     when the grid sees (numerically) no density at all, e.g. a table whose
     support lies entirely outside the grid, or when a sample is not finite.
     """
     total = float(np.sum(sd.sample(grid) * grid.trapezoid_weights()))
     if not 1e-300 <= total < math.inf:
-        raise ZeroDensity(
+        raise BiphotonError(
             f"{sd.describe()} integrates to {total!r} on the working grid; "
             "need a finite integral of at least 1e-300")
     return replace(sd, scale=sd.scale / total)
@@ -268,7 +272,7 @@ class EnvelopeEvaluator:
         """E1(tau) = sum_k w_k d_k cos(W_k tau); scalar in, scalar out."""
         tau_arr = np.asarray(tau, dtype=float)
         flat = tau_arr.ravel()
-        step = _uniform_step(flat)
+        step = _uniform_step(flat, ROUNDOFF_RTOL)
         if step is None:
             values = self._direct(flat)
         else:
@@ -344,16 +348,15 @@ def _mirrored_exp(coef: complex, x: np.ndarray) -> np.ndarray:
     return np.concatenate((first, first[:x.size - half][::-1]))
 
 
-def _uniform_step(tau: np.ndarray) -> Optional[float]:
-    """Step of a 1-d axis of at least two points equally spaced up to
-    round-off, else None.
+def _uniform_step(tau: np.ndarray, rtol: float) -> Optional[float]:
+    """Mean step of a 1-d axis of at least two finite points, if every
+    spacing lies within ``rtol`` max|tau| of it, else None.
 
-    tau0 + j step carries a rounding error of a few ulps of the largest
-    |tau| per point, so the spacings may differ from the mean step by that
-    much; NaN or inf anywhere makes the comparison false.
+    The one uniform-axis rule: the envelopes pass ROUNDOFF_RTOL, analysis
+    the rounding of a printed delay.  NaN or inf anywhere gives None.
     """
     if tau.ndim != 1 or tau.size < 2:
         return None
     step = (tau[-1] - tau[0]) / (tau.size - 1)
-    tol = 8.0 * np.finfo(float).eps * float(np.max(np.abs(tau)))
-    return float(step) if np.all(np.abs(np.diff(tau) - step) <= tol) else None
+    tol = rtol * float(np.max(np.abs(tau)))
+    return float(step) if tol < math.inf and np.all(np.abs(np.diff(tau) - step) <= tol) else None

@@ -29,7 +29,7 @@ from typing import NamedTuple, Tuple, Union, get_args
 import numpy as np
 
 from . import units
-from .errors import AsymmetricSpectrum
+from .errors import BiphotonError
 from .spatial import (
     SpatialAmplitude,
     SpatialGrid,
@@ -246,12 +246,12 @@ def exchange_overlaps(state: TwoPhotonState) -> ExchangeOverlaps:
     pump), b = <A, A(-x1, -x2)> / <A, A> and q = d times the trapezoid
     weights of the spectral sector's grid.  A general spectral sector
     raises ValueError, and a state asymmetric in both sectors
-    AsymmetricSpectrum: neither has a closed form.
+    BiphotonError: neither has a closed form.
     """
     alpha, b, spatial_symmetric = _SECTORS[type(state.spatial)](state.spatial)
     weights, spectral_symmetric = _SECTORS[type(state.spectral)](state.spectral)
     if not (spatial_symmetric or spectral_symmetric):
-        raise AsymmetricSpectrum(
+        raise BiphotonError(
             "both the spatial amplitude and the spectral density are exchange "
             "asymmetric; no closed form applies -- use the discrete-mode engine")
     return ExchangeOverlaps(alpha, b, weights)

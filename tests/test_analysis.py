@@ -6,14 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
 from biphoton.analysis import FLATNESS_FRINGE_FLOOR
-from biphoton.errors import (
-    EmptyOrNegative,
-    GridMismatch,
-    NoDip,
-    NoFringe,
-    NonFiniteSpectrum,
-    UnderResolved,
-)
+from biphoton.errors import BiphotonError, NoDip, NoFringe
 
 from conftest import COINCIDENCE_PERIOD, DELTA_OMEGA, OMEGA_P, SINGLES_PERIOD
 
@@ -31,11 +24,11 @@ class TestVisibility:
         assert bp.visibility([0.0, 0.3, 1.7]) == 1.0
 
     def test_errors(self):
-        with pytest.raises(EmptyOrNegative):
+        with pytest.raises(BiphotonError, match="samples must be a nonempty 1-d sequence"):
             bp.visibility([])
-        with pytest.raises(EmptyOrNegative):
+        with pytest.raises(BiphotonError, match="rates must be nonnegative"):
             bp.visibility([0.5, -0.2])
-        with pytest.raises(EmptyOrNegative):
+        with pytest.raises(BiphotonError, match="maximum rate must be positive"):
             bp.visibility([0.0, 0.0])
 
     @settings(max_examples=30, deadline=None)
@@ -52,7 +45,7 @@ class TestVisibility:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rate_raises(self, value):
-        with pytest.raises(NonFiniteSpectrum):
+        with pytest.raises(BiphotonError, match="rates must be finite"):
             bp.visibility([value, 1.0])
 
     def test_background_subtraction_raises_visibility(self):
@@ -88,7 +81,7 @@ class TestFringePeriod:
     def test_underresolved_period_rejected(self):
         taus = np.arange(0.0, 400e-15, 0.2e-15)
         trace = 1.0 + 0.5 * np.cos(2.0 * math.pi * taus / (2e-15))
-        with pytest.raises(UnderResolved):
+        with pytest.raises(BiphotonError, match="spans fewer than 16 samples"):
             bp.fringe_period(trace, taus)  # 10 samples per period < 16
 
     def test_residual_unbalanced_fringe_is_physical(self, scan_mzim_fine):
@@ -103,7 +96,7 @@ class TestFringePeriod:
                              min_relative_peak=1e-2)
 
     def test_grid_mismatch(self):
-        with pytest.raises(GridMismatch):
+        with pytest.raises(BiphotonError, match="samples and delay grid differ in length"):
             bp.fringe_period([1.0, 2.0], np.zeros(3))
 
 
@@ -250,7 +243,7 @@ class TestReport:
     def test_default_window_on_a_scan_without_zero(self, default_state, kind, start, stop,
                                                    centre):
         # centred on the scan's end nearer zero; a window centred on zero held
-        # no sample and raised GridMismatch
+        # no sample and raised "window contains no samples"
         cfg = getattr(bp.InterferometerConfig, kind)(default_state.pump_frequency)
         gram = bp.scan(default_state, cfg, start, stop, 0.08e-15)
         rep = bp.report(gram.tau, gram.singles_port1, gram.coincidences)
@@ -261,7 +254,7 @@ class TestReport:
     def test_zero_signal_propagates(self):
         taus = np.arange(0.0, 10e-15, 0.1e-15)
         zeros = np.zeros_like(taus)
-        with pytest.raises(EmptyOrNegative):
+        with pytest.raises(BiphotonError, match="maximum rate must be positive"):
             bp.report(taus, zeros, zeros)
 
     @pytest.mark.parametrize("count", [5001, 5000], ids=["odd", "even"])
@@ -315,21 +308,21 @@ class TestNonFiniteSpectrum:
     flat = np.full(50, 1e308)
 
     def test_report_raises(self):
-        with pytest.raises(NonFiniteSpectrum, match="singles"):
+        with pytest.raises(BiphotonError, match="singles"):
             bp.report(self.taus, self.flat, self.flat, window=(0.0, 1e-15))
 
     def test_overflowing_coincidences_named(self):
         singles = 1.0 + 0.5 * np.cos(2.0 * np.pi * self.taus / 1e-15)
-        with pytest.raises(NonFiniteSpectrum, match="coincidence"):
+        with pytest.raises(BiphotonError, match="coincidence"):
             bp.report(self.taus, singles, self.flat)
 
     @pytest.mark.parametrize("value", [1e308, 1e306, math.nan, math.inf])
     def test_estimators_raise(self, value):
         trace = np.full(50, 1.0)
         trace[7] = value
-        with pytest.raises(NonFiniteSpectrum, match="samples"):
+        with pytest.raises(BiphotonError, match="samples"):
             bp.fringe_period(trace, self.taus)
-        with pytest.raises(NonFiniteSpectrum, match="samples"):
+        with pytest.raises(BiphotonError, match="samples"):
             bp.hom_dip_fwhm(trace, self.taus, 2.0 * np.pi / 1e-15)
 
     @pytest.mark.parametrize("field", ["fringe_period_singles", "fringe_period_coincidence",

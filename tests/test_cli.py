@@ -116,9 +116,10 @@ class TestSimulateAndAnalyze:
         rep = run_analyze(capsys, out)
         assert main(["compare", "--config", str(path)]) == 0
         exact = json.loads(capsys.readouterr().out)["mzi_report"]
-        # the step read back is off by at most 1e-8 max|tau|, 2.5e-5 of it
-        assert rep["fringe_period_singles"] == pytest.approx(
-            exact["fringe_period_singles"], rel=2.5e-5)
+        # analyze takes the mean step of the printed delays, within 1e-8
+        # max|tau| / (n - 1) of the scan's; their first step was 5.3e-6 off it
+        for key in ("fringe_period_singles", "fringe_period_coincidence"):
+            assert rep[key] == pytest.approx(exact[key], rel=1e-8)
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = small_scan_config("default_mzi")
@@ -356,17 +357,18 @@ class TestGoldenOutput:
         return write_config(tmp_path, cfg)
 
     # stdout of analyze (on the closed scan CSV) and of compare, recorded
-    # before compare shared one envelope pair between its instruments and
-    # report took its FFTs in one call
+    # when analysis took its delay step as the mean step instead of the first
+    # one.  Periods and windows moved by at most 1.35e-13 relative; before,
+    # the digests were c4f37beb..., 62249ae1... and 6c4c628f... (compare).
     STDOUT_DIGESTS = {
         ("analyze", "default_mzi"):
-            "c4f37beba168378b644f6a46ed08a4639b78f94b69270eab3b1dead26831847c",
+            "5fa7287cd20096d3af232c8872cb47f3395a504dfdaf7e7a22a4ec04239dd06b",
         ("analyze", "default_mzim"):
-            "62249ae14870a3eaa20ac41f97fbf50335b75dcbc9048722b7761304977df9c4",
+            "d9acfc735b1277018a23e7fdc49abacaa9c7f5e55dd27dd494cdb6ceaf0e7dab",
         ("compare", "default_mzi"):
-            "6c4c628fa63ad63ddcf5e37de947f509443bc0f30d6303748257a6aa6528669f",
+            "43e45bfa76d838d39368d331957e310a32270fd5c6347908ba21c6da32655e34",
         ("compare", "default_mzim"):
-            "6c4c628fa63ad63ddcf5e37de947f509443bc0f30d6303748257a6aa6528669f",
+            "43e45bfa76d838d39368d331957e310a32270fd5c6347908ba21c6da32655e34",
     }
 
     @pytest.mark.parametrize("command, name", sorted(STDOUT_DIGESTS))
@@ -1372,9 +1374,11 @@ class TestConfigValidation:
         "0.5,1.0\n0.0,1.0\n-0.5,1.0\n", "10.0,1.0\n11.0,1.0\n",
         "-1.0,0.0\n0.0,0.0\n1.0,0.0\n", "0.0,1.0\n",
         "".join(f"{i / 10:.1f},1.0\n" for i in range(-50, 51)),
+        "", "\n\n", "# x_mm,re\n# no rows\n",
     ], ids=["missing", "non_numeric", "ragged", "nan", "descending", "off_grid", "zero",
-            "one_row", "cut_at_the_grid_edge"])
+            "one_row", "cut_at_the_grid_edge", "empty", "blank_lines", "comments_only"])
     def test_unreadable_pump_table_exit_one(self, tmp_path, capsys, table):
+        # one line: on a table without data rows np.loadtxt warned before it
         table_path = tmp_path / "pump.csv"
         if table is not None:
             table_path.write_text(table)
@@ -1383,7 +1387,9 @@ class TestConfigValidation:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "scan.csv"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
-        assert "pump.spatial_profile.path" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "pump.spatial_profile.path" in err
+        assert err.startswith("config error: pump.spatial_profile.path: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_pump_table_is_read(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
-from biphoton.errors import AsymmetricSpectrum, UnderSampled
+from biphoton.errors import BiphotonError, UnderSampled
 from biphoton.cli import build_problem, bundled_config_path, load_config
 from biphoton.interferometer import MAX_REACH_FRACTION, MAX_STEP_FRACTION, tau_axis
 
@@ -351,7 +351,7 @@ class TestScan:
         rates = {name: [1.0, 1.0] for name in ("singles_port1", "singles_port2",
                                                 "coincidences")}
         rates[trace] = [1.0, bad]
-        with pytest.raises(bp.InvalidRates, match=trace):
+        with pytest.raises(BiphotonError, match=f"{trace} contains negative or non-finite rates"):
             bp.Interferogram(tau=[0.0, 1e-15], **rates)
 
     def test_round_off_below_zero_accepted(self):
@@ -479,9 +479,10 @@ class TestScanMatchesPointFunctions:
         state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, shifted),
                                   SKEWED_SECTOR, OMEGA_P)
         cfg = getattr(bp.InterferometerConfig, kind)(OMEGA_P)
-        with pytest.raises(AsymmetricSpectrum, match="both"):
+        asymmetric = "both the spatial amplitude and the spectral density are exchange asymmetric"
+        with pytest.raises(BiphotonError, match=asymmetric):
             bp.scan(state, cfg, -10e-15, 10e-15, 0.1e-15)
-        with pytest.raises(AsymmetricSpectrum):
+        with pytest.raises(BiphotonError, match=asymmetric):
             bp.rates(state, cfg, 10e-15)
 
     @pytest.mark.parametrize("kind", ["mzi", "mzim"])

@@ -10,7 +10,7 @@ from hypothesis import event, given, settings, strategies as st
 import biphoton as bp
 from biphoton import modesim
 from biphoton.cli import build_problem, bundled_config_path, load_config
-from biphoton.errors import UnderSampled, UnknownElement
+from biphoton.errors import BiphotonError, UnderSampled
 from biphoton.modesim import _photon_map
 from biphoton.spectral import chirp_z
 
@@ -268,7 +268,7 @@ class TestElementSemantics:
 
     def test_unknown_element_rejected(self, interpreters):
         for interpret in interpreters:
-            with pytest.raises(UnknownElement):
+            with pytest.raises(BiphotonError, match="unknown element 'mirror'"):
                 interpret(["mirror"])
 
     def test_unknown_arm_rejected(self, interpreters):
