@@ -45,6 +45,7 @@ from .errors import BiphotonError, UnderSampled
 from .interferometer import (
     Interferogram,
     InterferometerConfig,
+    _axis_count,
     check_reach,
     check_step,
     scan,
@@ -229,9 +230,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError("scan.tau_step_fs: must be positive")
     if tau_stop_fs < tau_start_fs:
         raise ConfigError("scan.tau_stop_fs: must not precede tau_start_fs")
-    # tau_axis makes floor(span + 1e-9) + 1 delays; a span that overflows is inf
-    span = (tau_stop_fs - tau_start_fs) / tau_step_fs
-    if not span + 1e-9 < MAX_DELAYS:
+    try:
+        delays = _axis_count(tau_start_fs, tau_stop_fs, tau_step_fs)
+    except ValueError:  # the arguments are checked above: the span overflows
+        delays = math.inf
+    if delays > MAX_DELAYS:
         raise ConfigError(
             f"scan.tau_step_fs: the scan would exceed {MAX_DELAYS} delays")
     pump_period_fs = 2.0 * np.pi / pump_frequency / units.FS
@@ -292,7 +295,7 @@ def load_config(path) -> RunConfig:
                            pump_frequency=pump_frequency)
     return RunConfig(
         state=state,
-        instrument=InterferometerConfig(ikind, pump_frequency),
+        instrument=InterferometerConfig(ikind),
         tau_start=tau_start_fs * units.FS,
         tau_stop=tau_stop_fs * units.FS,
         tau_step=tau_step_fs * units.FS,
@@ -314,11 +317,13 @@ def _pump_table(params: dict) -> dict:
         lines = _read_text(params["path"], "pump table").split("\n")
     except ConfigError as exc:
         raise ConfigError(f"pump.spatial_profile.path: {exc}") from None
-    if not any(line.split("#")[0].strip() for line in lines):  # np.loadtxt would warn
+    # np.loadtxt reads a whitespace-only line as a row, and warns on no rows
+    rows = [line for line in lines if line.split("#")[0].strip()]
+    if not rows:
         raise ConfigError(
             f"pump.spatial_profile.path: the table {params['path']} has no data rows")
     try:
-        table = np.loadtxt(lines, delimiter=",", ndmin=2)
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"pump.spatial_profile.path: cannot read the table: {exc}") from None
     if table.shape[1] not in (2, 3):
@@ -412,12 +417,18 @@ def _pump_amplitude(kind: str, params: dict, grid: SpatialGrid) -> SpatialAmplit
     return _PROFILES[kind].sample(params, grid)
 
 
+# The instrument as perfbench/checks.py reads it, with the state's pump
+# frequency: only build_problem makes one, and it goes with that accessor.
+_BenchInstrument = NamedTuple("_BenchInstrument", [("kind", str), ("pump_frequency", float)])
+
+
 def build_problem(cfg: RunConfig):
-    """(state, interferometer config, spatial grid, frequency grid) of a loaded
-    run.  An accessor for the benchmark (perfbench/checks.py, cold_start.py):
-    load_config built all four, and the two grids are the ones the state's
-    sectors carry; the CLI reads the fields itself."""
-    return cfg.state, cfg.instrument, cfg.state.spatial.grid, cfg.state.spectral.grid
+    """(state, instrument, spatial grid, frequency grid) of a loaded run.  An
+    accessor for the benchmark (perfbench/checks.py, cold_start.py): the
+    grids are the ones the state's sectors carry, and the instrument a
+    ``_BenchInstrument``.  The CLI reads the fields itself."""
+    return (cfg.state, _BenchInstrument(cfg.instrument.kind, cfg.state.pump_frequency),
+            cfg.state.spatial.grid, cfg.state.spectral.grid)
 
 
 def _run_engine(cfg: RunConfig, icfg: InterferometerConfig, engine: str) -> Interferogram:
@@ -586,7 +597,7 @@ def cmd_compare(args) -> int:
     if cfg.engine == "both":
         raise ConfigError("engine: compare needs a single engine ('closed' or 'oracle')")
     kinds = ("mzi", "mzim")
-    icfgs = [replace(cfg.instrument, kind=kind) for kind in kinds]
+    icfgs = [InterferometerConfig(kind) for kind in kinds]
     if cfg.engine == "closed":  # one envelope pair serves both instruments
         grams = scan_configs(cfg.state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step)
     else:

@@ -1,7 +1,7 @@
 """Closed-form singles and coincidence interferograms.
 
 Rates are normalized so the incoherent background equals one.  With
-E1/E2 the spectral envelopes and w_p the pump frequency:
+E1/E2 the spectral envelopes and w_p the state's pump frequency:
 
     balanced interferometer (equal mirror parity in both arms):
         coincidences:  1 - (1/2) cos(w_p tau) - (1/2) E2(tau)
@@ -23,10 +23,10 @@ There is one way to ask for the rates at given delays, ``rates``, and one
 to scan a uniform delay axis, ``scan`` (or ``scan_configs`` for several
 instruments at once).  Both weight the envelopes in ``_columns``, where the
 instrument kind is read as data, so the two agree bit for bit on a scan's
-axis.  No call takes a frequency grid: both read the one the spectral
-sector carries, ``state.spectral.grid``.  The balanced interferometer
-reads neither alpha nor b, which is the computable face of its
-independence from spatial coherence.
+axis.  No call takes a frequency grid or a pump frequency: both read the
+state's, ``state.spectral.grid`` and ``state.pump_frequency``.  The MZI
+reads neither alpha nor b, the computable face of its independence from
+spatial coherence.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def check_reach(tau_start: float, tau_stop: float, frequency_grid: FrequencyGrid
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Interferometer kind and pump frequency.
+    """Interferometer kind: the instrument alone; the pump frequency is the state's.
 
     ``kind`` is ``MZI``, the balanced instrument (equal reflection parity in
     the two arms), or ``MZIM``, the same instrument with one mirror removed,
@@ -113,25 +113,21 @@ class InterferometerConfig:
     """
 
     kind: str
-    pump_frequency: float
 
     def __post_init__(self):
         if self.kind not in (MZI, MZIM):
             raise ValueError(f"kind must be '{MZI}' or '{MZIM}'")
-        if not 0.0 < self.pump_frequency < math.inf:
-            raise ValueError(
-                f"pump_frequency must be finite and positive, got {self.pump_frequency!r}")
 
     @classmethod
-    def mzi(cls, pump_frequency: float) -> "InterferometerConfig":
-        return cls(MZI, pump_frequency)
+    def mzi(cls) -> "InterferometerConfig":
+        return cls(MZI)
 
     @classmethod
-    def mzim(cls, pump_frequency: float) -> "InterferometerConfig":
-        return cls(MZIM, pump_frequency)
+    def mzim(cls) -> "InterferometerConfig":
+        return cls(MZIM)
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "pump_frequency": self.pump_frequency}
+        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ def _envelopes(state: TwoPhotonState):
     return ov, EnvelopeEvaluator.from_weights(ov.weights, state.spectral.grid)
 
 
-def _columns(ov, cfg: InterferometerConfig, tau, e1, e2):
+def _columns(state: TwoPhotonState, ov, cfg: InterferometerConfig, tau, e1, e2):
     """(singles at port 1, singles at port 2, coincidences) from E1 and E2 at ``tau``.
 
     The only place the instrument enters.  The balanced one reads neither
@@ -189,14 +185,8 @@ def _columns(ov, cfg: InterferometerConfig, tau, e1, e2):
     the exchange pathway (the discrete-mode simulator confirms it).
     """
     alpha, b = (1.0, 1.0) if cfg.kind == MZI else (ov.alpha, ov.b)
-    f = alpha * np.cos(cfg.pump_frequency * tau / 2.0) * e1
-    return 1.0 - f, 1.0 + f, 1.0 - 0.5 * b * np.cos(cfg.pump_frequency * tau) - 0.5 * b * e2
-
-
-def _check_pump_frequency(state: TwoPhotonState, cfg: InterferometerConfig) -> None:
-    """Raise ValueError unless state and configuration agree on the pump frequency."""
-    if abs(cfg.pump_frequency - state.pump_frequency) > 1e-9 * cfg.pump_frequency:
-        raise ValueError("state and configuration disagree on the pump frequency")
+    f = alpha * np.cos(state.pump_frequency * tau / 2.0) * e1
+    return 1.0 - f, 1.0 + f, 1.0 - 0.5 * b * np.cos(state.pump_frequency * tau) - 0.5 * b * e2
 
 
 def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau):
@@ -205,15 +195,12 @@ def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau):
     ``tau`` may have any shape, and each rate has its shape; a scalar delay
     gives three floats.  On a ``scan``'s delay axis the three equal its
     columns bit for bit: both weight E1 and E2 there in ``_columns``.
-    Raises ValueError, as ``scan`` does, if state and configuration
-    disagree on the pump frequency.
     """
-    _check_pump_frequency(state, cfg)
     tau_arr = np.asarray(tau, dtype=float)
     if not np.isfinite(tau_arr).all():
         raise ValueError("tau must be finite at every delay")
     ov, env = _envelopes(state)
-    columns = _columns(ov, cfg, tau_arr, env.first_order(tau_arr), env.second_order(tau_arr))
+    columns = _columns(state, ov, cfg, tau_arr, env.first_order(tau_arr), env.second_order(tau_arr))
     return tuple(float(c) for c in columns) if np.ndim(tau) == 0 else columns
 
 
@@ -237,17 +224,15 @@ def tau_axis(tau_start: float, tau_stop: float, tau_step: float) -> np.ndarray:
     return tau_start + tau_step * np.arange(_axis_count(tau_start, tau_stop, tau_step))
 
 
-def _scan_axis(state: TwoPhotonState, cfg: InterferometerConfig, tau_start: float,
-               tau_stop: float, tau_step: float) -> np.ndarray:
+def _scan_axis(state: TwoPhotonState, tau_start: float, tau_stop: float,
+               tau_step: float) -> np.ndarray:
     """Delay axis of a scan by either engine, after the checks both make.
 
-    Raises ValueError if state and configuration disagree on the pump
-    frequency or ``tau_axis`` rejects an argument, and UnderSampled from
-    ``check_step`` or ``check_reach`` on the state's spectral grid; every
-    check runs before the axis is allocated.
+    Raises ValueError if ``tau_axis`` rejects an argument, and UnderSampled
+    from ``check_step`` on the state's pump period or ``check_reach`` on its
+    spectral grid; every check runs before the axis is allocated.
     """
-    _check_pump_frequency(state, cfg)
-    check_step(tau_step, 2.0 * math.pi / cfg.pump_frequency)
+    check_step(tau_step, 2.0 * math.pi / state.pump_frequency)
     count = _axis_count(tau_start, tau_stop, tau_step)
     check_reach(tau_start, tau_stop, state.spectral.grid)
     return tau_start + tau_step * np.arange(count)
@@ -280,17 +265,15 @@ def scan_configs(
 
     The scans share one delay axis, one exchange_overlaps call and one
     evaluation of E1 and E2; each instrument only weights the envelopes.
-    Every configuration is checked as :func:`scan` checks its own.
     """
     if not cfgs:
         raise ValueError("need at least one interferometer configuration")
-    for cfg in cfgs:
-        tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
+    tau = _scan_axis(state, tau_start, tau_stop, tau_step)
     ov, env = _envelopes(state)
     e1, e2 = env.first_order(tau), env.second_order(tau)
     grams = []
     for cfg in cfgs:
-        s1, s2, cc = _columns(ov, cfg, tau, e1, e2)
+        s1, s2, cc = _columns(state, ov, cfg, tau, e1, e2)
         grams.append(Interferogram(
             tau=tau,
             singles_port1=s1,

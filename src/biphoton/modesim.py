@@ -42,8 +42,9 @@ has two routes: the scan (the production path) and the per-delay branch sum
 
 Conventions: the 50:50 beam splitter maps a -> (a + i b)/sqrt(2),
 b -> (i a + b)/sqrt(2).  A delay tau in one arm multiplies each photon
-amplitude in that arm by exp(-i (w_p/2 + W_k) tau); a spatial flip reverses
-the position index.  After the last splitter path a is output port 1 and
+amplitude in that arm by exp(-i (w_p/2 + W_k) tau), w_p the state's pump
+frequency, which the branch sum carries; a spatial flip reverses the
+position index.  After the last splitter path a is output port 1 and
 path b port 2, the ports the closed engine and ``Interferogram`` name.
 Rates are normalized so the incoherent background equals one.
 """
@@ -95,14 +96,10 @@ class BeamSplitter:
 class Delay:
     arm: str
     tau: float
-    pump_frequency: float
 
     def __post_init__(self):
         if not math.isfinite(self.tau):
             raise ValueError(f"tau must be finite, got {self.tau!r}")
-        if not 0.0 < self.pump_frequency < math.inf:
-            raise ValueError(
-                f"pump_frequency must be finite and positive, got {self.pump_frequency!r}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,8 @@ class _Outcome(NamedTuple):
 _PhotonMap = Dict[str, List[_Outcome]]
 
 
-def _photon_map(element: Element, frequency_grid: FrequencyGrid) -> _PhotonMap:
-    """One element's action on one photon.
+def _photon_map(element: Element, state: BranchSumState) -> _PhotonMap:
+    """One element's action on one photon, at ``state``'s grid and pump frequency.
 
     The map sends each input path to its outcomes.  This is the only
     definition of what an element does; every representation applies it to
@@ -141,7 +138,7 @@ def _photon_map(element: Element, frequency_grid: FrequencyGrid) -> _PhotonMap:
     if isinstance(element, Delay):
         # at tau = 0 every phase is exactly 1: the outcome carries none
         phases = None if element.tau == 0.0 else np.exp(
-            -1j * (element.pump_frequency / 2.0 + frequency_grid.omegas()) * element.tau)
+            -1j * (state.pump_frequency / 2.0 + state.frequency_grid.omegas()) * element.tau)
         in_arm = _Outcome(element.arm, 1.0, False, phases, True)
     elif isinstance(element, SpatialFlip):
         in_arm = _Outcome(element.arm, 1.0, True, None, False)
@@ -158,7 +155,7 @@ def build_pipeline(cfg: InterferometerConfig, tau: float) -> List[Element]:
 
     The delay and the MZIM's flip sit in arm b: no rate depends on the arms.
     Path a leaves the last splitter at port 1, path b at port 2."""
-    elements: List[Element] = [BeamSplitter(), Delay("b", tau, cfg.pump_frequency)]
+    elements: List[Element] = [BeamSplitter(), Delay("b", tau)]
     if cfg.kind == MZIM:
         elements.append(SpatialFlip("b"))
     return elements + [BeamSplitter()]
@@ -290,7 +287,13 @@ class BranchSumState:
 
     spatial_grid: SpatialGrid
     frequency_grid: FrequencyGrid
+    pump_frequency: float  # of the source; a delay's phases read it, as they read the grid
     branches: Tuple[Branch, ...]
+
+    def __post_init__(self):
+        if not 0.0 < self.pump_frequency < math.inf:
+            raise ValueError(
+                f"pump_frequency must be finite and positive, got {self.pump_frequency!r}")
 
     def path_pair_norms(self) -> Dict[Tuple[str, str], float]:
         """Squared amplitude norm per (photon 1 path, photon 2 path); absent pairs are zero."""
@@ -347,13 +350,14 @@ _FACTORS = {
 
 
 def build_initial_state(state: TwoPhotonState) -> BranchSumState:
-    """Both photons in path a, on the grids the state's sectors carry.
+    """Both photons in path a, on the state's grids and at its pump frequency.
 
     Each sector becomes its ``_FACTORS`` entry; the state is
     exchange-symmetrized and normalized to unit total amplitude norm."""
     branch = Branch("a", "a", 1.0 + 0.0j, *(_FACTORS[type(sector)](sector)
                                             for sector in (state.spatial, state.spectral)))
-    out = _symmetrized(BranchSumState(state.spatial.grid, state.spectral.grid, (branch,)))
+    out = _symmetrized(BranchSumState(state.spatial.grid, state.spectral.grid,
+                                      state.pump_frequency, (branch,)))
     norm = math.sqrt(total_norm(out))
     if norm <= 0.0:
         raise ValueError("state has zero norm on these grids")
@@ -420,7 +424,7 @@ def total_norm(state: BranchSumState) -> float:
 def apply_pipeline(state: BranchSumState, elements: Iterable[Element]) -> BranchSumState:
     """Apply optical elements in order, each by its photon map; returns a new state."""
     for element in elements:
-        state = state._mapped(_photon_map(element, state.frequency_grid))
+        state = state._mapped(_photon_map(element, state))
     return state
 
 
@@ -559,7 +563,7 @@ def _placement(nodes: np.ndarray) -> Union[slice, np.ndarray]:
     return slice(int(nodes[0]), stop if stop >= 0 else None, stride)
 
 
-def _delay_norms(final: BranchSumState, pump_frequency: float, tau: np.ndarray,
+def _delay_norms(final: BranchSumState, tau: np.ndarray,
                  tau_step: float) -> Dict[Tuple[str, str], np.ndarray]:
     """Path-pair norms of ``final``, built at tau = 0, on the uniform axis ``tau``.
 
@@ -583,7 +587,7 @@ def _delay_norms(final: BranchSumState, pump_frequency: float, tau: np.ndarray,
     sums = dict(zip(live, chirp_z(np.array(list(live.values())), final.frequency_grid.spacing,
                                   tau[0], tau_step, tau.size)))
     used = {m for (_, m), (_, row) in table.items() if id(row) in sums}
-    pumps = {m: np.exp(-0.5j * m * pump_frequency * tau) for m in used}
+    pumps = {m: np.exp(-0.5j * m * final.pump_frequency * tau) for m in used}
     norms = {pair: np.zeros(tau.size) for pair, _ in table}
     for (pair, m), (sign, row) in table.items():
         if id(row) in sums:
@@ -601,15 +605,15 @@ def oracle_scan(
 ) -> Interferogram:
     """Delay scan evaluated entirely by the discrete-mode simulator.
 
-    Runs on the state's own spatial and frequency grids, and makes the
-    same pump-frequency, step and reach checks as the closed ``scan``.  The
+    Runs on the state's own spatial and frequency grids and pump frequency,
+    and makes the same step and reach checks as the closed ``scan``.  The
     branches do not depend on the delay, so the pipeline runs once, at
     tau = 0, and ``_delay_norms`` reads every delay's path-pair norms off
     the final state.
     """
-    tau = _scan_axis(state, cfg, tau_start, tau_stop, tau_step)
+    tau = _scan_axis(state, tau_start, tau_stop, tau_step)
     final = apply_pipeline(build_initial_state(state), build_pipeline(cfg, 0.0))
-    s1, s2, cc = _port_rule(_delay_norms(final, cfg.pump_frequency, tau, tau_step))
+    s1, s2, cc = _port_rule(_delay_norms(final, tau, tau_step))
     return Interferogram(
         tau=tau,
         singles_port1=s1,

@@ -39,12 +39,12 @@ def sgrid(default_state):
 
 @pytest.fixture(scope="session")
 def cfg_mzi(default_state):
-    return bp.InterferometerConfig.mzi(default_state.pump_frequency)
+    return bp.InterferometerConfig.mzi()
 
 
 @pytest.fixture(scope="session")
 def cfg_mzim(default_state):
-    return bp.InterferometerConfig.mzim(default_state.pump_frequency)
+    return bp.InterferometerConfig.mzim()
 
 
 @pytest.fixture(scope="session")
@@ -73,7 +73,7 @@ def on_frequency_grid(state, grid):
 def arm_pipeline(cfg, tau, splitter=bp.BeamSplitter, delay_arm="b", flip_arm="b"):
     """The instrument's elements with splitters of class ``splitter`` and the
     delay and the MZIM's flip on the given arms."""
-    elements = [splitter(), bp.Delay(delay_arm, tau, cfg.pump_frequency)]
+    elements = [splitter(), bp.Delay(delay_arm, tau)]
     if cfg.kind == bp.MZIM:
         elements.append(bp.SpatialFlip(flip_arm))
     return elements + [splitter()]

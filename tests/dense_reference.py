@@ -47,6 +47,7 @@ class DenseTensorState:
 
     spatial_grid: bp.SpatialGrid
     frequency_grid: bp.FrequencyGrid
+    pump_frequency: float
     tensor: np.ndarray  # shape (2, N, M, 2, N, M)
 
     def path_pair_norms(self):
@@ -75,7 +76,8 @@ def to_dense(state: bp.BranchSumState) -> DenseTensorState:
         p1, p2 = _PATHS.index(b.path1), _PATHS.index(b.path2)
         tensor[p1, :, :, p2, :, :] += b.weight * np.einsum(
             "ij,kl->ikjl", b.spatial.to_full(), b.spectral.to_full())
-    return DenseTensorState(state.spatial_grid, state.frequency_grid, tensor)
+    return DenseTensorState(state.spatial_grid, state.frequency_grid, state.pump_frequency,
+                            tensor)
 
 
 def _dense_first_photon(photon, tensor: np.ndarray) -> np.ndarray:

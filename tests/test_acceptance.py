@@ -152,8 +152,8 @@ def test_criterion_05_oracle_equivalence(default_state, cfg_mzi, cfg_mzim, oracl
 
 
 def test_criterion_06_odd_pump_parity(odd_state):
-    cfg_mzi = bp.InterferometerConfig.mzi(odd_state.pump_frequency)
-    cfg_mzim = bp.InterferometerConfig.mzim(odd_state.pump_frequency)
+    cfg_mzi = bp.InterferometerConfig.mzi()
+    cfg_mzim = bp.InterferometerConfig.mzim()
 
     def check(tag, taus, trace_mzi, trace_mzim):
         line_mzi = pump_line(trace_mzi, taus)
@@ -183,7 +183,7 @@ def test_criterion_07_bandwidth_reciprocity(default_state, sgrid):
         state = bp.TwoPhotonState(default_state.spatial,
                                   bp.AntiCorrelated(density, bp.default_frequency_grid(density)),
                                   OMEGA_P)
-        cfg = bp.InterferometerConfig.mzi(OMEGA_P)
+        cfg = bp.InterferometerConfig.mzi()
         gram = bp.scan(state, cfg, -250e-15, 250e-15, 0.08e-15)
         return bp.hom_dip_fwhm(gram.coincidences, gram.tau, OMEGA_P)
 

@@ -244,7 +244,7 @@ class TestReport:
                                                    centre):
         # centred on the scan's end nearer zero; a window centred on zero held
         # no sample and raised "window contains no samples"
-        cfg = getattr(bp.InterferometerConfig, kind)(default_state.pump_frequency)
+        cfg = getattr(bp.InterferometerConfig, kind)()
         gram = bp.scan(default_state, cfg, start, stop, 0.08e-15)
         rep = bp.report(gram.tau, gram.singles_port1, gram.coincidences)
         lo, hi = rep.window

@@ -7,6 +7,7 @@ rejects keys it does not read, so a stale README config fails here too.
 """
 
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -41,6 +42,12 @@ def test_every_exported_name_resolves(name):
 def test_no_engine_call_takes_a_frequency_grid(name):
     # the spectral sector carries its grid, as the spatial one does
     assert "frequency_grid" not in inspect.signature(getattr(biphoton, name)).parameters
+
+
+def test_the_pump_frequency_is_the_states_alone():
+    # the source owns w_p: an instrument is its kind, a delay its arm and time
+    assert [f.name for f in dataclasses.fields(biphoton.InterferometerConfig)] == ["kind"]
+    assert [f.name for f in dataclasses.fields(biphoton.Delay)] == ["arm", "tau"]
 
 
 def test_readme_example_prints_documented_visibility():

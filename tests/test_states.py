@@ -216,10 +216,9 @@ class TestValidation:
         (lambda state: bp.Tabulated((0.0, 1.0), (math.nan, 1.0)), ValueError),
         (lambda state: bp.Tabulated((0.0, math.nan), (1.0, 1.0)), ValueError),
         (lambda state: bp.TwoPhotonState(state.spatial, state.spectral, math.nan), ValueError),
-        (lambda state: bp.InterferometerConfig.mzi(math.nan), ValueError),
         (lambda state: check_step(math.nan, 1.0), UnderSampled),
     ], ids=["rectangular", "gaussian", "scale", "tabulated_density", "tabulated_detuning",
-            "pump_frequency", "interferometer", "check_step"])
+            "pump_frequency", "check_step"])
     def test_nan_rejected(self, default_state, build, error):
         # NaN fails every comparison, so each check must be written to fail it
         with pytest.raises(error):
