@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "fringe_period",
     "hom_dip_fwhm",
     "report",
+    "reports",
 ]
 
 MIN_SAMPLES_PER_PERIOD = 16
@@ -67,29 +68,42 @@ def visibility(samples) -> float:
     return min(max((hi - lo) / (hi + lo), 0.0), 1.0)
 
 
-def _trace(samples, tau, what: str) -> Tuple[np.ndarray, np.ndarray, float]:
-    """(samples, delays, step) of one uniformly sampled trace.
+def _traces(rows, tau, names) -> Tuple[List[np.ndarray], np.ndarray, float]:
+    """(samples of each row, delays, step) of traces on one uniform grid.
 
-    The step is the mean step.  Raises ValueError unless it is positive
-    and every spacing is within PRINTED_DELAY_RTOL max|tau| of it (a NaN or
-    infinite delay fails), and BiphotonError unless every |sample| stays
-    below SPECTRUM_CEILING / n: the trace's spectra, and their sums and
-    second differences, are then finite.
+    The step is the mean step.  Checks every row's length against the
+    grid's, then the grid, then every row's size, each named by ``names``:
+    raises BiphotonError unless each row has the grid's shape and the grid
+    at least two points, ValueError unless the step is positive and every
+    spacing is within PRINTED_DELAY_RTOL max|tau| of it (a NaN or infinite
+    delay fails), and BiphotonError unless every |sample| stays below
+    SPECTRUM_CEILING / n: the rows' spectra, and their sums and second
+    differences, are then finite.
     """
-    arr = _as_samples(samples)
     tau_arr = np.asarray(tau, dtype=float)
-    if tau_arr.shape != arr.shape:
-        raise BiphotonError("samples and delay grid differ in length")
+    arrs = [np.asarray(row, dtype=float) for row in rows]
+    for arr, name in zip(arrs, names):
+        if arr.shape != tau_arr.shape:
+            raise BiphotonError(f"{name} and delay grid differ in length: "
+                                f"shape {arr.shape} against {tau_arr.shape}")
     if tau_arr.size < 2:
         raise BiphotonError("need at least two samples")
     step = _uniform_step(tau_arr, PRINTED_DELAY_RTOL)
     if step is None or step <= 0.0:
         raise ValueError("delay grid must be uniform and increasing")
-    peak, bound = float(np.max(np.abs(arr))), SPECTRUM_CEILING / arr.size
-    if not peak < bound:
-        raise BiphotonError(
-            f"the {what} rates must be finite and below {bound:.3g} for a spectrum "
-            f"over {arr.size} samples not to overflow; got {peak:.3g}")
+    bound = SPECTRUM_CEILING / tau_arr.size
+    for arr, name in zip(arrs, names):
+        peak = float(np.max(np.abs(arr)))
+        if not peak < bound:
+            raise BiphotonError(
+                f"the {name} rates must be finite and below {bound:.3g} for a spectrum "
+                f"over {arr.size} samples not to overflow; got {peak:.3g}")
+    return arrs, tau_arr, step
+
+
+def _trace(samples, tau, name: str) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(samples, delays, step) of one trace, checked as ``_traces`` checks it."""
+    (arr,), tau_arr, step = _traces([samples], tau, [name])
     return arr, tau_arr, step
 
 
@@ -153,18 +167,19 @@ def fringe_period(
                    min_relative_peak, min_samples_per_period)
 
 
-def _dip_width(spectrum: np.ndarray, tau: np.ndarray, step: float,
-               fringe_frequency: float) -> float:
-    """Full width at half depth of the slow dip, from the trace's rfft.
-
-    ``spectrum`` is zeroed in place above the notch.  Raises as
-    :func:`hom_dip_fwhm`.
-    """
-    n = tau.size
+def _notch(spectrum: np.ndarray, n: int, step: float, fringe_frequency: float) -> None:
+    """Zero the rfft ``spectrum`` of n samples at spacing ``step``, in place,
+    above NOTCH_FRACTION of the fringe frequency (rad/s)."""
     omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=step)
     spectrum[omega > NOTCH_FRACTION * fringe_frequency] = 0.0
-    slow = np.fft.irfft(spectrum, n=n)
 
+
+def _slow_width(slow: np.ndarray, tau: np.ndarray) -> float:
+    """Full width at half depth of the dip in a notched trace ``slow``.
+
+    Raises NoDip as :func:`hom_dip_fwhm`.
+    """
+    n = tau.size
     i_min = int(np.argmin(slow))
     distance = np.abs(tau - tau[i_min])
     outer = distance >= 0.8 * float(distance.max())
@@ -200,7 +215,9 @@ def hom_dip_fwhm(samples, tau, fringe_frequency: float) -> float:
     large to transform.
     """
     arr, tau_arr, step = _trace(samples, tau, "samples")
-    return _dip_width(np.fft.rfft(arr), tau_arr, step, fringe_frequency)
+    spectrum = np.fft.rfft(arr)
+    _notch(spectrum, arr.size, step, fringe_frequency)
+    return _slow_width(np.fft.irfft(spectrum, n=arr.size), tau_arr)
 
 
 @dataclass(frozen=True)
@@ -253,48 +270,91 @@ def report(
     one, else the scan's end nearer zero.  FLATNESS_FRINGE_FLOOR is the
     relative peak threshold for a fringe: a residual oscillation below one
     percent of DC counts as flat, consistent with the package-wide 0.02
-    flatness bound.
+    flatness bound.  This is ``reports(tau, [singles], [coincidences],
+    window)[0]``.
     """
-    singles_arr, tau_arr, step = _trace(singles, tau, "singles")
-    coinc_arr, _, _ = _trace(coincidences, tau_arr, "coincidence")
-    n = singles_arr.size
+    return reports(tau, [singles], [coincidences], window)[0]
 
-    # one rfft: the two fringe rows, and the raw coincidences for the notch
+
+def reports(
+    tau,
+    singles_rows,
+    coincidence_rows,
+    window: Optional[Tuple[float, float]] = None,
+) -> List[VisibilityReport]:
+    """One :func:`report` per singles / coincidence row pair on the grid ``tau``.
+
+    Every row is checked first, and ``tau`` once.  Then all pairs share
+    one Hann window, one rfft over 3k stacked rows (each pair's two fringe
+    rows and its raw coincidences) and one irfft over the notched
+    coincidences of the pairs with a coincidence fringe.  At a length such
+    as 5001 = 3 · 1667 numpy's FFT sets up a Bluestein plan on every call,
+    at about the cost of transforming two rows; a batched row has the bits
+    of the same row transformed alone, so each report equals ``report`` on
+    its pair.  An explicit ``window`` serves every pair.
+
+    Raises BiphotonError, naming the argument, when the two row sets differ
+    in count or hold no row, or a row's length is not ``tau``'s.  Errors
+    found after the checks come in row order, as from one ``report`` call
+    per pair.
+    """
+    singles_rows, coincidence_rows = list(singles_rows), list(coincidence_rows)
+    count = len(singles_rows)
+    if count != len(coincidence_rows):
+        raise BiphotonError(f"singles_rows and coincidence_rows differ in count: "
+                            f"{count} and {len(coincidence_rows)}")
+    if count == 0:
+        raise BiphotonError("singles_rows and coincidence_rows hold no rows")
+    # a single pair keeps report's names for its two traces
+    names = [kind if count == 1 else f"{kind}_rows[{i}]"
+             for i in range(count) for kind in ("singles", "coincidence")]
+    rows = [row for pair in zip(singles_rows, coincidence_rows) for row in pair]
+    arrs, tau_arr, step = _traces(rows, tau, names)
+    pairs = list(zip(arrs[0::2], arrs[1::2]))
+    n = tau_arr.size
+
+    # one rfft: each pair's two fringe rows, and its raw coincidences for the notch
     hann = np.hanning(n)
-    spectra = np.fft.rfft(np.stack([_fringe_row(singles_arr, hann),
-                                    _fringe_row(coinc_arr, hann), coinc_arr]))
-    magnitude = np.abs(spectra[:2])
-    dc_s, dc_c = _dc(singles_arr, hann), _dc(coinc_arr, hann)
+    spectra = np.fft.rfft(np.stack([row for singles_arr, coinc_arr in pairs
+                                    for row in (_fringe_row(singles_arr, hann),
+                                                _fringe_row(coinc_arr, hann), coinc_arr)]))
+    spectra = spectra.reshape(count, 3, -1)
+    magnitude = np.abs(spectra[:, :2])
 
-    period_singles = _optional(_period, magnitude[0], dc_s, n, step, FLATNESS_FRINGE_FLOOR, 4)
-    period_coinc = _optional(_period, magnitude[1], dc_c, n, step, FLATNESS_FRINGE_FLOOR, 4)
+    readings = []
+    for (singles_arr, coinc_arr), (mag_s, mag_c) in zip(pairs, magnitude):
+        period_singles = _optional(_period, mag_s, _dc(singles_arr, hann), n, step,
+                                   FLATNESS_FRINGE_FLOOR, 4)
+        period_coinc = _optional(_period, mag_c, _dc(coinc_arr, hann), n, step,
+                                 FLATNESS_FRINGE_FLOOR, 4)
 
-    if window is None:
-        if period_singles is not None:
-            half = 3.0 * period_singles
-        elif period_coinc is not None:
-            half = 6.0 * period_coinc
-        else:
-            half = float(np.max(np.abs(tau_arr)))
-        centre = min(max(0.0, float(tau_arr[0])), float(tau_arr[-1]))
-        window = (centre - half, centre + half)
-    mask = (tau_arr >= window[0]) & (tau_arr <= window[1])
-    if not np.any(mask):
-        raise BiphotonError("window contains no samples")
+        span = window
+        if span is None:
+            if period_singles is not None:
+                half = 3.0 * period_singles
+            elif period_coinc is not None:
+                half = 6.0 * period_coinc
+            else:
+                half = float(np.max(np.abs(tau_arr)))
+            centre = min(max(0.0, float(tau_arr[0])), float(tau_arr[-1]))
+            span = (centre - half, centre + half)
+        mask = (tau_arr >= span[0]) & (tau_arr <= span[1])
+        if not np.any(mask):
+            raise BiphotonError("window contains no samples")
+        readings.append(dict(v1=visibility(singles_arr[mask]), v12=visibility(coinc_arr[mask]),
+                             window=(float(span[0]), float(span[1])),
+                             fringe_period_singles=period_singles,
+                             fringe_period_coincidence=period_coinc, hom_fwhm=None))
 
-    v1 = visibility(singles_arr[mask])
-    v12 = visibility(coinc_arr[mask])
+    # one irfft: the notched coincidences of the pairs with a coincidence fringe
+    fringed = [i for i, reading in enumerate(readings)
+               if reading["fringe_period_coincidence"] is not None]
+    if fringed:
+        notched = spectra[fringed, 2]
+        for row, i in zip(notched, fringed):
+            _notch(row, n, step, 2.0 * math.pi / readings[i]["fringe_period_coincidence"])
+        for slow, i in zip(np.fft.irfft(notched, n=n), fringed):
+            readings[i]["hom_fwhm"] = _optional(_slow_width, slow, tau_arr)
 
-    hom = None
-    if period_coinc is not None:
-        hom = _optional(_dip_width, spectra[2], tau_arr, step, 2.0 * math.pi / period_coinc)
-
-    return VisibilityReport(
-        v1=v1,
-        v12=v12,
-        complementarity_sum=v1**2 + v12**2,
-        window=(float(window[0]), float(window[1])),
-        fringe_period_singles=period_singles,
-        fringe_period_coincidence=period_coinc,
-        hom_fwhm=hom,
-    )
+    return [VisibilityReport(complementarity_sum=r["v1"]**2 + r["v12"]**2, **r)
+            for r in readings]

@@ -602,10 +602,10 @@ def cmd_compare(args) -> int:
         grams = scan_configs(cfg.state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step)
     else:
         grams = [_run_engine(cfg, icfg, cfg.engine) for icfg in icfgs]
-    results = {}
-    for kind, gram in zip(kinds, grams):
-        rep = analysis.report(gram.tau, gram.singles_port1, gram.coincidences)
-        results[f"{kind}_report"] = _report_to_json(rep)
+    # both engines scan the one axis the config gives, so the grams share it
+    reps = analysis.reports(grams[0].tau, [gram.singles_port1 for gram in grams],
+                            [gram.coincidences for gram in grams])
+    results = {f"{kind}_report": _report_to_json(rep) for kind, rep in zip(kinds, reps)}
     delta = float(np.max(np.abs(grams[0].coincidences - grams[1].coincidences)))
     results["max_coincidence_delta"] = delta
     results["coincidence_identical"] = bool(delta <= COINCIDENCE_MATCH_TOL)

@@ -171,8 +171,14 @@ def _envelopes(state: TwoPhotonState):
     return ov, EnvelopeEvaluator.from_weights(ov.weights, state.spectral.grid)
 
 
-def _columns(state: TwoPhotonState, ov, cfg: InterferometerConfig, tau, e1, e2):
-    """(singles at port 1, singles at port 2, coincidences) from E1 and E2 at ``tau``.
+def _terms(state: TwoPhotonState, env: EnvelopeEvaluator, tau):
+    """(cos(w_p tau / 2), cos(w_p tau), E1, E2) at ``tau``: what every instrument weights."""
+    return (np.cos(state.pump_frequency * tau / 2.0), np.cos(state.pump_frequency * tau),
+            env.first_order(tau), env.second_order(tau))
+
+
+def _columns(ov, cfg: InterferometerConfig, half_fringe, fringe, e1, e2):
+    """(singles at port 1, singles at port 2, coincidences) from ``_terms``.
 
     The only place the instrument enters.  The balanced one reads neither
     alpha nor b, so its rates ignore the spatial sector.  The mirror-
@@ -185,8 +191,8 @@ def _columns(state: TwoPhotonState, ov, cfg: InterferometerConfig, tau, e1, e2):
     the exchange pathway (the discrete-mode simulator confirms it).
     """
     alpha, b = (1.0, 1.0) if cfg.kind == MZI else (ov.alpha, ov.b)
-    f = alpha * np.cos(state.pump_frequency * tau / 2.0) * e1
-    return 1.0 - f, 1.0 + f, 1.0 - 0.5 * b * np.cos(state.pump_frequency * tau) - 0.5 * b * e2
+    f = alpha * half_fringe * e1
+    return 1.0 - f, 1.0 + f, 1.0 - 0.5 * b * fringe - 0.5 * b * e2
 
 
 def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau):
@@ -194,13 +200,13 @@ def rates(state: TwoPhotonState, cfg: InterferometerConfig, tau):
 
     ``tau`` may have any shape, and each rate has its shape; a scalar delay
     gives three floats.  On a ``scan``'s delay axis the three equal its
-    columns bit for bit: both weight E1 and E2 there in ``_columns``.
+    columns bit for bit: both weight ``_terms`` there in ``_columns``.
     """
     tau_arr = np.asarray(tau, dtype=float)
     if not np.isfinite(tau_arr).all():
         raise ValueError("tau must be finite at every delay")
     ov, env = _envelopes(state)
-    columns = _columns(state, ov, cfg, tau_arr, env.first_order(tau_arr), env.second_order(tau_arr))
+    columns = _columns(ov, cfg, *_terms(state, env, tau_arr))
     return tuple(float(c) for c in columns) if np.ndim(tau) == 0 else columns
 
 
@@ -264,16 +270,17 @@ def scan_configs(
     """Closed-form delay scans of one state through each of ``cfgs``.
 
     The scans share one delay axis, one exchange_overlaps call and one
-    evaluation of E1 and E2; each instrument only weights the envelopes.
+    evaluation of the two fringes and of E1 and E2; each instrument only
+    weights them.
     """
     if not cfgs:
         raise ValueError("need at least one interferometer configuration")
     tau = _scan_axis(state, tau_start, tau_stop, tau_step)
     ov, env = _envelopes(state)
-    e1, e2 = env.first_order(tau), env.second_order(tau)
+    terms = _terms(state, env, tau)
     grams = []
     for cfg in cfgs:
-        s1, s2, cc = _columns(state, ov, cfg, tau, e1, e2)
+        s1, s2, cc = _columns(ov, cfg, *terms)
         grams.append(Interferogram(
             tau=tau,
             singles_port1=s1,

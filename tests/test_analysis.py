@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import biphoton as bp
-from biphoton.analysis import FLATNESS_FRINGE_FLOOR
+from biphoton.analysis import FLATNESS_FRINGE_FLOOR, reports
 from biphoton.errors import BiphotonError, NoDip, NoFringe
 
 from conftest import COINCIDENCE_PERIOD, DELTA_OMEGA, OMEGA_P, SINGLES_PERIOD
@@ -209,6 +209,24 @@ class TestHomDipFwhm:
         assert fwhm == pytest.approx(2.0 * 1.8954942670339809 / DELTA_OMEGA, rel=0.15)
 
 
+def pump_state(default_state, pump, waist, shift):
+    """The default state with a Gaussian, hg1 or shifted-Gaussian pump (waist, shift in m)."""
+    grid = default_state.spatial.grid
+    amplitude = {"gaussian": lambda: bp.gaussian_amplitude(grid, waist),
+                 "hg1": lambda: bp.hermite_gauss1_amplitude(grid, waist),
+                 "shifted": lambda: bp.gaussian_amplitude(grid, waist, center=shift)}[pump]()
+    return bp.TwoPhotonState(bp.CorrelatedPump(amplitude), default_state.spectral,
+                             default_state.pump_frequency)
+
+
+def outcome(call):
+    """A call's result, or the class and message of the error it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+
+
 class TestReport:
     def test_default_balanced_report(self, scan_mzi_fine):
         rep = bp.report(scan_mzi_fine.tau, scan_mzi_fine.singles_port1, scan_mzi_fine.coincidences)
@@ -273,6 +291,99 @@ class TestReport:
                 assert period == bp.fringe_period(trace, tau, FLATNESS_FRINGE_FLOOR, 4)
         assert rep.fringe_period_coincidence is not None and rep.hom_fwhm is not None
         assert rep.hom_fwhm == bp.hom_dip_fwhm(c, tau, 2.0 * math.pi / rep.fringe_period_coincidence)
+
+    # reports reads k row pairs off one rfft and one irfft; each report must
+    # be the one report gives its pair, and each error the first one the k
+    # report calls raise
+    @staticmethod
+    def grams(default_state, tau_start, tau_stop, picks):
+        return [bp.scan(pump_state(default_state, pump, waist, shift),
+                        bp.InterferometerConfig(kind), tau_start, tau_stop, 0.08e-15)
+                for pump, kind, waist, shift in picks]
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.tuples(st.sampled_from(["gaussian", "hg1", "shifted"]),
+                                    st.sampled_from([bp.MZI, bp.MZIM]),
+                                    st.floats(0.8e-3, 1.2e-3), st.floats(0.2e-3, 0.7e-3)),
+                          min_size=1, max_size=3),
+           start=st.integers(-2500, 1250), count=st.integers(200, 2501),
+           window=st.none() | st.tuples(st.floats(-200.0, 300.0), st.floats(0.5, 100.0)))
+    def test_batched_rows_equal_one_report_each(self, default_state, picks, start, count,
+                                                window):
+        # odd and even lengths; a scan past ~100 fs holds no dip, an MZIM
+        # singles trace no fringe at the report floor, and a window may hold
+        # no sample, which both calls must refuse alike
+        tau_start = start * 0.08e-15
+        grams = self.grams(default_state, tau_start, tau_start + (count - 1) * 0.08e-15, picks)
+        tau = grams[0].tau
+        assert tau.size == count
+        if window is not None:
+            window = ((window[0] - window[1]) * 1e-15, (window[0] + window[1]) * 1e-15)
+        singles = [gram.singles_port1 for gram in grams]
+        coincidences = [gram.coincidences for gram in grams]
+        # VisibilityReport's == compares field by field: == on floats, None to None
+        assert outcome(lambda: reports(tau, singles, coincidences, window)) == outcome(
+            lambda: [bp.report(tau, s, c, window) for s, c in zip(singles, coincidences)])
+
+    @pytest.mark.parametrize("tau_start, tau_stop", [(-200e-15, 200e-15), (100e-15, 300e-15)],
+                             ids=["dip", "off_zero"])
+    def test_absent_fields(self, default_state, tau_start, tau_stop):
+        # an MZIM singles trace has no fringe at the report floor, a scan off
+        # zero no dip, and a flat pair neither fringe, so its coincidences
+        # stay out of the irfft
+        grams = self.grams(default_state, tau_start, tau_stop,
+                           [("gaussian", kind, 1e-3, 0.0) for kind in (bp.MZI, bp.MZIM)])
+        tau = grams[0].tau
+        singles = [gram.singles_port1 for gram in grams] + [np.ones(tau.size)]
+        coincidences = [gram.coincidences for gram in grams] + [np.ones(tau.size)]
+        got = reports(tau, singles, coincidences)
+        assert got == [bp.report(tau, s, c) for s, c in zip(singles, coincidences)]
+        mzi, mzim, flat = got
+        assert mzi.fringe_period_singles is not None and mzim.fringe_period_singles is None
+        assert (mzi.hom_fwhm is None) == (mzim.hom_fwhm is None) == (tau_start > 0.0)
+        assert (flat.fringe_period_singles, flat.fringe_period_coincidence,
+                flat.hom_fwhm) == (None, None, None)
+
+    def test_counts_must_agree(self, scan_mzi_fine):
+        g = scan_mzi_fine
+        with pytest.raises(BiphotonError, match="singles_rows and coincidence_rows differ "
+                                                "in count: 2 and 1"):
+            reports(g.tau, [g.singles_port1] * 2, [g.coincidences])
+
+    def test_no_rows(self, scan_mzi_fine):
+        with pytest.raises(BiphotonError, match="singles_rows and coincidence_rows hold no rows"):
+            reports(scan_mzi_fine.tau, [], [])
+
+    @pytest.mark.parametrize("which", ["singles", "coincidence"])
+    def test_row_length_must_be_taus(self, scan_mzi_fine, which):
+        g = scan_mzi_fine
+        rows = {"singles": [g.singles_port1] * 2, "coincidence": [g.coincidences] * 2}
+        rows[which][1] = rows[which][1][:-1]
+        with pytest.raises(BiphotonError, match=rf"{which}_rows\[1\] and delay grid differ "
+                                                rf"in length: shape \(5000,\) against \(5001,\)"):
+            reports(g.tau, rows["singles"], rows["coincidence"])
+
+    def test_every_row_is_checked_before_the_transform(self, scan_mzi_fine, monkeypatch):
+        # row 0 would raise "maximum rate must be positive" after the
+        # transform; row 1's oversized coincidences are refused first
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed before every row was checked")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        tau, zeros = scan_mzi_fine.tau, np.zeros(scan_mzi_fine.tau.size)
+        with pytest.raises(BiphotonError, match=r"the coincidence_rows\[1\] rates must be finite"):
+            reports(tau, [zeros, zeros], [zeros, np.full(tau.size, 1e308)])
+
+    def test_later_errors_come_in_row_order(self):
+        # a zero pair fails its visibility, a fringe of three samples per
+        # period its period; whichever row comes first raises, as from
+        # sequential report calls
+        tau = np.arange(300) * 0.1e-15
+        zeros, fast = np.zeros(tau.size), 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(300) / 3.0)
+        with pytest.raises(BiphotonError, match="maximum rate must be positive"):
+            reports(tau, [zeros, fast], [zeros, fast])
+        with pytest.raises(BiphotonError, match="spans fewer than 4 samples"):
+            reports(tau, [fast, zeros], [fast, zeros])
 
 
 class TestNanDelay:

@@ -1006,14 +1006,16 @@ class TestCompare:
         cfg["pump"]["spatial_profile"] = {
             "kind": "shifted_gaussian", "waist_mm": 1.0, "shift_mm": 0.7}
         path = write_config(tmp_path, cfg)
-        traces = []
-        report = cli.analysis.report
-        monkeypatch.setattr(cli.analysis, "report",
-                            lambda *args: traces.append(args) or report(*args))
+        calls = []
+        reports = cli.analysis.reports
+        monkeypatch.setattr(cli.analysis, "reports",
+                            lambda *args: calls.append(args) or reports(*args))
         assert main(["compare", "--config", str(path)]) == 0
         capsys.readouterr()
-        assert len(traces) == 2
-        for kind, (tau, singles, coincidences) in zip(("mzi", "mzim"), traces):
+        assert len(calls) == 1
+        tau, singles_rows, coincidence_rows = calls[0]
+        assert len(singles_rows) == len(coincidence_rows) == 2
+        for kind, singles, coincidences in zip(("mzi", "mzim"), singles_rows, coincidence_rows):
             cfg["interferometer"]["kind"] = kind
             run = load_config(write_config(tmp_path, cfg, f"{kind}.json"))
             icfg = run.instrument
@@ -1022,6 +1024,40 @@ class TestCompare:
             for got, want in ((tau, alone.tau), (singles, alone.singles_port1),
                               (coincidences, alone.coincidences)):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("engine", ["closed", "oracle"])
+    def test_reports_equal_one_report_per_gram(self, tmp_path, capsys, engine):
+        # one reports call serves both instruments; each JSON report is the
+        # one report gives that instrument's scan alone
+        cfg = small_scan_config("default_mzi", engine=engine)
+        assert main(["compare", "--config", str(write_config(tmp_path, cfg))]) == 0
+        result = json.loads(capsys.readouterr().out)
+        for kind in ("mzi", "mzim"):
+            cfg["interferometer"]["kind"] = kind
+            run = load_config(write_config(tmp_path, cfg, f"{kind}.json"))
+            gram = cli._run_engine(run, run.instrument, engine)
+            rep = bp.report(gram.tau, gram.singles_port1, gram.coincidences)
+            assert result[f"{kind}_report"] == cli._report_to_json(rep)
+
+    def test_closed_compare_transforms_once_each_way(self, tmp_path, capsys, monkeypatch):
+        # the bundled 5001-point scans pay a Bluestein plan per FFT call:
+        # both instruments share one rfft and one irfft
+        calls = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            transform = getattr(np.fft, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        path = write_config(tmp_path, load_bundled("default_mzi"))
+        assert main(["compare", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert calls == {"rfft": 1, "irfft": 1}
 
     def test_compare_rejects_engine_both(self, tmp_path, capsys):
         path = write_config(tmp_path, small_scan_config("default_mzi", engine="both"))
