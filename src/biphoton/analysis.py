@@ -10,6 +10,7 @@ that removes everything above one quarter of the fringe frequency.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -248,6 +249,20 @@ class VisibilityReport:
                 raise ValueError(f"{name} must be positive and finite when present, got {v!r}")
 
 
+def _window_bounds(window) -> Tuple[float, float]:
+    """An explicit ``window`` as (lo, hi); raises ValueError, naming it,
+    unless it is a pair of numbers, neither NaN, with lo < hi.  Either
+    bound may be infinite."""
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real) and lo < hi):
+        raise ValueError(f"window must be a pair of numbers lo < hi, neither NaN; "
+                         f"got {window!r}")
+    return float(lo), float(hi)
+
+
 def _optional(estimate, *args) -> Optional[float]:
     try:
         return estimate(*args)
@@ -294,7 +309,9 @@ def reports(
     its pair.  An explicit ``window`` serves every pair.
 
     Raises BiphotonError, naming the argument, when the two row sets differ
-    in count or hold no row, or a row's length is not ``tau``'s.  Errors
+    in count or hold no row, or a row's length is not ``tau``'s, and then
+    ValueError when an explicit ``window`` is not a pair of numbers, neither
+    NaN, with lo < hi; both before any transform.  Errors
     found after the checks come in row order, as from one ``report`` call
     per pair.
     """
@@ -310,6 +327,8 @@ def reports(
              for i in range(count) for kind in ("singles", "coincidence")]
     rows = [row for pair in zip(singles_rows, coincidence_rows) for row in pair]
     arrs, tau_arr, step = _traces(rows, tau, names)
+    if window is not None:
+        window = _window_bounds(window)
     pairs = list(zip(arrs[0::2], arrs[1::2]))
     n = tau_arr.size
 

@@ -24,11 +24,17 @@ refuses is read again line by line, so an error names the file line
 
 Exit codes: 0 success, 1 invalid command line, config or input schema,
 2 engine failure.
+
+``main`` builds its argument parser on its first call and reuses it on
+every later one.  A process that runs one command pays for one build, as
+before; a process that calls ``main`` once per command (the tests, the
+benchmark) pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -622,7 +628,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused.
+
+    Reuse is safe: ``parse_args`` leaves the parser as it was and returns a
+    fresh Namespace, with the subcommand's defaults copied into it on each
+    call.  Usage, help and error text go to the ``sys.stdout`` or
+    ``sys.stderr`` of the moment they are printed, and the help formatter
+    reads the terminal width each time it runs, so a redirected stream
+    still captures them.  Nothing is built at import.
+
+    The one trade-off: each subcommand's ``func`` default is the ``cmd_*``
+    function bound at the first build, so a ``cmd_*`` name replaced later
+    on the module is not the one ``main`` calls.
+    """
     parser = _Parser(
         prog="biphoton",
         description="Simulate and analyse two-photon Mach-Zehnder interferograms")

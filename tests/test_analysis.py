@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -384,6 +385,28 @@ class TestReport:
             reports(tau, [zeros, fast], [zeros, fast])
         with pytest.raises(BiphotonError, match="spans fewer than 4 samples"):
             reports(tau, [fast, zeros], [fast, zeros])
+
+    @pytest.mark.parametrize("window", [
+        (5e-15, -5e-15), (math.nan, 1e-15), (-1e-15, math.nan), (1e-15, 1e-15),
+        (1e-15,), ("a", "b"),
+    ], ids=["reversed", "nan_lo", "nan_hi", "empty", "one_bound", "strings"])
+    def test_bad_window_is_refused_before_the_transform(self, scan_mzi_fine, monkeypatch,
+                                                        window):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed before the window was checked")
+
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        g = scan_mzi_fine
+        with pytest.raises(ValueError, match=r"^window .*" + re.escape(repr(window))):
+            bp.report(g.tau, g.singles_port1, g.coincidences, window=window)
+
+    def test_infinite_window_bounds_are_accepted(self, scan_mzi_fine):
+        g = scan_mzi_fine
+        whole = bp.report(g.tau, g.singles_port1, g.coincidences, window=(g.tau[0], g.tau[-1]))
+        unbounded = bp.report(g.tau, g.singles_port1, g.coincidences,
+                              window=(-math.inf, math.inf))
+        assert unbounded.window == (-math.inf, math.inf)
+        assert (unbounded.v1, unbounded.v12) == (whole.v1, whole.v12)
 
 
 class TestNanDelay:

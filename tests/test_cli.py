@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -1860,6 +1861,75 @@ class TestUsageErrors:
             main(argv)
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: biphoton")
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call's options, output
+    streams or exit leak into the next."""
+
+    @staticmethod
+    def scan(tmp_path, capsys, **overrides):
+        """(config path, CSV path) of a small MZI scan written by simulate."""
+        cfg = small_scan_config("default_mzi", **overrides)
+        cfg["output"] = {"path": str(tmp_path / "from-config.csv"), "format": "csv"}
+        path = str(write_config(tmp_path, cfg))
+        assert main(["simulate", "--config", path]) == 0
+        capsys.readouterr()
+        return path, cfg["output"]["path"]
+
+    def test_no_parser_after_the_first_call(self, tmp_path, capsys, monkeypatch):
+        path, csv = self.scan(tmp_path, capsys)  # the warm-up call
+        built = []
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            argparse.ArgumentParser.__init__(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        assert main(["simulate", "--config", path]) == 0
+        assert main(["analyze", "--in", csv]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--engine", "quantum"])
+        assert exit_info.value.code == 1
+        capsys.readouterr()
+        assert built == []
+
+    def test_simulate_flags_do_not_carry_over(self, tmp_path, capsys):
+        path, csv = self.scan(tmp_path, capsys)
+        first = Path(csv).read_bytes()
+        other = tmp_path / "both.csv"
+        assert main(["simulate", "--config", path, "--engine", "both", "--out", str(other)]) == 0
+        assert {line.rsplit(",", 1)[1] for line in other.read_text().splitlines()[1:]} == {
+            "closed", "oracle"}
+        Path(csv).unlink()
+        # the config's engine (closed) and output.path again
+        assert main(["simulate", "--config", path]) == 0
+        capsys.readouterr()
+        assert Path(csv).read_bytes() == first
+
+    def test_analyze_window_does_not_carry_over(self, tmp_path, capsys):
+        _, csv = self.scan(tmp_path, capsys)
+        assert main(["analyze", "--in", csv]) == 0
+        default = capsys.readouterr().out
+        assert main(["analyze", "--in", csv, "--window", "-10:10"]) == 0
+        assert json.loads(capsys.readouterr().out)["window"] == [-10.0, 10.0]
+        assert main(["analyze", "--in", csv]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_usage_error_and_help_leave_the_next_call_unchanged(self, tmp_path, capsys):
+        _, csv = self.scan(tmp_path, capsys)
+        assert main(["analyze", "--in", csv]) == 0
+        before = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--in", csv, "--engine", "both"])
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: biphoton")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: biphoton")
+        assert main(["analyze", "--in", csv]) == 0
+        assert capsys.readouterr().out == before
 
 
 class TestConsoleScript:
