@@ -49,6 +49,8 @@ import numpy as np
 from . import analysis, modesim, units
 from .errors import BiphotonError, UnderSampled
 from .interferometer import (
+    MZI,
+    MZIM,
     Interferogram,
     InterferometerConfig,
     _axis_count,
@@ -87,7 +89,6 @@ MAX_GRID_POINTS = 65_537
 # edge would silently become another pump.
 MIN_PUMP_ON_GRID = 0.999
 
-_FILTER_SHAPES = ("rectangular", "gaussian")
 _ENGINES = ("closed", "oracle", "both")
 _GAUSS_FWHM = float(2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -118,14 +119,25 @@ class RunConfig:
     output_format: str
 
 
+class _Key(NamedTuple):
+    """A config key as _fields reads it: its kind, its default (None if it
+    must be given), and its rule, if any: positive once converted to SI by
+    ``unit`` (a positive value that underflows fails), or one of ``choices``."""
+
+    kind: type  # float, int, str or dict
+    default: object = None
+    unit: Optional[float] = None
+    choices: Tuple[str, ...] = ()
+
+
 def _fields(section: dict, path: str, /, **declared) -> dict:
     """The keys of a config section, checked, as {key: value}.
 
-    ``declared`` gives each key its kind (float, int, str or dict), or
-    ``(kind, default)`` when the key may be absent.  Raises ConfigError
-    naming every key the section holds but does not declare, else the
-    first declared key that is missing or not of its kind.  A float is a
-    JSON number that is finite as a float; a bool is no number.
+    ``declared`` gives each key its _Key, or its leading fields: the kind
+    alone, or ``(kind, default)``.  Raises ConfigError naming every key the
+    section holds but does not declare, else the first declared key that is
+    missing or not of its kind, else the first that breaks its rule.  A
+    float is a JSON number that is finite as a float; a bool is no number.
     """
     def field(key):
         return f"{path}.{key}" if path else key
@@ -133,13 +145,14 @@ def _fields(section: dict, path: str, /, **declared) -> dict:
     unknown = [field(key) for key in section if key not in declared]
     if unknown:
         raise ConfigError(f"{', '.join(unknown)}: unknown key; expected {', '.join(declared)}")
+    rules = {key: _Key(*rule) if isinstance(rule, tuple) else _Key(rule)
+             for key, rule in declared.items()}
     values = {}
-    for key, declaration in declared.items():
-        kind, *default = declaration if isinstance(declaration, tuple) else (declaration,)
+    for key, (kind, default, _, _) in rules.items():
         if key not in section:
-            if not default:
+            if default is None:
                 raise ConfigError(f"{field(key)}: missing required field")
-            values[key] = default[0]
+            values[key] = default
             continue
         value = section[key]
         number = kind is float and isinstance(value, (int, float))
@@ -153,6 +166,11 @@ def _fields(section: dict, path: str, /, **declared) -> dict:
             if not math.isfinite(value):
                 raise ConfigError(f"{field(key)}: must be a finite number")
         values[key] = value
+    for key, (_, _, unit, choices) in rules.items():
+        if unit is not None and not values[key] * unit > 0.0:
+            raise ConfigError(f"{field(key)}: must be positive")
+        if choices and values[key] not in choices:
+            raise ConfigError(f"{field(key)}: must be one of {choices}, got {values[key]!r}")
     return values
 
 
@@ -171,10 +189,10 @@ def _read_text(path, what: str) -> str:
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration into the engines' inputs.
 
-    Each section's keys are declared once, in the _fields call that reads
-    it (a pump profile's in its _PROFILES entry); the top level is read
-    first.  The checks that need no array run next, then the pump is
-    sampled.  Raises ConfigError naming the field.
+    Each key's kind, default and own rule are declared once, in the _fields
+    call that reads it (a pump profile's in its _PROFILES entry); the top
+    level is read first.  The derived and cross-field checks that need no
+    array run next, then the pump is sampled.  Raises ConfigError naming the field.
     """
     try:
         raw = json.loads(_read_text(path, "config file"))
@@ -183,12 +201,11 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
     top = _fields(raw, "", pump=dict, filter=dict, interferometer=dict, scan=dict,
-                  engine=(str, "closed"), grids=dict, output=dict)
+                  engine=_Key(str, "closed", choices=_ENGINES), grids=dict, output=dict)
 
-    pump = _fields(top["pump"], "pump", wavelength_nm=float, spatial_profile=dict)
+    pump = _fields(top["pump"], "pump", wavelength_nm=_Key(float, unit=units.NM),
+                   spatial_profile=dict)
     wavelength_nm = pump["wavelength_nm"]
-    if wavelength_nm * units.NM <= 0.0:  # also a positive value that underflows
-        raise ConfigError("pump.wavelength_nm: must be positive")
     pump_frequency = units.omega_from_wavelength(wavelength_nm * units.NM)
     if not math.isfinite(pump_frequency):
         raise ConfigError("pump.wavelength_nm: the pump frequency 2 pi c / wavelength "
@@ -197,20 +214,17 @@ def load_config(path) -> RunConfig:
     # the kind alone first: it picks the entry that declares the other keys
     kind = _fields({key: profile[key] for key in _PROFILE_KIND if key in profile},
                    "pump.spatial_profile", **_PROFILE_KIND)["kind"]
-    if kind not in _PROFILES:
-        raise ConfigError(
-            f"pump.spatial_profile.kind: must be one of {tuple(_PROFILES)}, got {kind!r}")
     entry = _PROFILES[kind]
-    params = entry.parse(_fields(profile, "pump.spatial_profile", **_PROFILE_KIND, **entry.keys))
+    params = _fields(profile, "pump.spatial_profile", **_PROFILE_KIND, **entry.keys)
+    if entry.parse:
+        params = entry.parse(params)
 
-    filt = _fields(top["filter"], "filter", center_nm=float, bandwidth_nm=float, shape=str)
+    filt = _fields(top["filter"], "filter", center_nm=_Key(float, unit=units.NM),
+                   bandwidth_nm=_Key(float, unit=units.NM),
+                   shape=_Key(str, choices=("rectangular", "gaussian")))
     center_nm, bandwidth_nm, shape = filt["center_nm"], filt["bandwidth_nm"], filt["shape"]
-    if center_nm * units.NM <= 0.0:
-        raise ConfigError("filter.center_nm: must be positive")
-    if not (0.0 < bandwidth_nm * units.NM and bandwidth_nm < center_nm):
-        raise ConfigError("filter.bandwidth_nm: must be positive and below center_nm")
-    if shape not in _FILTER_SHAPES:
-        raise ConfigError(f"filter.shape: must be one of {_FILTER_SHAPES}, got {shape!r}")
+    if not bandwidth_nm < center_nm:
+        raise ConfigError("filter.bandwidth_nm: must be below center_nm")
     try:  # center^2 is a Python float: it overflows, or underflows to 0
         width = units.bandwidth_to_angular(center_nm * units.NM, bandwidth_nm * units.NM)
     except (OverflowError, ZeroDivisionError):
@@ -224,16 +238,13 @@ def load_config(path) -> RunConfig:
             f"filter.center_nm: the passband {center_nm:g} +- {bandwidth_nm / 2.0:g} nm must "
             f"hold the degenerate wavelength 2 pump.wavelength_nm = {2.0 * wavelength_nm:g} nm")
 
-    ikind = _fields(top["interferometer"], "interferometer", kind=str)["kind"]
-    if ikind not in ("mzi", "mzim"):
-        raise ConfigError(f"interferometer.kind: must be 'mzi' or 'mzim', got {ikind!r}")
+    ikind = _fields(top["interferometer"], "interferometer",
+                    kind=_Key(str, choices=(MZI, MZIM)))["kind"]
 
     scan_cfg = _fields(top["scan"], "scan", tau_start_fs=float, tau_stop_fs=float,
-                       tau_step_fs=float)
+                       tau_step_fs=_Key(float, unit=units.FS))
     tau_start_fs, tau_stop_fs = scan_cfg["tau_start_fs"], scan_cfg["tau_stop_fs"]
     tau_step_fs = scan_cfg["tau_step_fs"]
-    if tau_step_fs * units.FS <= 0.0:
-        raise ConfigError("scan.tau_step_fs: must be positive")
     if tau_stop_fs < tau_start_fs:
         raise ConfigError("scan.tau_stop_fs: must not precede tau_start_fs")
     try:
@@ -249,12 +260,8 @@ def load_config(path) -> RunConfig:
     except UnderSampled as exc:
         raise ConfigError(f"scan.tau_step_fs: {exc}") from None
 
-    engine = top["engine"]
-    if engine not in _ENGINES:
-        raise ConfigError(f"engine: must be one of {_ENGINES}, got {engine!r}")
-
     grids = _fields(top["grids"], "grids", spatial_points=int, spectral_points=int,
-                    spatial_halfwidth_mm=float)
+                    spatial_halfwidth_mm=_Key(float, unit=units.MM))
     spatial_points, spectral_points = grids["spatial_points"], grids["spectral_points"]
     halfwidth_mm = grids["spatial_halfwidth_mm"]
     for label, n in (("spatial_points", spatial_points), ("spectral_points", spectral_points)):
@@ -262,8 +269,6 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"grids.{label}: must be an odd integer >= 3, got {n}")
         if n > MAX_GRID_POINTS:
             raise ConfigError(f"grids.{label}: must not exceed {MAX_GRID_POINTS}, got {n}")
-    if halfwidth_mm * units.MM <= 0.0:
-        raise ConfigError("grids.spatial_halfwidth_mm: must be positive")
     try:  # a width whose square underflows: Gaussian rejects it here
         density = SpectralDensity(Rectangular(width) if shape == "rectangular"
                                   # the configured bandwidth is the FWHM of a Gaussian density
@@ -290,10 +295,8 @@ def load_config(path) -> RunConfig:
                 f"grids.spatial_halfwidth_mm = {halfwidth_mm:g} mm, keeps {kept:.3%} of "
                 f"|pump|^2; at least {MIN_PUMP_ON_GRID:.1%} must lie on it")
 
-    output = _fields(top["output"], "output", path=str, format=str)
-    out_path, out_format = output["path"], output["format"]
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output.format: must be 'csv' or 'json', got {out_format!r}")
+    output = _fields(top["output"], "output", path=str,
+                     format=_Key(str, choices=("csv", "json")))
 
     sgrid = SpatialGrid(half_width=halfwidth_mm * units.MM, point_count=spatial_points)
     state = TwoPhotonState(spatial=CorrelatedPump(_pump_amplitude(kind, params, sgrid)),
@@ -305,16 +308,10 @@ def load_config(path) -> RunConfig:
         tau_start=tau_start_fs * units.FS,
         tau_stop=tau_stop_fs * units.FS,
         tau_step=tau_step_fs * units.FS,
-        engine=engine,
-        output_path=out_path,
-        output_format=out_format,
+        engine=top["engine"],
+        output_path=output["path"],
+        output_format=output["format"],
     )
-
-
-def _waist(params: dict) -> dict:
-    if params["waist_mm"] * units.MM <= 0.0:
-        raise ConfigError("pump.spatial_profile.waist_mm: must be positive")
-    return params
 
 
 def _pump_table(params: dict) -> dict:
@@ -400,22 +397,22 @@ class _Profile(NamedTuple):
     """A pump-profile kind: one entry of _PROFILES."""
 
     keys: dict  # the section's keys besides "kind", declared as _fields takes them
-    parse: Callable[[dict], dict]  # range checks of the read keys, to params in mm
     on_grid: Callable[[dict, float], list]  # (field, share of |pump|^2 kept), checked in order
     sample: Callable[[dict, SpatialGrid], SpatialAmplitude]  # the pump on the grid
+    parse: Optional[Callable[[dict], dict]] = None  # the read keys to params, if a file is read
 
 
-_PROFILE_KIND = {"kind": str}  # the profile key that picks its _PROFILES entry
-_WAIST = (float, 1.0)  # waist_mm defaults to 1 mm
+_WAIST = _Key(float, 1.0, units.MM)  # waist_mm defaults to 1 mm
 
 _PROFILES = {
-    "gaussian": _Profile({"waist_mm": _WAIST}, _waist, _gaussian_on_grid, _gaussian),
-    "hg1": _Profile({"waist_mm": _WAIST}, _waist, _hg1_on_grid, lambda params, grid:
+    "gaussian": _Profile({"waist_mm": _WAIST}, _gaussian_on_grid, _gaussian),
+    "hg1": _Profile({"waist_mm": _WAIST}, _hg1_on_grid, lambda params, grid:
                     hermite_gauss1_amplitude(grid, waist=params["waist_mm"] * units.MM)),
-    "shifted_gaussian": _Profile({"waist_mm": _WAIST, "shift_mm": float}, _waist,
+    "shifted_gaussian": _Profile({"waist_mm": _WAIST, "shift_mm": float},
                                  _gaussian_on_grid, _gaussian),
-    "tabulated_file": _Profile({"path": str}, _pump_table, _table_on_grid, _tabulated),
+    "tabulated_file": _Profile({"path": str}, _table_on_grid, _tabulated, _pump_table),
 }
+_PROFILE_KIND = {"kind": _Key(str, choices=tuple(_PROFILES))}  # picks the _PROFILES entry
 
 
 def _pump_amplitude(kind: str, params: dict, grid: SpatialGrid) -> SpatialAmplitude:
@@ -602,7 +599,7 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     if cfg.engine == "both":
         raise ConfigError("engine: compare needs a single engine ('closed' or 'oracle')")
-    kinds = ("mzi", "mzim")
+    kinds = (MZI, MZIM)
     icfgs = [InterferometerConfig(kind) for kind in kinds]
     if cfg.engine == "closed":  # one envelope pair serves both instruments
         grams = scan_configs(cfg.state, icfgs, cfg.tau_start, cfg.tau_stop, cfg.tau_step)

@@ -143,16 +143,16 @@ class Interferogram:
     engine: str = "closed"
 
     def __post_init__(self):
-        arrays = {}
-        n = None
-        for name in ("tau", "singles_port1", "singles_port2", "coincidences"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise ValueError("all traces must have equal length")
+        arrays = {name: np.array(getattr(self, name), dtype=float)
+                  for name in ("tau", "singles_port1", "singles_port2", "coincidences")}
+        shape = arrays["tau"].shape
+        for name, arr in arrays.items():
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, tau {shape}: "
+                                 "all traces must have equal shape")
             arr.setflags(write=False)
-            arrays[name] = arr
+        if not np.all(np.isfinite(arrays["tau"])):
+            raise ValueError("tau must be finite at every delay")
         for name in ("singles_port1", "singles_port2", "coincidences"):
             arr = arrays[name]
             if not np.all(np.isfinite(arr) & (arr >= -1e-9)):

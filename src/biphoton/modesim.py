@@ -463,11 +463,6 @@ def singles_rate(state: BranchSumState, port: int) -> float:
 # scan driver
 
 
-def _bits(coef: complex) -> bytes:
-    """The bit pattern of coef + 0, in which a zero part is always +0.0."""
-    return np.complex128(coef + 0.0j).tobytes()
-
-
 def _delay_table(
         state: BranchSumState) -> Dict[Tuple[Tuple[str, str], int], Tuple[int, np.ndarray]]:
     """Delay dependence of the path-pair norms of a final state built at tau = 0.
@@ -484,12 +479,13 @@ def _delay_table(
     weight, so only the real part of the delay sum is the norm.
 
     Each key maps to (sign, row): its g is sign * row.  A key's recipe is
-    its pairs in walk order, each as (the bit pattern of coef + 0, spectral
-    factor pair, d0, d1), and its negated recipe the same with -coef + 0.
-    A row is built only for a recipe not seen before, and its negated
-    recipe is then read as that row with sign -1; a later key of either
-    recipe builds nothing.  Equal recipes are the same adds in the same
-    order, up to the sign of a zero, which the + 0 drops: every row entry
+    its pairs in walk order, each as (coef, (spectral factor pair, d0,
+    d1)), and its negated recipe the same with -coef.  A row is built only
+    for a recipe not seen before, and its negated recipe is then read as
+    that row with sign -1; a later key of either recipe builds nothing.
+    Python's == and hash tell every two distinct coefficients apart but
+    +0.0 and -0.0, so equal recipes are the same adds in the same order,
+    up to the sign of a zero, which cannot change a row: every row entry
     is a running sum that starts at +0.0, so under round-to-nearest it is
     never -0.0, and adding +0.0 or -0.0 to it gives the same bits.  A
     negated recipe's adds are those of its twin with every operand
@@ -538,7 +534,7 @@ def _delay_table(
     rows: dict = {}
     table = {}
     for key, walk in walks.items():
-        recipe = tuple((_bits(coef), step) for coef, step in walk)
+        recipe = tuple(walk)
         if recipe not in rows:
             row = np.zeros(4 * c + 1, dtype=complex)
             for coef, step in walk:
@@ -547,7 +543,7 @@ def _delay_table(
                     row[nodes] += coef * terms
                 else:
                     np.add.at(row, nodes, coef * terms)
-            rows[tuple((_bits(-coef), step) for coef, step in walk)] = (-1, row)
+            rows[tuple((-coef, step) for coef, step in walk)] = (-1, row)
             rows[recipe] = (1, row)  # an all-zero recipe is its own negation
         table[key] = rows[recipe]
     return table

@@ -1131,6 +1131,35 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        # a string outside the key's set
+        ("engine", "quantum"),
+        ("pump.spatial_profile.kind", "bessel"),
+        ("filter.shape", "lorentzian"),
+        ("interferometer.kind", "mzx"),
+        ("output.format", "xml"),
+        # a negative value of a key that must be positive in SI units
+        ("pump.wavelength_nm", -405.0),
+        ("pump.spatial_profile.waist_mm", -1.0),
+        ("filter.center_nm", -810.0),
+        ("filter.bandwidth_nm", -10.0),
+        ("scan.tau_step_fs", -0.08),
+        ("grids.spatial_halfwidth_mm", -3.0),
+    ])
+    def test_value_outside_the_key_rule_exits_one(self, tmp_path, capsys, field, value):
+        cfg = load_bundled("default_mzi")
+        *sections, key = field.split(".")
+        table = cfg
+        for part in sections:
+            table = table[part]
+        table[key] = value
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key, value, field", [
         ("scan", "tau_step_fs", 1e-12, "scan.tau_step_fs"),
         ("scan", "tau_start_fs", -1e308, "scan.tau_step_fs"),  # the span overflows to inf

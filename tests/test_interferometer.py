@@ -331,6 +331,17 @@ class TestScan:
         with pytest.raises(BiphotonError, match=f"{trace} contains negative or non-finite rates"):
             bp.Interferogram(tau=[0.0, 1e-15], **rates)
 
+    @pytest.mark.parametrize("tau, rates, match", [
+        ([float("nan"), 1e-15], [1.0, 1.0], "tau must be finite"),
+        ([0.0, float("inf")], [1.0, 1.0], "tau must be finite"),
+        # equal sizes, different shapes
+        ([[0.0, 1e-15]], [[1.0], [1.0]], r"singles_port1 has shape \(2, 1\), tau \(1, 2\)"),
+    ], ids=["nan_tau", "inf_tau", "transposed"])
+    def test_invalid_tau_rejected(self, tau, rates, match):
+        with pytest.raises(ValueError, match=match):
+            bp.Interferogram(tau=tau, singles_port1=rates, singles_port2=rates,
+                             coincidences=rates)
+
     def test_round_off_below_zero_accepted(self):
         gram = bp.Interferogram(tau=[0.0], singles_port1=[-1e-12], singles_port2=[2.0],
                                 coincidences=[0.0])
