@@ -16,12 +16,16 @@ On a uniform delay axis the quadrature sum is a chirp-z transform, which
 :func:`chirp_z` evaluates by Bluestein's algorithm (Rabiner, Schafer &
 Rader, 1969) in O((T + M) log(T + M)) for T delays and M frequencies.
 :class:`EnvelopeEvaluator` takes its real part; the discrete-mode oracle
-calls it once per scan on its table of phase coefficients.  Scalars and
-non-uniform delays use the direct O(T M) sum.
+calls it once per scan on its table of phase coefficients.  The
+transform's chirps and kernel FFT depend only on the row length and the
+axes, so each is built once per process and reused, read-only, by every
+later scan of the same grid and delays.  Scalars and non-uniform delays
+use the direct O(T M) sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
@@ -299,20 +303,57 @@ def chirp_z(u: np.ndarray, h: float, tau0: float, step: float, count: int) -> np
     are independent rows.  With tau_j = t_c + m step, both indices centred
     to keep the chirp phases small, n m = (n^2 + m^2 - (m - n)^2) / 2 turns
     the sum into a linear convolution of two chirps, done by zero-padded
-    FFT (Bluestein).  The output chirp and the kernel depend on m^2 and
-    (m - n)^2 only, so each is evaluated on one half of its axis and the
-    other half is the mirror image, bit for bit.  The (m - n) axis is
-    symmetric only when the row length is odd, so an even length raises
-    ValueError.
+    FFT (Bluestein).  ValueError names the argument unless ``count`` is an
+    integer >= 1 and ``h``, ``tau0`` and ``step`` are finite; the (m - n)
+    axis is symmetric only when the row length is odd, so an even length
+    raises ValueError too.
 
-    The kernel's FFT is taken once; the rows then pass one at a time
-    through one work buffer of the padded length L, transformed in place.
-    Beside the input and the output, the workspace is O(L) whatever the
-    number of rows.
+    The two chirps and the kernel's FFT are :func:`_plan`'s, built once per
+    process for each (row length, h, tau0, step, count) and cached
+    read-only for the last four keys, at most 13.7 MB each within the
+    CLI's ceilings.  The rows then pass one at a time through one work
+    buffer of the padded length L, transformed in place.  Beside the
+    input, the output and the cached plans, the workspace is O(L) whatever
+    the number of rows.
     """
+    if not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"chirp_z needs an integer count >= 1, got {count!r}")
+    for name, value in (("h", h), ("tau0", tau0), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"chirp_z needs a finite {name}, got {value!r}")
     size = u.shape[-1]
     if size % 2 == 0:
         raise ValueError(f"chirp_z needs an odd row length, got {size}")
+    chirp, post, kernel = _plan(size, float(h), float(tau0), float(step), int(count))
+    out = np.empty(u.shape[:-1] + (count,), dtype=complex)
+    buf = np.empty(kernel.size, dtype=complex)
+    for row, dest in zip(u.reshape(-1, size), out.reshape(-1, count)):
+        np.multiply(row, chirp, out=buf[:size])
+        buf[size:] = 0.0
+        np.fft.fft(buf, out=buf)
+        buf *= kernel
+        np.fft.ifft(buf, out=buf)
+        np.multiply(post, buf[:count], out=dest)
+    return out
+
+
+# 4 holds the 3 plans of one ``simulate --engine both``: E1, E2 and the
+# oracle's delay table.
+@functools.lru_cache(maxsize=4)
+def _plan(size: int, h: float, tau0: float, step: float, count: int):
+    """:func:`chirp_z`'s input chirp, output chirp ``post`` and kernel FFT.
+
+    They depend on the arguments alone, so a process builds each once and
+    shares it, read-only, with every later call of the same key; the last
+    four keys are kept.  A plan retains 16 (size + count + L) bytes
+    for the padded length L: 0.8 MB for the three of a 4097-point grid
+    scanned at 801 delays, 13.7 MB at the CLI's ceilings (MAX_DELAYS
+    delays of the oracle's 2 MAX_GRID_POINTS - 1 rows).  The output chirp
+    and the kernel depend on m^2 and (m - n)^2 only, so each is evaluated
+    on one half of its axis and the other half is the mirror image, bit
+    for bit.  Keys equal as numbers share a plan: a tau0 of -0.0 or 0.0
+    gives the same ``centre`` bits.
+    """
     theta = h * step
     centre = tau0 + step * (count - 1) / 2.0
     n = np.arange(size) - (size - 1) // 2
@@ -327,16 +368,9 @@ def chirp_z(u: np.ndarray, h: float, tau0: float, step: float, count: int) -> np
     kernel[:count] = values[size - 1:]
     kernel[length - size + 1:] = values[:size - 1]
     np.fft.fft(kernel, out=kernel)
-    out = np.empty(u.shape[:-1] + (count,), dtype=complex)
-    buf = np.empty(length, dtype=complex)
-    for row, dest in zip(u.reshape(-1, size), out.reshape(-1, count)):
-        np.multiply(row, chirp, out=buf[:size])
-        buf[size:] = 0.0
-        np.fft.fft(buf, out=buf)
-        buf *= kernel
-        np.fft.ifft(buf, out=buf)
-        np.multiply(post, buf[:count], out=dest)
-    return out
+    for array in (chirp, post, kernel):
+        array.setflags(write=False)
+    return chirp, post, kernel
 
 
 def _mirrored_exp(coef: complex, x: np.ndarray) -> np.ndarray:

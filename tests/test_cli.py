@@ -1065,6 +1065,29 @@ class TestCompare:
         assert main(["compare", "--config", str(path)]) == 1
 
 
+class TestChirpZPlans:
+    """What one-shot commands gain from the chirp-z plan cache: the plans
+    (``spectral._plan`` misses) each builds, and none when it repeats."""
+
+    @pytest.mark.parametrize("command, plans", [
+        ("simulate", 3),  # E1, E2 and the oracle's delay table
+        ("compare", 1),   # the oracle's table, shared by both instruments
+    ])
+    def test_plans_built_per_call(self, tmp_path, capsys, command, plans):
+        cfg = load_bundled("default_mzim")
+        cfg["engine"] = "oracle"
+        path = str(write_config(tmp_path, cfg))
+        argv = {"simulate": ["simulate", "--config", path, "--engine", "both",
+                             "--out", str(tmp_path / "scan.csv")],
+                "compare": ["compare", "--config", path]}[command]
+        bp.spectral._plan.cache_clear()
+        for built in (plans, 0):
+            misses = bp.spectral._plan.cache_info().misses
+            assert main(argv) == 0
+            assert bp.spectral._plan.cache_info().misses - misses == built
+        capsys.readouterr()
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("mutate, needle", [
         (lambda c: c["pump"].pop("wavelength_nm"), "pump.wavelength_nm"),

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import biphoton as bp
 from biphoton.errors import BiphotonError
 from biphoton.interferometer import tau_axis
-from biphoton.spectral import ROUNDOFF_RTOL, _uniform_step, chirp_z
+from biphoton.spectral import ROUNDOFF_RTOL, _plan, _uniform_step, chirp_z
 
 from conftest import DELTA_OMEGA
 
@@ -335,10 +335,12 @@ class TestComplexKernel:
     def test_workspace_does_not_grow_with_rows(self):
         # 12 rows of 8193 points, 801 delays: the oracle's delay table on a
         # 4097-point grid, padded to 16384.  A 12 x 16384 complex temporary
-        # alone is 3 MB; the row loop peaks near 1 MB.
+        # alone is 3 MB.  With the chirp-z plan cached, the traced call
+        # holds the output and one work buffer, near 0.4 MB; building the
+        # plan inside the trace would add about as much again.
         u = np.random.default_rng(0).normal(size=(12, 8193)) + 0j
         args = (1.1e11, -20e-15, 0.05e-15, 801)
-        chirp_z(u, *args)  # FFT plans built outside the trace
+        chirp_z(u, *args)  # numpy's FFT plans and the chirp-z plan built outside the trace
         tracemalloc.start()
         try:
             chirp_z(u, *args)
@@ -387,13 +389,78 @@ class TestMirroredExponentials:
         u = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
         for tau0 in (-30e-15, 0.0, 17e-15):
             args = (u, 1.1e11, tau0, 0.25e-15, count)
-            got, reference = chirp_z(*args), _chirp_z_full_axes(*args)
-            assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+            reference = _chirp_z_full_axes(*args)
+            _plan.cache_clear()
+            cold, warm = chirp_z(*args), chirp_z(*args)
+            assert _plan.cache_info().misses == 1
+            for got in (cold, warm):
+                assert np.array_equal(got.view(np.int64), reference.view(np.int64))
 
     @pytest.mark.parametrize("size", [2, 32, 8192])
     def test_even_row_length_rejected(self, size):
         with pytest.raises(ValueError, match=f"odd row length, got {size}$"):
             chirp_z(np.ones(size), 1.1e11, 0.0, 0.25e-15, 7)
+
+    @pytest.mark.parametrize("count", [0, -3, 2.0, np.float64(7.0), "7", None])
+    def test_count_must_be_a_positive_integer(self, count):
+        with pytest.raises(ValueError, match=r"integer count >= 1, got "):
+            chirp_z(np.ones(33), 1.1e11, 0.0, 0.25e-15, count)
+
+    @pytest.mark.parametrize("name", ["h", "tau0", "step"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_scalars_must_be_finite(self, name, value):
+        args = {"h": 1.1e11, "tau0": 0.0, "step": 0.25e-15}
+        args[name] = value
+        _plan.cache_clear()
+        with pytest.raises(ValueError, match=f"finite {name}, got "):
+            chirp_z(np.ones(33), count=7, **args)
+        assert _plan.cache_info().currsize == 0
+
+    def test_numpy_scalars_share_the_plan_of_python_numbers(self):
+        u = np.ones((2, 33))
+        _plan.cache_clear()
+        first = chirp_z(u, 1.1e11, -20e-15, 0.25e-15, 7)
+        again = chirp_z(u, np.float64(1.1e11), np.float64(-20e-15), np.float64(0.25e-15),
+                        np.int64(7))
+        assert _plan.cache_info().misses == 1
+        assert np.array_equal(first.view(np.int64), again.view(np.int64))
+
+
+class TestPlanCache:
+    """Each (row length, h, tau0, step, count) builds its plan once per process."""
+
+    ARGS = (1.1e11, -20e-15, 0.25e-15, 57)
+
+    def test_signed_zero_start_shares_a_plan_with_the_same_bits(self):
+        # -0.0 == 0.0 as keys, so the second call reads the first one's plan
+        u = np.random.default_rng(2).normal(size=(3, 129)) + 0j
+        _plan.cache_clear()
+        bits = []
+        for tau0 in (-0.0, 0.0):
+            got = chirp_z(u, 1.1e11, tau0, 0.25e-15, 57)
+            reference = _chirp_z_full_axes(u, 1.1e11, tau0, 0.25e-15, 57)
+            assert np.array_equal(got.view(np.int64), reference.view(np.int64))
+            bits.append(got.view(np.int64))
+        assert (_plan.cache_info().misses, _plan.cache_info().hits) == (1, 1)
+        assert np.array_equal(*bits)
+
+    def test_cached_arrays_are_read_only(self):
+        chirp_z(np.ones(33), *self.ARGS)
+        for array in _plan(33, *self.ARGS):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_bounded(self):
+        _plan.cache_clear()
+        bound = _plan.cache_info().maxsize
+        assert bound >= 3  # E1, E2 and the oracle's table of one --engine both
+        for count in range(1, bound + 4):
+            chirp_z(np.ones(33), 1.1e11, 0.0, 0.25e-15, count)
+        info = _plan.cache_info()
+        assert (info.misses, info.currsize) == (bound + 3, bound)
+        chirp_z(np.ones(33), 1.1e11, 0.0, 0.25e-15, bound + 3)  # the newest key stays
+        assert _plan.cache_info().hits == 1
 
 
 class TestSymmetryFlag:
