@@ -243,20 +243,20 @@ def load_config(path) -> RunConfig:
 
     scan_cfg = _fields(top["scan"], "scan", tau_start_fs=float, tau_stop_fs=float,
                        tau_step_fs=_Key(float, unit=units.FS))
-    tau_start_fs, tau_stop_fs = scan_cfg["tau_start_fs"], scan_cfg["tau_stop_fs"]
-    tau_step_fs = scan_cfg["tau_step_fs"]
-    if tau_stop_fs < tau_start_fs:
+    # the engines' operands: every scan check reads them, and RunConfig stores them
+    tau_start, tau_stop, tau_step = (
+        scan_cfg[key] * units.FS for key in ("tau_start_fs", "tau_stop_fs", "tau_step_fs"))
+    if tau_stop < tau_start:
         raise ConfigError("scan.tau_stop_fs: must not precede tau_start_fs")
     try:
-        delays = _axis_count(tau_start_fs, tau_stop_fs, tau_step_fs)
+        delays = _axis_count(tau_start, tau_stop, tau_step)
     except ValueError:  # the arguments are checked above: the span overflows
         delays = math.inf
     if delays > MAX_DELAYS:
         raise ConfigError(
             f"scan.tau_step_fs: the scan would exceed {MAX_DELAYS} delays")
-    pump_period_fs = 2.0 * np.pi / pump_frequency / units.FS
     try:
-        check_step(tau_step_fs, pump_period_fs)
+        check_step(tau_step, pump_frequency)
     except UnderSampled as exc:
         raise ConfigError(f"scan.tau_step_fs: {exc}") from None
 
@@ -279,7 +279,7 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"filter.bandwidth_nm: {exc}") from None
     try:
-        check_reach(tau_start_fs * units.FS, tau_stop_fs * units.FS, frequency_grid)
+        check_reach(tau_start, tau_stop, frequency_grid)
     except UnderSampled as exc:
         raise ConfigError(f"scan.tau_start_fs/tau_stop_fs: {exc}; raise grids.spectral_points")
     spacing_mm = 2.0 * halfwidth_mm / (spatial_points - 1)
@@ -305,9 +305,9 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         state=state,
         instrument=InterferometerConfig(ikind),
-        tau_start=tau_start_fs * units.FS,
-        tau_stop=tau_stop_fs * units.FS,
-        tau_step=tau_step_fs * units.FS,
+        tau_start=tau_start,
+        tau_stop=tau_stop,
+        tau_step=tau_step,
         engine=top["engine"],
         output_path=output["path"],
         output_format=output["format"],

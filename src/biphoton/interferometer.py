@@ -78,15 +78,14 @@ MAX_STEP_FRACTION = 0.2  # of the pump period, the scan resolution bound
 MAX_REACH_FRACTION = 0.5  # of pi / h, for frequency spacing h: the scan reach bound
 
 
-def check_step(tau_step: float, pump_period: float) -> None:
-    """Raise UnderSampled if the step exceeds MAX_STEP_FRACTION of the pump period.
-
-    Both arguments are in the same unit, whichever the caller uses.
-    """
-    if not tau_step <= MAX_STEP_FRACTION * pump_period:
+def check_step(tau_step: float, pump_frequency: float) -> None:
+    """Raise UnderSampled if the step (s) exceeds MAX_STEP_FRACTION of the pump
+    period 2 pi / pump_frequency (rad/s); the message gives both in fs."""
+    pump_period = 2.0 * math.pi / pump_frequency
+    if not tau_step <= MAX_STEP_FRACTION * pump_period:  # NaN fails too
         raise UnderSampled(
-            f"step {tau_step} exceeds {MAX_STEP_FRACTION} of the pump period "
-            f"{pump_period:.6g}; fringes would be undersampled")
+            f"step {tau_step / FS:.6g} fs exceeds {MAX_STEP_FRACTION} of the pump period "
+            f"{pump_period / FS:.6g} fs; fringes would be undersampled")
 
 
 def check_reach(tau_start: float, tau_stop: float, frequency_grid: FrequencyGrid) -> None:
@@ -235,10 +234,10 @@ def _scan_axis(state: TwoPhotonState, tau_start: float, tau_stop: float,
     """Delay axis of a scan by either engine, after the checks both make.
 
     Raises ValueError if ``tau_axis`` rejects an argument, and UnderSampled
-    from ``check_step`` on the state's pump period or ``check_reach`` on its
+    from ``check_step`` on the state's pump frequency or ``check_reach`` on its
     spectral grid; every check runs before the axis is allocated.
     """
-    check_step(tau_step, 2.0 * math.pi / state.pump_frequency)
+    check_step(tau_step, state.pump_frequency)
     count = _axis_count(tau_start, tau_stop, tau_step)
     check_reach(tau_start, tau_stop, state.spectral.grid)
     return tau_start + tau_step * np.arange(count)

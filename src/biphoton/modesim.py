@@ -248,8 +248,14 @@ class Factor:
         return self.data[c:c + 1], other.data[c:c + 1], 1
 
     def inner(self, other: "Factor") -> complex:
-        """Frobenius inner product sum(conj(self) * other)."""
+        """Frobenius inner product sum(conj(self) * other).
+
+        A full (2-d) product is summed a row at a time and the row sums
+        pairwise: one running sum over all N^2 terms drifts with N.
+        """
         mine, theirs, _ = self._aligned(other)
+        if mine.ndim == 2:
+            return complex(np.sum([np.vdot(a, b) for a, b in zip(mine, theirs)]))
         return complex(np.vdot(mine, theirs))
 
     def inner_terms(self, other: "Factor") -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

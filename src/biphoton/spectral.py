@@ -257,10 +257,8 @@ class EnvelopeEvaluator:
     through the chirp-z transform; its result differs from the direct sum
     by round-off only, below 1e-12 for unit-integral densities on the
     bundled grids.  Scalars and non-uniform arrays use the direct sum,
-    processed in chunks to bound the cos() workspace.
+    processed in blocks of rows to bound the cos() workspace.
     """
-
-    _CHUNK = 8192
 
     def __init__(self, sd: SpectralDensity, grid: FrequencyGrid):
         self.grid = grid
@@ -288,11 +286,15 @@ class EnvelopeEvaluator:
         return self.first_order(2.0 * np.asarray(tau, dtype=float))
 
     def _direct(self, tau_arr: np.ndarray) -> np.ndarray:
+        """The cos(outer) @ weights sum in blocks of at most 2**20 elements,
+        or 64 rows if a row is longer than 2**14.  A block is a multiple of
+        64 rows, measured bit-equal to one unblocked product (1 or 7 are not)."""
         out = np.empty_like(tau_arr)
         omegas = self.grid.omegas()
-        for start in range(0, tau_arr.size, self._CHUNK):
-            block = tau_arr[start:start + self._CHUNK]
-            out[start:start + self._CHUNK] = np.cos(np.outer(block, omegas)) @ self._weights
+        rows = max(64, 2**20 // omegas.size // 64 * 64)
+        for start in range(0, tau_arr.size, rows):
+            block = tau_arr[start:start + rows]
+            out[start:start + rows] = np.cos(np.outer(block, omegas)) @ self._weights
         return out
 
 
@@ -304,9 +306,9 @@ def chirp_z(u: np.ndarray, h: float, tau0: float, step: float, count: int) -> np
     to keep the chirp phases small, n m = (n^2 + m^2 - (m - n)^2) / 2 turns
     the sum into a linear convolution of two chirps, done by zero-padded
     FFT (Bluestein).  ValueError names the argument unless ``count`` is an
-    integer >= 1 and ``h``, ``tau0`` and ``step`` are finite; the (m - n)
-    axis is symmetric only when the row length is odd, so an even length
-    raises ValueError too.
+    integer >= 1 and ``h``, ``tau0`` and ``step`` are finite; ``n`` is
+    centred on a middle entry, which an even row has not, so an even
+    length raises ValueError too.
 
     The two chirps and the kernel's FFT are :func:`_plan`'s, built once per
     process for each (row length, h, tau0, step, count) and cached
@@ -348,22 +350,20 @@ def _plan(size: int, h: float, tau0: float, step: float, count: int):
     four keys are kept.  A plan retains 16 (size + count + L) bytes
     for the padded length L: 0.8 MB for the three of a 4097-point grid
     scanned at 801 delays, 13.7 MB at the CLI's ceilings (MAX_DELAYS
-    delays of the oracle's 2 MAX_GRID_POINTS - 1 rows).  The output chirp
-    and the kernel depend on m^2 and (m - n)^2 only, so each is evaluated
-    on one half of its axis and the other half is the mirror image, bit
-    for bit.  Keys equal as numbers share a plan: a tau0 of -0.0 or 0.0
-    gives the same ``centre`` bits.
+    delays of the oracle's 2 MAX_GRID_POINTS - 1 rows).  Each chirp is
+    evaluated on its whole axis.  Keys equal as numbers share a plan: a
+    tau0 of -0.0 or 0.0 gives the same ``centre`` bits.
     """
     theta = h * step
     centre = tau0 + step * (count - 1) / 2.0
     n = np.arange(size) - (size - 1) // 2
     m = np.arange(count) - (count - 1) / 2.0
     chirp = np.exp(1j * (h * centre * n + 0.5 * theta * n**2))
-    post = _mirrored_exp(0.5j * theta, m)
+    post = np.exp(0.5j * theta * m**2)
     lags = np.arange(1 - size, count)  # j - k over every pair
     diff = lags + ((size - 1) // 2 - (count - 1) / 2.0)  # m - n at that lag
     length = 1 << (size + count - 2).bit_length()  # power of two >= T + M - 1
-    values = _mirrored_exp(-0.5j * theta, diff)
+    values = np.exp(-0.5j * theta * diff**2)
     kernel = np.zeros(length, dtype=complex)  # lag l at index l mod length
     kernel[:count] = values[size - 1:]
     kernel[length - size + 1:] = values[:size - 1]
@@ -371,15 +371,6 @@ def _plan(size: int, h: float, tau0: float, step: float, count: int):
     for array in (chirp, post, kernel):
         array.setflags(write=False)
     return chirp, post, kernel
-
-
-def _mirrored_exp(coef: complex, x: np.ndarray) -> np.ndarray:
-    """exp(coef x^2) on an axis with x[j] = -x[-1 - j] exactly: the first
-    half is evaluated, the rest is its mirror image, bit for bit.
-    """
-    half = (x.size + 1) // 2
-    first = np.exp(coef * x[:half]**2)
-    return np.concatenate((first, first[:x.size - half][::-1]))
 
 
 def _uniform_step(tau: np.ndarray, rtol: float) -> Optional[float]:

@@ -1088,6 +1088,64 @@ class TestChirpZPlans:
         capsys.readouterr()
 
 
+def _nudged(value, ulps):
+    """``value`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, math.copysign(math.inf, ulps)))
+    return value
+
+
+class TestScanRule:
+    """load_config checks a scan with the engines' own rule, on the SI
+    delays RunConfig hands them: a scan it accepts, the engines accept."""
+
+    # This step passed a bound computed in fs and fails the engines' bound in seconds.
+    BOUNDARY_NM, BOUNDARY_STEP_FS = 770.2791534208636, 0.5138749377216579
+
+    def test_boundary_step_exits_one_naming_the_field(self, tmp_path, capsys):
+        cfg = load_bundled("default_mzi")
+        cfg["pump"]["wavelength_nm"] = self.BOUNDARY_NM
+        cfg["filter"]["center_nm"] = 2.0 * self.BOUNDARY_NM
+        cfg["scan"]["tau_step_fs"] = self.BOUNDARY_STEP_FS
+        out = tmp_path / "scan.csv"
+        with mock.patch.object(cli, "_pump_amplitude", side_effect=AssertionError):
+            assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("config error: scan.tau_step_fs: step 0.513875 fs exceeds 0.2 of the "
+                       "pump period 2.56937 fs; fringes would be undersampled\n")
+        assert not out.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(wavelength_nm=st.floats(300.0, 900.0), step_ulps=st.integers(-4, 4),
+           reach_ulps=st.integers(-4, 4), end=st.sampled_from(["start", "stop"]))
+    def test_accepted_scan_passes_the_engines_checks(self, wavelength_nm, step_ulps,
+                                                     reach_ulps, end):
+        cfg = load_bundled("default_mzi")
+        cfg["pump"]["wavelength_nm"] = wavelength_nm
+        cfg["filter"]["center_nm"] = 2.0 * wavelength_nm
+        cfg["grids"]["spectral_points"] = 65
+        period_fs = 2.0 * math.pi / bp.units.omega_from_wavelength(wavelength_nm * NM) / FS
+        step = _nudged(bp.interferometer.MAX_STEP_FRACTION * period_fs, step_ulps)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg["scan"] = {"tau_start_fs": 0.0, "tau_stop_fs": 0.0, "tau_step_fs": 0.1}
+            spacing = load_config(write_config(Path(tmp), cfg)).state.spectral.grid.spacing
+            reach = _nudged(bp.interferometer.MAX_REACH_FRACTION * math.pi / spacing / FS,
+                            reach_ulps)
+            # one end of a 10-step scan within a few ulps of the reach bound
+            start, stop = (-reach, -reach + 10.0 * step) if end == "start" else (
+                reach - 10.0 * step, reach)
+            cfg["scan"] = {"tau_start_fs": start, "tau_stop_fs": stop, "tau_step_fs": step}
+            try:
+                run = load_config(write_config(Path(tmp), cfg))
+            except cli.ConfigError as exc:
+                event(f"refused: {str(exc).split(':')[0]}")
+                return
+        event("accepted")
+        axis = bp.interferometer._scan_axis(run.state, run.tau_start, run.tau_stop, run.tau_step)
+        assert axis.size >= 10
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("mutate, needle", [
         (lambda c: c["pump"].pop("wavelength_nm"), "pump.wavelength_nm"),

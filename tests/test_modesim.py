@@ -336,6 +336,20 @@ class TestClosedFormEquivalence:
         for cfg in (cfg_mzi, cfg_mzim):
             assert bp.coincidence_rate(run(initial, cfg, 0.0)) <= 1e-6
 
+    def test_full_factor_agreement_does_not_grow_with_the_grid(self, default_state, cfg_mzim):
+        # A double Gaussian (pump waist 1 mm, correlation width 0.1 mm) as a
+        # full 1025 x 1025 factor.  One running sum over its N^2 products
+        # put the engines 8.4e-14 apart; summed row by row, 1.6e-15.
+        grid = bp.SpatialGrid(half_width=3e-3, point_count=1025)
+        x1, x2 = np.meshgrid(grid.positions(), grid.positions(), indexing="ij")
+        amplitude = np.exp(-((x1 + x2) / 2.0e-3)**2 - ((x1 - x2) / 0.2e-3)**2)
+        state = bp.TwoPhotonState(bp.GeneralSpatial.from_samples(grid, amplitude),
+                                  default_state.spectral, default_state.pump_frequency)
+        args = (state, cfg_mzim, -20e-15, 20e-15, 0.08e-15)
+        closed, oracle = bp.scan(*args), modesim.oracle_scan(*args)
+        for column in ("singles_port1", "singles_port2", "coincidences"):
+            assert np.max(np.abs(getattr(closed, column) - getattr(oracle, column))) <= 1e-14
+
 
 class TestParityCases:
     def test_odd_pump_coincidences(self, odd_state, cfg_mzim):

@@ -281,6 +281,22 @@ class TestChirpZKernel:
         assert np.array_equal(env.first_order(taus), direct_first_order(sd, fgrid, taus))
         assert np.array_equal(env.first_order(taus[:1]), direct_first_order(sd, fgrid, taus[:1]))
 
+    def test_direct_sum_workspace_is_bounded_by_elements(self):
+        # 8192 non-uniform delays on 1025 points: one block of every row held
+        # 16 * 8192 * 1025 bytes (128 MiB) of cos(outer) workspace.
+        grid = bp.default_frequency_grid(rect_density(), point_count=1025)
+        sd = bp.normalize(rect_density(), grid)
+        env = bp.EnvelopeEvaluator(sd, grid)
+        taus = np.sort(np.random.default_rng(11).uniform(-300e-15, 300e-15, 8192))
+        tracemalloc.start()
+        try:
+            got = env.first_order(taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert np.array_equal(got, direct_first_order(sd, grid, taus))
+
     def test_uniform_axis_detection(self):
         axis = tau_axis(-200e-15, 200e-15, 0.08e-15)
         for tau in (axis, 2.0 * axis, axis[::-1], np.linspace(0.0, 1e-12, 7), np.zeros(4)):
@@ -351,8 +367,8 @@ class TestComplexKernel:
 
 
 def _chirp_z_full_axes(u, h, tau0, step, count):
-    """``chirp_z`` as first written: ``post`` and the kernel evaluated on
-    their whole axes, not on one half mirrored."""
+    """``chirp_z`` as first written: no plan cache, and the kernel stored
+    by lag modulo its length."""
     size = u.shape[-1]
     theta = h * step
     centre = tau0 + step * (count - 1) / 2.0
@@ -379,8 +395,8 @@ def _chirp_z_full_axes(u, h, tau0, step, count):
 
 
 class TestMirroredExponentials:
-    """``post`` and the kernel depend on m^2 and (m - n)^2 only: evaluating
-    half of each axis and mirroring the rest moves no output bit."""
+    """``chirp_z``, with its plan built or cached, has the bits of
+    ``chirp_z`` as first written."""
 
     @pytest.mark.parametrize("size", [3, 33, 2049, 8193])
     @pytest.mark.parametrize("count", [1, 2, 241, 801, 5001])
