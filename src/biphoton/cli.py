@@ -133,11 +133,11 @@ class _Key(NamedTuple):
 def _fields(section: dict, path: str, /, **declared) -> dict:
     """The keys of a config section, checked, as {key: value}.
 
-    ``declared`` gives each key its _Key, or its leading fields: the kind
-    alone, or ``(kind, default)``.  Raises ConfigError naming every key the
-    section holds but does not declare, else the first declared key that is
-    missing or not of its kind, else the first that breaks its rule.  A
-    float is a JSON number that is finite as a float; a bool is no number.
+    ``declared`` gives each key its _Key, or its kind alone.  Raises
+    ConfigError naming every key the section holds but does not declare,
+    else the first declared key that is missing or not of its kind, else
+    the first that breaks its rule.  A float is a JSON number that is
+    finite as a float; a bool is no number.
     """
     def field(key):
         return f"{path}.{key}" if path else key
@@ -145,7 +145,7 @@ def _fields(section: dict, path: str, /, **declared) -> dict:
     unknown = [field(key) for key in section if key not in declared]
     if unknown:
         raise ConfigError(f"{', '.join(unknown)}: unknown key; expected {', '.join(declared)}")
-    rules = {key: _Key(*rule) if isinstance(rule, tuple) else _Key(rule)
+    rules = {key: rule if isinstance(rule, _Key) else _Key(rule)
              for key, rule in declared.items()}
     values = {}
     for key, (kind, default, _, _) in rules.items():
@@ -599,6 +599,8 @@ def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     if cfg.engine == "both":
         raise ConfigError("engine: compare needs a single engine ('closed' or 'oracle')")
+    if _axis_count(cfg.tau_start, cfg.tau_stop, cfg.tau_step) < 2:  # analysis needs two
+        raise ConfigError("scan.tau_stop_fs: compare needs at least two delays, got one")
     kinds = (MZI, MZIM)
     icfgs = [InterferometerConfig(kind) for kind in kinds]
     if cfg.engine == "closed":  # one envelope pair serves both instruments

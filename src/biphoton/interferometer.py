@@ -32,7 +32,7 @@ spatial coherence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -125,9 +125,6 @@ class InterferometerConfig:
     def mzim(cls) -> "InterferometerConfig":
         return cls(MZIM)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
 class Interferogram:
@@ -137,8 +134,6 @@ class Interferogram:
     singles_port1: np.ndarray
     singles_port2: np.ndarray
     coincidences: np.ndarray
-    config: dict = field(default_factory=dict)
-    state: dict = field(default_factory=dict)
     engine: str = "closed"
 
     def __post_init__(self):
@@ -285,8 +280,6 @@ def scan_configs(
             singles_port1=s1,
             singles_port2=s2,
             coincidences=cc,
-            config=cfg.describe(),
-            state=state.describe(),
             engine="closed",
         ))
     return grams

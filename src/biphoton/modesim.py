@@ -59,7 +59,6 @@ import numpy as np
 
 from .errors import BiphotonError
 from .interferometer import Interferogram, InterferometerConfig, MZIM, _scan_axis
-from .spatial import SpatialGrid
 from .spectral import FrequencyGrid, chirp_z, normalize
 from .states import AntiCorrelated, CorrelatedPump, GeneralSpatial, GeneralSpectral, TwoPhotonState
 
@@ -291,7 +290,6 @@ class BranchSumState:
     weight * S[i, i'] * F[k, k'].
     """
 
-    spatial_grid: SpatialGrid
     frequency_grid: FrequencyGrid
     pump_frequency: float  # of the source; a delay's phases read it, as they read the grid
     branches: Tuple[Branch, ...]
@@ -362,8 +360,7 @@ def build_initial_state(state: TwoPhotonState) -> BranchSumState:
     exchange-symmetrized and normalized to unit total amplitude norm."""
     branch = Branch("a", "a", 1.0 + 0.0j, *(_FACTORS[type(sector)](sector)
                                             for sector in (state.spatial, state.spectral)))
-    out = _symmetrized(BranchSumState(state.spatial.grid, state.spectral.grid,
-                                      state.pump_frequency, (branch,)))
+    out = _symmetrized(BranchSumState(state.spectral.grid, state.pump_frequency, (branch,)))
     norm = math.sqrt(total_norm(out))
     if norm <= 0.0:
         raise ValueError("state has zero norm on these grids")
@@ -621,7 +618,5 @@ def oracle_scan(
         singles_port1=s1,
         singles_port2=s2,
         coincidences=cc,
-        config=cfg.describe(),
-        state=state.describe(),
         engine="oracle",
     )

@@ -80,9 +80,6 @@ class CorrelatedPump:
     def grid(self) -> SpatialGrid:
         return self.pump.grid
 
-    def describe(self) -> str:
-        return "correlated_pump"
-
 
 @dataclass(frozen=True)
 class _JointAmplitude:
@@ -106,9 +103,6 @@ class _JointAmplitude:
     @classmethod
     def from_samples(cls, grid: _SymmetricGrid, amplitude):
         return cls(grid, _unit_norm_samples(amplitude, grid.spacing**2))
-
-    def describe(self) -> str:
-        return f"general_{self._sector}"
 
 
 class GeneralSpatial(_JointAmplitude):
@@ -135,9 +129,6 @@ class AntiCorrelated:
 
     density: SpectralDensity
     grid: FrequencyGrid
-
-    def describe(self) -> str:
-        return f"anti_correlated({self.density.describe()})"
 
 
 class GeneralSpectral(_JointAmplitude):
@@ -172,13 +163,6 @@ class TwoPhotonState:
         if not 0.0 < self.pump_frequency < math.inf:
             raise ValueError(
                 f"pump_frequency must be finite and positive, got {self.pump_frequency!r}")
-
-    def describe(self) -> dict:
-        return {
-            "spatial": self.spatial.describe(),
-            "spectral": self.spectral.describe(),
-            "pump_frequency": self.pump_frequency,
-        }
 
 
 class ExchangeOverlaps(NamedTuple):
@@ -280,10 +264,7 @@ def reduced_spatial_operator(state: TwoPhotonState) -> np.ndarray:
     return m
 
 
-def default_spdc_state(
-    spatial_grid: SpatialGrid | None = None,
-    pump_waist: float = DEFAULT_PUMP_WAIST,
-) -> TwoPhotonState:
+def default_spdc_state(spatial_grid: SpatialGrid | None = None) -> TwoPhotonState:
     """Collinear degenerate down-conversion defaults.
 
     A 405 nm monochromatic pump with a 1 mm Gaussian waist, detected behind
@@ -293,7 +274,7 @@ def default_spdc_state(
     not modelled), sampled on its ``default_frequency_grid``.
     """
     grid = spatial_grid or default_spatial_grid()
-    pump = gaussian_amplitude(grid, waist=pump_waist)
+    pump = gaussian_amplitude(grid, waist=DEFAULT_PUMP_WAIST)
     width = units.bandwidth_to_angular(DEFAULT_FILTER_CENTER, DEFAULT_FILTER_BANDWIDTH)
     density = SpectralDensity(Rectangular(width))
     return TwoPhotonState(

@@ -45,7 +45,6 @@ SPLITTERS = {"symmetric": bp.BeamSplitter, "conjugate": ConjugateBeamSplitter}
 class DenseTensorState:
     """Full ordered amplitude tensor over (path, position, frequency)^2."""
 
-    spatial_grid: bp.SpatialGrid
     frequency_grid: bp.FrequencyGrid
     pump_frequency: float
     tensor: np.ndarray  # shape (2, N, M, 2, N, M)
@@ -64,7 +63,7 @@ class DenseTensorState:
 
 def to_dense(state: bp.BranchSumState) -> DenseTensorState:
     """Expand the branch sum into the dense tensor, if it fits DEFAULT_DENSE_BUDGET."""
-    n = state.spatial_grid.point_count
+    n = state.branches[0].spatial.size
     m = state.frequency_grid.point_count
     amplitudes = (2 * n * m) ** 2
     required = amplitudes * 16  # complex128
@@ -76,8 +75,7 @@ def to_dense(state: bp.BranchSumState) -> DenseTensorState:
         p1, p2 = _PATHS.index(b.path1), _PATHS.index(b.path2)
         tensor[p1, :, :, p2, :, :] += b.weight * np.einsum(
             "ij,kl->ikjl", b.spatial.to_full(), b.spectral.to_full())
-    return DenseTensorState(state.spatial_grid, state.frequency_grid, state.pump_frequency,
-                            tensor)
+    return DenseTensorState(state.frequency_grid, state.pump_frequency, tensor)
 
 
 def _dense_first_photon(photon, tensor: np.ndarray) -> np.ndarray:

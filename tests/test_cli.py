@@ -1064,6 +1064,34 @@ class TestCompare:
         path = write_config(tmp_path, small_scan_config("default_mzi", engine="both"))
         assert main(["compare", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("engine", ["closed", "oracle"])
+    def test_compare_rejects_one_delay_before_any_engine(self, tmp_path, capsys,
+                                                         monkeypatch, engine):
+        # analysis needs two samples: a one-delay scan used to run both engines, then exit 2
+        cfg = load_bundled("default_mzim")
+        cfg["engine"] = engine
+        cfg["scan"] = {"tau_start_fs": 0.0, "tau_stop_fs": 0.0, "tau_step_fs": 0.08}
+        path = write_config(tmp_path, cfg)
+
+        def engine_ran(*args):
+            raise AssertionError("an engine ran")
+        monkeypatch.setattr(cli, "scan_configs", engine_ran)
+        monkeypatch.setattr(cli, "_run_engine", engine_ran)
+        assert main(["compare", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: scan.tau_stop_fs: compare needs at least two delays, got one\n")
+
+    def test_analyze_of_one_delay_exits_two(self, tmp_path, capsys):
+        # simulate writes a one-row scan; analyze finds it has too few samples, as for --window
+        cfg = load_bundled("default_mzim")
+        cfg["scan"] = {"tau_start_fs": 0.0, "tau_stop_fs": 0.0, "tau_step_fs": 0.08}
+        out = tmp_path / "mzim.csv"
+        assert main(["simulate", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out)]) == 2
+        assert capsys.readouterr().err == "engine error: need at least two samples\n"
+
 
 class TestChirpZPlans:
     """What one-shot commands gain from the chirp-z plan cache: the plans
@@ -1682,15 +1710,16 @@ class TestFields:
     """cli._fields, the one reader of a config section's keys."""
 
     def test_values_and_defaults(self):
-        got = cli._fields({"a": 2, "b": "x", "d": {}}, "s", a=float, b=str, c=(int, 7), d=dict)
+        got = cli._fields({"a": 2, "b": "x", "d": {}}, "s",
+                          a=float, b=str, c=cli._Key(int, 7), d=dict)
         assert got == {"a": 2.0, "b": "x", "c": 7, "d": {}}
         assert type(got["a"]) is float
-        assert cli._fields({"c": 3}, "s", c=(int, 7)) == {"c": 3}
+        assert cli._fields({"c": 3}, "s", c=cli._Key(int, 7)) == {"c": 3}
 
     def test_every_unknown_key_is_named(self):
         with pytest.raises(cli.ConfigError,
                            match=r"^s\.x, s\.y: unknown key; expected a, c$"):
-            cli._fields({"x": 1, "a": 1.0, "y": 2}, "s", a=float, c=(int, 7))
+            cli._fields({"x": 1, "a": 1.0, "y": 2}, "s", a=float, c=cli._Key(int, 7))
 
     def test_missing_key_is_named(self):
         with pytest.raises(cli.ConfigError, match=r"^s\.b: missing required field$"):
@@ -1704,9 +1733,9 @@ class TestFields:
 
     @pytest.mark.parametrize("value, kind, got", [
         (True, int, "bool"), (True, float, "bool"), (3.0, int, "float"), ("3", float, "str"),
-        ("3", (int, 7), "str")])
+        ("3", cli._Key(int, 7), "str")])
     def test_mistyped_value_rejected(self, value, kind, got):
-        name = (kind[0] if isinstance(kind, tuple) else kind).__name__
+        name = (kind.kind if isinstance(kind, cli._Key) else kind).__name__
         with pytest.raises(cli.ConfigError, match=rf"^s\.n: expected {name}, got {got}$"):
             cli._fields({"n": value}, "s", n=kind)
 

@@ -833,8 +833,7 @@ def _hand_built_state(weights, spatial, spectral=((_SPECTRAL,) * 2,) * 2):
         modesim.Branch(*pair, w, s, f, delays)
         for pair, ws, ss, fs in zip((("a", "b"), ("b", "a")), weights, spatial, spectral)
         for w, s, f, delays in zip(ws, ss, fs, ((0, 0), (0, 1))))
-    return bp.BranchSumState(bp.SpatialGrid(half_width=1e-3, point_count=3),
-                             bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=5),
+    return bp.BranchSumState(bp.FrequencyGrid(half_width=2.0 * DELTA_OMEGA, point_count=5),
                              OMEGA_P, branches)
 
 

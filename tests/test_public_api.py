@@ -50,6 +50,29 @@ def test_the_pump_frequency_is_the_states_alone():
     assert [f.name for f in dataclasses.fields(biphoton.Delay)] == ["arm", "tau"]
 
 
+def test_a_scan_carries_its_traces_and_engine_alone():
+    # the run's provenance is its RunConfig's: no copy of it rides on the result
+    assert [f.name for f in dataclasses.fields(biphoton.Interferogram)] == [
+        "tau", "singles_port1", "singles_port2", "coincidences", "engine"]
+
+
+def test_the_oracle_state_carries_no_spatial_grid():
+    # each branch's spatial factor holds its size; nothing reads a grid beside them
+    assert [f.name for f in dataclasses.fields(biphoton.BranchSumState)] == [
+        "frequency_grid", "pump_frequency", "branches"]
+
+
+def test_default_spdc_state_takes_only_a_spatial_grid():
+    assert list(inspect.signature(biphoton.default_spdc_state).parameters) == ["spatial_grid"]
+
+
+@pytest.mark.parametrize("kind", [
+    biphoton.InterferometerConfig, biphoton.TwoPhotonState, biphoton.CorrelatedPump,
+    biphoton.states._JointAmplitude, biphoton.AntiCorrelated])
+def test_no_describe_on_config_or_state(kind):
+    assert not hasattr(kind, "describe")
+
+
 def test_readme_example_prints_documented_visibility():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
