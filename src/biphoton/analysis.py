@@ -41,13 +41,6 @@ SPECTRUM_CEILING = np.finfo(float).max / 8.0
 PRINTED_DELAY_RTOL = 2e-8
 
 
-def _as_samples(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise BiphotonError("samples must be a nonempty 1-d sequence")
-    return arr
-
-
 def visibility(samples) -> float:
     """(max - min) / (max + min), clamped to [0, 1].
 
@@ -55,7 +48,9 @@ def visibility(samples) -> float:
     below -1e-9, or a nonpositive maximum.  Invariant under positive
     rescaling.
     """
-    arr = _as_samples(samples)
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise BiphotonError("samples must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(arr)):
         raise BiphotonError("rates must be finite")
     if np.any(arr < -1e-9):
@@ -100,12 +95,6 @@ def _traces(rows, tau, names) -> Tuple[List[np.ndarray], np.ndarray, float]:
                 f"the {name} rates must be finite and below {bound:.3g} for a spectrum "
                 f"over {arr.size} samples not to overflow; got {peak:.3g}")
     return arrs, tau_arr, step
-
-
-def _trace(samples, tau, name: str) -> Tuple[np.ndarray, np.ndarray, float]:
-    """(samples, delays, step) of one trace, checked as ``_traces`` checks it."""
-    (arr,), tau_arr, step = _traces([samples], tau, [name])
-    return arr, tau_arr, step
 
 
 def _fringe_row(arr: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -161,7 +150,7 @@ def fringe_period(
     detected period spans fewer than ``min_samples_per_period`` samples or
     the samples are too large to transform.
     """
-    arr, _, step = _trace(samples, tau, "samples")
+    (arr,), _, step = _traces([samples], tau, ["samples"])
     window = np.hanning(arr.size)
     spectrum = np.abs(np.fft.rfft(_fringe_row(arr, window)))
     return _period(spectrum, _dc(arr, window), arr.size, step,
@@ -215,7 +204,7 @@ def hom_dip_fwhm(samples, tau, fringe_frequency: float) -> float:
     dip depth is below 1e-3, and BiphotonError when the samples are too
     large to transform.
     """
-    arr, tau_arr, step = _trace(samples, tau, "samples")
+    (arr,), tau_arr, step = _traces([samples], tau, ["samples"])
     spectrum = np.fft.rfft(arr)
     _notch(spectrum, arr.size, step, fringe_frequency)
     return _slow_width(np.fft.irfft(spectrum, n=arr.size), tau_arr)

@@ -117,14 +117,6 @@ class InterferometerConfig:
         if self.kind not in (MZI, MZIM):
             raise ValueError(f"kind must be '{MZI}' or '{MZIM}'")
 
-    @classmethod
-    def mzi(cls) -> "InterferometerConfig":
-        return cls(MZI)
-
-    @classmethod
-    def mzim(cls) -> "InterferometerConfig":
-        return cls(MZIM)
-
 
 @dataclass(frozen=True)
 class Interferogram:

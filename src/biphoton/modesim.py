@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 _PATHS = ("a", "b")  # after the last splitter, a is port 1 and b port 2
+PORT_SUM_TOL = 1e-9  # what oracle_scan allows of |s1 + s2 - 2|
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def _photon_map(element: Element, state: BranchSumState) -> _PhotonMap:
     if isinstance(element, BeamSplitter):
         u = element.matrix()
         return {p: [_Outcome(q, u[row, col], False, None, False)
-                    for row, q in enumerate(_PATHS) if u[row, col] != 0.0]
+                    for row, q in enumerate(_PATHS)]
                 for col, p in enumerate(_PATHS)}
     if isinstance(element, Delay):
         # at tau = 0 every phase is exactly 1: the outcome carries none
@@ -608,15 +609,17 @@ def oracle_scan(
     and makes the same step and reach checks as the closed ``scan``.  The
     branches do not depend on the delay, so the pipeline runs once, at
     tau = 0, and ``_delay_norms`` reads every delay's path-pair norms off
-    the final state.
+    the final state.  Raises BiphotonError if the rates break the port sum
+    rule s1 + s2 = 2 by more than PORT_SUM_TOL at any delay.
     """
     tau = _scan_axis(state, tau_start, tau_stop, tau_step)
     final = apply_pipeline(build_initial_state(state), build_pipeline(cfg, 0.0))
     s1, s2, cc = _port_rule(_delay_norms(final, tau, tau_step))
-    return Interferogram(
-        tau=tau,
-        singles_port1=s1,
-        singles_port2=s2,
-        coincidences=cc,
-        engine="oracle",
-    )
+    # Interferogram refuses negative or non-finite rates first
+    gram = Interferogram(tau=tau, singles_port1=s1, singles_port2=s2, coincidences=cc,
+                         engine="oracle")
+    worst = float(np.max(np.abs(s1 + s2 - 2.0)))
+    if worst > PORT_SUM_TOL:
+        raise BiphotonError(
+            f"port intensities violate the lossless-model sum rule by {worst:.3e}")
+    return gram

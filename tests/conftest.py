@@ -39,12 +39,12 @@ def sgrid(default_state):
 
 @pytest.fixture(scope="session")
 def cfg_mzi(default_state):
-    return bp.InterferometerConfig.mzi()
+    return bp.InterferometerConfig(bp.MZI)
 
 
 @pytest.fixture(scope="session")
 def cfg_mzim(default_state):
-    return bp.InterferometerConfig.mzim()
+    return bp.InterferometerConfig(bp.MZIM)
 
 
 @pytest.fixture(scope="session")

@@ -263,7 +263,7 @@ class TestReport:
                                                    centre):
         # centred on the scan's end nearer zero; a window centred on zero held
         # no sample and raised "window contains no samples"
-        cfg = getattr(bp.InterferometerConfig, kind)()
+        cfg = bp.InterferometerConfig(kind)
         gram = bp.scan(default_state, cfg, start, stop, 0.08e-15)
         rep = bp.report(gram.tau, gram.singles_port1, gram.coincidences)
         lo, hi = rep.window

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import biphoton as bp
-from biphoton import cli
-from biphoton.cli import CSV_HEADER, _check_energy, bundled_config_path, load_config, main
+from biphoton import cli, modesim
+from biphoton.cli import CSV_HEADER, bundled_config_path, load_config, main
 from biphoton.errors import BiphotonError
 
 from conftest import COINCIDENCE_PERIOD, SINGLES_PERIOD
@@ -960,6 +960,40 @@ class TestPumpsOfNoDefiniteParity:
         assert result["mzi_report"]["v1"] >= 0.99
 
 
+@st.composite
+def compare_configs(draw):
+    """(config, pump table text or None) of a compare run on the bundled
+    grids: a pump of 300-900 nm in any profile, the bundled filter's share
+    of the degenerate wavelength, either engine and instrument, and 1 to 16
+    delays at up to 0.2 of the pump period, placed anywhere within 30 fs
+    of zero delay."""
+    cfg = load_bundled("default_mzim")
+    wavelength_nm = draw(st.floats(300.0, 900.0))
+    cfg["pump"]["wavelength_nm"] = wavelength_nm
+    cfg["filter"] = {"center_nm": 2.0 * wavelength_nm, "bandwidth_nm": wavelength_nm / 40.5,
+                     "shape": draw(st.sampled_from(["rectangular", "gaussian"]))}
+    kind = draw(st.sampled_from(sorted(cli._PROFILES)))
+    waist_mm, shift_mm = draw(st.floats(0.2, 1.5)), draw(st.floats(-1.0, 1.0))
+    profile = {"kind": kind, "waist_mm": waist_mm, "shift_mm": shift_mm, "path": "pump.csv"}
+    cfg["pump"]["spatial_profile"] = {
+        key: profile[key] for key in ("kind",) + tuple(cli._PROFILES[kind].keys)}
+    table = None
+    if kind == "tabulated_file":  # a shifted Gaussian with a phase ramp
+        x = np.linspace(-3.0, 3.0, 121)
+        amplitude = np.exp(-((x - shift_mm) / waist_mm) ** 2 + 1j * draw(st.floats(0.0, 3.0)) * x)
+        table = "".join(f"{xi:.17g},{a.real:.17g},{a.imag:.17g}\n"
+                        for xi, a in zip(x, amplitude))
+    cfg["interferometer"]["kind"] = draw(st.sampled_from([bp.MZI, bp.MZIM]))
+    cfg["engine"] = draw(st.sampled_from(["closed", "oracle"]))
+    pump_period_fs = wavelength_nm * NM / bp.units.SPEED_OF_LIGHT / FS
+    step = pump_period_fs * draw(st.floats(0.005, 0.2))
+    delays = draw(st.integers(1, 16))
+    start = draw(st.floats(-30.0, 30.0)) - draw(st.floats(0.0, 1.0)) * (delays - 1) * step
+    cfg["scan"] = {"tau_start_fs": start, "tau_stop_fs": start + (delays - 1) * step,
+                   "tau_step_fs": step}
+    return cfg, table
+
+
 class TestCompare:
     def test_default_state_coincidences_identical(self, tmp_path, capsys):
         path = write_config(tmp_path, load_bundled("default_mzi"))
@@ -1064,22 +1098,66 @@ class TestCompare:
         path = write_config(tmp_path, small_scan_config("default_mzi", engine="both"))
         assert main(["compare", "--config", str(path)]) == 1
 
-    @pytest.mark.parametrize("engine", ["closed", "oracle"])
-    def test_compare_rejects_one_delay_before_any_engine(self, tmp_path, capsys,
-                                                         monkeypatch, engine):
-        # analysis needs two samples: a one-delay scan used to run both engines, then exit 2
+    @staticmethod
+    def compare_short_scan(tmp_path, capsys, monkeypatch, engine, delays):
+        """(exit code, stderr) of compare on the bundled MZIM cut to ``delays``
+        delays at its 0.08 fs step; an engine that runs fails the test."""
         cfg = load_bundled("default_mzim")
         cfg["engine"] = engine
-        cfg["scan"] = {"tau_start_fs": 0.0, "tau_stop_fs": 0.0, "tau_step_fs": 0.08}
+        cfg["scan"] = {"tau_start_fs": 0.0, "tau_stop_fs": (delays - 1) * 0.08,
+                       "tau_step_fs": 0.08}
         path = write_config(tmp_path, cfg)
 
         def engine_ran(*args):
             raise AssertionError("an engine ran")
         monkeypatch.setattr(cli, "scan_configs", engine_ran)
         monkeypatch.setattr(cli, "_run_engine", engine_ran)
-        assert main(["compare", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "config error: scan.tau_stop_fs: compare needs at least two delays, got one\n")
+        rc = main(["compare", "--config", str(path)])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["closed", "oracle"])
+    def test_compare_rejects_one_delay_before_any_engine(self, tmp_path, capsys,
+                                                         monkeypatch, engine):
+        # analysis needs two samples: a one-delay scan used to run both engines, then exit 2
+        assert self.compare_short_scan(tmp_path, capsys, monkeypatch, engine, 1) == (
+            1, "config error: scan.tau_stop_fs: compare needs at least 5 delays, got 1\n")
+
+    @pytest.mark.parametrize("delays", [2, 3, 4])
+    @pytest.mark.parametrize("engine", ["closed", "oracle"])
+    def test_compare_rejects_two_to_four_delays_before_any_engine(
+            self, tmp_path, capsys, monkeypatch, engine, delays):
+        # these ran both engines, then exited 2 with "trace too short for
+        # spectral analysis" (2, 3) or a period of fewer than 4 samples (4)
+        assert self.compare_short_scan(tmp_path, capsys, monkeypatch, engine, delays) == (
+            1, f"config error: scan.tau_stop_fs: compare needs at least 5 delays, "
+               f"got {delays}\n")
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=compare_configs())
+    def test_compare_runs_on_five_delays_or_more_and_refuses_fewer(self, drawn):
+        # an accepted config never exits 2: the minimum is the count from which
+        # the scans always analyse.  The example count comes from the
+        # hypothesis profile, so CI's deep one raises it
+        cfg, table = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            if table is not None:
+                cfg["pump"]["spatial_profile"]["path"] = str(Path(tmp) / "pump.csv")
+                Path(tmp, "pump.csv").write_text(table)
+            path = write_config(Path(tmp), cfg)
+            try:
+                run = load_config(path)
+            except cli.ConfigError as exc:
+                event(f"refused: {str(exc).split(':')[0]}")
+                return
+            delays = cli._axis_count(run.tau_start, run.tau_stop, run.tau_step)
+            rc, err = run_main_quietly(["compare", "--config", str(path)])
+        if delays < 5:
+            assert (rc, err) == (1, f"config error: scan.tau_stop_fs: compare needs at "
+                                    f"least 5 delays, got {delays}\n")
+            event("exit 1, fewer than 5 delays")
+            return
+        assert (rc, err) == (0, "")
+        event(f"exit 0, {cfg['pump']['spatial_profile']['kind']}, {cfg['engine']}")
 
     def test_analyze_of_one_delay_exits_two(self, tmp_path, capsys):
         # simulate writes a one-row scan; analyze finds it has too few samples, as for --window
@@ -1897,7 +1975,7 @@ class TestInputsBuiltOnce:
         state, icfg, sgrid, fgrid = cli.build_problem(run)
         assert (state, fgrid) == (run.state, run.state.spectral.grid)
         assert sgrid == BUNDLED_GRID
-        assert run.instrument == bp.InterferometerConfig.mzim()
+        assert run.instrument == bp.InterferometerConfig(bp.MZIM)
         # perfbench/checks.py reads the second value's kind and pump frequency
         assert icfg.kind == run.instrument.kind
         assert np.float64(icfg.pump_frequency).tobytes() == np.float64(
@@ -1912,23 +1990,38 @@ class TestEnergyCheck:
                  "coincidences": [1.0, 1.0]}
         rates[trace] = [1.0, bad]
         with pytest.raises(BiphotonError, match="non-finite"):
-            _check_energy(bp.Interferogram(tau=[0.0, 1e-15], **rates))
+            bp.Interferogram(tau=[0.0, 1e-15], **rates)
 
+    @staticmethod
+    def lose_a_tenth(monkeypatch):
+        """Make the oracle's port rule lossy: s1 + s2 = 1.9 at every delay."""
+        port_rule = modesim._port_rule
+
+        def lossy(table):
+            s1, s2, cc = port_rule(table)
+            return 0.95 * s1, 0.95 * s2, cc
+        monkeypatch.setattr(modesim, "_port_rule", lossy)
 
     def test_sum_rule_violation_exits_two(self, tmp_path, capsys, monkeypatch):
-        def lossy(cfg, *_args):
-            tau = np.array([cfg.tau_start, cfg.tau_stop])
-            return bp.Interferogram(tau=tau, singles_port1=[1.0, 1.0],
-                                    singles_port2=[1.0, 0.9], coincidences=[1.0, 1.0])
-
-        monkeypatch.setattr(cli, "_run_engine", lossy)
+        self.lose_a_tenth(monkeypatch)
         path = write_config(tmp_path, small_scan_config("default_mzi"))
         out = tmp_path / "scan.csv"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert main(["simulate", "--config", str(path), "--engine", "oracle",
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("engine error: port intensities violate the lossless-model "
                               "sum rule by 1.000e-01")
         assert not out.exists()
+
+    def test_oracle_compare_checks_the_sum_rule(self, tmp_path, capsys, monkeypatch):
+        # the oracle owns the check, so compare runs it too and prints no report
+        self.lose_a_tenth(monkeypatch)
+        path = write_config(tmp_path, small_scan_config("default_mzim", engine="oracle"))
+        assert main(["compare", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("engine error: port intensities violate the lossless-model "
+                       "sum rule by 1.000e-01\n")
 
 
 class TestClosedStdout:
@@ -2032,6 +2125,13 @@ class TestParserReuse:
         assert exit_info.value.code == 1
         capsys.readouterr()
         assert built == []
+
+    def test_main_runs_the_handler_named_at_call_time(self, tmp_path, capsys, monkeypatch):
+        path, _ = self.scan(tmp_path, capsys)  # the parser exists from here on
+        calls = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args.config) or 0)
+        assert main(["simulate", "--config", path]) == 0
+        assert calls == [path]
 
     def test_simulate_flags_do_not_carry_over(self, tmp_path, capsys):
         path, csv = self.scan(tmp_path, capsys)

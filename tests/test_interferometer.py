@@ -60,8 +60,11 @@ class TestConfig:
             bp.InterferometerConfig("mz")
 
     def test_constructors(self):
-        assert bp.InterferometerConfig.mzi().kind == "mzi"
-        assert bp.InterferometerConfig.mzim().kind == "mzim"
+        # the kind is the one spelling: no alias constructor beside it
+        assert bp.InterferometerConfig(bp.MZI).kind == "mzi"
+        assert bp.InterferometerConfig(bp.MZIM).kind == "mzim"
+        assert not hasattr(bp.InterferometerConfig, "mzi")
+        assert not hasattr(bp.InterferometerConfig, "mzim")
 
 # (instrument kind, rates column), named by the quantity read on that
 # instrument: g2 the coincidences, intensity the port-1 singles.
@@ -137,7 +140,7 @@ class TestCoincidenceMzi:
         state = bp.TwoPhotonState(
             bp.CorrelatedPump(bp.gaussian_amplitude(sgrid, waist=1e-3)),
             bp.AntiCorrelated(density, bp.default_frequency_grid(density)), OMEGA_P)
-        cfg = bp.InterferometerConfig.mzi()
+        cfg = bp.InterferometerConfig(bp.MZI)
         n = round(0.5e-12 * OMEGA_P / (2.0 * math.pi))
         tau = (2 * n + 1) * math.pi / OMEGA_P
         assert sigma * tau > 5.0  # envelope < 1e-10
@@ -452,7 +455,7 @@ class TestScanMatchesPointFunctions:
     @pytest.mark.parametrize("kind", ["mzi", "mzim"])
     def test_asymmetric_spectrum_matches_oracle(self, default_state, kind):
         state = bp.TwoPhotonState(default_state.spatial, SKEWED_SECTOR, OMEGA_P)
-        cfg = getattr(bp.InterferometerConfig, kind)()
+        cfg = bp.InterferometerConfig(kind)
         self.assert_scan_matches(state, cfg)
         assert_matches_oracle(state, cfg)
 
@@ -464,7 +467,7 @@ class TestScanMatchesPointFunctions:
         shifted = bp.gaussian_amplitude(sgrid, waist=1e-3, center=1e-3)
         state = bp.TwoPhotonState(bp.GeneralSpatial.product(gauss, shifted),
                                   SKEWED_SECTOR, OMEGA_P)
-        cfg = getattr(bp.InterferometerConfig, kind)()
+        cfg = bp.InterferometerConfig(kind)
         asymmetric = "both the spatial amplitude and the spectral density are exchange asymmetric"
         with pytest.raises(BiphotonError, match=asymmetric):
             bp.scan(state, cfg, -10e-15, 10e-15, 0.1e-15)
@@ -477,7 +480,7 @@ class TestScanMatchesPointFunctions:
         raw = np.eye(fgrid.point_count)[::-1] + 0.1
         spectral = bp.GeneralSpectral.from_samples(fgrid, raw)
         state = bp.TwoPhotonState(default_state.spatial, spectral, OMEGA_P)
-        cfg = getattr(bp.InterferometerConfig, kind)()
+        cfg = bp.InterferometerConfig(kind)
         with pytest.raises(ValueError, match="anti-correlated"):
             bp.scan(state, cfg, -10e-15, 10e-15, 0.1e-15)
 
@@ -572,5 +575,5 @@ class TestClosedMatchesOracle:
         spatial = self.spatial(kind, symmetric=skewed, rng=rng)
         state = bp.TwoPhotonState(spatial, self.spectral(skewed, rng), OMEGA_P)
         for kind_name in ("mzi", "mzim"):
-            cfg = getattr(bp.InterferometerConfig, kind_name)()
+            cfg = bp.InterferometerConfig(kind_name)
             assert_matches_oracle(state, cfg)

@@ -370,7 +370,7 @@ class TestParityCases:
         assert 0.0 < beta < 1.0
         state = bp.TwoPhotonState(bp.CorrelatedPump(pump), default_state.spectral, OMEGA_P)
         built = bp.build_initial_state(state)
-        cfg = bp.InterferometerConfig.mzim()
+        cfg = bp.InterferometerConfig(bp.MZIM)
         density = bp.normalize(default_state.spectral.density, fgrid)
         env = bp.EnvelopeEvaluator(density, fgrid)
         for tau in (0.0, 13e-15, 47e-15, 90e-15):
@@ -517,7 +517,7 @@ class TestOracleProperties:
         sgrid, _ = small_grids
         pump = bp.gaussian_amplitude(sgrid, waist=waist_mm * 1e-3, center=shift_mm * 1e-3)
         state = bp.TwoPhotonState(bp.CorrelatedPump(pump), small_state.spectral, OMEGA_P)
-        cfg = (bp.InterferometerConfig.mzi if balanced else bp.InterferometerConfig.mzim)()
+        cfg = bp.InterferometerConfig(bp.MZI if balanced else bp.MZIM)
         built = bp.build_initial_state(state)
         for tau in (0.0, tau_fs * 1e-15):
             rates = {}
@@ -626,7 +626,7 @@ class TestBatchedOracleScan:
         assert len(built.branches) == (1 if name in ("gaussian", "shifted", "hg1") else 2)
         half = 120 * self.STEP  # 241 delays, tau = 0 exactly at the centre
         for kind in ("mzi", "mzim"):
-            cfg = getattr(bp.InterferometerConfig, kind)()
+            cfg = bp.InterferometerConfig(kind)
             for splitter in SPLITTERS.values():
                 for start, stop in ((-half, half), (17e-15, 17e-15)):
                     with oracle_convention(splitter):
@@ -922,7 +922,7 @@ class TestDistinctRows:
         spatial, spectral = _batch_states(small_state, small_grids)[name]
         state = bp.TwoPhotonState(spatial, spectral, OMEGA_P)
         for kind in ("mzi", "mzim"):
-            cfg = getattr(bp.InterferometerConfig, kind)()
+            cfg = bp.InterferometerConfig(kind)
             _assert_scan_matches_reference((state, cfg, -30e-15, 30e-15, 0.25e-15))
 
     @pytest.mark.parametrize("profile", [
@@ -948,7 +948,7 @@ class TestDistinctRows:
         sgrid, _ = small_grids
         state = _random_state(sgrid, seed)
         for kind in ("mzi", "mzim"):
-            cfg = getattr(bp.InterferometerConfig, kind)()
+            cfg = bp.InterferometerConfig(kind)
             _assert_scan_matches_reference((state, cfg, -10e-15, 10e-15, 0.25e-15))
 
     @pytest.mark.parametrize("name", ["default_mzi", "default_mzim"])
